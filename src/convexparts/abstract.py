@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .combinat import rgs_partitions, rgs_partitions_exact, stirling2
+from .combinat import indices_of, mask_of, rgs_partitions, rgs_partitions_exact, stirling2
 from .errors import CapExceeded, InputError
 from .setsystems import SetSystem, set_system
 
@@ -31,21 +31,7 @@ class ConvexitySpace:
     @property
     def member_sets(self) -> tuple:
         """Family members as sorted index tuples, in mask order."""
-        return tuple(_indices(m, self.n) for m in self.family)
-
-
-def _indices(mask: int, n: int) -> tuple:
-    return tuple(i for i in range(n) if mask >> i & 1)
-
-
-def _mask_of(space_n: int, subset) -> int:
-    mask = 0
-    for i in subset:
-        i = int(i)
-        if i < 0 or i >= space_n:
-            raise InputError(f"index {i} outside ground set of size {space_n}")
-        mask |= 1 << i
-    return mask
+        return tuple(indices_of(m) for m in self.family)
 
 
 def convexity_space(n: int, family) -> ConvexitySpace:
@@ -53,7 +39,7 @@ def convexity_space(n: int, family) -> ConvexitySpace:
     by validate_space, so invalid families can be represented and reported."""
     if n < 1:
         raise InputError("ground set needs at least one element")
-    masks = sorted({_mask_of(n, member) for member in family})
+    masks = sorted({mask_of(member, n) for member in family})
     return ConvexitySpace(n, tuple(masks))
 
 
@@ -72,13 +58,13 @@ def validate_space(space: ConvexitySpace):
         return False, ("missing-full",)
     for a, b in itertools.combinations(space.family, 2):
         if a & b not in members:
-            return False, ("intersection", _indices(a, space.n), _indices(b, space.n))
+            return False, ("intersection", indices_of(a), indices_of(b))
     return True, None
 
 
 def hull(space: ConvexitySpace, subset) -> tuple:
     """Smallest family member containing the subset, as sorted indices."""
-    return _indices(_hull_mask(space, _mask_of(space.n, subset)), space.n)
+    return indices_of(_hull_mask(space, mask_of(subset, space.n)))
 
 
 def _hull_mask(space: ConvexitySpace, mask: int) -> int:
@@ -121,10 +107,10 @@ def _has_radon_partition(space, sub, hulls) -> bool:
                 continue
             ha = hulls.get(a)
             if ha is None:
-                ha = hulls[a] = _hull_mask(space, _mask_of(space.n, a))
+                ha = hulls[a] = _hull_mask(space, mask_of(a, space.n))
             hb = hulls.get(b)
             if hb is None:
-                hb = hulls[b] = _hull_mask(space, _mask_of(space.n, b))
+                hb = hulls[b] = _hull_mask(space, mask_of(b, space.n))
             if ha & hb:
                 return True
     return False
@@ -154,7 +140,7 @@ def _has_tverberg_partition(space, sub, r, hulls) -> bool:
         for part in parts:
             h = hulls.get(part)
             if h is None:
-                h = hulls[part] = _hull_mask(space, _mask_of(space.n, part))
+                h = hulls[part] = _hull_mask(space, mask_of(part, space.n))
             common &= h
             if not common:
                 break
@@ -168,7 +154,7 @@ def halfspaces(space: ConvexitySpace) -> SetSystem:
     members = set(space.family)
     full = (1 << space.n) - 1
     edges = [m for m in space.family if (full ^ m) in members]
-    return set_system(space.n, [_indices(m, space.n) for m in edges])
+    return set_system(space.n, [indices_of(m) for m in edges])
 
 
 def is_separable(space: ConvexitySpace, cap: int = 10**6):
@@ -184,7 +170,7 @@ def is_separable(space: ConvexitySpace, cap: int = 10**6):
         if a & b:
             continue
         if not any(h & a == a and h & b == 0 for h in halves):
-            return False, (_indices(a, space.n), _indices(b, space.n))
+            return False, (indices_of(a), indices_of(b))
     return True, None
 
 
@@ -221,25 +207,25 @@ def abstract_separable(space: ConvexitySpace, a, b, s: int, t: int,
     """
     if s < 1 or t < 1:
         raise InputError("cover sizes must be at least 1")
-    a_mask = _mask_of(space.n, a)
-    b_mask = _mask_of(space.n, b)
+    a_mask = mask_of(a, space.n)
+    b_mask = mask_of(b, space.n)
     if a_mask & b_mask:
         raise InputError("sides overlap")
     if not a_mask or not b_mask:
         return AbstractSeparation((), ())
-    a_idx = _indices(a_mask, space.n)
-    b_idx = _indices(b_mask, space.n)
+    a_idx = indices_of(a_mask)
+    b_idx = indices_of(b_mask)
     # block-hull pruning pass
     for a_blocks in rgs_partitions(a_idx, s):
         ua = 0
         for block in a_blocks:
-            ua |= _hull_mask(space, _mask_of(space.n, block))
+            ua |= _hull_mask(space, mask_of(block, space.n))
         if ua & b_mask:
             continue
         for b_blocks in rgs_partitions(b_idx, t):
             ub = 0
             for block in b_blocks:
-                ub |= _hull_mask(space, _mask_of(space.n, block))
+                ub |= _hull_mask(space, mask_of(block, space.n))
             if not ua & ub:
                 return AbstractSeparation(
                     tuple(hull(space, blk) for blk in a_blocks),
@@ -251,8 +237,8 @@ def abstract_separable(space: ConvexitySpace, a, b, s: int, t: int,
         for ub, mb in b_unions.items():
             if not ua & ub:
                 return AbstractSeparation(
-                    tuple(_indices(space.family[i], space.n) for i in ma),
-                    tuple(_indices(space.family[i], space.n) for i in mb))
+                    tuple(indices_of(space.family[i]) for i in ma),
+                    tuple(indices_of(space.family[i]) for i in mb))
     return None
 
 
@@ -278,15 +264,15 @@ def abstract_good_partition(space: ConvexitySpace, subset, s: int, t: int,
                             cap: int = 10**6):
     """First bipartition (by size of A, then lexicographic) that no cover
     pair separates, or None when all bipartitions separate."""
-    subset = _indices(_mask_of(space.n, subset), space.n)
+    subset = indices_of(mask_of(subset, space.n))
     if len(subset) < 2:
         raise InputError("need at least two elements to bipartition")
     for size in range(1, len(subset)):
         for a in itertools.combinations(subset, size):
             b = tuple(i for i in subset if i not in a)
             if abstract_separable(space, a, b, s, t, cap) is None:
-                a_unions = _unions_covering(space, _mask_of(space.n, a), s, cap)
-                b_unions = _unions_covering(space, _mask_of(space.n, b), t, cap)
+                a_unions = _unions_covering(space, mask_of(a, space.n), s, cap)
+                b_unions = _unions_covering(space, mask_of(b, space.n), t, cap)
                 return AbstractGoodPartition(
                     (a, b), s, t, len(a_unions), len(b_unions),
                     len(a_unions) * len(b_unions))

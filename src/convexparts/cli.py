@@ -130,19 +130,14 @@ def _load_json(path):
 
 
 def _load_points(path):
-    data = _load_json(path)
-    if "points" not in data:
-        raise InputError("--input is not a point set document")
-    return point_set_from_data(data)
+    return point_set_from_data(_load_json(path))
 
 
 def _load_system(path):
     data = _load_json(path)
-    if "edges" not in data:
-        if "points" in data:
-            raise InputError("this subcommand consumes a set system; "
-                             "run `traces` on the point set first")
-        raise InputError("--input is not a set system document")
+    if isinstance(data, dict) and "points" in data and "edges" not in data:
+        raise InputError("this subcommand consumes a set system; "
+                         "run `traces` on the point set first")
     return set_system_from_data(data)
 
 
@@ -169,6 +164,12 @@ def _require(args, *names):
 
 def _cap(args, fallback=DEFAULT_CAP):
     return fallback if args.cap is None else args.cap
+
+
+def _check_size(args, name, size):
+    """Refuse a generator size above --cap before anything is allocated."""
+    if size > _cap(args):
+        raise CapExceeded(name, _cap(args), size)
 
 
 def _seed(args, fallback=0):
@@ -359,24 +360,13 @@ def _cmd_fsearch(args):
            else point_set_data(report.witness),
            "certificates": [None if c is None
                             else good_partition_data(sample_ps, c)
-                            for sample_ps, c in _fsearch_pairs(report, points)]}
+                            for sample_ps, c in zip(report.samples,
+                                                    report.certificates)]}
     artifacts = [("report.json", canonical_bytes(doc))]
     if report.witness is not None:
         artifacts.append(("witness_points.json",
                           canonical_bytes(point_set_data(report.witness))))
     return (0 if report.all_good else 2), canonical_text(doc), artifacts
-
-
-def _fsearch_pairs(report, points):
-    """Certificates lack their sample's points; re-pair them for emission."""
-    from .partitions import _sample_sets
-
-    p = report.params
-    if p["sampler"] == "file":
-        return zip([points], report.certificates)
-    sampled = _sample_sets(p["d"], p["n"], p["sampler"], len(report.certificates),
-                           p["seed"], None)
-    return zip(sampled, report.certificates)
 
 
 # ---------------------------------------------------------------- generators
@@ -386,11 +376,13 @@ def _cmd_gen(args):
     target = args.target
     if target == "moment-curve":
         _require(args, "n", "d")
+        _check_size(args, "moment_curve_coordinates", args.n * args.d)
         rng = None if args.seed is None else CounterRng(args.seed)
         doc = point_set_data(moment_curve(args.n, args.d, rng=rng))
         name = "points.json"
     elif target == "convex-position":
         _require(args, "n")
+        _check_size(args, "convex_position_points", args.n)
         rng = None if args.seed is None else CounterRng(args.seed)
         doc = point_set_data(convex_position(args.n, rng=rng))
         name = "points.json"
@@ -408,7 +400,9 @@ def _cmd_gen(args):
         name = "points.json"
     elif target == "copies":
         _require(args, "s")
-        ps = translated_copies(_load_points(args.input), args.s)
+        ps = _load_points(args.input)
+        _check_size(args, "copies_points", args.s * len(ps))
+        ps = translated_copies(ps, args.s)
         doc = point_set_data(ps)
         name = "points.json"
     else:  # t42
@@ -426,6 +420,8 @@ def _cmd_gen(args):
 
 def _verify_t999(args):
     _require(args, "r", "s")
+    if args.n is not None:
+        _check_size(args, "t999_points", args.n)
     report = verify_periodic_line_cover(args.r, args.s, n=args.n)
     doc = {"subcommand": "verify", "target": "t999", "ok": report.ok,
            "r": report.r, "s": report.s, "n": report.n,
@@ -478,14 +474,7 @@ def _verify_f3(args):
         ps = _load_points(args.input)
     else:
         n = 9 if args.n is None else args.n
-        rng = CounterRng(_seed(args), "f3")
-        pts, seen = [], set()
-        while len(pts) < n:
-            p = tuple(rng.rat(64, 8) for _ in range(3))
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
-        ps = point_set(pts)
+        ps = point_set(CounterRng(_seed(args), "f3").distinct_points(n, 3))
     if ps.dim != 3:
         raise InputError("this check runs on 3-dimensional points")
     coloring = halfspace_4coloring(ps)
@@ -534,9 +523,7 @@ _VERIFY = {"t999": _verify_t999, "t42": _verify_t42, "sauer": _verify_sauer,
 
 
 def _cmd_verify(args):
-    if args.target in ("sauer", "rshatter") and args.format == "csv":
-        pass
-    else:
+    if args.target not in ("sauer", "rshatter"):
         _json_only(args)
     code, doc, artifacts = _VERIFY[args.target](args)
     if args.format == "csv":

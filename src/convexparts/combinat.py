@@ -10,11 +10,17 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
+from .errors import InputError
 
-def mask_of(indices) -> int:
+
+def mask_of(indices, n: int) -> int:
+    """Bitmask of indices from the ground set 0..n-1."""
     m = 0
     for i in indices:
-        m |= 1 << int(i)
+        i = int(i)
+        if i < 0 or i >= n:
+            raise InputError(f"index {i} outside ground set of size {n}")
+        m |= 1 << i
     return m
 
 

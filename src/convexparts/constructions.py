@@ -230,24 +230,21 @@ def moment_adversary_exhaustive(d: int, s: int, r: int,
                                 jobs: int = 1) -> AdversarySweepReport:
     """Run the adversary against every coloring, lexicographic order.
 
-    Stops at the first failing coloring. Hull verdicts are memoized per
-    worker; the report does not depend on the worker count.
+    Stops at the first failing coloring. Colorings are swept in spans, each
+    with its own hull-verdict memo; jobs=1 makes a single span, so one memo
+    serves the whole sweep. The report does not depend on the worker count.
     """
     inst = moment_adversary_instance(d, s, r)
     total = r ** inst.n
-    if jobs <= 1:
-        verified, max_groups, failure = _sweep_chunk((d, s, r, 0, total))
-    else:
-        step = max(64, min(4096, total // (8 * jobs)))
-        spans = [(d, s, r, lo, min(lo + step, total))
-                 for lo in range(0, total, step)]
-        verified, max_groups, failure = 0, 0, None
-        for count, mg, fail in pmap(_sweep_chunk, spans, jobs):
-            verified += count
-            max_groups = max(max_groups, mg)
-            if fail is not None:
-                failure = fail
-                break
+    # one span at jobs=1, else eight per worker beyond the first
+    count = max(1, 8 * (jobs - 1))
+    step = max(64, (total + count - 1) // count)
+    spans = [(d, s, r, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    verified, max_groups, failure = 0, 0, None
+    for done, mg, failure in pmap(_sweep_chunk, spans, jobs,
+                                  lambda res: res[2] is not None):
+        verified += done
+        max_groups = max(max_groups, mg)
     return AdversarySweepReport(failure is None, d, s, r, inst.n, total,
                                 verified, max_groups, failure)
 
@@ -403,14 +400,7 @@ def tverberg_tight_instance(d: int, r: int, seed="tight", attempts: int = 64) ->
         raise InputError("supported r is 2..4")
     n = (r - 1) * (d + 1)
     for attempt in range(attempts):
-        rng = CounterRng(f"{seed}:{attempt}")
-        rows, seen = [], set()
-        while len(rows) < n:
-            p = tuple(rng.rat(64, 8) for _ in range(d))
-            if p not in seen:
-                seen.add(p)
-                rows.append(p)
-        ps = point_set(rows)
+        ps = point_set(CounterRng(f"{seed}:{attempt}").distinct_points(n, d))
         if good_tverberg_partition(ps, range(n), r, 1) is None:
             return ps
     raise CapExceeded("tight_instance_attempts", attempts, attempts + 1)

@@ -26,9 +26,11 @@ from .errors import CapExceeded, InputError, InternalInvariantError, Preconditio
 from .geometry import (
     Hyperplane,
     PointSet,
+    _norm_group,
     closed_cells_meet,
     hulls_common_point,
     make_hyperplane,
+    point_set,
     verify_hulls_empty,
 )
 from .linprog import REL_EQ, REL_GE, lp_feasible
@@ -49,11 +51,9 @@ class SConvexCover:
 
 
 def s_convex_cover(ps: PointSet, groups, s: int | None = None) -> SConvexCover:
-    norm = tuple(_norm_subset(ps, g) for g in groups)
+    norm = tuple(_norm_group(ps, g) for g in groups)
     if not norm:
         raise InputError("cover needs at least one group")
-    if any(not g for g in norm):
-        raise InputError("cover groups must be nonempty")
     if s is not None and len(norm) > s:
         raise InputError(f"cover uses {len(norm)} groups, allowed {s}")
     return SConvexCover(ps, norm)
@@ -64,7 +64,7 @@ class SeparationCertificate:
     """Grouping plus one strict separator per cross pair.
 
     hyperplanes[i][j] keeps a_groups[i] at side >= 1 and b_groups[j] at
-    side <= -1; polyhedra[i] is the facet list of K_i, the closed cell
+    side <= -1; row hyperplanes[i] is the facet list of K_i, the closed cell
     containing a_groups[i] and excluding every B point.
     """
 
@@ -72,10 +72,6 @@ class SeparationCertificate:
     a_groups: tuple
     b_groups: tuple
     hyperplanes: tuple   # [i][j] -> Hyperplane
-
-    @property
-    def polyhedra(self) -> tuple:
-        return self.hyperplanes
 
 
 @dataclass(frozen=True)
@@ -128,13 +124,6 @@ class PolyhedralSeparation:
         return tuple(tuple(len(piece) for piece in union) for union in self.unions)
 
 
-def _norm_subset(ps: PointSet, subset) -> tuple:
-    idx = tuple(sorted(set(int(i) for i in subset)))
-    if idx and (idx[0] < 0 or idx[-1] >= len(ps.points)):
-        raise InputError(f"index out of range in subset {idx}")
-    return idx
-
-
 def _pair_verdict(ps, memo, g1, g2):
     key = (g1, g2) if g1 <= g2 else (g2, g1)
     hit = memo.get(key)
@@ -150,12 +139,10 @@ def build_K_polyhedra(ps: PointSet, a_groups, b_groups) -> tuple:
     K_i has at most len(b_groups) facets, contains a_groups[i] with unit
     margin, and every B point sits at side <= -1 of at least one facet.
     """
-    a_groups = tuple(_norm_subset(ps, g) for g in a_groups)
-    b_groups = tuple(_norm_subset(ps, g) for g in b_groups)
+    a_groups = tuple(_norm_group(ps, g) for g in a_groups)
+    b_groups = tuple(_norm_group(ps, g) for g in b_groups)
     if not a_groups or not b_groups:
         raise InputError("both sides need at least one group")
-    if any(not g for g in a_groups + b_groups):
-        raise InputError("groups must be nonempty")
     ks = []
     for ga in a_groups:
         facets = []
@@ -191,26 +178,20 @@ def _oriented_separator(ps, positive, negative) -> Hyperplane:
 def st_separable(ps: PointSet, a, b, s: int, t: int):
     """Certificate that A splits into <= s and B into <= t groups with all
     cross hulls disjoint, or None when no grouping pair works."""
-    cert, _, _ = _separability_search(ps, a, b, s, t, {})
-    return cert
+    return st_separability_report(ps, a, b, s, t)[0]
 
 
 def st_separability_report(ps: PointSet, a, b, s: int, t: int):
     """(certificate or None, groupings enumerated, closed-form grouping count)."""
-    return _separability_search(ps, a, b, s, t, {})
-
-
-def _separability_search(ps, a, b, s, t, memo):
-    a = _norm_subset(ps, a)
-    b = _norm_subset(ps, b)
-    if not a or not b:
-        raise InputError("both sides must be nonempty")
+    a = _norm_group(ps, a)
+    b = _norm_group(ps, b)
     if set(a) & set(b):
         raise InputError("sides overlap")
     if s < 1 or t < 1:
         raise InputError("group counts must be at least 1")
     closed_form = partitions_le_count(len(a), s) * partitions_le_count(len(b), t)
     tried = 0
+    memo = {}
     for a_groups in rgs_partitions(a, s):
         for b_groups in rgs_partitions(b, t):
             tried += 1
@@ -244,11 +225,9 @@ def joint_cover_empty(ps: PointSet, parts, s_list, cap: int = 10**6):
     """A cover of each part by <= s_i hulls such that every cross tuple of
     hulls has empty intersection, or None when every grouping combination
     leaves some tuple meeting."""
-    parts = [_norm_subset(ps, p) for p in parts]
+    parts = [_norm_group(ps, p) for p in parts]
     if len(parts) < 2:
         raise InputError("need at least two parts")
-    if any(not p for p in parts):
-        raise InputError("parts must be nonempty")
     seen = set()
     for p in parts:
         if seen & set(p):
@@ -349,7 +328,7 @@ def verify_empty_intersection(cert: EmptyIntersectionCertificate) -> bool:
 def good_radon_partition(ps: PointSet, subset, s: int, t: int, jobs: int = 1):
     """First bipartition (by size of A, then lexicographic) that no grouping
     pair separates, as a certificate, or None when all bipartitions separate."""
-    subset = _norm_subset(ps, subset)
+    subset = _norm_group(ps, subset)
     if len(subset) < 2:
         raise InputError("need at least two points to bipartition")
     if s < 1 or t < 1:
@@ -365,7 +344,7 @@ def good_radon_partition(ps: PointSet, subset, s: int, t: int, jobs: int = 1):
 
 def _radon_candidate_good(args):
     ps, a, b, s, t = args
-    cert, tried, closed_form = _separability_search(ps, a, b, s, t, {})
+    cert, tried, closed_form = st_separability_report(ps, a, b, s, t)
     if cert is not None:
         return None
     return GoodPartitionCertificate(
@@ -376,7 +355,7 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
                             cap: int = 10**6, jobs: int = 1):
     """First r-partition (restricted-growth order, then block-to-part
     assignment order) admitting no empty-intersection cover, or None."""
-    subset = _norm_subset(ps, subset)
+    subset = _norm_group(ps, subset)
     if r < 2:
         raise InputError("need at least two parts")
     if len(subset) < r:
@@ -419,21 +398,22 @@ def _tverberg_candidate_good(args):
         "tverberg", parts, closed_form, closed_form, {"s_list": tuple(s_list)})
 
 
+def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate) -> bool:
+    """Re-run the exhaustion for the certified partition; every field,
+    counts included, must equal the re-derived certificate."""
+    params = cert.params
+    if cert.kind == "radon" and set(params) == {"s", "t"} and len(cert.partition) == 2:
+        derived = _radon_candidate_good((ps, *cert.partition, params["s"], params["t"]))
+    elif cert.kind == "tverberg" and set(params) == {"s_list"}:
+        derived = _tverberg_candidate_good((ps, cert.partition, params["s_list"], 10**6))
+    else:
+        return False
+    return derived == cert
+
+
 def _first_hit(fn, candidates, jobs):
-    """Earliest non-None result in candidate order, evaluated in chunks."""
-    if jobs <= 1:
-        for cand in candidates:
-            hit = fn(cand)
-            if hit is not None:
-                return hit
-        return None
-    chunk = max(1, 4 * jobs)
-    for base in range(0, len(candidates), chunk):
-        results = pmap(fn, candidates[base:base + chunk], jobs=jobs)
-        for hit in results:
-            if hit is not None:
-                return hit
-    return None
+    """Earliest non-None result in candidate order, or None."""
+    return next(filter(None, pmap(fn, candidates, jobs, bool)), None)
 
 
 def _target_system(ps, halfspaces, hull_groups):
@@ -609,15 +589,22 @@ class FSearchReport:
 
     mode: str
     params: dict
-    sample_count: int
+    samples: tuple        # the point sets searched, in order
     certificates: tuple   # per sample: GoodPartitionCertificate or None
-    witness: PointSet | None
     witness_index: int | None
     witness_transcript: int | None
 
     @property
+    def sample_count(self) -> int:
+        return len(self.samples)
+
+    @property
+    def witness(self) -> PointSet | None:
+        return None if self.witness_index is None else self.samples[self.witness_index]
+
+    @property
     def all_good(self) -> bool:
-        return self.witness is None
+        return self.witness_index is None
 
 
 def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsearch",
@@ -643,6 +630,10 @@ def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsear
     if n < 2:
         raise InputError("need at least two points")
     sampled = _sample_sets(d, n, sampler, samples, seed, points)
+    mode = "radon" if radon_mode else "tverberg"
+    params = {"d": d, "n": n, "s": s, "t": t, "r": r,
+              "s_list": None if s_list is None else tuple(s_list),
+              "sampler": sampler, "seed": seed}
     certs = []
     for k, ps in enumerate(sampled):
         everything = range(n)
@@ -656,16 +647,9 @@ def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsear
                 transcript *= prod(range(1, r + 1))
         certs.append(cert)
         if cert is None:
-            params = {"d": d, "n": n, "s": s, "t": t, "r": r,
-                      "s_list": None if s_list is None else tuple(s_list),
-                      "sampler": sampler, "seed": seed}
-            return FSearchReport("radon" if radon_mode else "tverberg", params,
-                                 k + 1, tuple(certs), ps, k, transcript)
-    params = {"d": d, "n": n, "s": s, "t": t, "r": r,
-              "s_list": None if s_list is None else tuple(s_list),
-              "sampler": sampler, "seed": seed}
-    return FSearchReport("radon" if radon_mode else "tverberg", params,
-                         len(certs), tuple(certs), None, None, None)
+            return FSearchReport(mode, params, tuple(sampled[:k + 1]),
+                                 tuple(certs), k, transcript)
+    return FSearchReport(mode, params, tuple(sampled), tuple(certs), None, None)
 
 
 def _sample_sets(d, n, sampler, samples, seed, points):
@@ -682,15 +666,7 @@ def _sample_sets(d, n, sampler, samples, seed, points):
     for k in range(samples):
         rng = CounterRng(f"{seed}:{k}")
         if sampler == "random-rational":
-            from .geometry import point_set
-
-            pts, seen = [], set()
-            while len(pts) < n:
-                p = tuple(rng.rat(64, 8) for _ in range(d))
-                if p not in seen:
-                    seen.add(p)
-                    pts.append(p)
-            out.append(point_set(pts))
+            out.append(point_set(rng.distinct_points(n, d)))
         elif sampler == "convex-position":
             if d != 2:
                 raise InputError("convex-position sampling is planar")

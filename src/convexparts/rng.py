@@ -17,12 +17,6 @@ class CounterRng:
         self._prefix = f"{seed}:{stream}:".encode()
         self._counter = 0
 
-    def clone(self, stream: str) -> "CounterRng":
-        """Independent generator for a named substream of the same seed."""
-        rng = CounterRng(0, "")
-        rng._prefix = self._prefix + f"{stream}:".encode()
-        return rng
-
     def _next_u64(self) -> int:
         digest = hashlib.sha256(self._prefix + str(self._counter).encode()).digest()
         self._counter += 1
@@ -43,6 +37,16 @@ class CounterRng:
     def rat(self, num_bound: int = 256, den: int = 16) -> "Rat":
         """Rational with numerator in [-num_bound, num_bound] over a fixed denominator."""
         return Rat(self.randint(-num_bound, num_bound), den)
+
+    def distinct_points(self, n: int, d: int) -> list:
+        """n distinct points of d coordinates rat(64, 8), in draw order."""
+        points, seen = [], set()
+        while len(points) < n:
+            p = tuple(self.rat(64, 8) for _ in range(d))
+            if p not in seen:
+                seen.add(p)
+                points.append(p)
+        return points
 
     def shuffle(self, items: list) -> list:
         """Fisher-Yates on a copy; the input list is untouched."""

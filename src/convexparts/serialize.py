@@ -20,7 +20,7 @@ from .abstract import (
     convexity_space,
 )
 from .errors import InputError
-from .geometry import Hyperplane, PointSet, make_hyperplane, point_set
+from .geometry import Hyperplane, PointSet, _norm_group, make_hyperplane, point_set
 from .partitions import (
     EmptyIntersectionCertificate,
     GoodPartitionCertificate,
@@ -28,9 +28,8 @@ from .partitions import (
     SConvexCover,
     SeparationCertificate,
     TupleWitness,
-    joint_cover_empty,
-    st_separability_report,
     verify_empty_intersection,
+    verify_good_partition,
     verify_r_separation,
     verify_separation,
 )
@@ -53,6 +52,31 @@ def _need(data, key, kind):
     return data[key]
 
 
+def _list(value, what) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _int(value, what) -> int:
+    # JSON true/false load as bool, which Python counts as an int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _items(data, key, kind) -> list:
+    return _list(_need(data, key, kind), key)
+
+
+def _ints(values, what) -> tuple:
+    return tuple(_int(i, what) for i in _list(values, what))
+
+
+def _index_lists(rows, what) -> list:
+    return [_ints(row, what) for row in _list(rows, what)]
+
+
 # ---------------------------------------------------------------- point sets
 
 def point_set_data(ps: PointSet) -> dict:
@@ -69,17 +93,18 @@ def _coord(value):
             return parse_rat(value)
         except ValueError as err:
             raise InputError(f"bad rational literal {value!r}: {err}") from None
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"coordinates must be 'p/q' strings or integers, "
                      f"got {type(value).__name__}")
 
 
 def point_set_from_data(data) -> PointSet:
-    rows = _need(data, "points", "point set")
-    pts = [[_coord(c) for c in row] for row in rows]
-    ps = point_set(pts, labels=data.get("labels"))
-    if "dim" in data and int(data["dim"]) != ps.dim:
+    pts = [[_coord(c) for c in _list(row, "a point")]
+           for row in _items(data, "points", "point set")]
+    labels = data.get("labels")
+    ps = point_set(pts, labels=None if labels is None else _list(labels, "labels"))
+    if "dim" in data and _int(data["dim"], "dim") != ps.dim:
         raise InputError("declared dimension disagrees with the points")
     return ps
 
@@ -94,8 +119,8 @@ def set_system_data(sys: SetSystem, meta: str | None = None) -> dict:
 
 
 def set_system_from_data(data) -> SetSystem:
-    return set_system(int(_need(data, "n", "set system")),
-                      _need(data, "edges", "set system"))
+    return set_system(_int(_need(data, "n", "set system"), "n"),
+                      _index_lists(_need(data, "edges", "set system"), "edges"))
 
 
 # ------------------------------------------------------------ abstract spaces
@@ -105,8 +130,9 @@ def space_data(space: ConvexitySpace) -> dict:
 
 
 def space_from_data(data) -> ConvexitySpace:
-    return convexity_space(int(_need(data, "n", "convexity space")),
-                           _need(data, "family", "convexity space"))
+    return convexity_space(_int(_need(data, "n", "convexity space"), "n"),
+                           _index_lists(_need(data, "family", "convexity space"),
+                                        "family"))
 
 
 # ------------------------------------------------------------ shatter profile
@@ -146,7 +172,7 @@ def hyperplane_data(h: Hyperplane) -> dict:
 
 
 def hyperplane_from_data(data) -> Hyperplane:
-    return make_hyperplane([_coord(c) for c in _need(data, "normal", "hyperplane")],
+    return make_hyperplane([_coord(c) for c in _items(data, "normal", "hyperplane")],
                            _coord(_need(data, "offset", "hyperplane")))
 
 
@@ -154,8 +180,12 @@ def _groups_data(groups) -> list:
     return [list(g) for g in groups]
 
 
-def _groups_from_data(rows) -> tuple:
-    return tuple(tuple(sorted(int(i) for i in g)) for g in rows)
+def _groups_from_data(ps, rows) -> tuple:
+    return tuple(_norm_group(ps, g) for g in _index_lists(rows, "groups"))
+
+
+def _farkas(values) -> tuple:
+    return tuple(_coord(y) for y in _list(values, "farkas"))
 
 
 # --------------------------------------------------------------- certificates
@@ -180,10 +210,10 @@ def separation_from_data(data) -> SeparationCertificate:
     ps = point_set_from_data(_need(data, "points", "separation"))
     return SeparationCertificate(
         ps,
-        _groups_from_data(_need(data, "a_groups", "separation")),
-        _groups_from_data(_need(data, "b_groups", "separation")),
-        tuple(tuple(hyperplane_from_data(h) for h in row)
-              for row in _need(data, "hyperplanes", "separation")))
+        _groups_from_data(ps, _need(data, "a_groups", "separation")),
+        _groups_from_data(ps, _need(data, "b_groups", "separation")),
+        tuple(tuple(hyperplane_from_data(h) for h in _list(row, "hyperplanes"))
+              for row in _items(data, "hyperplanes", "separation")))
 
 
 def empty_intersection_data(cert: EmptyIntersectionCertificate) -> dict:
@@ -198,13 +228,13 @@ def empty_intersection_data(cert: EmptyIntersectionCertificate) -> dict:
 
 def empty_intersection_from_data(data) -> EmptyIntersectionCertificate:
     ps = point_set_from_data(_need(data, "points", "empty intersection"))
-    covers = tuple(SConvexCover(ps, _groups_from_data(rows))
-                   for rows in _need(data, "covers", "empty intersection"))
+    covers = tuple(SConvexCover(ps, _groups_from_data(ps, rows))
+                   for rows in _items(data, "covers", "empty intersection"))
     witnesses = tuple(
-        TupleWitness(tuple(int(i) for i in _need(w, "choice", "witness")),
-                     tuple(int(i) for i in _need(w, "classes", "witness")),
-                     tuple(_coord(y) for y in _need(w, "farkas", "witness")))
-        for w in _need(data, "witnesses", "empty intersection"))
+        TupleWitness(_ints(_need(w, "choice", "witness"), "choice"),
+                     _ints(_need(w, "classes", "witness"), "classes"),
+                     _farkas(_need(w, "farkas", "witness")))
+        for w in _items(data, "witnesses", "empty intersection"))
     return EmptyIntersectionCertificate(ps, covers, witnesses)
 
 
@@ -223,14 +253,16 @@ def good_partition_data(ps: PointSet, cert: GoodPartitionCertificate) -> dict:
 
 def good_partition_from_data(data):
     ps = point_set_from_data(_need(data, "points", "good partition"))
-    params = dict(_need(data, "params", "good partition"))
-    if "s_list" in params and params["s_list"] is not None:
-        params["s_list"] = tuple(int(s) for s in params["s_list"])
+    params = _need(data, "params", "good partition")
+    if not isinstance(params, dict):
+        raise InputError("good partition params must be an object")
+    params = {key: _ints(value, key) if key == "s_list" else _int(value, key)
+              for key, value in params.items()}
     cert = GoodPartitionCertificate(
         str(_need(data, "kind", "good partition")),
-        _groups_from_data(_need(data, "partition", "good partition")),
-        int(_need(data, "enumerated", "good partition")),
-        int(_need(data, "closed_form", "good partition")),
+        _groups_from_data(ps, _need(data, "partition", "good partition")),
+        _int(_need(data, "enumerated", "good partition"), "enumerated"),
+        _int(_need(data, "closed_form", "good partition"), "closed_form"),
         params)
     return ps, cert
 
@@ -249,15 +281,16 @@ def r_separation_data(sep: PolyhedralSeparation) -> dict:
 
 def r_separation_from_data(data):
     ps = point_set_from_data(_need(data, "points", "r-separation"))
-    covers = tuple(SConvexCover(ps, _groups_from_data(rows))
-                   for rows in _need(data, "covers", "r-separation"))
+    covers = tuple(SConvexCover(ps, _groups_from_data(ps, rows))
+                   for rows in _items(data, "covers", "r-separation"))
     unions = tuple(
-        tuple(tuple(hyperplane_from_data(h) for h in piece) for piece in union)
-        for union in _need(data, "unions", "r-separation"))
+        tuple(tuple(hyperplane_from_data(h) for h in _list(piece, "unions"))
+              for piece in _list(union, "unions"))
+        for union in _items(data, "unions", "r-separation"))
     emptiness = tuple(
-        (tuple(int(i) for i in _need(e, "choice", "emptiness")),
-         tuple(_coord(y) for y in _need(e, "farkas", "emptiness")))
-        for e in _need(data, "emptiness", "r-separation"))
+        (_ints(_need(e, "choice", "emptiness"), "choice"),
+         _farkas(_need(e, "farkas", "emptiness")))
+        for e in _items(data, "emptiness", "r-separation"))
     return ps, PolyhedralSeparation(covers, unions, emptiness)
 
 
@@ -276,27 +309,14 @@ def abstract_partition_data(space: ConvexitySpace, subset,
 
 # ----------------------------------------------------------------- re-checker
 
-def _check_good_partition(data) -> bool:
-    ps, cert = good_partition_from_data(data)
-    if cert.kind == "radon":
-        a, b = cert.partition
-        s, t = int(cert.params["s"]), int(cert.params["t"])
-        found, tried, closed = st_separability_report(ps, a, b, s, t)
-        return (found is None and tried == cert.enumerated
-                and closed == cert.closed_form)
-    if cert.kind == "tverberg":
-        s_list = list(cert.params["s_list"])
-        return joint_cover_empty(ps, cert.partition, s_list) is None
-    return False
-
-
 def _check_abstract_partition(data) -> bool:
     space = space_from_data(_need(data, "space", "abstract partition"))
-    a, b = _groups_from_data(_need(data, "partition", "abstract partition"))
-    subset = tuple(sorted(int(i) for i in _need(data, "subset", "abstract partition")))
+    a, b = _index_lists(_need(data, "partition", "abstract partition"), "partition")
+    subset = tuple(sorted(_ints(_need(data, "subset", "abstract partition"), "subset")))
     if tuple(sorted(a + b)) != subset:
         return False
-    s, t = int(_need(data, "s", "abstract partition")), int(data["t"])
+    s = _int(_need(data, "s", "abstract partition"), "s")
+    t = _int(_need(data, "t", "abstract partition"), "t")
     return abstract_separable(space, a, b, s, t) is None
 
 
@@ -311,7 +331,7 @@ def check_certificate(data) -> tuple:
         ps, sep = r_separation_from_data(data)
         return verify_r_separation(ps, sep), schema
     if schema == GOOD_PARTITION_SCHEMA:
-        return _check_good_partition(data), schema
+        return verify_good_partition(*good_partition_from_data(data)), schema
     if schema == ABSTRACT_PARTITION_SCHEMA:
         return _check_abstract_partition(data), schema
     raise InputError(f"unknown certificate schema {schema!r}")

@@ -35,7 +35,7 @@ def set_system(n: int, edges) -> SetSystem:
     masks = set()
     full = (1 << n) - 1
     for e in edges:
-        m = e if isinstance(e, int) else mask_of(e)
+        m = e if isinstance(e, int) else mask_of(e, n)
         if m < 0 or m & ~full:
             raise InputError(f"edge {e!r} leaves the ground set")
         masks.add(m)
@@ -86,15 +86,8 @@ class ShatterProfile:
         return all(row.ok for row in self.rows)
 
 
-def _as_mask(sys: SetSystem, S) -> int:
-    m = S if isinstance(S, int) else mask_of(S)
-    if m & ~((1 << sys.n) - 1):
-        raise InputError("subset leaves the ground set")
-    return m
-
-
 def is_shattered(sys: SetSystem, S) -> bool:
-    mask = _as_mask(sys, S)
+    mask = mask_of(S, sys.n)
     size = mask.bit_count()
     traces = {e & mask for e in sys.edges}
     return len(traces) == 1 << size
@@ -121,7 +114,7 @@ def primal_shatter(sys: SetSystem, m: int, cap: int = 10**6) -> int:
         raise CapExceeded("primal_shatter_subsets", cap, total)
     best = 0
     for combo in itertools.combinations(range(sys.n), m):
-        mask = mask_of(combo)
+        mask = mask_of(combo, sys.n)
         seen = {e & mask for e in sys.edges}
         if len(seen) > best:
             best = len(seen)
@@ -189,8 +182,8 @@ def _realizable(sys: SetSystem, s_mask: int, part_masks, budget=None) -> bool:
 
 
 def is_realizable(sys: SetSystem, partition: RPartition) -> bool:
-    s_mask = mask_of(partition.base)
-    part_masks = [mask_of(p) for p in partition.parts]
+    s_mask = mask_of(partition.base, sys.n)
+    part_masks = [mask_of(p, sys.n) for p in partition.parts]
     return _realizable(sys, s_mask, part_masks)
 
 
@@ -202,14 +195,14 @@ def is_r_shattered(sys: SetSystem, S, r: int, cap: int = 10**6) -> bool:
     """
     if r < 2:
         raise InputError("r must be at least 2")
-    mask = _as_mask(sys, S)
+    mask = mask_of(S, sys.n)
     items = indices_of(mask)
     if not items:
         return True
     if partitions_le_count(len(items), r) > cap:
         raise CapExceeded("r_shatter_classes", cap, partitions_le_count(len(items), r))
     for blocks in rgs_partitions(items, r):
-        part_masks = [mask_of(b) for b in blocks]
+        part_masks = [mask_of(b, sys.n) for b in blocks]
         part_masks += [0] * (r - len(part_masks))
         if not _realizable(sys, mask, part_masks):
             return False
@@ -234,7 +227,7 @@ def count_realizable(sys: SetSystem, S, r: int, cap: int = 10**6) -> int:
     """
     if r < 1:
         raise InputError("r must be at least 1")
-    mask = _as_mask(sys, S)
+    mask = mask_of(S, sys.n)
     items = indices_of(mask)
     if r ** max(len(items), 1) > cap:
         raise CapExceeded("count_realizable_orderings", cap, r ** len(items))
@@ -243,7 +236,7 @@ def count_realizable(sys: SetSystem, S, r: int, cap: int = 10**6) -> int:
     total = 0
     for blocks in rgs_partitions(items, r):
         k = len(blocks)
-        part_masks = [mask_of(b) for b in blocks] + [0] * (r - k)
+        part_masks = [mask_of(b, sys.n) for b in blocks] + [0] * (r - k)
         if _realizable(sys, mask, part_masks):
             orderings = 1
             for j in range(k):

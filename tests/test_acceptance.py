@@ -329,7 +329,7 @@ def _check_13(jobs):
             for size in range(1, n):
                 for a in itertools.combinations(range(n), size):
                     b = tuple(i for i in range(n) if i not in a)
-                    am, bm = mask_of(a), mask_of(b)
+                    am, bm = mask_of(a, n), mask_of(b, n)
                     for s in (1, 2):
                         for t in (1, 2):
                             sep = st_separable(ps, a, b, s, t) is not None

@@ -4,8 +4,12 @@ trips, and byte reproducibility across --jobs."""
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexparts.cli import main
 from convexparts.serialize import canonical_bytes
@@ -15,6 +19,45 @@ TRIANGLE_DOC = {"dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}
 LINE4_DOC = {"dim": 1, "points": [["0"], ["1"], ["2"], ["3"]]}
 LINE5_DOC = {"dim": 1, "points": [["0"], ["1"], ["2"], ["3"], ["4"]]}
 PATH3_SPACE = {"n": 3, "family": [[], [0], [1], [2], [0, 1], [1, 2], [0, 1, 2]]}
+
+
+# Small JSON values, biased toward the keys and literals the readers look for
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.sampled_from(
+        ["0", "1/2", "-3", "1/0", "x", "separation/1", "empty-intersection/1",
+         "good-partition/1", "r-separation/1", "abstract-good-partition/1",
+         "radon", "tverberg"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["points", "dim", "labels", "n", "edges", "family",
+                         "schema", "kind", "partition", "params", "s", "t",
+                         "s_list", "enumerated", "closed_form", "a_groups",
+                         "b_groups", "hyperplanes", "normal", "offset",
+                         "covers", "witnesses", "choice", "classes", "farkas",
+                         "unions", "emptiness", "space", "subset"]),
+        inner, max_size=5),
+    max_leaves=12)
+
+
+# Every subcommand that reads --input, with the flags it needs
+INPUT_COMMANDS = {
+    "vcdim": ["vcdim"],
+    "rvcdim": ["rvcdim", "--r", "2"],
+    "shatter": ["shatter"],
+    "rshatter": ["rshatter", "--r", "2"],
+    "traces": ["traces"],
+    "radon": ["radon", "--s", "1", "--t", "1"],
+    "tverberg": ["tverberg", "--r", "2", "--s", "1"],
+    "separate": ["separate", "--a", "0", "--b", "1", "--s", "1", "--t", "1"],
+    "build-separation": ["build-separation", "--parts", "0;1", "--s", "1"],
+    "fsearch": ["fsearch", "--sampler", "file", "--d", "1", "--n", "2",
+                "--s", "1", "--t", "1"],
+    "gen-copies": ["gen", "copies", "--s", "2"],
+    "verify-sauer": ["verify", "sauer"],
+    "verify-rshatter": ["verify", "rshatter", "--r", "2"],
+    "verify-f3": ["verify", "f3"],
+    "verify-abstract": ["verify", "abstract", "--r", "3"],
+    "verify-cert": ["verify-cert"],
+}
 
 
 def run(capsys, *args):
@@ -304,6 +347,45 @@ class TestErrorsAndCaps:
                      "--format", "csv"])
         capsys.readouterr()
         assert code == 4
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv, doc", [
+        (["radon", "--s", "1", "--t", "1"], {"dim": 2, "points": 5}),
+        (["vcdim"], {"n": 3, "edges": 5}),
+        (["verify", "abstract"], {"n": 3, "family": 5}),
+        # JSON booleans are not numbers
+        (["radon", "--s", "1", "--t", "1"], {"dim": 1, "points": [[True], [False]]}),
+        (["radon", "--s", "1", "--t", "1"], {"dim": True, "points": [["0"], ["1"]]}),
+        (["vcdim"], {"n": True, "edges": [[0]]}),
+        (["vcdim"], {"n": 2, "edges": [[False]]}),
+        (["verify", "abstract"], {"n": 2, "family": [[], [True], [0, 1]]}),
+    ])
+    def test_malformed_documents_exit_4(self, capsys, tmp_path, argv, doc):
+        path = put(tmp_path, "doc.json", doc)
+        assert main(argv + ["--input", str(path)]) == 4
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "copies", "--s", "3"],
+        ["gen", "moment-curve", "--n", "6", "--d", "2"],
+        ["gen", "convex-position", "--n", "11"],
+        ["verify", "t999", "--r", "2", "--s", "2", "--n", "11"],
+    ])
+    def test_generator_sizes_respect_cap(self, capsys, tmp_path, argv):
+        sq = put(tmp_path, "square.json", SQUARE_DOC)
+        assert main(argv + ["--input", str(sq), "--cap", "10"]) == 3
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", list(INPUT_COMMANDS.values()),
+                             ids=list(INPUT_COMMANDS))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(doc=JSON_VALUES)
+    def test_any_json_input_keeps_the_exit_contract(self, argv, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(doc))
+            assert main(argv + ["--input", str(path), "--cap", "50"]) in {0, 2, 3, 4}
 
 
 class TestReproducibility:

@@ -327,7 +327,7 @@ def test_separability_agrees_with_closed_trace_families():
             for a in itertools.combinations(range(n), size):
                 b = tuple(i for i in range(n) if i not in a)
                 separable = st_separable(ps, a, b, 2, 1) is not None
-                amask, bmask = mask_of(a), mask_of(b)
+                amask, bmask = mask_of(a, n), mask_of(b, n)
                 witnessed = any(
                     bmask & e == bmask and e & amask == 0 for e in traces)
                 assert separable == witnessed, (a, b)
@@ -341,7 +341,7 @@ def test_separable_side_is_a_union_polytope_trace():
         for a in itertools.combinations(range(5), size):
             b = tuple(i for i in range(5) if i not in a)
             if st_separable(ps, a, b, 2, 2) is not None:
-                assert mask_of(a) in edges, a
+                assert mask_of(a, 5) in edges, a
 
 
 def test_good_partitions_survive_the_cover_oracle():

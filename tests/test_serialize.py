@@ -136,6 +136,13 @@ class TestSeparationDocs:
         data["a_groups"], data["b_groups"] = data["b_groups"], data["a_groups"]
         assert check_certificate(data) == (False, "separation/1")
 
+    def test_group_index_outside_the_points_is_input_error(self):
+        cert = st_separable(SQUARE, [0], [1], 1, 1)
+        data = reload(separation_data(cert))
+        data["a_groups"] = [[4]]
+        with pytest.raises(InputError):
+            check_certificate(data)
+
 
 class TestEmptyIntersectionDocs:
     def test_round_trip_and_check(self):
@@ -152,6 +159,25 @@ class TestEmptyIntersectionDocs:
         assert check_certificate(data) == (False, "empty-intersection/1")
 
 
+# One tampered value per good-partition/1 field, for the radon certificate
+# on SQUARE (partition [[0, 1], [2, 3]], s = t = 1) and the tverberg one on
+# LINE5 (partition [[0, 3], [1, 4], [2]], s_list [1, 1, 1]).
+GOOD_PARTITION_TAMPERS = {
+    "schema": {"radon": "good-partition/2", "tverberg": "good-partition/2"},
+    # the diagonal {0, 1} becomes a side of the square; on the line, the
+    # part {1, 4} becomes {1, 2} and misses the part {2}, now at 4
+    "points": {"radon": {"dim": 2, "points": [["0", "0"], ["0", "1/2"],
+                                              ["1", "0"], ["0", "1"]]},
+               "tverberg": {"dim": 1, "points": [["0"], ["1"], ["4"], ["3"], ["2"]]}},
+    "kind": {"radon": "tverberg", "tverberg": "radon"},
+    # edges of the square are separable; so are consecutive runs on a line
+    "partition": {"radon": [[0, 2], [1, 3]], "tverberg": [[0, 1], [2, 3], [4]]},
+    "enumerated": {"radon": 12345, "tverberg": 12345},
+    "closed_form": {"radon": 777, "tverberg": 777},
+    "params": {"radon": {"s": 2, "t": 1}, "tverberg": {"s_list": [2, 1, 1]}},
+}
+
+
 class TestGoodPartitionDocs:
     def test_radon_check(self):
         cert = good_radon_partition(SQUARE, range(4), 1, 1)
@@ -159,24 +185,28 @@ class TestGoodPartitionDocs:
         assert data["partition"] == [[0, 1], [2, 3]]
         assert check_certificate(data) == (True, "good-partition/1")
 
-    def test_radon_tamper_fails(self):
-        cert = good_radon_partition(SQUARE, range(4), 1, 1)
-        data = reload(good_partition_data(SQUARE, cert))
-        # edges of the square are separable, so this partition is not good
-        data["partition"] = [[0, 2], [1, 3]]
-        assert check_certificate(data) == (False, "good-partition/1")
-
     def test_tverberg_check(self):
         cert = good_tverberg_partition(LINE5, range(5), 3, 1)
         data = reload(good_partition_data(LINE5, cert))
         assert data["partition"] == [[0, 3], [1, 4], [2]]
         assert check_certificate(data) == (True, "good-partition/1")
 
-    def test_tverberg_tamper_fails(self):
-        cert = good_tverberg_partition(LINE5, range(5), 3, 1)
-        data = reload(good_partition_data(LINE5, cert))
-        data["partition"] = [[0, 1], [2, 3], [4]]
-        assert check_certificate(data) == (False, "good-partition/1")
+    @pytest.mark.parametrize("field", sorted(GOOD_PARTITION_TAMPERS))
+    @pytest.mark.parametrize("kind", ["radon", "tverberg"])
+    def test_tamper_fails(self, kind, field):
+        if kind == "radon":
+            cert = good_radon_partition(SQUARE, range(4), 1, 1)
+            data = reload(good_partition_data(SQUARE, cert))
+        else:
+            cert = good_tverberg_partition(LINE5, range(5), 3, 1)
+            data = reload(good_partition_data(LINE5, cert))
+        assert set(data) == set(GOOD_PARTITION_TAMPERS)
+        data[field] = GOOD_PARTITION_TAMPERS[field][kind]
+        if field == "schema":
+            with pytest.raises(InputError):
+                check_certificate(data)
+        else:
+            assert check_certificate(data) == (False, "good-partition/1")
 
 
 class TestRSeparationDocs:

@@ -36,7 +36,7 @@ def interval_system(n):
     edges = [0]
     for i in range(n):
         for j in range(i, n):
-            edges.append(mask_of(range(i, j + 1)))
+            edges.append(mask_of(range(i, j + 1), n))
     return set_system(n, edges)
 
 
