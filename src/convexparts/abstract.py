@@ -80,6 +80,17 @@ def _radon_work(n: int, k: int) -> int:
     return comb(n, k) * (2 ** (k - 1) - 1)
 
 
+def _check_work(cap_name: str, terms, cap: int) -> None:
+    """Add up the work terms, raising CapExceeded as soon as the running
+    total passes cap, so the check never costs more than the cap allows
+    (the reported need is then the total so far)."""
+    total = 0
+    for term in terms:
+        total += term
+        if total > cap:
+            raise CapExceeded(cap_name, cap, total)
+
+
 def radon_number(space: ConvexitySpace, cap: int = 10**6):
     """Least k such that every k-subset splits into two parts with meeting
     hulls, or None when no k up to the ground size works.
@@ -88,9 +99,8 @@ def radon_number(space: ConvexitySpace, cap: int = 10**6):
     placing extra points anywhere; hulls only grow), so the scan returns
     the first k that works.
     """
-    total = sum(_radon_work(space.n, k) for k in range(2, space.n + 1))
-    if total > cap:
-        raise CapExceeded("radon_checks", cap, total)
+    _check_work("radon_checks",
+                (_radon_work(space.n, k) for k in range(2, space.n + 1)), cap)
     hulls = {}
     for k in range(2, space.n + 1):
         if all(_has_radon_partition(space, sub, hulls)
@@ -123,9 +133,9 @@ def tverberg_number(space: ConvexitySpace, r: int, cap: int = 10**6):
         raise InputError("need at least two parts")
     if r == 2:
         return radon_number(space, cap)
-    work = sum(comb(space.n, k) * stirling2(k, r) for k in range(r, space.n + 1))
-    if work > cap:
-        raise CapExceeded("tverberg_checks", cap, work)
+    _check_work("tverberg_checks",
+                (comb(space.n, k) * stirling2(k, r) for k in range(r, space.n + 1)),
+                cap)
     hulls = {}
     for k in range(r, space.n + 1):
         if all(_has_tverberg_partition(space, sub, r, hulls)
@@ -246,9 +256,7 @@ def _unions_covering(space, mask, limit, cap):
     """Distinct unions of at most `limit` members containing mask, each with
     its first representative member tuple, in size-then-lex order."""
     count = len(space.family)
-    total = sum(comb(count, k) for k in range(1, limit + 1))
-    if total > cap:
-        raise CapExceeded("family_unions", cap, total)
+    _check_work("family_unions", (comb(count, k) for k in range(1, limit + 1)), cap)
     out = {}
     for k in range(1, limit + 1):
         for members in itertools.combinations(range(count), k):

@@ -29,8 +29,10 @@ from .constructions import (
     halfspace_4coloring,
     moment_adversary_exhaustive,
     moment_adversary_instance,
+    moment_adversary_size,
     moment_curve,
     periodic_coloring,
+    periodic_cover_size,
     translated_copies,
     tverberg_tight_instance,
     verify_periodic_line_cover,
@@ -388,6 +390,7 @@ def _cmd_gen(args):
         name = "points.json"
     elif target == "periodic":
         _require(args, "n", "r")
+        _check_size(args, "periodic_points", args.n)
         doc = {"n": args.n, "r": args.r,
                "coloring": list(periodic_coloring(args.n, args.r))}
         name = "coloring.json"
@@ -406,7 +409,7 @@ def _cmd_gen(args):
         doc = point_set_data(ps)
         name = "points.json"
     else:  # t42
-        _require(args, "d", "s", "r")
+        _t42_points(args)
         inst = moment_adversary_instance(args.d, args.s, args.r)
         doc = {"d": inst.d, "s": inst.s, "r": inst.r, "m": inst.m,
                "p": inst.p, "n": inst.n,
@@ -420,8 +423,7 @@ def _cmd_gen(args):
 
 def _verify_t999(args):
     _require(args, "r", "s")
-    if args.n is not None:
-        _check_size(args, "t999_points", args.n)
+    _check_size(args, "t999_points", periodic_cover_size(args.r, args.s, args.n))
     report = verify_periodic_line_cover(args.r, args.s, n=args.n)
     doc = {"subcommand": "verify", "target": "t999", "ok": report.ok,
            "r": report.r, "s": report.s, "n": report.n,
@@ -433,8 +435,18 @@ def _verify_t999(args):
     return (0 if report.ok else 2), doc, []
 
 
-def _verify_t42(args):
+def _t42_points(args):
+    """Point count of the t42 instance, its coordinates checked against --cap."""
     _require(args, "d", "s", "r")
+    m, p = moment_adversary_size(args.d, args.s, args.r)
+    _check_size(args, "t42_coordinates", m * p * args.d)
+    return m * p
+
+
+def _verify_t42(args):
+    # r >= 2, so a power past the cap's bit length already exceeds it
+    n = min(_t42_points(args), _cap(args).bit_length() + 1)
+    _check_size(args, "t42_colorings", args.r ** n)
     report = moment_adversary_exhaustive(args.d, args.s, args.r, jobs=args.jobs)
     doc = {"subcommand": "verify", "target": "t42", "ok": report.ok,
            "d": report.d, "s": report.s, "r": report.r, "n": report.n,
@@ -474,6 +486,7 @@ def _verify_f3(args):
         ps = _load_points(args.input)
     else:
         n = 9 if args.n is None else args.n
+        _check_size(args, "f3_points", n)
         ps = point_set(CounterRng(_seed(args), "f3").distinct_points(n, 3))
     if ps.dim != 3:
         raise InputError("this check runs on 3-dimensional points")

@@ -27,7 +27,12 @@ from .combinat import run_splits
 from .errors import CapExceeded, InputError, InternalInvariantError
 from .geometry import PointSet, hull_disjoint, point_set
 from .parallel import pmap
-from .partitions import SConvexCover, covers_jointly_empty, good_tverberg_partition
+from .partitions import (
+    MeetOracle,
+    SConvexCover,
+    covers_jointly_empty,
+    good_tverberg_partition,
+)
 from .ranges import halfspace_traces
 from .rational import Rat, rat
 from .rng import CounterRng
@@ -83,17 +88,22 @@ class MomentAdversaryInstance:
     interval_index: tuple
 
 
-def moment_adversary_instance(d: int, s: int, r: int) -> MomentAdversaryInstance:
-    """Instance sized for the adversary; odd r is rejected (the odd case
-    follows from r-1 by never using the last color)."""
+def moment_adversary_size(d: int, s: int, r: int) -> tuple:
+    """(m, p) of the adversary instance, after the parameter checks; odd r
+    is rejected (the odd case follows from r-1 by never using the last
+    color)."""
     if d < 1:
         raise InputError("dimension must be at least 1")
     if s < 3:
         raise InputError("need s >= 3")
     if r < 2 or r % 2:
         raise InputError("r must be even and at least 2")
-    m = (d // 2 + 1) * r // 2
-    p = (s - 1) // 2 * r // 2
+    return (d // 2 + 1) * r // 2, (s - 1) // 2 * r // 2
+
+
+def moment_adversary_instance(d: int, s: int, r: int) -> MomentAdversaryInstance:
+    """Instance sized for the adversary (see moment_adversary_size)."""
+    m, p = moment_adversary_size(d, s, r)
     n = m * p
     return MomentAdversaryInstance(d, s, r, m, p, n, moment_curve(n, d),
                                    tuple(i // m for i in range(n)))
@@ -180,7 +190,7 @@ class AdversaryReport:
 
 
 def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
-                            pair_memo=None, tuple_memo=None) -> AdversaryReport:
+                            oracle=None) -> AdversaryReport:
     """Build the covers for a coloring and certify their joint emptiness.
 
     Structural checks (at most s groups per cover, each cover holds exactly
@@ -188,7 +198,8 @@ def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
     on violation since the greedy enforces them by construction. The
     mathematical claim, empty joint intersection, is returned as ok with a
     per-tuple Farkas certificate; ok=False would falsify the construction.
-    The memo dicts may be shared across colorings of the same instance.
+    oracle, a MeetOracle of inst.points, may be shared across colorings of
+    the same instance.
     """
     coloring = _check_coloring(inst, coloring)
     chosen = choose_interval_colors(inst, coloring)
@@ -206,7 +217,7 @@ def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
             qs = {inst.interval_index[i] for i in g}
             if len(qs) == 1 and chosen[next(iter(qs))] == color and len(g) > cap:
                 raise InternalInvariantError("single-interval piece too large")
-    cert = covers_jointly_empty(inst.points, covers, pair_memo, tuple_memo)
+    cert = covers_jointly_empty(inst.points, covers, oracle)
     return AdversaryReport(cert is not None, inst, coloring, chosen, covers,
                            cert, max_groups)
 
@@ -231,7 +242,7 @@ def moment_adversary_exhaustive(d: int, s: int, r: int,
     """Run the adversary against every coloring, lexicographic order.
 
     Stops at the first failing coloring. Colorings are swept in spans, each
-    with its own hull-verdict memo; jobs=1 makes a single span, so one memo
+    with its own MeetOracle; jobs=1 makes a single span, so one oracle
     serves the whole sweep. The report does not depend on the worker count.
     """
     inst = moment_adversary_instance(d, s, r)
@@ -252,11 +263,11 @@ def moment_adversary_exhaustive(d: int, s: int, r: int,
 def _sweep_chunk(args):
     d, s, r, lo, hi = args
     inst = moment_adversary_instance(d, s, r)
-    pair_memo, tuple_memo = {}, {}
+    oracle = MeetOracle(inst.points)
     max_groups = 0
     for k in range(lo, hi):
         coloring = _coloring_from_index(k, inst.n, r)
-        report = verify_moment_adversary(inst, coloring, pair_memo, tuple_memo)
+        report = verify_moment_adversary(inst, coloring, oracle)
         max_groups = max(max_groups, report.max_groups)
         if not report.ok:
             return k - lo, max_groups, coloring
@@ -294,6 +305,14 @@ class PeriodicCoverReport:
     failure: tuple | None
 
 
+def periodic_cover_size(r: int, s: int, n: int | None = None) -> int:
+    """The point count of verify_periodic_line_cover, after the parameter
+    checks: n, by default r(r-1)(s+1)+1, the least count making ok hold."""
+    if r < 2 or s < 1:
+        raise InputError("need r >= 2 and s >= 1")
+    return r * (r - 1) * (s + 1) + 1 if n is None else n
+
+
 def verify_periodic_line_cover(r: int, s: int, n: int | None = None) -> PeriodicCoverReport:
     """Color 0..n-1 periodically with r colors, then sweep every way to
     cover each class by at most s intervals with endpoints at class points.
@@ -304,12 +323,9 @@ def verify_periodic_line_cover(r: int, s: int, n: int | None = None) -> Periodic
     those suffices. Also audits the gap count: a single cover leaves at
     most s+1 gaps, and consecutive points of one class have exactly r-1
     points strictly between them, so one cover misses at most (s+1)(r-1)
-    points. n defaults to r(r-1)(s+1)+1, the least count making ok hold.
+    points. n defaults as in periodic_cover_size.
     """
-    if r < 2 or s < 1:
-        raise InputError("need r >= 2 and s >= 1")
-    if n is None:
-        n = r * (r - 1) * (s + 1) + 1
+    n = periodic_cover_size(r, s, n)
     if n < r:
         raise InputError("need at least one point of each color")
     coloring = periodic_coloring(n, r)

@@ -115,6 +115,31 @@ def hull_meet_constraints(ps: PointSet, groups):
     return cons, nvar
 
 
+def farkas_shadows(ps: PointSet, groups, farkas) -> tuple:
+    """Per group position, the bitmask of every point the certificate still
+    keeps out of a common point.
+
+    farkas refutes hull_meet_constraints(ps, groups). Write alpha_g for its
+    net multiplier on group g's weight-sum row and c_g for those on group
+    g's agreement rows (g >= 1). The column of a point p at position 0 is
+    alpha_0 - (c_1 + ... + c_{r-1}).p, at position g >= 1 it is
+    alpha_g + c_g.p, and the certificate needs each column <= 0. A system
+    whose g-th group lies inside the g-th mask has only such columns, so
+    the same vector proves its hulls disjoint.
+    """
+    r, d = len(groups), ps.dim
+    net = [farkas[2 * k] - farkas[2 * k + 1] for k in range(len(farkas) // 2)]
+    alpha = net[:r]
+    normals = [net[r + (g - 1) * d:r + g * d] for g in range(1, r)]
+    total = [sum((c[k] for c in normals), ZERO) for k in range(d)]
+    columns = [(alpha[0], [-v for v in total])]
+    columns += [(alpha[g], normals[g - 1]) for g in range(1, r)]
+    return tuple(
+        sum(1 << i for i, p in enumerate(ps.points)
+            if a + sum((v * x for v, x in zip(c, p)), ZERO) <= 0)
+        for a, c in columns)
+
+
 def hulls_common_point(ps: PointSet, groups) -> HullIntersection:
     """A point in the intersection of the groups' hulls, or a Farkas witness."""
     ngroups = tuple(_norm_group(ps, g) for g in groups)

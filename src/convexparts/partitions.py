@@ -7,6 +7,17 @@ a grouping works iff every cross tuple of hulls fails to meet. Searchers
 exhaust groupings in restricted-growth order and return certificates that
 re-verify from kernel predicates alone.
 
+Every such question goes to one MeetOracle per search, which answers most
+of them without an LP. Its inference rests on two facts. Meeting is
+monotone: if subgroups of the asked groups meet, so do the groups, and a
+meeting pair is already witnessed by the points with nonzero weight in a
+basic solution of its d+2 equality rows (Caratheodory). Disjointness is
+certified by a Farkas vector, which refutes every system whose points pass
+its column test, not only the one it was solved for. Every verdict is
+therefore exact. Separators are built only for the grouping a search
+returns, and Farkas vectors in certificates come from the LP of exactly
+the groups they name.
+
 The constructive half replaces each cover by a union of polytopes. Cross-pair
 separators give polytopes with at most t facets. The r-fold construction is
 sequential; each separation target is an intersection of earlier polytopes
@@ -24,13 +35,16 @@ from math import prod
 from .combinat import partitions_le_count, rgs_partitions, rgs_partitions_exact, stirling2
 from .errors import CapExceeded, InputError, InternalInvariantError, PreconditionFailed
 from .geometry import (
+    HullIntersection,
     Hyperplane,
     PointSet,
     _norm_group,
     closed_cells_meet,
+    farkas_shadows,
     hulls_common_point,
     make_hyperplane,
     point_set,
+    strict_separator,
     verify_hulls_empty,
 )
 from .linprog import REL_EQ, REL_GE, lp_feasible
@@ -124,35 +138,105 @@ class PolyhedralSeparation:
         return tuple(tuple(len(piece) for piece in union) for union in self.unions)
 
 
-def _pair_verdict(ps, memo, g1, g2):
-    key = (g1, g2) if g1 <= g2 else (g2, g1)
-    hit = memo.get(key)
-    if hit is None:
-        hit = hulls_common_point(ps, key)
-        memo[key] = hit
-    return hit
+class MeetOracle:
+    """Do the hulls of these groups share a point? One point set, asked often.
+
+    Built once per search. groups are sorted index tuples, as covers and
+    rgs_partitions hold them; a question is keyed by the groups in sorted
+    order, which is also the group order of the LP solved for it, so a
+    Farkas vector taken from here is the one hulls_common_point(ps, key)
+    gives. Each question is answered, in this order:
+
+    - from the exact memo, when the same groups were asked before;
+    - from an earlier meeting: the points with nonzero weight in its
+      solution (at most d+2 for a pair: a basic solution of d+2 equality
+      rows) already share a point, and hulls only grow, so any groups that
+      contain them, one support per group, meet too;
+    - from an earlier certificate of disjointness: farkas_shadows names,
+      per position, every point whose column the same Farkas vector still
+      refutes, so any groups inside those masks are disjoint too;
+    - by solving the LP, whose answer then serves the later questions.
+
+    Questions of different arity never inform each other. Nothing here
+    outlives the oracle: no cache is kept across searches.
+    """
+
+    def __init__(self, ps: PointSet):
+        self.ps = ps
+        self._verdicts = {}  # key -> bool, solved or inferred
+        self._solved = {}    # key -> HullIntersection
+        self._meeting = {}   # arity -> packed supports, every group order
+        self._apart = {}     # arity -> packed shadows, every group order
+
+    def meets(self, groups) -> bool:
+        """Whether the hulls of the groups share a point."""
+        key = tuple(sorted(groups))
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._infer(key)
+            if verdict is None:
+                verdict = bool(self._solve(key))
+            self._verdicts[key] = verdict
+        return verdict
+
+    def intersection(self, groups) -> HullIntersection:
+        """The exact common-point answer, point or Farkas vector, for the
+        groups in sorted order."""
+        key = tuple(sorted(groups))
+        out = self._solved.get(key)
+        return self._solve(key) if out is None else out
+
+    def _pack(self, masks) -> int:
+        n = len(self.ps.points)
+        return sum(m << (k * n) for k, m in enumerate(masks))
+
+    def _infer(self, key):
+        packed = self._pack(sum(1 << i for i in g) for g in key)
+        outside = ~packed
+        if any(not support & outside for support in self._meeting.get(len(key), ())):
+            return True
+        if any(not packed & ~shadow for shadow in self._apart.get(len(key), ())):
+            return False
+        return None
+
+    def _solve(self, key) -> HullIntersection:
+        out = hulls_common_point(self.ps, key)
+        if out:
+            masks = [sum(1 << i for i, w in zip(g, ws) if w)
+                     for g, ws in zip(out.groups, out.weights)]
+            table = self._meeting
+        else:
+            masks = farkas_shadows(self.ps, out.groups, out.farkas)
+            table = self._apart
+        table.setdefault(len(key), []).extend(
+            {self._pack(order) for order in itertools.permutations(masks)})
+        self._solved[key] = out
+        self._verdicts[key] = bool(out)
+        return out
 
 
-def build_K_polyhedra(ps: PointSet, a_groups, b_groups) -> tuple:
+def build_K_polyhedra(ps: PointSet, a_groups, b_groups, oracle=None) -> tuple:
     """One polytope per A-group: intersect its separators from every B-group.
 
     K_i has at most len(b_groups) facets, contains a_groups[i] with unit
     margin, and every B point sits at side <= -1 of at least one facet.
+    oracle, a MeetOracle of ps, lends the disjointness verdicts a search
+    already has.
     """
     a_groups = tuple(_norm_group(ps, g) for g in a_groups)
     b_groups = tuple(_norm_group(ps, g) for g in b_groups)
     if not a_groups or not b_groups:
         raise InputError("both sides need at least one group")
+    oracle = _oracle_for(ps, oracle)
     ks = []
     for ga in a_groups:
         facets = []
         for gb in b_groups:
-            meet = hulls_common_point(ps, (ga, gb))
-            if meet:
+            if oracle.meets((ga, gb)):
                 raise PreconditionFailed(
-                    f"hulls of {ga} and {gb} share a point", witness=meet.point)
-            hp = _oriented_separator(ps, ga, gb)
-            facets.append(hp)
+                    f"hulls of {ga} and {gb} share a point",
+                    witness=oracle.intersection((ga, gb)).point)
+            facets.append(_oriented_separator(ps, ga, gb))
         ks.append(tuple(facets))
     for ga, facets in zip(a_groups, ks):
         for i in ga:
@@ -166,9 +250,15 @@ def build_K_polyhedra(ps: PointSet, a_groups, b_groups) -> tuple:
     return tuple(ks)
 
 
-def _oriented_separator(ps, positive, negative) -> Hyperplane:
-    from .geometry import strict_separator
+def _oracle_for(ps, oracle):
+    if oracle is None:
+        return MeetOracle(ps)
+    if oracle.ps is not ps and oracle.ps != ps:
+        raise InputError("oracle built for another point set")
+    return oracle
 
+
+def _oriented_separator(ps, positive, negative) -> Hyperplane:
     hp = strict_separator(ps, negative, positive)
     if hp is None:
         raise InternalInvariantError("disjoint hulls without a separator")
@@ -182,24 +272,34 @@ def st_separable(ps: PointSet, a, b, s: int, t: int):
 
 
 def st_separability_report(ps: PointSet, a, b, s: int, t: int):
-    """(certificate or None, groupings enumerated, closed-form grouping count)."""
-    a = _norm_group(ps, a)
-    b = _norm_group(ps, b)
+    """(certificate or None, groupings enumerated, closed-form grouping count).
+
+    The search itself only asks whether hulls meet; separators are built
+    for the grouping it returns, not for the ones it passes over."""
+    oracle = MeetOracle(ps)
+    grouping, tried, closed_form = _separating_grouping(oracle, a, b, s, t)
+    if grouping is None:
+        return None, tried, closed_form
+    ks = build_K_polyhedra(ps, *grouping, oracle=oracle)
+    return SeparationCertificate(ps, *grouping, ks), tried, closed_form
+
+
+def _separating_grouping(oracle, a, b, s, t):
+    """(first (a_groups, b_groups) in restricted-growth order whose cross
+    hulls are all disjoint, or None; groupings tried; closed-form count)."""
+    a = _norm_group(oracle.ps, a)
+    b = _norm_group(oracle.ps, b)
     if set(a) & set(b):
         raise InputError("sides overlap")
     if s < 1 or t < 1:
         raise InputError("group counts must be at least 1")
     closed_form = partitions_le_count(len(a), s) * partitions_le_count(len(b), t)
     tried = 0
-    memo = {}
     for a_groups in rgs_partitions(a, s):
         for b_groups in rgs_partitions(b, t):
             tried += 1
-            if all(not _pair_verdict(ps, memo, ga, gb)
-                   for ga in a_groups for gb in b_groups):
-                ks = build_K_polyhedra(ps, a_groups, b_groups)
-                cert = SeparationCertificate(ps, a_groups, b_groups, ks)
-                return cert, tried, closed_form
+            if not any(oracle.meets((ga, gb)) for ga in a_groups for gb in b_groups):
+                return (a_groups, b_groups), tried, closed_form
     return None, tried, closed_form
 
 
@@ -225,6 +325,17 @@ def joint_cover_empty(ps: PointSet, parts, s_list, cap: int = 10**6):
     """A cover of each part by <= s_i hulls such that every cross tuple of
     hulls has empty intersection, or None when every grouping combination
     leaves some tuple meeting."""
+    oracle = MeetOracle(ps)
+    for combo in itertools.product(*_cover_groupings(ps, parts, s_list, cap)):
+        if _all_tuples_empty(oracle, combo):
+            covers = tuple(SConvexCover(ps, groups) for groups in combo)
+            return EmptyIntersectionCertificate(
+                ps, covers, _tuple_witnesses(oracle, combo))
+    return None
+
+
+def _cover_groupings(ps, parts, s_list, cap):
+    """Per part, its groupings into <= s_i groups, after the input checks."""
     parts = [_norm_group(ps, p) for p in parts]
     if len(parts) < 2:
         raise InputError("need at least two parts")
@@ -241,52 +352,47 @@ def joint_cover_empty(ps: PointSet, parts, s_list, cap: int = 10**6):
     total = prod(partitions_le_count(len(p), s) for p, s in zip(parts, s_list))
     if total > cap:
         raise CapExceeded("cover_groupings", cap, total)
-    pair_memo, tuple_memo = {}, {}
-    groupings = [list(rgs_partitions(p, s)) for p, s in zip(parts, s_list)]
-    for combo in itertools.product(*groupings):
-        witnesses = _all_tuples_empty(ps, combo, pair_memo, tuple_memo)
-        if witnesses is not None:
-            covers = tuple(SConvexCover(ps, groups) for groups in combo)
-            return EmptyIntersectionCertificate(ps, covers, witnesses)
-    return None
+    return [list(rgs_partitions(p, s)) for p, s in zip(parts, s_list)]
 
 
-def _all_tuples_empty(ps, combo, pair_memo, tuple_memo):
+def _all_tuples_empty(oracle, combo) -> bool:
+    """Whether every cross tuple of hulls misses. Pairs are asked before the
+    full tuple: an empty sub-intersection already refutes the whole tuple."""
+    return not any(
+        all(oracle.meets(pair) for pair in itertools.combinations(groups, 2))
+        and oracle.meets(groups)
+        for groups in itertools.product(*combo))
+
+
+def _tuple_witnesses(oracle, combo):
     """Witness list covering every cross tuple, or None at the first tuple
-    whose hulls meet. Pairs are consulted before the full tuple: an empty
-    sub-intersection already refutes the whole tuple."""
+    whose hulls meet. The witness names the first disjoint pair, else the
+    whole tuple, with the Farkas vector of its exact LP."""
     witnesses = []
-    r = len(combo)
+    everyone = tuple(range(len(combo)))
+    pairs = tuple(itertools.combinations(everyone, 2))
     for choice in itertools.product(*[range(len(g)) for g in combo]):
-        groups = tuple(combo[i][choice[i]] for i in range(r))
-        witness = None
-        for i, j in itertools.combinations(range(r), 2):
-            verdict = _pair_verdict(ps, pair_memo, groups[i], groups[j])
-            if not verdict:
-                witness = TupleWitness(choice, (i, j), verdict.farkas)
+        groups = tuple(combo[i][k] for i, k in enumerate(choice))
+        for i, j in pairs:
+            if not oracle.meets((groups[i], groups[j])):
+                classes, sub = (i, j), (groups[i], groups[j])
                 break
-        if witness is None:
-            key = tuple(sorted(groups))
-            verdict = tuple_memo.get(key)
-            if verdict is None:
-                verdict = hulls_common_point(ps, key)
-                tuple_memo[key] = verdict
-            if verdict:
+        else:
+            if oracle.meets(groups):
                 return None
-            witness = TupleWitness(choice, tuple(range(r)), verdict.farkas)
-        witnesses.append(witness)
+            classes, sub = everyone, groups
+        witnesses.append(TupleWitness(choice, classes, oracle.intersection(sub).farkas))
     return tuple(witnesses)
 
 
-def covers_jointly_empty(ps: PointSet, covers, pair_memo=None, tuple_memo=None):
+def covers_jointly_empty(ps: PointSet, covers, oracle=None):
     """Per-tuple emptiness certificate for covers fixed in advance, or None
     when some cross tuple of hulls meets.
 
     Unlike joint_cover_empty there is no grouping search: the covers are the
     candidate. A cover with no groups is the empty set, so the certificate
-    then carries no tuples. The memo dicts may be shared across calls that
-    use the same ground point set; sweeps over many covers of one set reuse
-    verdicts that way.
+    then carries no tuples. oracle, a MeetOracle of ps, may be shared across
+    calls; sweeps over many covers of one set reuse verdicts that way.
     """
     covers = tuple(covers)
     if len(covers) < 2:
@@ -294,10 +400,8 @@ def covers_jointly_empty(ps: PointSet, covers, pair_memo=None, tuple_memo=None):
     for c in covers:
         if c.ground != ps:
             raise InputError("cover ground disagrees with the point set")
-    pair_memo = {} if pair_memo is None else pair_memo
-    tuple_memo = {} if tuple_memo is None else tuple_memo
-    combo = tuple(c.groups for c in covers)
-    witnesses = _all_tuples_empty(ps, combo, pair_memo, tuple_memo)
+    oracle = _oracle_for(ps, oracle)
+    witnesses = _tuple_witnesses(oracle, tuple(c.groups for c in covers))
     if witnesses is None:
         return None
     return EmptyIntersectionCertificate(ps, covers, witnesses)
@@ -318,7 +422,7 @@ def verify_empty_intersection(cert: EmptyIntersectionCertificate) -> bool:
             groups = [cert.covers[c].groups[w.choice[c]] for c in w.classes]
         except IndexError:
             return False
-        # ordering must match the solved system: hulls_common_point sorts
+        # ordering must match the solved system: MeetOracle sorts
         groups = tuple(sorted(groups))
         if not verify_hulls_empty(ps, groups, w.farkas):
             return False
@@ -327,25 +431,29 @@ def verify_empty_intersection(cert: EmptyIntersectionCertificate) -> bool:
 
 def good_radon_partition(ps: PointSet, subset, s: int, t: int, jobs: int = 1):
     """First bipartition (by size of A, then lexicographic) that no grouping
-    pair separates, as a certificate, or None when all bipartitions separate."""
+    pair separates, as a certificate, or None when all bipartitions separate.
+
+    One MeetOracle serves every candidate; at jobs > 1 each pickled
+    candidate carries its own, still empty, copy."""
     subset = _norm_group(ps, subset)
     if len(subset) < 2:
         raise InputError("need at least two points to bipartition")
     if s < 1 or t < 1:
         raise InputError("group counts must be at least 1")
+    oracle = MeetOracle(ps)
     candidates = []
     members = set(subset)
     for size in range(1, len(subset)):
         for a in itertools.combinations(subset, size):
             b = tuple(sorted(members - set(a)))
-            candidates.append((ps, a, b, s, t))
+            candidates.append((oracle, a, b, s, t))
     return _first_hit(_radon_candidate_good, candidates, jobs)
 
 
 def _radon_candidate_good(args):
-    ps, a, b, s, t = args
-    cert, tried, closed_form = st_separability_report(ps, a, b, s, t)
-    if cert is not None:
+    oracle, a, b, s, t = args
+    grouping, tried, closed_form = _separating_grouping(oracle, a, b, s, t)
+    if grouping is not None:
         return None
     return GoodPartitionCertificate(
         "radon", (a, b), tried, closed_form, {"s": s, "t": t})
@@ -354,7 +462,9 @@ def _radon_candidate_good(args):
 def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
                             cap: int = 10**6, jobs: int = 1):
     """First r-partition (restricted-growth order, then block-to-part
-    assignment order) admitting no empty-intersection cover, or None."""
+    assignment order) admitting no empty-intersection cover, or None.
+
+    One MeetOracle serves every candidate, as in good_radon_partition."""
     subset = _norm_group(ps, subset)
     if r < 2:
         raise InputError("need at least two parts")
@@ -373,6 +483,7 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
         nparts *= prod(range(1, r + 1))
     if nparts > cap:
         raise CapExceeded("tverberg_partitions", cap, nparts)
+    oracle = MeetOracle(ps)
     candidates = []
     for blocks in rgs_partitions_exact(subset, r):
         if uniform:
@@ -385,13 +496,14 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
                     seen.add(perm)
                     assignments.append(perm)
         for parts in assignments:
-            candidates.append((ps, parts, tuple(s_list), cap))
+            candidates.append((oracle, parts, tuple(s_list), cap))
     return _first_hit(_tverberg_candidate_good, candidates, jobs)
 
 
 def _tverberg_candidate_good(args):
-    ps, parts, s_list, cap = args
-    if joint_cover_empty(ps, parts, s_list, cap=cap) is not None:
+    oracle, parts, s_list, cap = args
+    groupings = _cover_groupings(oracle.ps, parts, s_list, cap)
+    if any(_all_tuples_empty(oracle, combo) for combo in itertools.product(*groupings)):
         return None
     closed_form = prod(partitions_le_count(len(p), s) for p, s in zip(parts, s_list))
     return GoodPartitionCertificate(
@@ -402,10 +514,11 @@ def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate) -> bool:
     """Re-run the exhaustion for the certified partition; every field,
     counts included, must equal the re-derived certificate."""
     params = cert.params
+    oracle = MeetOracle(ps)
     if cert.kind == "radon" and set(params) == {"s", "t"} and len(cert.partition) == 2:
-        derived = _radon_candidate_good((ps, *cert.partition, params["s"], params["t"]))
+        derived = _radon_candidate_good((oracle, *cert.partition, params["s"], params["t"]))
     elif cert.kind == "tverberg" and set(params) == {"s_list"}:
-        derived = _tverberg_candidate_good((ps, cert.partition, params["s_list"], 10**6))
+        derived = _tverberg_candidate_good((oracle, cert.partition, params["s_list"], 10**6))
     else:
         return False
     return derived == cert
@@ -629,7 +742,9 @@ def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsear
             s_list = [s] * r
     if n < 2:
         raise InputError("need at least two points")
-    sampled = _sample_sets(d, n, sampler, samples, seed, points)
+    if radon_mode and (1 << n) - 2 > cap:
+        raise CapExceeded("radon_bipartitions", cap, (1 << n) - 2)
+    sampled = _sample_sets(d, n, sampler, samples, seed, points, cap)
     mode = "radon" if radon_mode else "tverberg"
     params = {"d": d, "n": n, "s": s, "t": t, "r": r,
               "s_list": None if s_list is None else tuple(s_list),
@@ -652,7 +767,7 @@ def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsear
     return FSearchReport(mode, params, tuple(sampled), tuple(certs), None, None)
 
 
-def _sample_sets(d, n, sampler, samples, seed, points):
+def _sample_sets(d, n, sampler, samples, seed, points, cap):
     from .constructions import convex_position, moment_curve
     from .rng import CounterRng
 
@@ -662,6 +777,8 @@ def _sample_sets(d, n, sampler, samples, seed, points):
         if len(points.points) != n or points.dim != d:
             raise InputError("supplied points do not match d and n")
         return [points]
+    if samples * n > cap:
+        raise CapExceeded("fsearch_sample_points", cap, samples * n)
     out = []
     for k in range(samples):
         rng = CounterRng(f"{seed}:{k}")

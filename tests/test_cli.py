@@ -367,14 +367,35 @@ class TestInputContract:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
-        ["gen", "copies", "--s", "3"],
+        ["gen", "copies", "--s", "3", "--input", "SQUARE"],
         ["gen", "moment-curve", "--n", "6", "--d", "2"],
         ["gen", "convex-position", "--n", "11"],
         ["verify", "t999", "--r", "2", "--s", "2", "--n", "11"],
+        # 2^12 - 2 bipartitions, listed before the first search
+        ["fsearch", "--d", "1", "--n", "12", "--s", "1", "--t", "1",
+         "--samples", "1"],
+        # 6 bipartitions, but 4 samples of 3 points are drawn first
+        ["fsearch", "--d", "1", "--n", "3", "--s", "1", "--t", "1",
+         "--samples", "4"],
+        ["gen", "periodic", "--n", "11", "--r", "2"],
+        ["gen", "t42", "--d", "2", "--s", "5", "--r", "4"],
+        ["verify", "t42", "--d", "1", "--s", "3", "--r", "4"],
+        ["verify", "f3", "--n", "11"],
+        # default n = r(r-1)(s+1)+1 = 13
+        ["verify", "t999", "--r", "3", "--s", "1"],
     ])
     def test_generator_sizes_respect_cap(self, capsys, tmp_path, argv):
         sq = put(tmp_path, "square.json", SQUARE_DOC)
-        assert main(argv + ["--input", str(sq), "--cap", "10"]) == 3
+        argv = [str(sq) if arg == "SQUARE" else arg for arg in argv]
+        assert main(argv + ["--cap", "10"]) == 3
+        capsys.readouterr()
+
+    def test_abstract_work_total_stops_at_the_cap(self, capsys, tmp_path):
+        # the work total over every k is astronomically large at n = 4000;
+        # the cap check has to stop adding long before that
+        n = 4000
+        path = put(tmp_path, "space.json", {"n": n, "family": [[], list(range(n))]})
+        assert main(["verify", "abstract", "--input", str(path), "--cap", "10"]) == 3
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", list(INPUT_COMMANDS.values()),

@@ -30,6 +30,7 @@ from convexparts.constructions import (
 from convexparts.errors import CapExceeded, InputError
 from convexparts.geometry import hull_disjoint, point_set
 from convexparts.partitions import (
+    MeetOracle,
     f_search,
     good_radon_partition,
     good_tverberg_partition,
@@ -156,9 +157,9 @@ class TestAdversaryCovers:
         # d = 1: hulls are closed intervals, so joint emptiness has an
         # arithmetic answer the LP route must agree with
         inst = moment_adversary_instance(1, 3, 4)
-        pair_memo, tuple_memo = {}, {}
+        oracle = MeetOracle(inst.points)
         for bits in itertools.product(range(4), repeat=4):
-            rep = verify_moment_adversary(inst, bits, pair_memo, tuple_memo)
+            rep = verify_moment_adversary(inst, bits, oracle)
             unions = []
             for cover in rep.covers:
                 unions.append([
@@ -184,10 +185,10 @@ class TestAdversaryCovers:
         # the full 4^8 sweep runs in the acceptance suite; spot-check a
         # stride sample here
         inst = moment_adversary_instance(2, 3, 4)
-        pair_memo, tuple_memo = {}, {}
+        oracle = MeetOracle(inst.points)
         for k in range(0, 4 ** 8, 257):
             coloring = tuple(k // 4 ** (7 - pos) % 4 for pos in range(8))
-            rep = verify_moment_adversary(inst, coloring, pair_memo, tuple_memo)
+            rep = verify_moment_adversary(inst, coloring, oracle)
             assert rep.ok
             assert rep.max_groups <= 3
 

@@ -3,12 +3,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import convexparts.geometry as geometry
 from bruteforce import distinct_rand_point_set, segments_meet
 from convexparts.combinat import mask_of, partitions_le_count
 from convexparts.errors import CapExceeded, InputError, PreconditionFailed
 from convexparts.geometry import hulls_common_point, in_hull, point_set
 from convexparts.partitions import (
+    MeetOracle,
     build_K_polyhedra,
     build_r_separation,
     good_radon_partition,
@@ -352,3 +356,72 @@ def test_good_partitions_survive_the_cover_oracle():
         if cert is not None:
             a, b = cert.partition
             assert joint_cover_empty(ps, [a, b], [1, 1]) is None
+
+
+@st.composite
+def small_point_sets(draw):
+    """d = 1..3, n <= 7: free integer points, or degenerate ones (points on
+    a line or a plane, or coordinates from {0, 1}, repeats allowed)."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 7))
+    shape = draw(st.sampled_from(("free", "shared", "line", "plane")))
+    coord = st.integers(-4, 4)
+    if shape == "free":
+        return point_set([draw(st.tuples(*[coord] * d)) for _ in range(n)])
+    if shape == "shared":
+        return point_set([draw(st.tuples(*[st.integers(0, 1)] * d)) for _ in range(n)])
+    base = draw(st.tuples(*[coord] * d))
+    spans = [draw(st.tuples(*[coord] * d)) for _ in range(1 if shape == "line" else 2)]
+    rows = []
+    for _ in range(n):
+        steps = [draw(st.integers(-3, 3)) for _ in spans]
+        rows.append(tuple(b + sum(k * v[c] for k, v in zip(steps, spans))
+                          for c, b in enumerate(base)))
+    return point_set(rows)
+
+
+def _disjoint_groups(n, r):
+    """Every set of r pairwise disjoint nonempty index groups, once each."""
+    out = []
+    for labels in itertools.product(range(r + 1), repeat=n):
+        groups = tuple(tuple(i for i in range(n) if labels[i] == g)
+                       for g in range(1, r + 1))
+        if all(groups) and list(groups) == sorted(groups):
+            out.append(groups)
+    return out
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(ps=small_point_sets(), rnd=st.randoms(use_true_random=False))
+def test_oracle_agrees_with_the_lp_in_any_order(ps, rnd):
+    # Inferred verdicts depend on what was asked first, so ask at random.
+    # Every pair and triple up to n = 5; a random 120 of them beyond, which
+    # bounds the time of the reference LPs (a triple in R^3 takes ~20 ms).
+    n = len(ps.points)
+    questions = _disjoint_groups(n, 2) + _disjoint_groups(n, 3)
+    rnd.shuffle(questions)
+    oracle = MeetOracle(ps)
+    for groups in questions[:120]:
+        assert oracle.meets(groups) == bool(hulls_common_point(ps, groups)), groups
+
+
+def test_radon_search_solves_fewer_lps_than_it_asks_pairs(monkeypatch):
+    # exhausted, so every candidate bipartition is searched
+    ps = point_set(CounterRng("bench7").distinct_points(7, 2))
+    asked = set()
+    lp_calls = []
+    meets, lp_feasible = MeetOracle.meets, geometry.lp_feasible
+
+    def counted_meets(self, groups):
+        asked.add(tuple(sorted(groups)))
+        return meets(self, groups)
+
+    def counted_lp(*args, **kwargs):
+        lp_calls.append(1)
+        return lp_feasible(*args, **kwargs)
+
+    monkeypatch.setattr(MeetOracle, "meets", counted_meets)
+    monkeypatch.setattr(geometry, "lp_feasible", counted_lp)
+    assert good_radon_partition(ps, range(7), 2, 2) is None
+    assert all(len(key) == 2 for key in asked)
+    assert len(lp_calls) < len(asked)
