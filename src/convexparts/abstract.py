@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .combinat import indices_of, mask_of, rgs_partitions, rgs_partitions_exact, stirling2
+from .combinat import (check_total, indices_of, mask_of, rgs_partitions,
+                       rgs_partitions_exact, stirling2)
 from .errors import CapExceeded, InputError
 from .setsystems import SetSystem, set_system
 
@@ -80,17 +81,6 @@ def _radon_work(n: int, k: int) -> int:
     return comb(n, k) * (2 ** (k - 1) - 1)
 
 
-def _check_work(cap_name: str, terms, cap: int) -> None:
-    """Add up the work terms, raising CapExceeded as soon as the running
-    total passes cap, so the check never costs more than the cap allows
-    (the reported need is then the total so far)."""
-    total = 0
-    for term in terms:
-        total += term
-        if total > cap:
-            raise CapExceeded(cap_name, cap, total)
-
-
 def radon_number(space: ConvexitySpace, cap: int = 10**6):
     """Least k such that every k-subset splits into two parts with meeting
     hulls, or None when no k up to the ground size works.
@@ -99,7 +89,7 @@ def radon_number(space: ConvexitySpace, cap: int = 10**6):
     placing extra points anywhere; hulls only grow), so the scan returns
     the first k that works.
     """
-    _check_work("radon_checks",
+    check_total("radon_checks",
                 (_radon_work(space.n, k) for k in range(2, space.n + 1)), cap)
     hulls = {}
     for k in range(2, space.n + 1):
@@ -133,7 +123,7 @@ def tverberg_number(space: ConvexitySpace, r: int, cap: int = 10**6):
         raise InputError("need at least two parts")
     if r == 2:
         return radon_number(space, cap)
-    _check_work("tverberg_checks",
+    check_total("tverberg_checks",
                 (comb(space.n, k) * stirling2(k, r) for k in range(r, space.n + 1)),
                 cap)
     hulls = {}
@@ -256,7 +246,7 @@ def _unions_covering(space, mask, limit, cap):
     """Distinct unions of at most `limit` members containing mask, each with
     its first representative member tuple, in size-then-lex order."""
     count = len(space.family)
-    _check_work("family_unions", (comb(count, k) for k in range(1, limit + 1)), cap)
+    check_total("family_unions", (comb(count, k) for k in range(1, limit + 1)), cap)
     out = {}
     for k in range(1, limit + 1):
         for members in itertools.combinations(range(count), k):

@@ -31,6 +31,7 @@ from .constructions import (
     moment_adversary_instance,
     moment_adversary_size,
     moment_curve,
+    moment_curve_bits,
     periodic_coloring,
     periodic_cover_size,
     translated_copies,
@@ -379,6 +380,8 @@ def _cmd_gen(args):
     if target == "moment-curve":
         _require(args, "n", "d")
         _check_size(args, "moment_curve_coordinates", args.n * args.d)
+        _check_size(args, "moment_curve_bits",
+                    moment_curve_bits(args.n, args.d, args.seed is not None))
         rng = None if args.seed is None else CounterRng(args.seed)
         doc = point_set_data(moment_curve(args.n, args.d, rng=rng))
         name = "points.json"
@@ -424,7 +427,7 @@ def _cmd_gen(args):
 def _verify_t999(args):
     _require(args, "r", "s")
     _check_size(args, "t999_points", periodic_cover_size(args.r, args.s, args.n))
-    report = verify_periodic_line_cover(args.r, args.s, n=args.n)
+    report = verify_periodic_line_cover(args.r, args.s, n=args.n, cap=_cap(args))
     doc = {"subcommand": "verify", "target": "t999", "ok": report.ok,
            "r": report.r, "s": report.s, "n": report.n,
            "coloring": list(report.coloring),
@@ -436,10 +439,12 @@ def _verify_t999(args):
 
 
 def _t42_points(args):
-    """Point count of the t42 instance, its coordinates checked against --cap."""
+    """Point count of the t42 instance; its coordinate count and bit size
+    are checked against --cap."""
     _require(args, "d", "s", "r")
     m, p = moment_adversary_size(args.d, args.s, args.r)
     _check_size(args, "t42_coordinates", m * p * args.d)
+    _check_size(args, "t42_bits", moment_curve_bits(m * p, args.d))
     return m * p
 
 

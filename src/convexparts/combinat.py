@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 
 
 def mask_of(indices, n: int) -> int:
@@ -102,6 +102,17 @@ def run_splits(count: int, max_runs: int):
         for cuts in combinations(range(1, count), k - 1):
             bounds = (0,) + cuts + (count,)
             yield tuple((bounds[i], bounds[i + 1]) for i in range(k))
+
+
+def check_total(cap_name: str, terms, cap: int) -> None:
+    """Add up the work terms, raising CapExceeded as soon as the running
+    total passes cap, so the check never costs more than the cap allows
+    (the reported need is then the total so far)."""
+    total = 0
+    for term in terms:
+        total += term
+        if total > cap:
+            raise CapExceeded(cap_name, cap, total)
 
 
 def binomial(n: int, k: int) -> int:

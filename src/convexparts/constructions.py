@@ -22,8 +22,9 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
+from math import comb
 
-from .combinat import run_splits
+from .combinat import check_total, run_splits
 from .errors import CapExceeded, InputError, InternalInvariantError
 from .geometry import PointSet, hull_disjoint, point_set
 from .parallel import pmap
@@ -67,6 +68,15 @@ def moment_curve(n: int, d: int, t_values=None, rng=None) -> PointSet:
         if any(a >= b for a, b in zip(ts, ts[1:])):
             raise InputError("t values must be strictly increasing")
     return point_set([[t ** k for k in range(1, d + 1)] for t in ts])
+
+
+def moment_curve_bits(n: int, d: int, random_t: bool = False) -> int:
+    """A bound on the numerator plus denominator bits of moment_curve(n, d),
+    without building it: coordinate k of a point is t^k, so it takes at most
+    k times the bits of t's numerator and denominator, which are at most
+    those of n+1 for t = i/(n+1), and 30 and 31 for a random t."""
+    per_t = 61 if random_t else 2 * (n + 1).bit_length()
+    return n * (d * (d + 1) // 2) * per_t
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,11 @@ def choose_interval_colors(inst: MomentAdversaryInstance, coloring) -> tuple:
     Counting keeps this nonempty: at least r/2 colors meet the first
     condition, while fewer than r/2 can be at quota.
     """
-    coloring = _check_coloring(inst, coloring)
+    return _choose_interval_colors(inst, _check_coloring(inst, coloring))
+
+
+def _choose_interval_colors(inst: MomentAdversaryInstance, coloring) -> tuple:
+    # coloring already checked by the public caller
     cap = inst.d // 2
     quota = (inst.s - 1) // 2
     times_chosen = [0] * inst.r
@@ -154,7 +168,11 @@ def adversary_covers(inst: MomentAdversaryInstance, coloring) -> tuple:
     group count never exceeds 2*floor((s-1)/2)+1 <= s.
     """
     coloring = _check_coloring(inst, coloring)
-    chosen = choose_interval_colors(inst, coloring)
+    return _adversary_covers(inst, coloring, _choose_interval_colors(inst, coloring))
+
+
+def _adversary_covers(inst: MomentAdversaryInstance, coloring, chosen) -> tuple:
+    # coloring checked and chosen derived from it by the public caller
     covers = []
     for color in range(inst.r):
         groups = []
@@ -202,8 +220,8 @@ def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
     the same instance.
     """
     coloring = _check_coloring(inst, coloring)
-    chosen = choose_interval_colors(inst, coloring)
-    covers = adversary_covers(inst, coloring)
+    chosen = _choose_interval_colors(inst, coloring)
+    covers = _adversary_covers(inst, coloring, chosen)
     max_groups = max(len(c.groups) for c in covers)
     cap = inst.d // 2
     for color, cover in enumerate(covers):
@@ -313,7 +331,8 @@ def periodic_cover_size(r: int, s: int, n: int | None = None) -> int:
     return r * (r - 1) * (s + 1) + 1 if n is None else n
 
 
-def verify_periodic_line_cover(r: int, s: int, n: int | None = None) -> PeriodicCoverReport:
+def verify_periodic_line_cover(r: int, s: int, n: int | None = None,
+                               cap: int = 10**6) -> PeriodicCoverReport:
     """Color 0..n-1 periodically with r colors, then sweep every way to
     cover each class by at most s intervals with endpoints at class points.
 
@@ -323,13 +342,18 @@ def verify_periodic_line_cover(r: int, s: int, n: int | None = None) -> Periodic
     those suffices. Also audits the gap count: a single cover leaves at
     most s+1 gaps, and consecutive points of one class have exactly r-1
     points strictly between them, so one cover misses at most (s+1)(r-1)
-    points. n defaults as in periodic_cover_size.
+    points. n defaults as in periodic_cover_size. A class of k points has
+    sum over j <= s of C(k-1, j-1) run splits, all listed before the sweep;
+    CapExceeded is raised when their total over the classes passes cap.
     """
     n = periodic_cover_size(r, s, n)
     if n < r:
         raise InputError("need at least one point of each color")
     coloring = periodic_coloring(n, r)
     classes = [tuple(range(c, n, r)) for c in range(r)]
+    check_total("t999_run_splits",
+                (comb(len(cls) - 1, j - 1) for cls in classes
+                 for j in range(1, min(len(cls), s) + 1)), cap)
     miss_bound = (s + 1) * (r - 1)
     max_missed = 0
     class_covers = []

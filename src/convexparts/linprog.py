@@ -19,19 +19,46 @@ over the normalized rows, scaled so sum(y_i * b_i) = 1, with
 either of which makes the row combination 0.x >= 1 (resp. (<=0).x >= 1 over
 x >= 0), an immediate contradiction checkable by one matrix-vector product.
 
-The solver is phase-1 simplex over exact rationals with Bland's anti-cycling
-rule (lowest eligible column enters; ties on the ratio test break toward the
-lowest basis variable). Normalized rows are sorted lexicographically before
-solving, so outcomes are invariant under permutation of the input constraints;
-the Farkas vector is mapped back to input row order on return.
+The solver is phase-1 simplex with Bland's anti-cycling rule (lowest eligible
+column enters; ties on the ratio test break toward the lowest basis variable).
+Normalized rows are sorted lexicographically before solving, so outcomes are
+invariant under permutation of the input constraints; the Farkas vector is
+mapped back to input row order on return.
+
+The tableau is kept in Python ints with integer-preserving pivots (Edmonds
+1967; Bareiss 1968). The starting tableau is multiplied by L, the lcm of
+every input denominator, and one divisor D starts at 1. A pivot on entry p
+of row r leaves row r as it is, replaces every other row and the objective
+row entrywise by (p*v - f*q) // D, with f that row's entry in the pivot
+column and q the pivot row's entry in v's column, and sets D = p. Read
+against a start matrix that has an extra identity block for the starting
+basis, each entry is then D times an entry of B^-1 times that matrix, with
+D = det B: a minor of the integer start matrix by Cramer's rule. So the
+division is exact, and entries are bounded by those minors with no gcd
+taken. An entry stands for the value entry / (D * L) in a row that has
+never been a pivot row and in the objective row, and entry / D in a row
+that has.
+
+D stays positive: the ratio test pivots only on entries whose value is
+positive, and each value has the sign of its entry while D > 0. For the
+same reason the entering test reads the objective row's signs unchanged,
+and the ratio rhs_i / coef_i of a row is the ratio of its two entries,
+whatever its divisor, so the ratio test compares rhs_i * coef_k with
+rhs_k * coef_i. The pivot sequence is therefore exactly the one the same
+rule takes over `Rat`, and the point or raw Farkas vector it returns, built
+with one `Rat(num, den)` per coordinate, is the same rational vector.
+Everything around the kernel (normalization, the `_satisfies` check, the
+Farkas scaling and `check_farkas`) stays on `Rat`, so every outcome is
+still verified by an independent path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import InputError, InternalInvariantError
-from .rational import ONE, ZERO, Rat, rat
+from .rational import ZERO, Rat, rat
 
 REL_GE = ">="
 REL_LE = "<="
@@ -157,41 +184,46 @@ def _phase1(rows, nvars, nonneg):
 
     Returns (True, x) or (False, y) with y a raw Farkas vector over `rows`.
     Standard form: x split into u - v unless nonneg, one surplus per row,
-    one artificial per row; minimize the artificial sum.
+    one artificial per row; minimize the artificial sum. The tableau is kept
+    in integers as described in the module docstring.
     """
     m = len(rows)
-    nstruct = (nvars if nonneg else 2 * nvars) + m
-
-    # rows scaled so the rhs is nonnegative; sigma remembers the flips
-    sigma = [ONE if b >= 0 else -ONE for _, b in rows]
-
-    tab = []
-    for i, (a, b) in enumerate(rows):
-        s = sigma[i]
-        row = [ZERO] * (nstruct + m + 1)
-        for j, aj in enumerate(a):
-            if aj:
-                row[j] = s * aj
-                if not nonneg:
-                    row[nvars + j] = -s * aj
-        surplus = (nvars if nonneg else 2 * nvars) + i
-        row[surplus] = -s
-        row[nstruct + i] = ONE
-        row[-1] = s * b
-        tab.append(row)
-
-    # reduced costs for the all-artificial starting basis
-    obj = [ZERO] * (nstruct + m + 1)
-    for j in range(nstruct + m + 1):
-        acc = ZERO
-        for i in range(m):
-            acc += tab[i][j]
-        obj[j] = (ONE if nstruct <= j < nstruct + m else ZERO) - acc
-
-    basis = [nstruct + i for i in range(m)]
+    width = nvars if nonneg else 2 * nvars
+    nstruct = width + m
     ncols = nstruct + m
 
+    # rows scaled so the rhs is nonnegative; sigma remembers the flips
+    sigma = [1 if b >= 0 else -1 for _, b in rows]
+    fracs = [[(int(v.numerator), int(v.denominator)) for v in (*a, b)] for a, b in rows]
+    scale = lcm(*(den for row in fracs for _, den in row))
+
+    tab = []
+    for i, row_fracs in enumerate(fracs):
+        s = sigma[i] * scale
+        row = [0] * (ncols + 1)
+        for j, (num, den) in enumerate(row_fracs[:-1]):
+            if num:
+                row[j] = v = s * num // den
+                if not nonneg:
+                    row[nvars + j] = -v
+        num, den = row_fracs[-1]
+        row[width + i] = -s
+        row[nstruct + i] = scale
+        row[-1] = s * num // den
+        tab.append(row)
+
+    # reduced costs for the all-artificial starting basis, times the scale;
+    # kept as row m, which every pivot updates and none pivots on
+    obj = [-sum(col) for col in zip(*tab)]
+    for i in range(m):
+        obj[nstruct + i] += scale
+    tab.append(obj)
+
+    basis = [nstruct + i for i in range(m)]
+    div = 1
+
     while True:
+        obj = tab[m]
         enter = -1
         for j in range(ncols):
             if obj[j] < 0:
@@ -199,28 +231,30 @@ def _phase1(rows, nvars, nonneg):
                 break
         if enter < 0:
             break
+        # row i's ratio is tab[i][-1] / tab[i][enter]: its divisor cancels
         leave = -1
-        best = None
         for i in range(m):
             coef = tab[i][enter]
             if coef > 0:
-                ratio = tab[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                rhs = tab[i][-1]
+                if leave < 0 or rhs * best_coef < best_rhs * coef or (
+                        rhs * best_coef == best_rhs * coef and basis[i] < basis[leave]):
+                    leave, best_rhs, best_coef = i, rhs, coef
         if leave < 0:
             raise InternalInvariantError("phase-1 objective unbounded")
-        _pivot(tab, obj, basis, leave, enter)
+        div = _pivot(tab, leave, enter, div)
+        basis[leave] = enter
 
-    objective = -obj[-1]
-    if objective < 0:
+    if obj[-1] > 0:
         raise InternalInvariantError("negative phase-1 objective")
 
-    if objective == 0:
+    if obj[-1] == 0:
+        # a row with a structural basis variable has been a pivot row, so
+        # its divisor is D alone
         w = [ZERO] * nstruct
         for i, bi in enumerate(basis):
             if bi < nstruct:
-                w[bi] = tab[i][-1]
+                w[bi] = Rat(tab[i][-1], div)
         if nonneg:
             x = w[:nvars]
         else:
@@ -228,21 +262,20 @@ def _phase1(rows, nvars, nonneg):
         return True, x
 
     # dual off the artificial reduced costs, unscaled back through sigma
-    y = [sigma[i] * (ONE - obj[nstruct + i]) for i in range(m)]
+    den = div * scale
+    y = [Rat(sigma[i] * (den - obj[nstruct + i]), den) for i in range(m)]
     return False, y
 
 
-def _pivot(tab, obj, basis, r, c):
+def _pivot(tab, r, c, div):
+    """One integer-preserving pivot on (r, c); returns the new divisor."""
     prow = tab[r]
     piv = prow[c]
-    if piv != 1:
-        inv = ONE / piv
-        tab[r] = prow = [v * inv for v in prow]
     for i, row in enumerate(tab):
-        if i != r and row[c]:
+        if i != r:
             f = row[c]
-            tab[i] = [v - f * p for v, p in zip(row, prow)]
-    if obj[c]:
-        f = obj[c]
-        obj[:] = [v - f * p for v, p in zip(obj, prow)]
-    basis[r] = c
+            if f:
+                tab[i] = [(piv * v - f * p) // div for v, p in zip(row, prow)]
+            elif piv != div:
+                tab[i] = [piv * v // div for v in row]
+    return piv

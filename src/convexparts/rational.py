@@ -1,10 +1,12 @@
 """Exact rational scalars and their text form.
 
 Every numeric quantity in this package is an exact rational; floats are never
-constructed. The scalar type is gmpy2.mpq when available (much faster on the
-LP-heavy paths) and fractions.Fraction otherwise. Both canonicalize to lowest
-terms with a positive denominator and compare/hash identically, so all results
-are backend-independent.
+constructed. The scalar type is gmpy2.mpq when the optional gmpy2 extra is
+installed and fractions.Fraction otherwise. Both canonicalize to lowest terms
+with a positive denominator and compare/hash identically, so all results are
+backend-independent. The LP kernel (linprog._phase1) pivots on Python ints,
+so Rat is used only at its edges: the input rows, the returned vectors and
+the checks that verify them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is an optional extra
     Rat = Fraction
 
 ZERO = Rat(0)

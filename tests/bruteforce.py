@@ -2,13 +2,16 @@
 
 Deliberately different algorithms from the package's own paths: feasibility by
 Fourier-Motzkin elimination, hull membership by exhaustive simplex-free
-checks on tiny cases. Slow and simple on purpose.
+checks on tiny cases, and the phase-1 simplex on `Rat` arithmetic that the
+integer kernel in `linprog` replaced (same pivot rule, so it must return the
+same vector). Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from convexparts.errors import InternalInvariantError
 from convexparts.linprog import normalize_rows
 from convexparts.rational import ONE, ZERO, Rat
 
@@ -127,3 +130,99 @@ def unions_of_intervals_meet(unions) -> bool:
         if lo <= hi:
             return True
     return False
+
+
+def fraction_phase1(rows, nvars, nonneg):
+    """Feasibility of {a.x >= b for (a, b) in rows}.
+
+    Returns (True, x) or (False, y) with y a raw Farkas vector over `rows`.
+    Standard form: x split into u - v unless nonneg, one surplus per row,
+    one artificial per row; minimize the artificial sum.
+    """
+    m = len(rows)
+    nstruct = (nvars if nonneg else 2 * nvars) + m
+
+    # rows scaled so the rhs is nonnegative; sigma remembers the flips
+    sigma = [ONE if b >= 0 else -ONE for _, b in rows]
+
+    tab = []
+    for i, (a, b) in enumerate(rows):
+        s = sigma[i]
+        row = [ZERO] * (nstruct + m + 1)
+        for j, aj in enumerate(a):
+            if aj:
+                row[j] = s * aj
+                if not nonneg:
+                    row[nvars + j] = -s * aj
+        surplus = (nvars if nonneg else 2 * nvars) + i
+        row[surplus] = -s
+        row[nstruct + i] = ONE
+        row[-1] = s * b
+        tab.append(row)
+
+    # reduced costs for the all-artificial starting basis
+    obj = [ZERO] * (nstruct + m + 1)
+    for j in range(nstruct + m + 1):
+        acc = ZERO
+        for i in range(m):
+            acc += tab[i][j]
+        obj[j] = (ONE if nstruct <= j < nstruct + m else ZERO) - acc
+
+    basis = [nstruct + i for i in range(m)]
+    ncols = nstruct + m
+
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            coef = tab[i][enter]
+            if coef > 0:
+                ratio = tab[i][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise InternalInvariantError("phase-1 objective unbounded")
+        _fraction_pivot(tab, obj, basis, leave, enter)
+
+    objective = -obj[-1]
+    if objective < 0:
+        raise InternalInvariantError("negative phase-1 objective")
+
+    if objective == 0:
+        w = [ZERO] * nstruct
+        for i, bi in enumerate(basis):
+            if bi < nstruct:
+                w[bi] = tab[i][-1]
+        if nonneg:
+            x = w[:nvars]
+        else:
+            x = [w[j] - w[nvars + j] for j in range(nvars)]
+        return True, x
+
+    # dual off the artificial reduced costs, unscaled back through sigma
+    y = [sigma[i] * (ONE - obj[nstruct + i]) for i in range(m)]
+    return False, y
+
+
+def _fraction_pivot(tab, obj, basis, r, c):
+    prow = tab[r]
+    piv = prow[c]
+    if piv != 1:
+        inv = ONE / piv
+        tab[r] = prow = [v * inv for v in prow]
+    for i, row in enumerate(tab):
+        if i != r and row[c]:
+            f = row[c]
+            tab[i] = [v - f * p for v, p in zip(row, prow)]
+    if obj[c]:
+        f = obj[c]
+        obj[:] = [v - f * p for v, p in zip(obj, prow)]
+    basis[r] = c

@@ -383,6 +383,12 @@ class TestInputContract:
         ["verify", "f3", "--n", "11"],
         # default n = r(r-1)(s+1)+1 = 13
         ["verify", "t999", "--r", "3", "--s", "1"],
+        # 10 points, but 2 * 16 run splits listed before the sweep
+        ["verify", "t999", "--r", "2", "--s", "5", "--n", "10"],
+        # 10 coordinates, but (i/3)^k takes 120 numerator and denominator bits
+        ["gen", "moment-curve", "--n", "2", "--d", "5"],
+        # 6 coordinates, but 48 bits
+        ["gen", "t42", "--d", "3", "--s", "3", "--r", "2"],
     ])
     def test_generator_sizes_respect_cap(self, capsys, tmp_path, argv):
         sq = put(tmp_path, "square.json", SQUARE_DOC)

@@ -21,6 +21,7 @@ from convexparts.constructions import (
     moment_adversary_exhaustive,
     moment_adversary_instance,
     moment_curve,
+    moment_curve_bits,
     periodic_coloring,
     translated_copies,
     tverberg_tight_instance,
@@ -76,6 +77,14 @@ class TestMomentCurve:
         ts = [p[0] for p in ps.points]
         assert all(a < b for a, b in zip(ts, ts[1:]))
         assert all(0 < t < 1 for t in ts)
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 4), (7, 5), (15, 3), (16, 6)])
+    def test_bit_bound_holds(self, n, d):
+        for rng in (None, CounterRng("mc")):
+            ps = moment_curve(n, d, rng=rng)
+            bits = sum(int(v.numerator).bit_length() + int(v.denominator).bit_length()
+                       for p in ps.points for v in p)
+            assert bits <= moment_curve_bits(n, d, rng is not None)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -268,6 +277,15 @@ class TestPeriodicLineCover:
             verify_periodic_line_cover(2, 0)
         with pytest.raises(InputError):
             verify_periodic_line_cover(3, 1, 2)
+
+    def test_run_splits_are_counted_before_listing(self):
+        # 2 * 2^29 run splits; listing them would exhaust memory
+        with pytest.raises(CapExceeded):
+            verify_periodic_line_cover(2, 30, 60)
+        # 2 * 16 run splits
+        with pytest.raises(CapExceeded):
+            verify_periodic_line_cover(2, 5, 10, cap=31)
+        assert verify_periodic_line_cover(2, 5, 10, cap=32).n == 10
 
 
 class TestConvexPosition:

@@ -1,11 +1,16 @@
-"""Feasibility kernel: frozen cases, oracle agreement, certificate integrity."""
+"""Feasibility kernel: frozen cases, oracle agreement, certificate integrity,
+and the integer kernel against the Rat-arithmetic reference."""
+
+import itertools
 
 import pytest
-from bruteforce import fm_feasible
+from bruteforce import fm_feasible, fraction_phase1
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexparts import linprog
 from convexparts.errors import InputError
+from convexparts.geometry import hull_meet_constraints, point_set
 from convexparts.linprog import check_farkas, con, lp_feasible, normalize_rows
 from convexparts.rational import Rat
 from convexparts.rng import CounterRng
@@ -133,3 +138,51 @@ def test_every_outcome_carries_a_checkable_witness(raw):
     else:
         assert check_farkas(cons, out.farkas)
         assert not fm_feasible(cons, 2)
+
+
+# --- the integer kernel against the Rat-arithmetic reference ---------------
+
+_DENS = st.sampled_from([1, 2, 3, 7, 2**20 - 1, 2**20])
+# small values make tied ratios and repeated rows likely; the wide ones mix
+# denominators up to 2^20 so that the common scale L is large
+_VALUES = st.one_of(st.sampled_from([0, 0, 1, -1, 2]).map(Rat),
+                    st.builds(Rat, st.integers(-6, 6), _DENS))
+
+
+@st.composite
+def _phase1_inputs(draw):
+    nvars = draw(st.integers(1, 4))
+    zero_cols = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    cons = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = [Rat(0) if j in zero_cols else draw(_VALUES) for j in range(nvars)]
+        cons.append(con(coeffs, draw(st.sampled_from([">=", "<=", "=="])), draw(_VALUES)))
+    if draw(st.booleans()):
+        cons.append(draw(st.sampled_from(cons)))
+    return sorted(normalize_rows(cons)), nvars, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_phase1_inputs())
+def test_integer_kernel_returns_the_reference_vector(case):
+    rows, nvars, nonneg = case
+    assert linprog._phase1(rows, nvars, nonneg) == fraction_phase1(rows, nvars, nonneg)
+
+
+_COLLINEAR = point_set([(Rat(t, 3), 2 * Rat(t, 3) + 1) for t in (0, 5, 1, 4, 2, 3)])
+_COPLANAR = point_set([(x, y, x + 2 * y - 1) for x, y in
+                       [(0, 0), (3, 1), (1, 4), (Rat(1, 2), Rat(2, 7)), (2, 2),
+                        (Rat(5, 3), 0)]])
+
+
+@pytest.mark.parametrize("ps", [_COLLINEAR, _COPLANAR], ids=["collinear", "coplanar"])
+def test_integer_kernel_on_degenerate_hull_systems(ps):
+    n = len(ps.points)
+    for k in range(1, n):
+        for a in itertools.combinations(range(n), k):
+            rest = [i for i in range(n) if i not in a]
+            for b in (tuple(rest), tuple(rest[:1]), tuple(rest[-2:])):
+                cons, nvar = hull_meet_constraints(ps, (a, b))
+                rows = sorted(normalize_rows(cons))
+                got = linprog._phase1(rows, nvar, True)
+                assert got == fraction_phase1(rows, nvar, True)
