@@ -768,7 +768,7 @@ def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsear
 
 
 def _sample_sets(d, n, sampler, samples, seed, points, cap):
-    from .constructions import convex_position, moment_curve
+    from .constructions import convex_position, moment_curve, moment_curve_bits
     from .rng import CounterRng
 
     if sampler == "file":
@@ -777,8 +777,13 @@ def _sample_sets(d, n, sampler, samples, seed, points, cap):
         if len(points.points) != n or points.dim != d:
             raise InputError("supplied points do not match d and n")
         return [points]
-    if samples * n > cap:
-        raise CapExceeded("fsearch_sample_points", cap, samples * n)
+    if d < 1:
+        raise InputError("sampled points need d >= 1")
+    if samples * n * d > cap:
+        raise CapExceeded("fsearch_sample_coordinates", cap, samples * n * d)
+    if sampler == "moment-curve" and samples * moment_curve_bits(n, d, True) > cap:
+        raise CapExceeded("fsearch_sample_bits", cap,
+                          samples * moment_curve_bits(n, d, True))
     out = []
     for k in range(samples):
         rng = CounterRng(f"{seed}:{k}")

@@ -5,14 +5,26 @@ of S is realizable when hyperedges e_1..e_r exist with part_i inside e_i and
 S meeting no point of the common intersection. Empty parts are permitted and
 act as unconstrained edge slots, which is exactly what makes r-shattering
 monotone decreasing in r (a spare slot can repeat an edge).
+
+Realizability on S depends on the edges only through their traces e & S,
+so each subset's distinct traces are collected once. A slot's candidates
+are the traces containing its part, and of those only the inclusion-minimal
+ones matter: swapping a trace for a smaller one only shrinks the common
+part, so if any choice misses S, a choice of minimal traces does too. Every
+block mask's minimal up-set is therefore computed once per subset and
+shared by all the partitions that have that block.
+
+r-shattering is closed under subsets, so `check_r_shatter` takes the rows
+up to t = r_vc_dim as r^m without enumerating them (see its docstring).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import perm
 
-from .combinat import binomial, indices_of, mask_of, partitions_le_count, rgs_partitions
+from .combinat import binomial, indices_of, mask_of, partitions_le_count
 from .errors import CapExceeded, InputError
 
 
@@ -138,53 +150,95 @@ def check_sauer(sys: SetSystem, m_max: int | None = None, cap: int = 10**6) -> S
     return ShatterProfile("vc", d, None, tuple(rows))
 
 
-def _projections(sys: SetSystem, s_mask: int, part_mask: int):
-    """Distinct traces on S of edges containing the part; sorted for determinism."""
-    return sorted({e & s_mask for e in sys.edges if e & part_mask == part_mask})
+class _Traces:
+    """The distinct traces {e & S} of the edges on one subset S.
 
-
-def _realizable(sys: SetSystem, s_mask: int, part_masks, budget=None) -> bool:
-    """Core DFS: pick one admissible edge trace per part, empty intersection.
-
-    part_masks may contain 0 entries (wildcard slots: any edge qualifies).
-    budget, when given, is a one-element list of remaining DFS visits shared
-    across calls; exhausting it raises CapExceeded.
+    `up(block)` is the up-set {t : t contains block} pruned to its minimal
+    members, computed once per block mask; block 0, a wildcard slot, gets
+    the minimal traces of all edges.
     """
-    cands = []
-    for pm in part_masks:
-        c = _projections(sys, s_mask, pm)
-        if not c:
-            return False
-        cands.append(c)
-    # tightest parts first: fewer candidates prune earlier
-    cands.sort(key=lambda c: (len(c), c))
-    failed = set()
 
-    def dfs(i, mask):
-        if budget is not None:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceeded("realizability_dfs", -1)
-        if mask == 0:
-            return True
-        if i == len(cands):
+    def __init__(self, sys: SetSystem, s_mask: int):
+        self.s_mask = s_mask
+        self.size = s_mask.bit_count()
+        # smallest first: a trace is minimal iff no kept one lies inside it
+        self.traces = sorted({e & s_mask for e in sys.edges}, key=int.bit_count)
+        self._up = {}
+
+    def up(self, block: int):
+        got = self._up.get(block)
+        if got is None:
+            got = self._up[block] = []
+            for t in self.traces:
+                if t & block == block:
+                    for k in got:
+                        if k & t == k:
+                            break
+                    else:
+                        got.append(t)
+        return got
+
+    def realizable(self, blocks, r: int) -> bool:
+        """One trace per slot, containing the slot's block, whose common part
+        misses S; slots past the blocks are wildcards."""
+        cands = [self.up(b) for b in blocks]
+        # a solution needs at most one wildcard per point of S (one trace
+        # missing it), and further wildcards can repeat a trace already
+        # chosen; so at most max(|S|, 1) of them, which bounds the DFS depth
+        cands += [self.up(0)] * min(r - len(blocks), max(self.size, 1))
+        if not all(cands):
             return False
-        key = (i, mask)
-        if key in failed:
-            return False
-        for c in cands[i]:
-            if dfs(i + 1, mask & c):
+        # tightest slots first: fewer candidates prune earlier
+        cands.sort(key=len)
+        last = len(cands)
+        failed = set()
+
+        def dfs(i, mask):
+            if mask == 0:
                 return True
-        failed.add(key)
-        return False
+            if i == last:
+                return False
+            key = (i, mask)
+            if key in failed:
+                return False
+            for c in cands[i]:
+                if dfs(i + 1, mask & c):
+                    return True
+            failed.add(key)
+            return False
 
-    return dfs(0, s_mask)
+        return dfs(0, self.s_mask)
+
+
+def _classes(s_mask: int, r: int):
+    """Partitions of the points of s_mask into at most r nonempty blocks, in
+    RGS order (points ascending), as lists of block masks. One list is
+    reused for every partition, so read it before resuming."""
+    bits = [1 << i for i in indices_of(s_mask)]
+    last = len(bits)
+    blocks = []
+
+    def walk(i):
+        if i == last:
+            yield blocks
+            return
+        bit = bits[i]
+        for j in range(len(blocks)):
+            blocks[j] |= bit
+            yield from walk(i + 1)
+            blocks[j] ^= bit
+        if len(blocks) < r:
+            blocks.append(bit)
+            yield from walk(i + 1)
+            blocks.pop()
+
+    return walk(0)
 
 
 def is_realizable(sys: SetSystem, partition: RPartition) -> bool:
     s_mask = mask_of(partition.base, sys.n)
-    part_masks = [mask_of(p, sys.n) for p in partition.parts]
-    return _realizable(sys, s_mask, part_masks)
+    blocks = [mask_of(p, sys.n) for p in partition.parts if p]
+    return _Traces(sys, s_mask).realizable(blocks, partition.r)
 
 
 def is_r_shattered(sys: SetSystem, S, r: int, cap: int = 10**6) -> bool:
@@ -196,17 +250,13 @@ def is_r_shattered(sys: SetSystem, S, r: int, cap: int = 10**6) -> bool:
     if r < 2:
         raise InputError("r must be at least 2")
     mask = mask_of(S, sys.n)
-    items = indices_of(mask)
-    if not items:
+    size = mask.bit_count()
+    if not size:
         return True
-    if partitions_le_count(len(items), r) > cap:
-        raise CapExceeded("r_shatter_classes", cap, partitions_le_count(len(items), r))
-    for blocks in rgs_partitions(items, r):
-        part_masks = [mask_of(b, sys.n) for b in blocks]
-        part_masks += [0] * (r - len(part_masks))
-        if not _realizable(sys, mask, part_masks):
-            return False
-    return True
+    if partitions_le_count(size, r) > cap:
+        raise CapExceeded("r_shatter_classes", cap, partitions_le_count(size, r))
+    traces = _Traces(sys, mask)
+    return all(traces.realizable(blocks, r) for blocks in _classes(mask, r))
 
 
 def r_vc_dim(sys: SetSystem, r: int, cap: int = 10**6) -> int:
@@ -228,21 +278,14 @@ def count_realizable(sys: SetSystem, S, r: int, cap: int = 10**6) -> int:
     if r < 1:
         raise InputError("r must be at least 1")
     mask = mask_of(S, sys.n)
-    items = indices_of(mask)
-    if r ** max(len(items), 1) > cap:
-        raise CapExceeded("count_realizable_orderings", cap, r ** len(items))
-    if not items:
+    size = mask.bit_count()
+    if r ** max(size, 1) > cap:
+        raise CapExceeded("count_realizable_orderings", cap, r ** size)
+    if not size:
         return 1 if sys.edges else 0
-    total = 0
-    for blocks in rgs_partitions(items, r):
-        k = len(blocks)
-        part_masks = [mask_of(b, sys.n) for b in blocks] + [0] * (r - k)
-        if _realizable(sys, mask, part_masks):
-            orderings = 1
-            for j in range(k):
-                orderings *= r - j
-            total += orderings
-    return total
+    traces = _Traces(sys, mask)
+    return sum(perm(r, len(blocks)) for blocks in _classes(mask, r)
+               if traces.realizable(blocks, r))
 
 
 def r_shatter_bound(m: int, t: int, r: int) -> int:
@@ -252,16 +295,28 @@ def r_shatter_bound(m: int, t: int, r: int) -> int:
 
 
 def check_r_shatter(sys: SetSystem, r: int, m_max: int | None = None, cap: int = 10**6) -> ShatterProfile:
-    """Audit pi_r(m) = max_S count_realizable against the counting bound."""
+    """Audit pi_r(m) = max_S count_realizable against the counting bound.
+
+    Rows 1 <= m <= t, for t = r_vc_dim, are r^m without enumeration: some
+    t-set is r-shattered, r-shattering is closed under subsets (put the
+    dropped points into any part; the same edges still work), so each of
+    its m-subsets realizes all r^m ordered partitions, and no m-set can
+    realize more. Those rows still raise every cap the recount would.
+    """
     t = r_vc_dim(sys, r, cap=cap)
     m_max = sys.n if m_max is None else min(m_max, sys.n)
     rows = []
     for m in range(m_max + 1):
         if binomial(sys.n, m) > cap:
             raise CapExceeded("r_shatter_subsets", cap, binomial(sys.n, m))
-        computed = 0
-        for combo in itertools.combinations(range(sys.n), m):
-            computed = max(computed, count_realizable(sys, combo, r, cap=cap))
+        if 1 <= m <= t:
+            # the check count_realizable makes on every m-subset
+            if r ** m > cap:
+                raise CapExceeded("count_realizable_orderings", cap, r ** m)
+            computed = r ** m
+        else:
+            computed = max(count_realizable(sys, combo, r, cap=cap)
+                           for combo in itertools.combinations(range(sys.n), m))
         bound = r_shatter_bound(m, t, r)
         rows.append(ShatterRow(m, computed, bound, computed <= bound))
     return ShatterProfile("rvc", t, r, tuple(rows))

@@ -2,18 +2,22 @@
 
 Deliberately different algorithms from the package's own paths: feasibility by
 Fourier-Motzkin elimination, hull membership by exhaustive simplex-free
-checks on tiny cases, and the phase-1 simplex on `Rat` arithmetic that the
+checks on tiny cases, the phase-1 simplex on `Rat` arithmetic that the
 integer kernel in `linprog` replaced (same pivot rule, so it must return the
-same vector). Slow and simple on purpose.
+same vector), and the r-partition realizability DFS that rescans every edge
+for every block, which `setsystems` replaced by per-subset trace sets and
+minimal up-sets. Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from convexparts.combinat import indices_of, mask_of, rgs_partitions
 from convexparts.errors import InternalInvariantError
 from convexparts.linprog import normalize_rows
 from convexparts.rational import ONE, ZERO, Rat
+from convexparts.setsystems import ShatterProfile, ShatterRow, r_shatter_bound
 
 
 def _norm_row(a, b):
@@ -226,3 +230,95 @@ def _fraction_pivot(tab, obj, basis, r, c):
         f = obj[c]
         obj[:] = [v - f * p for v, p in zip(obj, prow)]
     basis[r] = c
+
+
+def _projections(sys, s_mask: int, part_mask: int):
+    """Distinct traces on S of edges containing the part; sorted for determinism."""
+    return sorted({e & s_mask for e in sys.edges if e & part_mask == part_mask})
+
+
+def _realizable(sys, s_mask: int, part_masks) -> bool:
+    """Core DFS: pick one admissible edge trace per part, empty intersection.
+
+    part_masks may contain 0 entries (wildcard slots: any edge qualifies).
+    """
+    cands = []
+    for pm in part_masks:
+        c = _projections(sys, s_mask, pm)
+        if not c:
+            return False
+        cands.append(c)
+    # tightest parts first: fewer candidates prune earlier
+    cands.sort(key=lambda c: (len(c), c))
+    failed = set()
+
+    def dfs(i, mask):
+        if mask == 0:
+            return True
+        if i == len(cands):
+            return False
+        key = (i, mask)
+        if key in failed:
+            return False
+        for c in cands[i]:
+            if dfs(i + 1, mask & c):
+                return True
+        failed.add(key)
+        return False
+
+    return dfs(0, s_mask)
+
+
+def is_realizable_ref(sys, partition) -> bool:
+    s_mask = mask_of(partition.base, sys.n)
+    return _realizable(sys, s_mask, [mask_of(p, sys.n) for p in partition.parts])
+
+
+def is_r_shattered_ref(sys, S, r: int) -> bool:
+    mask = mask_of(S, sys.n)
+    items = indices_of(mask)
+    if not items:
+        return True
+    for blocks in rgs_partitions(items, r):
+        part_masks = [mask_of(b, sys.n) for b in blocks]
+        if not _realizable(sys, mask, part_masks + [0] * (r - len(blocks))):
+            return False
+    return True
+
+
+def count_realizable_ref(sys, S, r: int) -> int:
+    mask = mask_of(S, sys.n)
+    items = indices_of(mask)
+    if not items:
+        return 1 if sys.edges else 0
+    total = 0
+    for blocks in rgs_partitions(items, r):
+        k = len(blocks)
+        part_masks = [mask_of(b, sys.n) for b in blocks] + [0] * (r - k)
+        if _realizable(sys, mask, part_masks):
+            orderings = 1
+            for j in range(k):
+                orderings *= r - j
+            total += orderings
+    return total
+
+
+def r_vc_dim_ref(sys, r: int) -> int:
+    for k in range(sys.n, 0, -1):
+        for combo in itertools.combinations(range(sys.n), k):
+            if is_r_shattered_ref(sys, combo, r):
+                return k
+    return 0
+
+
+def check_r_shatter_ref(sys, r: int, m_max=None):
+    """Every row recounted over every subset, none taken as r^m."""
+    t = r_vc_dim_ref(sys, r)
+    m_max = sys.n if m_max is None else min(m_max, sys.n)
+    rows = []
+    for m in range(m_max + 1):
+        computed = max(count_realizable_ref(sys, combo, r)
+                       for combo in itertools.combinations(range(sys.n), m))
+        bound = r_shatter_bound(m, t, r)
+        rows.append(ShatterRow(m, computed, bound, computed <= bound))
+    return ShatterProfile("rvc", t, r, tuple(rows))

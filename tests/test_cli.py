@@ -341,6 +341,12 @@ class TestErrorsAndCaps:
         assert main(base + ["14"]) == 0
         capsys.readouterr()
 
+    def test_sampled_points_need_a_dimension(self, capsys):
+        # no two distinct points exist in dimension 0, so drawing them never ends
+        assert main(["fsearch", "--d", "0", "--n", "2", "--s", "1", "--t", "1",
+                     "--samples", "1", "--sampler", "random-rational"]) == 4
+        capsys.readouterr()
+
     def test_csv_only_for_profiles(self, capsys, tmp_path):
         sq = put(tmp_path, "square.json", SQUARE_DOC)
         code = main(["radon", "--input", str(sq), "--s", "1", "--t", "1",
@@ -374,7 +380,7 @@ class TestInputContract:
         # 2^12 - 2 bipartitions, listed before the first search
         ["fsearch", "--d", "1", "--n", "12", "--s", "1", "--t", "1",
          "--samples", "1"],
-        # 6 bipartitions, but 4 samples of 3 points are drawn first
+        # 6 bipartitions, but 4 samples of 3 points (12 coordinates) come first
         ["fsearch", "--d", "1", "--n", "3", "--s", "1", "--t", "1",
          "--samples", "4"],
         ["gen", "periodic", "--n", "11", "--r", "2"],
@@ -389,6 +395,14 @@ class TestInputContract:
         ["gen", "moment-curve", "--n", "2", "--d", "5"],
         # 6 coordinates, but 48 bits
         ["gen", "t42", "--d", "3", "--s", "3", "--r", "2"],
+        # 2 points, but 20 coordinates each
+        ["fsearch", "--d", "20", "--n", "2", "--s", "1", "--t", "1",
+         "--samples", "1", "--sampler", "random-rational"],
+        ["fsearch", "--d", "20", "--n", "2", "--s", "1", "--t", "1",
+         "--samples", "1", "--sampler", "moment-curve"],
+        # 4 coordinates, but two random t = k/2^30 take 366 bits
+        ["fsearch", "--d", "2", "--n", "2", "--s", "1", "--t", "1",
+         "--samples", "1", "--sampler", "moment-curve"],
     ])
     def test_generator_sizes_respect_cap(self, capsys, tmp_path, argv):
         sq = put(tmp_path, "square.json", SQUARE_DOC)

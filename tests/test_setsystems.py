@@ -3,7 +3,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from bruteforce import (check_r_shatter_ref, count_realizable_ref,
+                        is_r_shattered_ref, is_realizable_ref)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexparts.combinat import mask_of
@@ -214,3 +216,70 @@ def test_r_shatter_bound_holds_on_random_systems(edges, r):
     assert profile.all_ok
     assert profile.kind == "rvc" and profile.r == r
     assert r_shatter_bound(3, 0, 2) == 1
+
+
+@st.composite
+def _shatter_cases(draw):
+    """A system on n <= 7 points, r, an m_max, a subset S of the ground set
+    and an r-partition of S given as one part label per point of S."""
+    n = draw(st.integers(0, 7))
+    edges = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    r = draw(st.integers(2, 4))
+    m_max = draw(st.none() | st.integers(0, n))
+    base = draw(st.integers(0, (1 << n) - 1))
+    labels = draw(st.lists(st.integers(0, r - 1), min_size=7, max_size=7))
+    return n, edges, r, m_max, base, labels
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_shatter_cases())
+@example((5, [], 3, None, 0b10110, [0] * 7))          # no edges
+@example((5, [0], 2, None, 0b11111, [0, 1] * 4))      # only the empty edge
+@example((5, [31], 3, None, 0b00111, [0, 1, 2] * 3))  # only the full edge
+@example((6, [0, 63, 5, 10, 48, 33], 2, 3, 0b101101, [1, 0] * 4))  # m_max < n
+@example((6, [1, 2, 4, 8, 16, 32, 63], 4, 4, 0b111111, [0, 1, 2, 3] * 2))
+def test_realizability_matches_the_rescanning_reference(case):
+    n, edges, r, m_max, base, labels = case
+    sys = set_system(n, edges)
+    S = [i for i in range(n) if base >> i & 1]
+    parts = [[] for _ in range(r)]
+    for i, lab in zip(S, labels):
+        parts[lab].append(i)
+    # every row, rows m <= r_vc_dim too, against a recount over every subset
+    assert check_r_shatter(sys, r, m_max=m_max) == check_r_shatter_ref(sys, r, m_max)
+    assert count_realizable(sys, S, r) == count_realizable_ref(sys, S, r)
+    assert is_r_shattered(sys, S, r) == is_r_shattered_ref(sys, S, r)
+    partition = r_partition(S, parts)
+    assert is_realizable(sys, partition) == is_realizable_ref(sys, partition)
+
+
+def test_caps_raise_in_the_recount_order():
+    # rows 1..6 lie below t = 6, yet row 5 needs 4^5 orderings per subset
+    with pytest.raises(CapExceeded) as err:
+        check_r_shatter(power_set_system(6), 4, cap=1000)
+    assert (err.value.cap_name, err.value.cap_value, err.value.needed) == (
+        "count_realizable_orderings", 1000, 1024)
+    # r_vc_dim asks first, on the whole 6-set: 1 + 31 + 90 + 65 classes
+    with pytest.raises(CapExceeded) as err:
+        check_r_shatter(power_set_system(6), 4, cap=100)
+    assert (err.value.cap_name, err.value.cap_value, err.value.needed) == (
+        "r_shatter_classes", 100, 187)
+    # r_vc_dim checks 2^(n-1) or more classes on the n-set, never fewer
+    # than the C(n, m) subsets of a row, so only n = 0 meets this cap first
+    with pytest.raises(CapExceeded) as err:
+        check_r_shatter(set_system(0, []), 2, cap=0)
+    assert (err.value.cap_name, err.value.cap_value, err.value.needed) == (
+        "r_shatter_subsets", 0, 1)
+
+
+def test_many_wildcard_slots_stay_shallow():
+    # every edge holds point 0, so no slot can miss it; the search has to
+    # fail within the recursion limit however large r is
+    sys = set_system(3, [(0,), (0, 1), (0, 2)])
+    assert not is_r_shattered(sys, (0, 1, 2), 5000)
+    assert r_vc_dim(sys, 5000) == 1
+    assert not is_realizable(sys, r_partition((0,), [(0,)] + [()] * 4999))
+    assert not is_realizable(set_system(3, [(1,), (2,)]),
+                             r_partition((1, 2), [(1, 2)] + [()] * 4999))
+    assert is_realizable(set_system(3, [(1,), (2,)]),
+                         r_partition((1, 2), [(1,)] + [()] * 4998 + [(2,)]))
