@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .abstract import (
-    abstract_good_partition,
     halfspaces as abstract_halfspaces,
     is_separable,
     radon_number,
@@ -52,7 +51,6 @@ from .partitions import (
 from .ranges import halfspace_traces, intersect_close, union_close
 from .rng import CounterRng
 from .serialize import (
-    abstract_partition_data,
     canonical_bytes,
     canonical_text,
     check_certificate,
@@ -261,8 +259,7 @@ def _cmd_radon(args):
     bipartitions = (1 << len(ps)) - 2
     if bipartitions > _cap(args):
         raise CapExceeded("radon_bipartitions", _cap(args), bipartitions)
-    cert = good_radon_partition(ps, range(len(ps)), args.s, args.t,
-                                jobs=args.jobs)
+    cert = good_radon_partition(ps, range(len(ps)), args.s, args.t)
     if cert is None:
         doc = {"subcommand": "radon", "found": False, "s": args.s, "t": args.t,
                "n": len(ps), "bipartitions": (1 << len(ps)) - 2}
@@ -285,7 +282,7 @@ def _cmd_tverberg(args):
     else:
         raise InputError("this subcommand needs --s or --s-list")
     cert = good_tverberg_partition(ps, range(len(ps)), args.r, s_list,
-                                   cap=_cap(args), jobs=args.jobs)
+                                   cap=_cap(args))
     if cert is None:
         doc = {"subcommand": "tverberg", "found": False, "r": args.r,
                "s_list": list(s_list), "n": len(ps)}
@@ -352,7 +349,7 @@ def _cmd_fsearch(args):
     report = f_search(args.d, args.n, args.sampler, samples=args.samples,
                       seed=_seed(args, "fsearch"), s=args.s, t=args.t,
                       r=args.r, s_list=s_list, points=points,
-                      cap=_cap(args), jobs=args.jobs)
+                      cap=_cap(args))
     params = {k: (list(v) if isinstance(v, tuple) else v)
               for k, v in report.params.items()}
     doc = {"subcommand": "fsearch", "mode": report.mode, "params": params,

@@ -24,9 +24,5 @@ class PreconditionFailed(InputError):
         super().__init__(message)
 
 
-class NoRadonPartition(RuntimeError):
-    """Raised when a set below the guaranteed size admits no Radon partition."""
-
-
 class InternalInvariantError(RuntimeError):
     """A construction invariant that should be unreachable fired; always a bug."""

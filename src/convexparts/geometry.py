@@ -1,4 +1,4 @@
-"""Exact convex-hull primitives: common points, separators, Radon splits.
+"""Exact convex-hull primitives: common points, separators, affine dependences.
 
 Points are tuples of exact rationals; a PointSet fixes the ambient dimension.
 Every predicate here reduces to linprog.lp_feasible, so each answer comes with
@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InputError, InternalInvariantError, NoRadonPartition
+from .errors import InputError, InternalInvariantError
 from .linprog import REL_EQ, REL_GE, REL_LE, check_farkas, lp_feasible
 from .rational import ONE, ZERO, Rat, rat
 
@@ -267,52 +267,6 @@ def affine_dependence(points) -> list | None:
     return alpha
 
 
-def radon_partition_classic(ps: PointSet, S) -> tuple:
-    """Split S into (A, B) with intersecting hulls, plus a common point.
-
-    Guaranteed for |S| >= dim+2 via an exact affine dependence; smaller sets
-    fall back to exhaustive search and raise NoRadonPartition when no split
-    works.
-    """
-    idx = _norm_group(ps, S)
-    if len(idx) >= ps.dim + 2:
-        pts = [ps.points[i] for i in idx]
-        alpha = affine_dependence(pts)
-        if alpha is None:
-            raise InternalInvariantError("missing affine dependence on dim+2 points")
-        pos = [j for j, a in enumerate(alpha) if a > 0]
-        neg = [j for j, a in enumerate(alpha) if a <= 0]
-        scale = sum((alpha[j] for j in pos), ZERO)
-        if scale <= 0:
-            raise InternalInvariantError("affine dependence with no positive part")
-        point = [ZERO] * ps.dim
-        for j in pos:
-            for c in range(ps.dim):
-                point[c] += alpha[j] * pts[j][c]
-        point = tuple(v / scale for v in point)
-        A = tuple(idx[j] for j in pos)
-        B = tuple(idx[j] for j in neg)
-        if not in_hull(ps, point, A) or not in_hull(ps, point, B):
-            raise InternalInvariantError("Radon point escaped a side")
-        return A, B, point
-
-    if len(idx) >= 2:
-        head, rest = idx[0], idx[1:]
-        for size in range(1, len(idx)):
-            for extra in itertools.combinations(rest, size - 1):
-                A = (head,) + extra
-                B = tuple(i for i in idx if i not in A)
-                meet = hulls_common_point(ps, (A, B))
-                if meet:
-                    return A, B, meet.point
-    raise NoRadonPartition(f"no Radon partition for {idx} in dimension {ps.dim}")
-
-
-def polyhedron_contains(hyperplanes, point) -> bool:
-    """Membership in the open cell {x : h.side(x) > 0 for every h}."""
-    return all(h.side(point) > 0 for h in hyperplanes)
-
-
 def closed_cells_meet(cells) -> "LPOutcome":
     """Feasibility of the closed relaxations {normal.x >= offset} of all cells.
 
@@ -329,21 +283,3 @@ def closed_cells_meet(cells) -> "LPOutcome":
     if dim is None:
         raise InputError("no hyperplanes given")
     return lp_feasible(cons, nvars=dim)
-
-
-def open_cell_nonempty(hyperplanes) -> bool:
-    """Exact nonemptiness of {x : normal.x > offset for all rows}.
-
-    Homogenized: the open cell is nonempty iff {A y - b mu >= 1, mu >= 1} is
-    satisfiable (scale any interior point by its margin).
-    """
-    hps = list(hyperplanes)
-    if not hps:
-        raise InputError("no hyperplanes given")
-    d = len(hps[0].normal)
-    cons = []
-    for h in hps:
-        cons.append((tuple(h.normal) + (-h.offset,), REL_GE, ONE))
-    mu_row = [ZERO] * d + [ONE]
-    cons.append((tuple(mu_row), REL_GE, ONE))
-    return lp_feasible(cons, nvars=d + 1).feasible

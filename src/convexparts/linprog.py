@@ -194,7 +194,7 @@ def _phase1(rows, nvars, nonneg):
 
     # rows scaled so the rhs is nonnegative; sigma remembers the flips
     sigma = [1 if b >= 0 else -1 for _, b in rows]
-    fracs = [[(int(v.numerator), int(v.denominator)) for v in (*a, b)] for a, b in rows]
+    fracs = [[(v.numerator, v.denominator) for v in (*a, b)] for a, b in rows]
     scale = lcm(*(den for row in fracs for _, den in row))
 
     tab = []

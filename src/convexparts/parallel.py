@@ -3,7 +3,7 @@
 Results come back in input order, so sweep outputs are identical for any
 worker count. Functions passed here must be module-level (picklable). Workers
 come from multiprocessing's default start method (fork on Linux): spawned
-workers would re-import the package for every search.
+workers would re-import the package for every sweep.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ from .geometry import (
     verify_hulls_empty,
 )
 from .linprog import REL_EQ, REL_GE, lp_feasible
-from .parallel import pmap
 from .rational import ONE, ZERO
 
 
@@ -429,29 +428,29 @@ def verify_empty_intersection(cert: EmptyIntersectionCertificate) -> bool:
     return seen == expected
 
 
-def good_radon_partition(ps: PointSet, subset, s: int, t: int, jobs: int = 1):
+def good_radon_partition(ps: PointSet, subset, s: int, t: int):
     """First bipartition (by size of A, then lexicographic) that no grouping
     pair separates, as a certificate, or None when all bipartitions separate.
 
-    One MeetOracle serves every candidate; at jobs > 1 each pickled
-    candidate carries its own, still empty, copy."""
+    One MeetOracle serves every candidate, so verdicts carry over from one
+    bipartition to the next."""
     subset = _norm_group(ps, subset)
     if len(subset) < 2:
         raise InputError("need at least two points to bipartition")
     if s < 1 or t < 1:
         raise InputError("group counts must be at least 1")
     oracle = MeetOracle(ps)
-    candidates = []
     members = set(subset)
     for size in range(1, len(subset)):
         for a in itertools.combinations(subset, size):
             b = tuple(sorted(members - set(a)))
-            candidates.append((oracle, a, b, s, t))
-    return _first_hit(_radon_candidate_good, candidates, jobs)
+            cert = _radon_candidate_good(oracle, a, b, s, t)
+            if cert is not None:
+                return cert
+    return None
 
 
-def _radon_candidate_good(args):
-    oracle, a, b, s, t = args
+def _radon_candidate_good(oracle, a, b, s, t):
     grouping, tried, closed_form = _separating_grouping(oracle, a, b, s, t)
     if grouping is not None:
         return None
@@ -460,7 +459,7 @@ def _radon_candidate_good(args):
 
 
 def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
-                            cap: int = 10**6, jobs: int = 1):
+                            cap: int = 10**6):
     """First r-partition (restricted-growth order, then block-to-part
     assignment order) admitting no empty-intersection cover, or None.
 
@@ -472,7 +471,7 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
         raise InputError("not enough points for the requested parts")
     if isinstance(s_list, int):
         s_list = [s_list] * r
-    s_list = list(s_list)
+    s_list = tuple(s_list)
     if len(s_list) != r:
         raise InputError("one group bound per part required")
     if any(s < 1 for s in s_list):
@@ -484,24 +483,16 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
     if nparts > cap:
         raise CapExceeded("tverberg_partitions", cap, nparts)
     oracle = MeetOracle(ps)
-    candidates = []
     for blocks in rgs_partitions_exact(subset, r):
-        if uniform:
-            assignments = [blocks]
-        else:
-            assignments = []
-            seen = set()
-            for perm in itertools.permutations(blocks):
-                if perm not in seen:
-                    seen.add(perm)
-                    assignments.append(perm)
-        for parts in assignments:
-            candidates.append((oracle, parts, tuple(s_list), cap))
-    return _first_hit(_tverberg_candidate_good, candidates, jobs)
+        # blocks are disjoint and nonempty, so their permutations are distinct
+        for parts in (blocks,) if uniform else itertools.permutations(blocks):
+            cert = _tverberg_candidate_good(oracle, parts, s_list, cap)
+            if cert is not None:
+                return cert
+    return None
 
 
-def _tverberg_candidate_good(args):
-    oracle, parts, s_list, cap = args
+def _tverberg_candidate_good(oracle, parts, s_list, cap):
     groupings = _cover_groupings(oracle.ps, parts, s_list, cap)
     if any(_all_tuples_empty(oracle, combo) for combo in itertools.product(*groupings)):
         return None
@@ -516,17 +507,12 @@ def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate) -> bool:
     params = cert.params
     oracle = MeetOracle(ps)
     if cert.kind == "radon" and set(params) == {"s", "t"} and len(cert.partition) == 2:
-        derived = _radon_candidate_good((oracle, *cert.partition, params["s"], params["t"]))
+        derived = _radon_candidate_good(oracle, *cert.partition, params["s"], params["t"])
     elif cert.kind == "tverberg" and set(params) == {"s_list"}:
-        derived = _tverberg_candidate_good((oracle, cert.partition, params["s_list"], 10**6))
+        derived = _tverberg_candidate_good(oracle, cert.partition, params["s_list"], 10**6)
     else:
         return False
     return derived == cert
-
-
-def _first_hit(fn, candidates, jobs):
-    """Earliest non-None result in candidate order, or None."""
-    return next(filter(None, pmap(fn, candidates, jobs, bool)), None)
 
 
 def _target_system(ps, halfspaces, hull_groups):
@@ -722,8 +708,8 @@ class FSearchReport:
 
 def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsearch",
              s: int | None = None, t: int | None = None, r: int | None = None,
-             s_list=None, points: PointSet | None = None, cap: int = 10**6,
-             jobs: int = 1) -> FSearchReport:
+             s_list=None, points: PointSet | None = None,
+             cap: int = 10**6) -> FSearchReport:
     """Run the bipartition or r-partition searcher over sampled n-point sets.
 
     Stops at the first sample on which every partition is refuted: such a set
@@ -753,10 +739,10 @@ def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsear
     for k, ps in enumerate(sampled):
         everything = range(n)
         if radon_mode:
-            cert = good_radon_partition(ps, everything, s, t, jobs=jobs)
+            cert = good_radon_partition(ps, everything, s, t)
             transcript = (1 << n) - 2
         else:
-            cert = good_tverberg_partition(ps, everything, r, s_list, cap=cap, jobs=jobs)
+            cert = good_tverberg_partition(ps, everything, r, s_list, cap=cap)
             transcript = stirling2(n, r)
             if len(set(s_list)) != 1:
                 transcript *= prod(range(1, r + 1))

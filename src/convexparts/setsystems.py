@@ -139,9 +139,18 @@ def sauer_bound(m: int, d: int) -> int:
     return sum(binomial(m, i) for i in range(0, min(d, m) + 1))
 
 
+def _last_row(sys: SetSystem, m_max: int | None) -> int:
+    """The last row m of a profile: m_max, at most the ground size."""
+    if m_max is None:
+        return sys.n
+    if m_max < 0:
+        raise InputError("m_max must be nonnegative")
+    return min(m_max, sys.n)
+
+
 def check_sauer(sys: SetSystem, m_max: int | None = None, cap: int = 10**6) -> ShatterProfile:
+    m_max = _last_row(sys, m_max)
     d = vc_dim(sys)
-    m_max = sys.n if m_max is None else min(m_max, sys.n)
     rows = []
     for m in range(m_max + 1):
         computed = primal_shatter(sys, m, cap=cap)
@@ -303,8 +312,8 @@ def check_r_shatter(sys: SetSystem, r: int, m_max: int | None = None, cap: int =
     its m-subsets realizes all r^m ordered partitions, and no m-set can
     realize more. Those rows still raise every cap the recount would.
     """
+    m_max = _last_row(sys, m_max)
     t = r_vc_dim(sys, r, cap=cap)
-    m_max = sys.n if m_max is None else min(m_max, sys.n)
     rows = []
     for m in range(m_max + 1):
         if binomial(sys.n, m) > cap:

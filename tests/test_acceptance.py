@@ -2,9 +2,10 @@
 
 Every check builds a plain-data summary document from seeded corpora and
 exact searches; its test asserts the document's verdicts at exact equality
-and prints a single verdict line. Check 14 rebuilds all thirteen documents
-with a worker pool and demands byte-identical canonical serializations, so
-each builder must be a pure function of its seeds and the jobs knob.
+and prints a single verdict line. Check 14 rebuilds, with a worker pool,
+the documents whose builders take a jobs knob (only the t42 sweep runs in
+parallel) and demands byte-identical canonical serializations, so each
+builder must be a pure function of its seeds and that knob.
 """
 
 import itertools
@@ -72,35 +73,35 @@ def _system(seed, n_hi):
 # check builders, one per criterion; each returns a JSON-able document
 
 
-def _check_01(jobs):
+def _check_01():
     # four planar points always admit a good (1,1) bipartition; three
     # affinely independent points never do, pinning the threshold at four
     partitions = []
     for k in range(200):
         ps = _pts(f"c1a:{k}", 4, 2)
-        cert = good_radon_partition(ps, range(4), 1, 1, jobs=jobs)
+        cert = good_radon_partition(ps, range(4), 1, 1)
         partitions.append(None if cert is None else cert.partition)
     found = sum(p is not None for p in partitions)
     refuted = 0
     for k in range(200):
         ps = _generic_pts(f"c1b:{k}", 3, 2)
-        refuted += good_radon_partition(ps, range(3), 1, 1, jobs=jobs) is None
+        refuted += good_radon_partition(ps, range(3), 1, 1) is None
     return {"check": 1, "four_point_found": found,
             "four_point_partitions": partitions,
             "three_point_refuted": refuted, "threshold": 4}
 
 
-def _check_02(jobs):
+def _check_02():
     # on the line, five points always split into three parts with a common
     # hull point; four never do, and the exhaustion transcript says how many
     # partitions were rejected
     five = f_search(1, 5, "random-rational", samples=25, seed="c2:five",
-                    r=3, s_list=[1, 1, 1], jobs=jobs)
+                    r=3, s_list=[1, 1, 1])
     four = f_search(1, 4, "random-rational", samples=25, seed="c2:four",
-                    r=3, s_list=[1, 1, 1], jobs=jobs)
+                    r=3, s_list=[1, 1, 1])
     tight = tverberg_tight_instance(1, 3)
     tight_refuted = good_tverberg_partition(
-        tight, range(len(tight.points)), 3, [1, 1, 1], jobs=jobs) is None
+        tight, range(len(tight.points)), 3, [1, 1, 1]) is None
     return {"check": 2, "five_all_good": five.all_good,
             "five_partitions": [None if c is None else c.partition
                                 for c in five.certificates],
@@ -110,7 +111,7 @@ def _check_02(jobs):
             "tight_witness_refuted": tight_refuted}
 
 
-def _check_03(jobs):
+def _check_03():
     # unions of s hull pieces against one: 2s+1 points in convex position
     # are shattered by s-fold polytope intersections yet admit no good
     # bipartition, while every sampled (2s+2)-point set does
@@ -120,22 +121,21 @@ def _check_03(jobs):
         fam = intersect_close(halfspace_traces(odd), s)
         vc = vc_dim(fam.to_set_system())
         odd_refuted = good_radon_partition(
-            odd, range(2 * s + 1), s, 1, jobs=jobs) is None
+            odd, range(2 * s + 1), s, 1) is None
         hits = 0
         for k in range(100):
             ps = _pts(f"c3:{s}:{k}", 2 * s + 2, 2)
             hits += good_radon_partition(
-                ps, range(2 * s + 2), s, 1, jobs=jobs) is not None
+                ps, range(2 * s + 2), s, 1) is not None
         even = convex_position(2 * s + 2)
         hits += good_radon_partition(
-            even, range(2 * s + 2), s, 1, jobs=jobs) is not None
+            even, range(2 * s + 2), s, 1) is not None
         rows.append({"s": s, "vc": vc, "odd_refuted": odd_refuted,
                      "even_found": hits})
     return {"check": 3, "rows": rows}
 
 
-def _check_04(jobs):
-    del jobs  # coloring search and separability oracle are serial
+def _check_04():
     rows = []
     for k in range(10):
         ps = _pts(f"c4:{k}", 9, 3)
@@ -150,8 +150,7 @@ def _check_04(jobs):
     return {"check": 4, "instances": rows}
 
 
-def _check_05(jobs):
-    del jobs
+def _check_05():
     # the trace families behind checks 1-4, plus fresh random systems,
     # all stay under the shatter-function ceiling
     systems = []
@@ -182,8 +181,7 @@ def _check_05(jobs):
             "random_systems": 500, "random_ok": random_ok}
 
 
-def _check_06(jobs):
-    del jobs
+def _check_06():
     profiles_ok = bounds_ok = max_dim = 0
     for k in range(200):
         sys, rng = _system(f"c6:{k}", 8)
@@ -197,8 +195,7 @@ def _check_06(jobs):
             "bounds_ok": bounds_ok, "max_r_vc": max_dim}
 
 
-def _check_07(jobs):
-    del jobs
+def _check_07():
     line4 = point_set([[0], [1], [2], [3]])
     sys = interval_union_traces(line4, 3).to_set_system()
     formula = ((3 - 1) // 2) * 4 * 4 // 4
@@ -216,8 +213,7 @@ def _check_08(jobs):
     return {"check": 8, "rows": rows}
 
 
-def _check_09(jobs):
-    del jobs
+def _check_09():
     rows = []
     for r in (2, 3):
         for s in (1, 2, 3):
@@ -229,8 +225,7 @@ def _check_09(jobs):
     return {"check": 9, "rows": rows}
 
 
-def _check_10(jobs):
-    del jobs
+def _check_10():
     # separable pairs: the explicit cells keep every covered point at
     # side >= 1 of all their facets and push every opposite point to
     # side <= -1 of some facet, with at most t facets per cell
@@ -284,25 +279,25 @@ def _check_10(jobs):
                       "verified": bool(verified_j)}}
 
 
-def _check_11(jobs):
+def _check_11():
     # hull-disjoint translated copies of a tight instance refuse a good
     # (2,2) bipartition, so two pieces per side genuinely raise the threshold
     rows = []
     for d in (1, 2):
         copies = translated_copies(tverberg_tight_instance(d, 2), 2)
         n = len(copies.points)
-        refuted = good_radon_partition(copies, range(n), 2, 2, jobs=jobs) is None
+        refuted = good_radon_partition(copies, range(n), 2, 2) is None
         rows.append({"d": d, "points": n, "refuted": refuted})
     return {"check": 11, "rows": rows}
 
 
-def _check_12(jobs):
+def _check_12():
     space = interval_space(8)
     sep_ok, _ = is_separable(space)
     rows = []
     for n, s, t in ((4, 1, 1), (5, 1, 1), (5, 2, 1), (6, 2, 2)):
         line = point_set([[i] for i in range(n)])
-        geo = good_radon_partition(line, range(n), s, t, jobs=jobs)
+        geo = good_radon_partition(line, range(n), s, t)
         abs_found = abstract_good_partition(geometric_space(line), range(n), s, t)
         if geo is None or abs_found is None:
             same = geo is None and abs_found is None
@@ -315,8 +310,7 @@ def _check_12(jobs):
             "halfspace_vc": vc_dim(halfspaces(space)), "agreement": rows}
 
 
-def _check_13(jobs):
-    del jobs
+def _check_13():
     # the cover-emptiness oracle, the strict-separation oracle, and (for
     # t = 1) membership of a union-closed trace must all agree
     sets = checks = trace_checks = disagreements = 0
@@ -350,13 +344,16 @@ _BUILDERS = {1: _check_01, 2: _check_02, 3: _check_03, 4: _check_04,
              9: _check_09, 10: _check_10, 11: _check_11, 12: _check_12,
              13: _check_13}
 
+# builders whose work goes through parallel.pmap; the others run serially
+_POOLED = {8}
+
 _DOCS = {}
 
 
-def _run(k, jobs):
+def _run(k, jobs=1):
     key = (k, jobs)
     if key not in _DOCS:
-        _DOCS[key] = _BUILDERS[k](jobs)
+        _DOCS[key] = _BUILDERS[k](jobs) if k in _POOLED else _BUILDERS[k]()
     return _DOCS[key]
 
 
@@ -365,7 +362,7 @@ def _run(k, jobs):
 
 
 def test_check_01_four_points_split_generic_triples_do_not():
-    doc = _run(1, 1)
+    doc = _run(1)
     assert doc["four_point_found"] == 200
     assert doc["three_point_refuted"] == 200
     assert doc["threshold"] == 4
@@ -374,7 +371,7 @@ def test_check_01_four_points_split_generic_triples_do_not():
 
 
 def test_check_02_line_three_partition_threshold_is_five():
-    doc = _run(2, 1)
+    doc = _run(2)
     assert doc["five_all_good"] is True
     assert all(p is not None for p in doc["five_partitions"])
     assert doc["four_witness_index"] == 0
@@ -385,7 +382,7 @@ def test_check_02_line_three_partition_threshold_is_five():
 
 
 def test_check_03_polytope_pieces_shatter_odd_sets_but_split_even_ones():
-    doc = _run(3, 1)
+    doc = _run(3)
     for row in doc["rows"]:
         s = row["s"]
         assert row["vc"] == 2 * s + 1
@@ -396,7 +393,7 @@ def test_check_03_polytope_pieces_shatter_odd_sets_but_split_even_ones():
 
 
 def test_check_04_four_coloring_blocks_two_piece_separation():
-    doc = _run(4, 1)
+    doc = _run(4)
     assert len(doc["instances"]) == 10
     for row in doc["instances"]:
         assert sum(row["class_sizes"]) == 9
@@ -407,7 +404,7 @@ def test_check_04_four_coloring_blocks_two_piece_separation():
 
 
 def test_check_05_shatter_counts_stay_under_the_ceiling():
-    doc = _run(5, 1)
+    doc = _run(5)
     assert doc["geometric_ok"] == doc["geometric_systems"] == 639
     assert doc["random_ok"] == doc["random_systems"] == 500
     print("check 05: PASS  639 geometric + 500 random systems under "
@@ -415,7 +412,7 @@ def test_check_05_shatter_counts_stay_under_the_ceiling():
 
 
 def test_check_06_partition_counts_respect_the_r_ceiling():
-    doc = _run(6, 1)
+    doc = _run(6)
     assert doc["profiles_ok"] == doc["systems"] == 200
     assert doc["bounds_ok"] == 200
     print(f"check 06: PASS  200/200 systems, r-dimension <= counting "
@@ -423,7 +420,7 @@ def test_check_06_partition_counts_respect_the_r_ceiling():
 
 
 def test_check_07_interval_unions_shatter_four_points_into_four_parts():
-    doc = _run(7, 1)
+    doc = _run(7)
     assert doc["whole_set_4_shattered"] is True
     assert doc["r_vc"] == doc["formula_value"] == 4
     print("check 07: PASS  3-interval unions 4-shatter the 4-point line, "
@@ -431,7 +428,7 @@ def test_check_07_interval_unions_shatter_four_points_into_four_parts():
 
 
 def test_check_08_every_coloring_of_the_moment_instances_is_defeated():
-    doc = _run(8, 1)
+    doc = _run(8)
     totals = {1: 256, 2: 65536}
     for row in doc["rows"]:
         assert row["ok"] is True
@@ -442,7 +439,7 @@ def test_check_08_every_coloring_of_the_moment_instances_is_defeated():
 
 
 def test_check_09_periodic_colorings_dodge_every_interval_cover():
-    doc = _run(9, 1)
+    doc = _run(9)
     assert len(doc["rows"]) == 6
     for row in doc["rows"]:
         r, s = row["r"], row["s"]
@@ -455,7 +452,7 @@ def test_check_09_periodic_colorings_dodge_every_interval_cover():
 
 
 def test_check_10_separations_come_with_checkable_cells():
-    doc = _run(10, 1)
+    doc = _run(10)
     pair, joint = doc["pair"], doc["joint"]
     assert pair["kept"] == 100
     assert pair["width_ok"] is True
@@ -469,7 +466,7 @@ def test_check_10_separations_come_with_checkable_cells():
 
 
 def test_check_11_translated_copies_raise_the_two_piece_threshold():
-    doc = _run(11, 1)
+    doc = _run(11)
     for row in doc["rows"]:
         assert row["points"] == 2 * (row["d"] + 1)
         assert row["refuted"] is True
@@ -478,7 +475,7 @@ def test_check_11_translated_copies_raise_the_two_piece_threshold():
 
 
 def test_check_12_interval_convexity_matches_the_geometric_line():
-    doc = _run(12, 1)
+    doc = _run(12)
     assert doc["radon"] == 3
     assert doc["tverberg_3"] == 5
     assert doc["separable"] is True
@@ -490,7 +487,7 @@ def test_check_12_interval_convexity_matches_the_geometric_line():
 
 
 def test_check_13_three_separability_oracles_agree_everywhere():
-    doc = _run(13, 1)
+    doc = _run(13)
     assert doc["sets"] == 10
     assert doc["oracle_checks"] == 1904
     assert doc["trace_checks"] == 952
@@ -500,8 +497,8 @@ def test_check_13_three_separability_oracles_agree_everywhere():
 
 
 def test_check_14_documents_are_identical_under_a_worker_pool():
-    mismatches = [k for k in range(1, 14)
-                  if canonical_bytes(_run(k, 1)) != canonical_bytes(_run(k, 8))]
+    mismatches = [k for k in sorted(_POOLED)
+                  if canonical_bytes(_run(k)) != canonical_bytes(_run(k, 8))]
     assert mismatches == []
-    print("check 14: PASS  all thirteen documents byte-identical at "
+    print("check 14: PASS  the t42 sweep document byte-identical at "
           "jobs 1 and 8")

@@ -1,7 +1,9 @@
 """End-to-end command tests: exit codes, document shapes, artifact round
-trips, and byte reproducibility across --jobs."""
+trips, byte reproducibility across --jobs, and searches without a pool."""
 
+import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -410,6 +412,17 @@ class TestInputContract:
         assert main(argv + ["--cap", "10"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["shatter"],
+        ["rshatter", "--r", "2"],
+        ["verify", "sauer"],
+        ["verify", "rshatter", "--r", "2"],
+    ])
+    def test_negative_profile_rows_exit_4(self, capsys, tmp_path, argv):
+        path = put(tmp_path, "system.json", {"n": 3, "edges": [[0], [1, 2], [0, 1, 2]]})
+        assert main(argv + ["--input", str(path), "--n", "-3"]) == 4
+        capsys.readouterr()
+
     def test_abstract_work_total_stops_at_the_cap(self, capsys, tmp_path):
         # the work total over every k is astronomically large at n = 4000;
         # the cap check has to stop adding long before that
@@ -442,6 +455,30 @@ class TestReproducibility:
                 "--jobs", jobs, "--out-dir", out)
             outs.append(self.read_all(out))
         assert outs[0] == outs[1]
+
+    def test_searches_start_no_pool(self, capsys, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a search started a process pool")
+
+        # eight CPUs, so the worker clamp cannot hide a pool either
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        sq = put(tmp_path, "square.json", SQUARE_DOC)
+        line = put(tmp_path, "line5.json", LINE5_DOC)
+        code, doc = run_json(capsys, "radon", "--input", sq, "--s", 1, "--t", 1,
+                             "--jobs", 8)
+        assert code == 0 and doc["certificate"]["partition"] == [[0, 1], [2, 3]]
+        code, doc = run_json(capsys, "radon", "--input", sq, "--s", 2, "--t", 2,
+                             "--jobs", 8)
+        assert code == 2 and doc["bipartitions"] == 14
+        code, doc = run_json(capsys, "tverberg", "--input", line, "--r", 3,
+                             "--s", 1, "--jobs", 8)
+        assert code == 0
+        assert doc["certificate"]["partition"] == [[0, 3], [1, 4], [2]]
+        code, doc = run_json(capsys, "fsearch", "--d", 2, "--n", 3, "--samples", 2,
+                             "--s", 1, "--t", 1, "--jobs", 8)
+        assert code == 2
+        assert doc["witness_index"] == 0 and doc["witness_transcript"] == 6
 
     def test_t42_jobs_invariant(self, capsys, tmp_path):
         outs = []

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from bruteforce import barycentric_in_triangle, distinct_rand_point_set, rand_point_set, segments_meet
 
-from convexparts.errors import InputError, NoRadonPartition
+from convexparts.errors import InputError
 from convexparts.geometry import (
     Hyperplane,
     affine_dependence,
@@ -14,13 +14,11 @@ from convexparts.geometry import (
     hulls_common_point,
     in_hull,
     make_hyperplane,
-    open_cell_nonempty,
     point_set,
-    polyhedron_contains,
-    radon_partition_classic,
     strict_separator,
     verify_hulls_empty,
 )
+from convexparts.partitions import good_radon_partition
 from convexparts.rational import Rat
 from convexparts.rng import CounterRng
 
@@ -111,9 +109,20 @@ def test_separator_rejects_overlap():
         strict_separator(ps, (0, 1), (1, 2))
 
 
+# The classic Radon split of S is a good (1,1) bipartition: one hull per side,
+# and the two hulls meet.
+
+def _radon_split(ps, S):
+    cert = good_radon_partition(ps, S, 1, 1)
+    if cert is None:
+        return None
+    A, B = cert.partition
+    return A, B, hulls_common_point(ps, (A, B)).point
+
+
 def test_radon_square_splits_diagonals():
     ps = point_set([(0, 0), (1, 0), (0, 1), (1, 1)])
-    A, B, point = radon_partition_classic(ps, (0, 1, 2, 3))
+    A, B, point = _radon_split(ps, (0, 1, 2, 3))
     assert {frozenset(A), frozenset(B)} == {frozenset({0, 3}), frozenset({1, 2})}
     assert point == (Rat(1, 2), Rat(1, 2))
 
@@ -123,7 +132,7 @@ def test_radon_always_succeeds_on_dim_plus_two():
         rng = CounterRng(seed, "radon")
         for _ in range(25):
             ps = rand_point_set(rng, d + 2, d)
-            A, B, point = radon_partition_classic(ps, range(d + 2))
+            A, B, point = _radon_split(ps, range(d + 2))
             assert set(A) | set(B) == set(range(d + 2))
             assert not set(A) & set(B)
             assert A and B
@@ -132,18 +141,17 @@ def test_radon_always_succeeds_on_dim_plus_two():
 
 def test_radon_duplicates_and_degenerate_sets():
     ps = point_set([(1, 1), (1, 1), (9, 3)])
-    A, B, point = radon_partition_classic(ps, (0, 1))
+    A, B, point = _radon_split(ps, (0, 1))
     assert point == (Rat(1), Rat(1))
     # collinear triple in the plane: middle point inside the outer segment
     ps2 = point_set([(0, 0), (2, 2), (4, 4)])
-    A, B, point = radon_partition_classic(ps2, (0, 1, 2))
+    A, B, point = _radon_split(ps2, (0, 1, 2))
     assert in_hull(ps2, point, A) and in_hull(ps2, point, B)
 
 
-def test_radon_raises_below_threshold_when_generic():
+def test_radon_finds_no_split_below_threshold_when_generic():
     ps = point_set([(0, 0), (4, 0), (0, 4)])
-    with pytest.raises(NoRadonPartition):
-        radon_partition_classic(ps, (0, 1, 2))
+    assert _radon_split(ps, (0, 1, 2)) is None
 
 
 def test_affine_dependence_shape():
@@ -158,15 +166,6 @@ def test_affine_dependence_shape():
 def test_hyperplane_requires_nonzero_normal():
     with pytest.raises(InputError):
         make_hyperplane((0, 0), 1)
-
-
-def test_open_cell_thin_slab_is_nonempty():
-    # 0 < x < 1 has no rational point at unit margin; homogenization finds it anyway
-    slab = [make_hyperplane((1,), 0), make_hyperplane((-1,), -1)]
-    assert open_cell_nonempty(slab)
-    assert polyhedron_contains(slab, (Rat(1, 2),))
-    empty = [make_hyperplane((1,), 1), make_hyperplane((-1,), 0)]
-    assert not open_cell_nonempty(empty)
 
 
 def test_closed_cells_meet_reports_farkas():

@@ -118,12 +118,6 @@ def test_pentagon_good_partition_needs_six_points():
     assert joint_cover_empty(HEXAGON, [a, b], [2, 1]) is None
 
 
-def test_good_radon_worker_count_does_not_change_the_answer():
-    lone = good_radon_partition(HEXAGON, range(6), 2, 1, jobs=1)
-    pooled = good_radon_partition(HEXAGON, range(6), 2, 1, jobs=2)
-    assert lone == pooled
-
-
 def test_two_part_cover_oracle_matches_separability():
     rng = CounterRng("cover-vs-sep")
     for trial in range(4):
