@@ -3,7 +3,8 @@
 Every subcommand prints one machine-readable document to stdout (JSON by
 default, CSV for the profile-shaped outputs) and, with --out-dir, writes the
 same bytes plus any certificate files there. Reports are canonical: re-running
-a command with the same flags byte-reproduces every artifact, for any --jobs.
+a command with the same flags byte-reproduces every artifact. Every command
+runs in one process.
 
 Exit codes: 0 verified/found, 2 property refuted with a counterexample,
 3 resource cap hit, 4 input error.
@@ -100,6 +101,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--samples", type=int, default=10)
     common.add_argument("--cap", type=int)
     common.add_argument("--seed", type=int)
+    # accepted so existing command lines keep parsing; selects nothing
     common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--out-dir", dest="out_dir")
@@ -449,7 +451,7 @@ def _verify_t42(args):
     # r >= 2, so a power past the cap's bit length already exceeds it
     n = min(_t42_points(args), _cap(args).bit_length() + 1)
     _check_size(args, "t42_colorings", args.r ** n)
-    report = moment_adversary_exhaustive(args.d, args.s, args.r, jobs=args.jobs)
+    report = moment_adversary_exhaustive(args.d, args.s, args.r)
     doc = {"subcommand": "verify", "target": "t42", "ok": report.ok,
            "d": report.d, "s": report.s, "r": report.r, "n": report.n,
            "colorings_total": report.total, "verified": report.verified,
@@ -581,6 +583,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code, text, artifacts = _HANDLERS[args.command](args)
+        if args.out_dir is not None:
+            out = Path(args.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, payload in artifacts:
+                (out / name).write_bytes(payload)
     except CapExceeded as err:
         print(f"resource cap: {err}", file=sys.stderr)
         return 3
@@ -591,11 +598,6 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 4
-    if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, payload in artifacts:
-            (out / name).write_bytes(payload)
     sys.stdout.write(text)
     return code
 

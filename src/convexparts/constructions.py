@@ -14,7 +14,9 @@ appears at most floor(d/2) times inside the interval and has been picked
 fewer than floor((s-1)/2) times overall. The covers it then assembles have
 jointly empty intersection: a counting argument keeps the greedy from
 stalling, and floor(d/2)-neighborliness makes each single-interval piece
-avoid the other covers. Both facts are checked per run, never assumed.
+avoid the other covers. Both facts are checked per run, never assumed. A
+single coloring's check returns a Farkas certificate; the sweep over every
+coloring asks the same exact predicate for verdicts only, in one process.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from math import comb
 from .combinat import check_total, run_splits
 from .errors import CapExceeded, InputError, InternalInvariantError
 from .geometry import PointSet, hull_disjoint, point_set
-from .parallel import pmap
 from .partitions import (
     MeetOracle,
     SConvexCover,
+    _all_tuples_empty,
     covers_jointly_empty,
     good_tverberg_partition,
 )
@@ -207,6 +209,25 @@ class AdversaryReport:
     max_groups: int
 
 
+def _check_structure(inst: MomentAdversaryInstance, coloring, chosen,
+                     covers) -> int:
+    """The structural checks of verify_moment_adversary; returns the
+    largest group count."""
+    cap = inst.d // 2
+    for color, cover in enumerate(covers):
+        if len(cover.groups) > inst.s:
+            raise InternalInvariantError(
+                f"cover {color} uses {len(cover.groups)} groups, allowed {inst.s}")
+        want = tuple(i for i in range(inst.n) if coloring[i] == color)
+        if cover.covered != want:
+            raise InternalInvariantError(f"cover {color} misses points of its color")
+        for g in cover.groups:
+            qs = {inst.interval_index[i] for i in g}
+            if len(qs) == 1 and chosen[next(iter(qs))] == color and len(g) > cap:
+                raise InternalInvariantError("single-interval piece too large")
+    return max(len(c.groups) for c in covers)
+
+
 def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
                             oracle=None) -> AdversaryReport:
     """Build the covers for a coloring and certify their joint emptiness.
@@ -222,19 +243,7 @@ def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
     coloring = _check_coloring(inst, coloring)
     chosen = _choose_interval_colors(inst, coloring)
     covers = _adversary_covers(inst, coloring, chosen)
-    max_groups = max(len(c.groups) for c in covers)
-    cap = inst.d // 2
-    for color, cover in enumerate(covers):
-        if len(cover.groups) > inst.s:
-            raise InternalInvariantError(
-                f"cover {color} uses {len(cover.groups)} groups, allowed {inst.s}")
-        want = tuple(i for i in range(inst.n) if coloring[i] == color)
-        if cover.covered != want:
-            raise InternalInvariantError(f"cover {color} misses points of its color")
-        for g in cover.groups:
-            qs = {inst.interval_index[i] for i in g}
-            if len(qs) == 1 and chosen[next(iter(qs))] == color and len(g) > cap:
-                raise InternalInvariantError("single-interval piece too large")
+    max_groups = _check_structure(inst, coloring, chosen, covers)
     cert = covers_jointly_empty(inst.points, covers, oracle)
     return AdversaryReport(cert is not None, inst, coloring, chosen, covers,
                            cert, max_groups)
@@ -242,7 +251,7 @@ def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
 
 @dataclass(frozen=True)
 class AdversarySweepReport:
-    """Aggregate of verify_moment_adversary over all r^n colorings."""
+    """Aggregate of the adversary's checks over all r^n colorings."""
 
     ok: bool
     d: int
@@ -255,49 +264,28 @@ class AdversarySweepReport:
     first_failure: tuple | None
 
 
-def moment_adversary_exhaustive(d: int, s: int, r: int,
-                                jobs: int = 1) -> AdversarySweepReport:
+def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
     """Run the adversary against every coloring, lexicographic order.
 
-    Stops at the first failing coloring. Colorings are swept in spans, each
-    with its own MeetOracle; jobs=1 makes a single span, so one oracle
-    serves the whole sweep. The report does not depend on the worker count.
+    Every coloring gets the structural checks of verify_moment_adversary,
+    but joint emptiness is asked as a verdict only, with no certificate:
+    the same exact predicate, on one MeetOracle for the whole sweep. Stops
+    at the first failing coloring.
     """
     inst = moment_adversary_instance(d, s, r)
-    total = r ** inst.n
-    # one span at jobs=1, else eight per worker beyond the first
-    count = max(1, 8 * (jobs - 1))
-    step = max(64, (total + count - 1) // count)
-    spans = [(d, s, r, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    verified, max_groups, failure = 0, 0, None
-    for done, mg, failure in pmap(_sweep_chunk, spans, jobs,
-                                  lambda res: res[2] is not None):
-        verified += done
-        max_groups = max(max_groups, mg)
-    return AdversarySweepReport(failure is None, d, s, r, inst.n, total,
-                                verified, max_groups, failure)
-
-
-def _sweep_chunk(args):
-    d, s, r, lo, hi = args
-    inst = moment_adversary_instance(d, s, r)
     oracle = MeetOracle(inst.points)
-    max_groups = 0
-    for k in range(lo, hi):
-        coloring = _coloring_from_index(k, inst.n, r)
-        report = verify_moment_adversary(inst, coloring, oracle)
-        max_groups = max(max_groups, report.max_groups)
-        if not report.ok:
-            return k - lo, max_groups, coloring
-    return hi - lo, max_groups, None
-
-
-def _coloring_from_index(k: int, n: int, r: int) -> tuple:
-    """Digits of k base r, most significant first, padded to n positions."""
-    out = [0] * n
-    for pos in range(n - 1, -1, -1):
-        k, out[pos] = divmod(k, r)
-    return tuple(out)
+    verified, max_groups = 0, 0
+    for coloring in itertools.product(range(r), repeat=inst.n):
+        chosen = _choose_interval_colors(inst, coloring)
+        covers = _adversary_covers(inst, coloring, chosen)
+        max_groups = max(max_groups,
+                         _check_structure(inst, coloring, chosen, covers))
+        if not _all_tuples_empty(oracle, tuple(c.groups for c in covers)):
+            return AdversarySweepReport(False, d, s, r, inst.n, r ** inst.n,
+                                        verified, max_groups, coloring)
+        verified += 1
+    return AdversarySweepReport(True, d, s, r, inst.n, r ** inst.n,
+                                verified, max_groups, None)
 
 
 def periodic_coloring(n: int, r: int) -> tuple:

@@ -765,6 +765,8 @@ def _sample_sets(d, n, sampler, samples, seed, points, cap):
         return [points]
     if d < 1:
         raise InputError("sampled points need d >= 1")
+    if samples < 1:
+        raise InputError("need at least one sample")
     if samples * n * d > cap:
         raise CapExceeded("fsearch_sample_coordinates", cap, samples * n * d)
     if sampler == "moment-curve" and samples * moment_curve_bits(n, d, True) > cap:

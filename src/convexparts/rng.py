@@ -1,8 +1,8 @@
 """Deterministic counter-based random draws.
 
 Draw k is SHA-256(seed || ':' || counter), so any draw can be addressed by
-index without materializing predecessor state. Sweeps running under a worker
-pool therefore produce byte-identical artifacts for every --jobs value.
+index without materializing predecessor state, and the same seed and stream
+give the same draws on any machine.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from math import perm
 
-from .combinat import binomial, indices_of, mask_of, partitions_le_count
+from .combinat import binomial, check_total, indices_of, mask_of, partitions_le_count
 from .errors import CapExceeded, InputError
 
 
@@ -311,9 +311,15 @@ def check_r_shatter(sys: SetSystem, r: int, m_max: int | None = None, cap: int =
     dropped points into any part; the same edges still work), so each of
     its m-subsets realizes all r^m ordered partitions, and no m-set can
     realize more. Those rows still raise every cap the recount would.
+    The rows above t are enumerated: each of their C(n, m) subsets tests
+    its partitions into at most r blocks, and that total goes through cap
+    before the first row.
     """
     m_max = _last_row(sys, m_max)
     t = r_vc_dim(sys, r, cap=cap)
+    check_total("r_shatter_classes_total",
+                (binomial(sys.n, m) * partitions_le_count(m, r)
+                 for m in range(t + 1, m_max + 1)), cap)
     rows = []
     for m in range(m_max + 1):
         if binomial(sys.n, m) > cap:

@@ -1,11 +1,8 @@
-"""Fourteen end-to-end checks over the whole stack, one test each.
+"""Thirteen end-to-end checks over the whole stack, one test each.
 
 Every check builds a plain-data summary document from seeded corpora and
 exact searches; its test asserts the document's verdicts at exact equality
-and prints a single verdict line. Check 14 rebuilds, with a worker pool,
-the documents whose builders take a jobs knob (only the t42 sweep runs in
-parallel) and demands byte-identical canonical serializations, so each
-builder must be a pure function of its seeds and that knob.
+and prints a single verdict line.
 """
 
 import itertools
@@ -28,7 +25,6 @@ from convexparts.partitions import (build_K_polyhedra, build_r_separation,
 from convexparts.ranges import (halfspace_traces, intersect_close,
                                 interval_union_traces, union_close)
 from convexparts.rng import CounterRng
-from convexparts.serialize import canonical_bytes
 from convexparts.setsystems import (check_r_shatter, check_sauer,
                                     is_r_shattered, min_f_counting, r_vc_dim,
                                     set_system, vc_dim)
@@ -204,10 +200,10 @@ def _check_07():
             "r_vc": r_vc_dim(sys, 4), "formula_value": formula}
 
 
-def _check_08(jobs):
+def _check_08():
     rows = []
     for d in (1, 2):
-        rep = moment_adversary_exhaustive(d, 3, 4, jobs=jobs)
+        rep = moment_adversary_exhaustive(d, 3, 4)
         rows.append({"d": d, "s": 3, "r": 4, "ok": rep.ok, "total": rep.total,
                      "verified": rep.verified, "max_groups": rep.max_groups})
     return {"check": 8, "rows": rows}
@@ -344,17 +340,13 @@ _BUILDERS = {1: _check_01, 2: _check_02, 3: _check_03, 4: _check_04,
              9: _check_09, 10: _check_10, 11: _check_11, 12: _check_12,
              13: _check_13}
 
-# builders whose work goes through parallel.pmap; the others run serially
-_POOLED = {8}
-
 _DOCS = {}
 
 
-def _run(k, jobs=1):
-    key = (k, jobs)
-    if key not in _DOCS:
-        _DOCS[key] = _BUILDERS[k](jobs) if k in _POOLED else _BUILDERS[k]()
-    return _DOCS[key]
+def _run(k):
+    if k not in _DOCS:
+        _DOCS[k] = _BUILDERS[k]()
+    return _DOCS[k]
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +487,3 @@ def test_check_13_three_separability_oracles_agree_everywhere():
     print("check 13: PASS  1904 oracle + 952 trace comparisons, "
           "0 disagreements")
 
-
-def test_check_14_documents_are_identical_under_a_worker_pool():
-    mismatches = [k for k in sorted(_POOLED)
-                  if canonical_bytes(_run(k)) != canonical_bytes(_run(k, 8))]
-    assert mismatches == []
-    print("check 14: PASS  the t42 sweep document byte-identical at "
-          "jobs 1 and 8")

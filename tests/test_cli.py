@@ -1,5 +1,5 @@
 """End-to-end command tests: exit codes, document shapes, artifact round
-trips, byte reproducibility across --jobs, and searches without a pool."""
+trips, byte reproducibility whatever --jobs says, and runs without a pool."""
 
 import concurrent.futures
 import json
@@ -423,6 +423,20 @@ class TestInputContract:
         assert main(argv + ["--input", str(path), "--n", "-3"]) == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_fsearch_needs_a_sample(self, capsys, samples):
+        assert main(["fsearch", "--d", "1", "--n", "3", "--s", "1", "--t", "1",
+                     "--samples", samples]) == 4
+        capsys.readouterr()
+
+    def test_unwritable_out_dir_exits_4(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "below"):
+            assert main(["gen", "moment-curve", "--n", "3", "--d", "2",
+                         "--out-dir", str(out)]) == 4
+            capsys.readouterr()
+
     def test_abstract_work_total_stops_at_the_cap(self, capsys, tmp_path):
         # the work total over every k is astronomically large at n = 4000;
         # the cap check has to stop adding long before that
@@ -458,7 +472,7 @@ class TestReproducibility:
 
     def test_searches_start_no_pool(self, capsys, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a search started a process pool")
+            raise AssertionError("a command started a process pool")
 
         # eight CPUs, so the worker clamp cannot hide a pool either
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -479,6 +493,9 @@ class TestReproducibility:
                              "--s", 1, "--t", 1, "--jobs", 8)
         assert code == 2
         assert doc["witness_index"] == 0 and doc["witness_transcript"] == 6
+        code, doc = run_json(capsys, "verify", "t42", "--d", 1, "--s", 3,
+                             "--r", 4, "--jobs", 8)
+        assert code == 0 and doc["verified"] == 256
 
     def test_t42_jobs_invariant(self, capsys, tmp_path):
         outs = []

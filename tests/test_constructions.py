@@ -186,9 +186,15 @@ class TestAdversaryCovers:
         rep = moment_adversary_exhaustive(1, 3, 2)
         assert rep.ok and rep.total == 2
 
-    def test_sweep_jobs_invariant(self):
-        assert moment_adversary_exhaustive(1, 3, 4) == \
-            moment_adversary_exhaustive(1, 3, 4, jobs=3)
+    def test_sweep_asks_for_verdicts_only(self, monkeypatch):
+        # certificates come from MeetOracle.intersection; the sweep keeps
+        # none of them, so it must never ask for one
+        def no_certificate(self, groups):
+            raise AssertionError("the sweep asked for a certificate")
+
+        monkeypatch.setattr(MeetOracle, "intersection", no_certificate)
+        rep = moment_adversary_exhaustive(1, 3, 4)
+        assert rep.ok and rep.verified == rep.total == 256
 
     def test_planar_sample_colorings(self):
         # the full 4^8 sweep runs in the acceptance suite; spot-check a

@@ -1,6 +1,7 @@
 """Shattering machinery against closed forms and brute-force recounts."""
 
 import itertools
+from math import comb
 
 import pytest
 from bruteforce import (check_r_shatter_ref, count_realizable_ref,
@@ -270,6 +271,22 @@ def test_caps_raise_in_the_recount_order():
         check_r_shatter(set_system(0, []), 2, cap=0)
     assert (err.value.cap_name, err.value.cap_value, err.value.needed) == (
         "r_shatter_subsets", 0, 1)
+
+
+def test_r_shatter_total_work_stops_at_the_cap():
+    # each row passes its own caps here (at most C(10, 5) = 252 subsets and
+    # 2^10 = 1024 orderings per subset), but the rows above t = r_vc_dim
+    # test sum over m > t of C(10, m) * 2^(m-1) classes together
+    rng = CounterRng(35, "total-work")
+    sys = set_system(10, [rng.randint(0, 1023) for _ in range(30)])
+    t = r_vc_dim(sys, 2)
+    need = sum(comb(10, m) * 2 ** (m - 1) for m in range(t + 1, 11))
+    assert need > 1024
+    with pytest.raises(CapExceeded) as err:
+        check_r_shatter(sys, 2, cap=1024)
+    assert (err.value.cap_name, err.value.cap_value) == (
+        "r_shatter_classes_total", 1024)
+    assert 1024 < err.value.needed <= need
 
 
 def test_many_wildcard_slots_stay_shallow():
