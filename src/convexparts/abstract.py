@@ -290,19 +290,21 @@ def interval_space(n: int) -> ConvexitySpace:
 
 def geometric_space(ps, n_cap: int = 12) -> ConvexitySpace:
     """Hull-closed subsets of a point set: S with CH(S) picking up no
-    further points. Intersection-closed by hull monotonicity."""
-    from .geometry import in_hull
+    further points. Intersection-closed by hull monotonicity.
+
+    A point j outside S lies in CH(S) iff some circuit has C+ = {j} and
+    C- inside S, so the closed sets are the masks that no circuit with a
+    single point on one side lies across, read off the circuit table with
+    no LP. n_cap also bounds the table: its sum over k of C(n, k) subsets
+    is below 2^n.
+    """
+    from .geometry import circuit_table, uncrossed_masks
 
     n = len(ps.points)
     if n > n_cap:
         raise CapExceeded("geometric_space_points", n_cap, n)
-    family = []
-    for mask in range(1 << n):
-        inside = [i for i in range(n) if mask >> i & 1]
-        outside = [i for i in range(n) if not mask >> i & 1]
-        if not inside:
-            family.append(())
-            continue
-        if all(not in_hull(ps, ps.points[j], inside) for j in outside):
-            family.append(tuple(inside))
-    return convexity_space(n, family)
+    # signed lists both orientations; (C, {j}) lies across S iff C is inside
+    # S and j is not, that is, iff j is a point of CH(S) outside S
+    signed = [(p, m) for p, m in circuit_table(ps, range(n)).signed
+              if m.bit_count() == 1]
+    return convexity_space(n, [indices_of(s) for s in uncrossed_masks(n, signed)])

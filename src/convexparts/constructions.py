@@ -16,7 +16,8 @@ jointly empty intersection: a counting argument keeps the greedy from
 stalling, and floor(d/2)-neighborliness makes each single-interval piece
 avoid the other covers. Both facts are checked per run, never assumed. A
 single coloring's check returns a Farkas certificate; the sweep over every
-coloring asks the same exact predicate for verdicts only, in one process.
+coloring asks the same exact predicate for verdicts only, in one process,
+with its pair questions answered from the instance's circuit table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import comb
 
 from .combinat import check_total, run_splits
 from .errors import CapExceeded, InputError, InternalInvariantError
-from .geometry import PointSet, hull_disjoint, point_set
+from .geometry import PointSet, circuit_table, hull_disjoint, point_set
 from .partitions import (
     MeetOracle,
     SConvexCover,
@@ -269,11 +270,14 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
 
     Every coloring gets the structural checks of verify_moment_adversary,
     but joint emptiness is asked as a verdict only, with no certificate:
-    the same exact predicate, on one MeetOracle for the whole sweep. Stops
-    at the first failing coloring.
+    the same exact predicate, on one MeetOracle for the whole sweep. The
+    oracle holds the circuit table of all n points, so pair questions
+    solve no LP; its sum over k of C(n, k) subsets is below the r^n
+    colorings the sweep walks, whose cap the caller checks. Stops at the
+    first failing coloring.
     """
     inst = moment_adversary_instance(d, s, r)
-    oracle = MeetOracle(inst.points)
+    oracle = MeetOracle(inst.points, circuit_table(inst.points, range(inst.n)))
     verified, max_groups = 0, 0
     for coloring in itertools.product(range(r), repeat=inst.n):
         chosen = _choose_interval_colors(inst, coloring)

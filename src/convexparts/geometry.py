@@ -1,14 +1,25 @@
 """Exact convex-hull primitives: common points, separators, affine dependences.
 
 Points are tuples of exact rationals; a PointSet fixes the ambient dimension.
-Every predicate here reduces to linprog.lp_feasible, so each answer comes with
-either an exact witness or a re-checkable Farkas certificate.
+The hull predicates reduce to linprog.lp_feasible, so each of their answers
+comes with either an exact witness or a re-checkable Farkas certificate.
+
+The circuit table answers "do these two hulls meet?" without an LP. A
+circuit is a minimal affinely dependent subset; its dependence is unique up
+to scale, and its sign split C+ | C- is a minimal Radon partition. By the
+conformal decomposition of a dependence into circuits (Rockafellar 1969;
+Bjorner, Las Vergnas, Sturmfels, White and Ziegler, Oriented Matroids,
+1993), the hulls of disjoint index sets X and Y meet iff some circuit has
+C+ inside X and C- inside Y, or the reverse. A circuit has at most d+2
+points, and a subset is one iff its lifted (d+1) x k matrix has a
+one-dimensional kernel with full support, found by integer elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import InputError, InternalInvariantError
 from .linprog import REL_EQ, REL_GE, REL_LE, check_farkas, lp_feasible
@@ -231,40 +242,124 @@ def affine_dependence(points) -> list | None:
     Canonical choice: Gaussian elimination with lowest-index pivots; the first
     free column is set to 1 and the rest to 0.
     """
-    k = len(points)
-    if k == 0:
+    out = _integer_dependence(_lifted_rows(points), len(points))
+    if out is None:
         return None
-    d = len(points[0])
-    # rows: one per coordinate plus the affine row of ones
-    mat = [[Rat(points[j][c]) for j in range(k)] for c in range(d)]
-    mat.append([ONE] * k)
-    nrows = d + 1
-    pivots = []  # (row, col)
-    r = 0
+    div, alpha = out
+    return [Rat(a, div) for a in alpha]
+
+
+def _lifted_rows(points) -> list:
+    """The lifted (d+1) x k matrix of the points, in integers: each
+    coordinate row times the lcm of its denominators, then a row of ones.
+    Scaling a row keeps the kernel, so every dependence is unchanged."""
+    rows = []
+    for coords in zip(*(tuple(Rat(c) for c in p) for p in points)):
+        scale = lcm(*(c.denominator for c in coords))
+        rows.append([c.numerator * (scale // c.denominator) for c in coords])
+    rows.append([1] * len(points))
+    return rows
+
+
+def _integer_dependence(rows, k: int):
+    """(D, alpha) for the canonical dependence of the k columns of an integer
+    matrix, or None when the columns are independent: alpha / D is the
+    kernel vector with lowest-index pivots whose first free column is 1 and
+    whose other free columns are 0.
+
+    Gauss-Jordan with integer-preserving pivots, as linprog._pivot takes
+    them: every row but the pivot row becomes (p*v - f*q) // D and D becomes
+    the pivot p. Each pivot row then holds D at its own pivot column and 0 at
+    the others, so the pivot entries of alpha are minus its entries in the
+    free column, and alpha there is D.
+    """
+    rows = [list(row) for row in rows]
+    pivots = []
+    div = 1
     for col in range(k):
-        sel = next((i for i in range(r, nrows) if mat[i][col] != 0), None)
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if sel is None:
             continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        piv = mat[r][col]
-        mat[r] = [v / piv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [v - f * p for v, p in zip(mat[i], mat[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
+        rows[r], rows[sel] = rows[sel], rows[r]
+        prow = rows[r]
+        piv = prow[col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(piv * v - f * q) // div for v, q in zip(row, prow)]
+        div = piv
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(k) if c not in pivot_cols), None)
+    free = next((c for c in range(k) if c not in pivots), None)
     if free is None:
         return None
-    alpha = [ZERO] * k
-    alpha[free] = ONE
-    for row, col in pivots:
-        alpha[col] = -mat[row][free]
-    return alpha
+    alpha = [0] * k
+    alpha[free] = div
+    for row, col in enumerate(pivots):
+        alpha[col] = -rows[row][free]
+    return div, alpha
+
+
+class CircuitTable:
+    """The circuits of the points in a ground set, for hull-pair questions.
+
+    circuits lists (indices, dependence) per circuit, the integer dependence
+    of its points in index order, with no zero entry. signed lists the
+    (C+, C-) bitmasks of every circuit in both orientations.
+    """
+
+    def __init__(self, ground: int, circuits: tuple):
+        self.ground = ground
+        self.circuits = circuits
+        signed = []
+        for idx, alpha in circuits:
+            plus = sum(1 << i for i, a in zip(idx, alpha) if a > 0)
+            minus = sum(1 << i for i, a in zip(idx, alpha) if a < 0)
+            signed += [(plus, minus), (minus, plus)]
+        self.signed = tuple(signed)
+
+    def meets(self, x: int, y: int) -> bool:
+        """Whether the hulls of the point masks x and y (inside ground)
+        meet: they share a point, or some circuit has C+ in x and C- in y."""
+        return bool(x & y) or any(
+            p & x == p and m & y == m for p, m in self.signed)
+
+
+def circuit_table(ps: PointSet, ground) -> CircuitTable:
+    """Every circuit among the points of ground, by integer elimination of
+    each subset of at most d+2 of them: sum over k of C(m, k) subsets, which
+    callers bound before asking. A subset is a circuit iff its canonical
+    dependence has no zero entry: a kernel of two or more dimensions puts a
+    zero at its second free column."""
+    ground = _norm_group(ps, ground)
+    lifted = _lifted_rows(ps.points)
+    circuits = []
+    for k in range(2, min(len(ground), ps.dim + 2) + 1):
+        for idx in itertools.combinations(ground, k):
+            out = _integer_dependence([[row[i] for i in idx] for row in lifted], k)
+            if out is not None and all(out[1]):
+                circuits.append((idx, tuple(out[1])))
+    return CircuitTable(sum(1 << i for i in ground), tuple(circuits))
+
+
+def uncrossed_masks(n: int, signed) -> tuple:
+    """Every mask S over points 0..n-1, in increasing order, that no listed
+    (C+, C-) lies across: none has C+ inside S and C- outside it.
+
+    Built one point at a time. Whatever lies across S also lies across its
+    extensions, so a mask over 0..i survives iff its restriction to 0..i-1
+    did and no listed pair whose last point is i lies across it.
+    """
+    last = [[] for _ in range(n)]
+    for p, m in signed:
+        last[(p | m).bit_length() - 1].append((p, m))
+    masks = [0]
+    for i, pairs in enumerate(last):
+        masks = [s for base in masks for s in (base, base | 1 << i)
+                 if not any(p & s == p and not m & s for p, m in pairs)]
+    return tuple(sorted(masks))
 
 
 def closed_cells_meet(cells) -> "LPOutcome":

@@ -7,16 +7,21 @@ a grouping works iff every cross tuple of hulls fails to meet. Searchers
 exhaust groupings in restricted-growth order and return certificates that
 re-verify from kernel predicates alone.
 
-Every such question goes to one MeetOracle per search, which answers most
-of them without an LP. Its inference rests on two facts. Meeting is
-monotone: if subgroups of the asked groups meet, so do the groups, and a
-meeting pair is already witnessed by the points with nonzero weight in a
-basic solution of its d+2 equality rows (Caratheodory). Disjointness is
-certified by a Farkas vector, which refutes every system whose points pass
-its column test, not only the one it was solved for. Every verdict is
-therefore exact. Separators are built only for the grouping a search
-returns, and Farkas vectors in certificates come from the LP of exactly
-the groups they name.
+Every such question goes to one MeetOracle per search. A search that
+enumerates the bipartitions or partitions of its whole ground builds the
+ground's circuit table (geometry.circuit_table) first, so its oracle answers
+every pair question by a mask test, with no LP. Questions about three or
+more groups, and oracles without a table, use inference, which rests on two
+facts. Meeting is monotone: if subgroups of the asked groups meet, so do
+the groups, and a meeting tuple is already witnessed by the points with
+nonzero weight in a basic solution of its equality rows (Caratheodory).
+Disjointness is certified by a Farkas vector, which refutes every system
+whose points pass its column test, not only the one it was solved for.
+Every verdict is therefore exact. Separators are built only for the
+grouping a search returns, and Farkas vectors in certificates come from the
+LP of exactly the groups they name. Callers that may ask a single question
+(separate, build-separation, covers_jointly_empty) and the certificate
+checker verify_good_partition keep an oracle without a table.
 
 The constructive half replaces each cover by a union of polytopes. Cross-pair
 separators give polytopes with at most t facets. The r-fold construction is
@@ -32,13 +37,15 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .combinat import partitions_le_count, rgs_partitions, rgs_partitions_exact, stirling2
+from .combinat import (binomial, check_total, partitions_le_count, rgs_partitions,
+                       rgs_partitions_exact, stirling2)
 from .errors import CapExceeded, InputError, InternalInvariantError, PreconditionFailed
 from .geometry import (
     HullIntersection,
     Hyperplane,
     PointSet,
     _norm_group,
+    circuit_table,
     closed_cells_meet,
     farkas_shadows,
     hulls_common_point,
@@ -144,7 +151,9 @@ class MeetOracle:
     rgs_partitions hold them; a question is keyed by the groups in sorted
     order, which is also the group order of the LP solved for it, so a
     Farkas vector taken from here is the one hulls_common_point(ps, key)
-    gives. Each question is answered, in this order:
+    gives. table, a geometry.CircuitTable of ps, answers every pair question
+    inside its ground by a mask test. Each other question is answered, in
+    this order:
 
     - from the exact memo, when the same groups were asked before;
     - from an earlier meeting: the points with nonzero weight in its
@@ -156,13 +165,15 @@ class MeetOracle:
       refutes, so any groups inside those masks are disjoint too;
     - by solving the LP, whose answer then serves the later questions.
 
-    Questions of different arity never inform each other. Nothing here
-    outlives the oracle: no cache is kept across searches.
+    Questions of different arity never inform each other. intersection()
+    always solves the LP, table or not. Nothing here outlives the oracle:
+    no cache is kept across searches.
     """
 
-    def __init__(self, ps: PointSet):
+    def __init__(self, ps: PointSet, table=None):
         self.ps = ps
-        self._verdicts = {}  # key -> bool, solved or inferred
+        self.table = table
+        self._verdicts = {}  # key -> bool, from the table, solved or inferred
         self._solved = {}    # key -> HullIntersection
         self._meeting = {}   # arity -> packed supports, every group order
         self._apart = {}     # arity -> packed shadows, every group order
@@ -172,7 +183,9 @@ class MeetOracle:
         key = tuple(sorted(groups))
         verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = self._infer(key)
+            verdict = self._from_table(key)
+            if verdict is None:
+                verdict = self._infer(key)
             if verdict is None:
                 verdict = bool(self._solve(key))
             self._verdicts[key] = verdict
@@ -184,6 +197,14 @@ class MeetOracle:
         key = tuple(sorted(groups))
         out = self._solved.get(key)
         return self._solve(key) if out is None else out
+
+    def _from_table(self, key):
+        if self.table is None or len(key) != 2:
+            return None
+        x, y = (sum(1 << i for i in g) for g in key)
+        if (x | y) & ~self.table.ground:
+            return None
+        return self.table.meets(x, y)
 
     def _pack(self, masks) -> int:
         n = len(self.ps.points)
@@ -433,13 +454,15 @@ def good_radon_partition(ps: PointSet, subset, s: int, t: int):
     pair separates, as a certificate, or None when all bipartitions separate.
 
     One MeetOracle serves every candidate, so verdicts carry over from one
-    bipartition to the next."""
+    bipartition to the next, and it holds the circuit table of subset, so
+    it solves no LP. The table needs no cap of its own: its sum over k of
+    C(m, k) subsets is below the 2^m - 2 bipartitions the search walks."""
     subset = _norm_group(ps, subset)
     if len(subset) < 2:
         raise InputError("need at least two points to bipartition")
     if s < 1 or t < 1:
         raise InputError("group counts must be at least 1")
-    oracle = MeetOracle(ps)
+    oracle = MeetOracle(ps, circuit_table(ps, subset))
     members = set(subset)
     for size in range(1, len(subset)):
         for a in itertools.combinations(subset, size):
@@ -463,7 +486,12 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
     """First r-partition (restricted-growth order, then block-to-part
     assignment order) admitting no empty-intersection cover, or None.
 
-    One MeetOracle serves every candidate, as in good_radon_partition."""
+    One MeetOracle with the circuit table of subset serves every
+    candidate, as in good_radon_partition, so only tuple questions of
+    three or more groups solve LPs. The partition count does not bound the
+    table when r is near m (S(m, m-1) = C(m, 2)), so its subsets, the sum
+    of C(m, k) for k = 2..min(m, d+2), are checked against cap under the
+    name circuit_table before it is built."""
     subset = _norm_group(ps, subset)
     if r < 2:
         raise InputError("need at least two parts")
@@ -482,7 +510,9 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
         nparts *= prod(range(1, r + 1))
     if nparts > cap:
         raise CapExceeded("tverberg_partitions", cap, nparts)
-    oracle = MeetOracle(ps)
+    sizes = range(2, min(len(subset), ps.dim + 2) + 1)
+    check_total("circuit_table", (binomial(len(subset), k) for k in sizes), cap)
+    oracle = MeetOracle(ps, circuit_table(ps, subset))
     for blocks in rgs_partitions_exact(subset, r):
         # blocks are disjoint and nonempty, so their permutations are distinct
         for parts in (blocks,) if uniform else itertools.permutations(blocks):
@@ -503,7 +533,9 @@ def _tverberg_candidate_good(oracle, parts, s_list, cap):
 
 def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate) -> bool:
     """Re-run the exhaustion for the certified partition; every field,
-    counts included, must equal the re-derived certificate."""
+    counts included, must equal the re-derived certificate. The checker's
+    oracle has no circuit table, so it decides on the LP path, apart from
+    the searcher's."""
     params = cert.params
     oracle = MeetOracle(ps)
     if cert.kind == "radon" and set(params) == {"s", "t"} and len(cert.partition) == 2:

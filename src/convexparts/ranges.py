@@ -1,7 +1,8 @@
 """Trace families cut out of point sets by halfspaces and their combinations.
 
 A subset S is a halfspace trace iff conv(S) and conv(P \\ S) are disjoint,
-decided exactly by the kernel. Closing under <= t intersections gives traces
+that is, iff no circuit of P lies across it, read off the circuit table of
+P with no LP. Closing under <= t intersections gives traces
 of polyhedra with at most t facets; closing that under <= s unions gives the
 range space whose shattering behavior the partition oracles care about.
 """
@@ -10,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import indices_of
 from .errors import CapExceeded, InputError
-from .geometry import PointSet, hulls_common_point
+from .geometry import PointSet, circuit_table, uncrossed_masks
 from .setsystems import SetSystem, set_system
 
 
@@ -32,23 +32,16 @@ class TraceFamily:
 def halfspace_traces(ps: PointSet, n_cap: int = 18) -> TraceFamily:
     """Every subset separable from its complement, empty and full included.
 
-    Complement closure is structural (S vs P\\S is symmetric), so each pair is
-    decided by one LP.
+    conv(S) and conv(P\\S) meet iff some circuit has C+ inside S and C-
+    outside it, so the traces are the masks no circuit lies across, built
+    up one point at a time from the circuit table, with no LP. n_cap also
+    bounds the table: its sum over k of C(n, k) subsets is below 2^n.
     """
     n = len(ps.points)
     if n > n_cap:
         raise CapExceeded("halfspace_traces_points", n_cap, n)
-    full = (1 << n) - 1
-    verdict = {0: True, full: True}
-    for mask in range(1, full):
-        if mask in verdict:
-            continue
-        comp = full ^ mask
-        ok = not hulls_common_point(ps, (indices_of(mask), indices_of(comp)))
-        verdict[mask] = ok
-        verdict[comp] = ok
-    traces = tuple(sorted(m for m, ok in verdict.items() if ok))
-    return TraceFamily(ps, traces, "halfspace")
+    table = circuit_table(ps, range(n))
+    return TraceFamily(ps, uncrossed_masks(n, table.signed), "halfspace")
 
 
 def _close(tf: TraceFamily, depth: int, op, seed_extra: int, tag: str, cap: int) -> TraceFamily:

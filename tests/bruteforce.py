@@ -7,6 +7,10 @@ integer kernel in `linprog` replaced (same pivot rule, so it must return the
 same vector), and the r-partition realizability DFS that rescans every edge
 for every block, which `setsystems` replaced by per-subset trace sets and
 minimal up-sets. Slow and simple on purpose.
+
+The `_ref` routines are the LP and `Rat` code that the circuit table in
+`geometry` replaced: halfspace traces and hull-closed families by one LP
+per question, and affine dependences by Gauss-Jordan on `Rat`.
 """
 
 from __future__ import annotations
@@ -322,3 +326,93 @@ def check_r_shatter_ref(sys, r: int, m_max=None):
         bound = r_shatter_bound(m, t, r)
         rows.append(ShatterRow(m, computed, bound, computed <= bound))
     return ShatterProfile("rvc", t, r, tuple(rows))
+
+
+def affine_dependence_ref(points) -> list | None:
+    """A nonzero alpha with sum(alpha)=0 and sum(alpha_i p_i)=0, or None.
+
+    Canonical choice: Gaussian elimination with lowest-index pivots; the first
+    free column is set to 1 and the rest to 0.
+    """
+    k = len(points)
+    if k == 0:
+        return None
+    d = len(points[0])
+    # rows: one per coordinate plus the affine row of ones
+    mat = [[Rat(points[j][c]) for j in range(k)] for c in range(d)]
+    mat.append([ONE] * k)
+    nrows = d + 1
+    pivots = []  # (row, col)
+    r = 0
+    for col in range(k):
+        sel = next((i for i in range(r, nrows) if mat[i][col] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        piv = mat[r][col]
+        mat[r] = [v / piv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [v - f * p for v, p in zip(mat[i], mat[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == nrows:
+            break
+    pivot_cols = {c for _, c in pivots}
+    free = next((c for c in range(k) if c not in pivot_cols), None)
+    if free is None:
+        return None
+    alpha = [ZERO] * k
+    alpha[free] = ONE
+    for row, col in pivots:
+        alpha[col] = -mat[row][free]
+    return alpha
+
+
+def halfspace_traces_ref(ps, n_cap: int = 18):
+    """Every subset separable from its complement, empty and full included.
+
+    Complement closure is structural (S vs P\\S is symmetric), so each pair is
+    decided by one LP.
+    """
+    from convexparts.errors import CapExceeded
+    from convexparts.geometry import hulls_common_point
+    from convexparts.ranges import TraceFamily
+
+    n = len(ps.points)
+    if n > n_cap:
+        raise CapExceeded("halfspace_traces_points", n_cap, n)
+    full = (1 << n) - 1
+    verdict = {0: True, full: True}
+    for mask in range(1, full):
+        if mask in verdict:
+            continue
+        comp = full ^ mask
+        ok = not hulls_common_point(ps, (indices_of(mask), indices_of(comp)))
+        verdict[mask] = ok
+        verdict[comp] = ok
+    traces = tuple(sorted(m for m, ok in verdict.items() if ok))
+    return TraceFamily(ps, traces, "halfspace")
+
+
+def geometric_space_ref(ps, n_cap: int = 12):
+    """Hull-closed subsets of a point set: S with CH(S) picking up no
+    further points. Intersection-closed by hull monotonicity."""
+    from convexparts.abstract import convexity_space
+    from convexparts.errors import CapExceeded
+    from convexparts.geometry import in_hull
+
+    n = len(ps.points)
+    if n > n_cap:
+        raise CapExceeded("geometric_space_points", n_cap, n)
+    family = []
+    for mask in range(1 << n):
+        inside = [i for i in range(n) if mask >> i & 1]
+        outside = [i for i in range(n) if not mask >> i & 1]
+        if not inside:
+            family.append(())
+            continue
+        if all(not in_hull(ps, ps.points[j], inside) for j in outside):
+            family.append(tuple(inside))
+    return convexity_space(n, family)

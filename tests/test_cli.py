@@ -429,6 +429,15 @@ class TestInputContract:
                      "--samples", samples]) == 4
         capsys.readouterr()
 
+    def test_tverberg_circuit_table_respects_cap(self, capsys, tmp_path):
+        # S(20, 19) = 190 partitions fit the cap, but the circuit table's
+        # C(20, 2) + C(20, 3) + C(20, 4) = 6,175 planar subsets do not
+        doc = {"dim": 2, "points": [[str(i), str(i * i)] for i in range(20)]}
+        path = put(tmp_path, "points.json", doc)
+        assert main(["tverberg", "--input", str(path), "--r", "19", "--s", "1",
+                     "--cap", "1000"]) == 3
+        assert "circuit_table" in capsys.readouterr().err
+
     def test_unwritable_out_dir_exits_4(self, capsys, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("")

@@ -3,7 +3,10 @@
 import itertools
 
 import pytest
-from bruteforce import barycentric_in_triangle, distinct_rand_point_set, rand_point_set, segments_meet
+from bruteforce import (affine_dependence_ref, barycentric_in_triangle, distinct_rand_point_set,
+                        rand_point_set, segments_meet)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexparts.errors import InputError
 from convexparts.geometry import (
@@ -161,6 +164,17 @@ def test_affine_dependence_shape():
     assert sum(alpha, Rat(0)) == 0
     assert sum((a * p for a, p in zip(alpha, [Rat(0), Rat(1), Rat(2)])), Rat(0)) == 0
     assert any(a != 0 for a in alpha)
+
+
+_SMALL_RATS = [Rat(num, den) for num in range(-3, 4) for den in (1, 2, 3)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(points=st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.tuples(*[st.sampled_from(_SMALL_RATS)] * d), min_size=1, max_size=7)))
+def test_affine_dependence_matches_the_rat_routine(points):
+    # repeats and shared coordinates are common, so so are dependences
+    assert affine_dependence(points) == affine_dependence_ref(points)
 
 
 def test_hyperplane_requires_nonzero_normal():

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convexparts.geometry as geometry
-from bruteforce import distinct_rand_point_set, segments_meet
+from bruteforce import (distinct_rand_point_set, geometric_space_ref,
+                        halfspace_traces_ref, segments_meet)
+from convexparts.abstract import geometric_space
 from convexparts.combinat import mask_of, partitions_le_count
 from convexparts.errors import CapExceeded, InputError, PreconditionFailed
-from convexparts.geometry import hulls_common_point, in_hull, point_set
+from convexparts.geometry import circuit_table, hulls_common_point, in_hull, point_set
 from convexparts.partitions import (
     MeetOracle,
     build_K_polyhedra,
@@ -22,6 +24,7 @@ from convexparts.partitions import (
     st_separability_report,
     s_convex_cover,
     verify_empty_intersection,
+    verify_good_partition,
     verify_r_separation,
     verify_separation,
 )
@@ -419,3 +422,81 @@ def test_radon_search_solves_fewer_lps_than_it_asks_pairs(monkeypatch):
     assert good_radon_partition(ps, range(7), 2, 2) is None
     assert all(len(key) == 2 for key in asked)
     assert len(lp_calls) < len(asked)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(ps=small_point_sets(), rnd=st.randoms(use_true_random=False))
+def test_circuit_table_agrees_with_the_lp_on_pairs(ps, rnd):
+    # every pair up to n = 5 (at most 90), a random 120 beyond
+    n = len(ps.points)
+    questions = _disjoint_groups(n, 2)
+    rnd.shuffle(questions)
+    oracle = MeetOracle(ps, circuit_table(ps, range(n)))
+    for groups in questions[:120]:
+        assert oracle.meets(groups) == bool(hulls_common_point(ps, groups)), groups
+
+
+def test_table_oracle_asks_the_lp_outside_its_ground():
+    # the table of the first four points knows no circuit through point 4
+    ps = point_set([(0, 0), (4, 0), (0, 4), (4, 4), (1, 1)])
+    oracle = MeetOracle(ps, circuit_table(ps, range(4)))
+    assert oracle.meets(((0, 3), (1, 2)))
+    assert oracle.meets(((0, 1, 2), (4,)))
+    assert not oracle.meets(((1, 2), (4,)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(ps=small_point_sets())
+def test_every_circuit_is_a_full_support_dependence(ps):
+    for idx, alpha in circuit_table(ps, range(len(ps.points))).circuits:
+        assert 2 <= len(idx) <= ps.dim + 2 and len(alpha) == len(idx)
+        assert all(isinstance(a, int) and a != 0 for a in alpha), (idx, alpha)
+        assert sum(alpha) == 0
+        for c in range(ps.dim):
+            assert sum(a * ps.points[i][c] for i, a in zip(idx, alpha)) == 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(ps=small_point_sets())
+def test_halfspace_traces_match_the_lp_reference(ps):
+    assert halfspace_traces(ps) == halfspace_traces_ref(ps)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(ps=small_point_sets())
+def test_geometric_space_matches_the_lp_reference(ps):
+    assert geometric_space(ps) == geometric_space_ref(ps)
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    lp_feasible = geometry.lp_feasible
+
+    def counted_lp(*args, **kwargs):
+        calls.append(1)
+        return lp_feasible(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "lp_feasible", counted_lp)
+    return calls
+
+
+def test_exhausted_radon_search_solves_no_lp(monkeypatch):
+    ps = point_set(CounterRng("bench7").distinct_points(7, 2))
+    calls = _count_lps(monkeypatch)
+    assert good_radon_partition(ps, range(7), 2, 2) is None
+    assert not calls
+
+
+def test_halfspace_traces_solve_no_lp(monkeypatch):
+    ps = point_set(CounterRng("traces8").distinct_points(8, 2))
+    calls = _count_lps(monkeypatch)
+    assert len(halfspace_traces(ps)) > 2
+    assert not calls
+
+
+def test_good_partition_checker_stays_on_the_lp(monkeypatch):
+    cert = good_radon_partition(SQUARE, range(4), 1, 1)
+    assert cert is not None
+    calls = _count_lps(monkeypatch)
+    assert verify_good_partition(SQUARE, cert)
+    assert calls
