@@ -51,22 +51,28 @@ def partitions_le_count(n: int, kmax: int) -> int:
     return sum(stirling2(n, k) for k in range(1, min(n, kmax) + 1))
 
 
-def rgs_partitions(items, max_blocks: int):
-    """All partitions of items into <= max_blocks nonempty blocks, RGS order.
+def rgs_partitions(items, max_blocks: int, min_blocks: int = 0):
+    """All partitions of items into at least min_blocks and at most
+    max_blocks nonempty blocks, RGS order.
 
     Yields tuples of blocks; each block is a tuple of items in input order.
-    The empty item list yields the empty partition.
+    The empty item list yields the empty partition when min_blocks <= 0. A
+    prefix whose remaining items cannot open the blocks still missing is not
+    extended, so every prefix walked has a completion that is yielded.
     """
     items = list(items)
     n = len(items)
     if n == 0:
-        yield ()
+        if min_blocks <= 0:
+            yield ()
         return
     if max_blocks < 1:
         return
     labels = [0] * n
 
     def rec(i, used):
+        if used + n - i < min_blocks:
+            return
         if i == n:
             blocks = [[] for _ in range(used)]
             for j, lab in enumerate(labels):
@@ -81,10 +87,10 @@ def rgs_partitions(items, max_blocks: int):
 
 
 def rgs_partitions_exact(items, blocks: int):
-    """Partitions into exactly `blocks` nonempty blocks, RGS order."""
-    for part in rgs_partitions(items, blocks):
-        if len(part) == blocks:
-            yield part
+    """Partitions into exactly `blocks` nonempty blocks, RGS order. The walk
+    visits at most len(items) prefixes per partition yielded."""
+    if blocks >= 0:
+        yield from rgs_partitions(items, blocks, blocks)
 
 
 def run_splits(count: int, max_runs: int):

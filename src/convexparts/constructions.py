@@ -14,10 +14,17 @@ appears at most floor(d/2) times inside the interval and has been picked
 fewer than floor((s-1)/2) times overall. The covers it then assembles have
 jointly empty intersection: a counting argument keeps the greedy from
 stalling, and floor(d/2)-neighborliness makes each single-interval piece
-avoid the other covers. Both facts are checked per run, never assumed. A
-single coloring's check returns a Farkas certificate; the sweep over every
-coloring asks the same exact predicate for verdicts only, in one process,
-with its pair questions answered from the instance's circuit table.
+avoid the other covers. Both facts are checked per run, never assumed.
+
+One step function, _interval_step, makes the greedy pick for an interval
+and extends every color's cover by it. A single coloring folds it over its
+intervals and returns a Farkas certificate. The sweep over every coloring
+walks the colorings one interval at a time, depth first, so the greedy and
+the covers of each prefix are built once for all its completions; at each
+coloring it runs the same structural checks, _check_structure, on the
+finished covers and asks the same exact predicate for a verdict only, in
+one process, with its pair questions answered from the instance's circuit
+table.
 """
 
 from __future__ import annotations
@@ -131,6 +138,68 @@ def _check_coloring(inst: MomentAdversaryInstance, coloring) -> tuple:
     return coloring
 
 
+def _split_interval(inst: MomentAdversaryInstance, q: int, local) -> tuple:
+    """Interval q's points of each color, as sorted index tuples, and their
+    masks; local holds the colors of the interval's m points in order."""
+    start = q * inst.m
+    parts = tuple(tuple(start + k for k, c in enumerate(local) if c == color)
+                  for color in range(inst.r))
+    return parts, tuple(sum(1 << i for i in part) for part in parts)
+
+
+def _start(inst: MomentAdversaryInstance) -> tuple:
+    """The adversary before any interval: no color chosen, every cover and
+    every color class empty. The state that _interval_step extends."""
+    return (0,) * inst.r, (((), ()),) * inst.r, (0,) * inst.r
+
+
+def _interval_step(inst: MomentAdversaryInstance, q: int, parts, times,
+                   covers) -> tuple:
+    """Extend the adversary from intervals 0..q-1 to interval q.
+
+    parts holds interval q's points of each color, times how often each
+    color was chosen before q, and covers each color's cover so far as
+    (closed groups, open run). The pick is the lowest eligible color (see
+    choose_interval_colors). For it, the open run closes as a group and its
+    own points in q form one more; every other color's points in q join
+    its run. Returns (pick, times, covers) after q as new tuples, so a walk
+    can extend one prefix in every way.
+    """
+    cap = inst.d // 2
+    quota = (inst.s - 1) // 2
+    pick = next((c for c in range(inst.r)
+                 if len(parts[c]) <= cap and times[c] < quota), None)
+    if pick is None:
+        raise InternalInvariantError(
+            f"no eligible color in interval {q}; the counting bound failed")
+    times = times[:pick] + (times[pick] + 1,) + times[pick + 1:]
+    covers = tuple([
+        (closed + ((run,) if run else ()) + ((mine,) if mine else ()), ())
+        if color == pick else (closed, run + mine)
+        for color, ((closed, run), mine) in enumerate(zip(covers, parts))])
+    return pick, times, covers
+
+
+def _closed_covers(covers) -> tuple:
+    """Each color's groups once every interval is stepped: its closed
+    groups plus its open run, if any."""
+    return tuple([closed + (run,) if run else closed for closed, run in covers])
+
+
+def _adversary(inst: MomentAdversaryInstance, coloring) -> tuple:
+    """(chosen, groups per color, color-class masks) of one checked
+    coloring: _interval_step folded over its intervals."""
+    times, covers, classes = _start(inst)
+    chosen = ()
+    for q in range(inst.p):
+        parts, masks = _split_interval(
+            inst, q, coloring[q * inst.m:(q + 1) * inst.m])
+        pick, times, covers = _interval_step(inst, q, parts, times, covers)
+        chosen += (pick,)
+        classes = tuple(a | b for a, b in zip(classes, masks))
+    return chosen, _closed_covers(covers), classes
+
+
 def choose_interval_colors(inst: MomentAdversaryInstance, coloring) -> tuple:
     """Greedy per-interval color choice, lowest eligible color first.
 
@@ -139,27 +208,7 @@ def choose_interval_colors(inst: MomentAdversaryInstance, coloring) -> tuple:
     Counting keeps this nonempty: at least r/2 colors meet the first
     condition, while fewer than r/2 can be at quota.
     """
-    return _choose_interval_colors(inst, _check_coloring(inst, coloring))
-
-
-def _choose_interval_colors(inst: MomentAdversaryInstance, coloring) -> tuple:
-    # coloring already checked by the public caller
-    cap = inst.d // 2
-    quota = (inst.s - 1) // 2
-    times_chosen = [0] * inst.r
-    chosen = []
-    for q in range(inst.p):
-        counts = [0] * inst.r
-        for i in range(q * inst.m, (q + 1) * inst.m):
-            counts[coloring[i]] += 1
-        pick = next((c for c in range(inst.r)
-                     if counts[c] <= cap and times_chosen[c] < quota), None)
-        if pick is None:
-            raise InternalInvariantError(
-                f"no eligible color in interval {q}; the counting bound failed")
-        times_chosen[pick] += 1
-        chosen.append(pick)
-    return tuple(chosen)
+    return _adversary(inst, _check_coloring(inst, coloring))[0]
 
 
 def adversary_covers(inst: MomentAdversaryInstance, coloring) -> tuple:
@@ -170,31 +219,8 @@ def adversary_covers(inst: MomentAdversaryInstance, coloring) -> tuple:
     points at all gets a cover with no groups, which is the empty set. The
     group count never exceeds 2*floor((s-1)/2)+1 <= s.
     """
-    coloring = _check_coloring(inst, coloring)
-    return _adversary_covers(inst, coloring, _choose_interval_colors(inst, coloring))
-
-
-def _adversary_covers(inst: MomentAdversaryInstance, coloring, chosen) -> tuple:
-    # coloring checked and chosen derived from it by the public caller
-    covers = []
-    for color in range(inst.r):
-        groups = []
-        run = []
-        for q in range(inst.p):
-            mine = [i for i in range(q * inst.m, (q + 1) * inst.m)
-                    if coloring[i] == color]
-            if chosen[q] == color:
-                if run:
-                    groups.append(tuple(run))
-                    run = []
-                if mine:
-                    groups.append(tuple(mine))
-            else:
-                run.extend(mine)
-        if run:
-            groups.append(tuple(run))
-        covers.append(SConvexCover(inst.points, tuple(groups)))
-    return tuple(covers)
+    groups = _adversary(inst, _check_coloring(inst, coloring))[1]
+    return tuple(SConvexCover(inst.points, g) for g in groups)
 
 
 @dataclass(frozen=True)
@@ -210,23 +236,40 @@ class AdversaryReport:
     max_groups: int
 
 
-def _check_structure(inst: MomentAdversaryInstance, coloring, chosen,
-                     covers) -> int:
-    """The structural checks of verify_moment_adversary; returns the
-    largest group count."""
+def _check_structure(inst: MomentAdversaryInstance, classes, chosen,
+                     groups) -> int:
+    """The structural checks of every adversary run, single coloring or
+    sweep; returns the largest group count.
+
+    groups holds each color's cover as index tuples and classes each
+    color's points as a mask read off the coloring, not off the groups.
+    Each cover has at most s groups, covers exactly its color class, and
+    its pieces inside one interval chosen for its color hold at most
+    floor(d/2) points.
+    """
     cap = inst.d // 2
-    for color, cover in enumerate(covers):
-        if len(cover.groups) > inst.s:
+    where = inst.interval_index
+    for color, (cover, want) in enumerate(zip(groups, classes)):
+        if len(cover) > inst.s:
             raise InternalInvariantError(
-                f"cover {color} uses {len(cover.groups)} groups, allowed {inst.s}")
-        want = tuple(i for i in range(inst.n) if coloring[i] == color)
-        if cover.covered != want:
+                f"cover {color} uses {len(cover)} groups, allowed {inst.s}")
+        covered = 0
+        too_large = False
+        for g in cover:
+            mask = 0
+            for i in g:
+                mask |= 1 << i
+            covered |= mask
+            # g lies in one interval iff no point lies past the interval
+            # of its lowest point
+            q = where[(mask & -mask).bit_length() - 1]
+            too_large |= (len(g) > cap and chosen[q] == color
+                          and not mask >> (q + 1) * inst.m)
+        if covered != want:
             raise InternalInvariantError(f"cover {color} misses points of its color")
-        for g in cover.groups:
-            qs = {inst.interval_index[i] for i in g}
-            if len(qs) == 1 and chosen[next(iter(qs))] == color and len(g) > cap:
-                raise InternalInvariantError("single-interval piece too large")
-    return max(len(c.groups) for c in covers)
+        if too_large:
+            raise InternalInvariantError("single-interval piece too large")
+    return max(map(len, groups))
 
 
 def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
@@ -242,9 +285,9 @@ def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
     the same instance.
     """
     coloring = _check_coloring(inst, coloring)
-    chosen = _choose_interval_colors(inst, coloring)
-    covers = _adversary_covers(inst, coloring, chosen)
-    max_groups = _check_structure(inst, coloring, chosen, covers)
+    chosen, groups, classes = _adversary(inst, coloring)
+    max_groups = _check_structure(inst, classes, chosen, groups)
+    covers = tuple(SConvexCover(inst.points, g) for g in groups)
     cert = covers_jointly_empty(inst.points, covers, oracle)
     return AdversaryReport(cert is not None, inst, coloring, chosen, covers,
                            cert, max_groups)
@@ -268,28 +311,56 @@ class AdversarySweepReport:
 def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
     """Run the adversary against every coloring, lexicographic order.
 
-    Every coloring gets the structural checks of verify_moment_adversary,
-    but joint emptiness is asked as a verdict only, with no certificate:
-    the same exact predicate, on one MeetOracle for the whole sweep. The
-    oracle holds the circuit table of all n points, so pair questions
-    solve no LP; its sum over k of C(n, k) subsets is below the r^n
-    colorings the sweep walks, whose cap the caller checks. Stops at the
-    first failing coloring.
+    The walk goes one interval at a time, depth first: each interval's r^m
+    local colorings are listed once, in lexicographic order, so the
+    concatenated local colorings come out in the order of
+    itertools.product(range(r), repeat=n). Each prefix carries the greedy's
+    counts, the chosen colors, every color's partial cover and the color
+    classes, and _interval_step, the same step a single coloring folds
+    over, extends them; so the greedy and the covers of a prefix are built
+    once for all its completions. Every coloring then gets the structural
+    checks of verify_moment_adversary on its finished covers, and joint
+    emptiness is asked as a verdict only, with no certificate: the same
+    exact predicate, on one MeetOracle for the whole sweep. The oracle
+    holds the circuit table of all n points, so pair questions solve no
+    LP; its sum over k of C(n, k) subsets, like the p * r^m local
+    colorings, is below the r^n colorings the sweep walks, whose cap the
+    caller checks. Stops at the first failing coloring.
     """
     inst = moment_adversary_instance(d, s, r)
     oracle = MeetOracle(inst.points, circuit_table(inst.points, range(inst.n)))
-    verified, max_groups = 0, 0
-    for coloring in itertools.product(range(r), repeat=inst.n):
-        chosen = _choose_interval_colors(inst, coloring)
-        covers = _adversary_covers(inst, coloring, chosen)
-        max_groups = max(max_groups,
-                         _check_structure(inst, coloring, chosen, covers))
-        if not _all_tuples_empty(oracle, tuple(c.groups for c in covers)):
-            return AdversarySweepReport(False, d, s, r, inst.n, r ** inst.n,
-                                        verified, max_groups, coloring)
-        verified += 1
-    return AdversarySweepReport(True, d, s, r, inst.n, r ** inst.n,
-                                verified, max_groups, None)
+    tables = [[(local,) + _split_interval(inst, q, local)
+               for local in itertools.product(range(r), repeat=inst.m)]
+              for q in range(inst.p)]
+    verified = max_groups = 0
+    failure = None
+
+    def walk(q, colors, chosen, times, covers, classes) -> bool:
+        # True once a coloring below this prefix fails
+        nonlocal verified, max_groups, failure
+        last = q + 1 == inst.p
+        for local, parts, masks in tables[q]:
+            pick, nxt_times, nxt_covers = _interval_step(inst, q, parts,
+                                                         times, covers)
+            nxt_classes = tuple([a | b for a, b in zip(classes, masks)])
+            if not last:
+                if walk(q + 1, colors + local, chosen + (pick,), nxt_times,
+                        nxt_covers, nxt_classes):
+                    return True
+                continue
+            groups = _closed_covers(nxt_covers)
+            max_groups = max(max_groups, _check_structure(
+                inst, nxt_classes, chosen + (pick,), groups))
+            if not _all_tuples_empty(oracle, groups):
+                failure = colors + local
+                return True
+            verified += 1
+        return False
+
+    times, covers, classes = _start(inst)
+    walk(0, (), (), times, covers, classes)
+    return AdversarySweepReport(failure is None, d, s, r, inst.n, r ** inst.n,
+                                verified, max_groups, failure)
 
 
 def periodic_coloring(n: int, r: int) -> tuple:

@@ -193,19 +193,6 @@ def hull_disjoint(ps: PointSet, S, T) -> bool:
     return not hulls_common_point(ps, (S, T))
 
 
-def in_hull(ps: PointSet, point, S) -> bool:
-    """Exact membership of an arbitrary point in the hull of indexed points."""
-    grp = _norm_group(ps, S)
-    point = tuple(Rat(c) for c in point)
-    if len(point) != ps.dim:
-        raise InputError("point dimension mismatch")
-    k = len(grp)
-    cons = [(tuple([ONE] * k), REL_EQ, ONE)]
-    for c in range(ps.dim):
-        cons.append((tuple(ps.points[i][c] for i in grp), REL_EQ, point[c]))
-    return lp_feasible(cons, nvars=k, nonneg=True).feasible
-
-
 def strict_separator(ps: PointSet, S, T) -> Hyperplane | None:
     """Hyperplane with S strictly negative and T strictly positive, if any.
 

@@ -10,7 +10,13 @@ minimal up-sets. Slow and simple on purpose.
 
 The `_ref` routines are the LP and `Rat` code that the circuit table in
 `geometry` replaced: halfspace traces and hull-closed families by one LP
-per question, and affine dependences by Gauss-Jordan on `Rat`.
+per question, and affine dependences by Gauss-Jordan on `Rat`. Hull
+membership of an arbitrary point (`in_hull`, one LP) serves only
+`geometric_space_ref` and the tests. Two more are walks that the package
+now prunes or shares: `rgs_partitions_exact_ref` filters every partition
+into at most r blocks, and `moment_adversary_exhaustive_ref` runs the t42
+greedy, cover builder and structural checks afresh for each of the r^n
+colorings.
 """
 
 from __future__ import annotations
@@ -18,8 +24,11 @@ from __future__ import annotations
 import itertools
 
 from convexparts.combinat import indices_of, mask_of, rgs_partitions
-from convexparts.errors import InternalInvariantError
-from convexparts.linprog import normalize_rows
+from convexparts.constructions import AdversarySweepReport, moment_adversary_instance
+from convexparts.errors import InputError, InternalInvariantError
+from convexparts.geometry import _norm_group, circuit_table
+from convexparts.linprog import REL_EQ, lp_feasible, normalize_rows
+from convexparts.partitions import MeetOracle, SConvexCover, _all_tuples_empty
 from convexparts.rational import ONE, ZERO, Rat
 from convexparts.setsystems import ShatterProfile, ShatterRow, r_shatter_bound
 
@@ -401,7 +410,6 @@ def geometric_space_ref(ps, n_cap: int = 12):
     further points. Intersection-closed by hull monotonicity."""
     from convexparts.abstract import convexity_space
     from convexparts.errors import CapExceeded
-    from convexparts.geometry import in_hull
 
     n = len(ps.points)
     if n > n_cap:
@@ -416,3 +424,101 @@ def geometric_space_ref(ps, n_cap: int = 12):
         if all(not in_hull(ps, ps.points[j], inside) for j in outside):
             family.append(tuple(inside))
     return convexity_space(n, family)
+
+
+def in_hull(ps, point, S) -> bool:
+    """Exact membership of an arbitrary point in the hull of indexed points."""
+    grp = _norm_group(ps, S)
+    point = tuple(Rat(c) for c in point)
+    if len(point) != ps.dim:
+        raise InputError("point dimension mismatch")
+    k = len(grp)
+    cons = [(tuple([ONE] * k), REL_EQ, ONE)]
+    for c in range(ps.dim):
+        cons.append((tuple(ps.points[i][c] for i in grp), REL_EQ, point[c]))
+    return lp_feasible(cons, nvars=k, nonneg=True).feasible
+
+
+def rgs_partitions_exact_ref(items, blocks: int):
+    """Partitions into exactly `blocks` nonempty blocks, RGS order: every
+    partition into at most `blocks` blocks, filtered."""
+    for part in rgs_partitions(items, blocks):
+        if len(part) == blocks:
+            yield part
+
+
+def _choose_interval_colors(inst, coloring) -> tuple:
+    cap = inst.d // 2
+    quota = (inst.s - 1) // 2
+    times_chosen = [0] * inst.r
+    chosen = []
+    for q in range(inst.p):
+        counts = [0] * inst.r
+        for i in range(q * inst.m, (q + 1) * inst.m):
+            counts[coloring[i]] += 1
+        pick = next((c for c in range(inst.r)
+                     if counts[c] <= cap and times_chosen[c] < quota), None)
+        if pick is None:
+            raise InternalInvariantError(
+                f"no eligible color in interval {q}; the counting bound failed")
+        times_chosen[pick] += 1
+        chosen.append(pick)
+    return tuple(chosen)
+
+
+def _adversary_covers(inst, coloring, chosen) -> tuple:
+    covers = []
+    for color in range(inst.r):
+        groups = []
+        run = []
+        for q in range(inst.p):
+            mine = [i for i in range(q * inst.m, (q + 1) * inst.m)
+                    if coloring[i] == color]
+            if chosen[q] == color:
+                if run:
+                    groups.append(tuple(run))
+                    run = []
+                if mine:
+                    groups.append(tuple(mine))
+            else:
+                run.extend(mine)
+        if run:
+            groups.append(tuple(run))
+        covers.append(SConvexCover(inst.points, tuple(groups)))
+    return tuple(covers)
+
+
+def _check_structure(inst, coloring, chosen, covers) -> int:
+    cap = inst.d // 2
+    for color, cover in enumerate(covers):
+        if len(cover.groups) > inst.s:
+            raise InternalInvariantError(
+                f"cover {color} uses {len(cover.groups)} groups, allowed {inst.s}")
+        want = tuple(i for i in range(inst.n) if coloring[i] == color)
+        if cover.covered != want:
+            raise InternalInvariantError(f"cover {color} misses points of its color")
+        for g in cover.groups:
+            qs = {inst.interval_index[i] for i in g}
+            if len(qs) == 1 and chosen[next(iter(qs))] == color and len(g) > cap:
+                raise InternalInvariantError("single-interval piece too large")
+    return max(len(c.groups) for c in covers)
+
+
+def moment_adversary_exhaustive_ref(d: int, s: int, r: int):
+    """The t42 sweep one flat coloring at a time, lexicographic order: the
+    greedy, the covers and the structural checks from scratch for each
+    coloring, then the verdict on one table-backed oracle."""
+    inst = moment_adversary_instance(d, s, r)
+    oracle = MeetOracle(inst.points, circuit_table(inst.points, range(inst.n)))
+    verified, max_groups = 0, 0
+    for coloring in itertools.product(range(r), repeat=inst.n):
+        chosen = _choose_interval_colors(inst, coloring)
+        covers = _adversary_covers(inst, coloring, chosen)
+        max_groups = max(max_groups,
+                         _check_structure(inst, coloring, chosen, covers))
+        if not _all_tuples_empty(oracle, tuple(c.groups for c in covers)):
+            return AdversarySweepReport(False, d, s, r, inst.n, r ** inst.n,
+                                        verified, max_groups, coloring)
+        verified += 1
+    return AdversarySweepReport(True, d, s, r, inst.n, r ** inst.n,
+                                verified, max_groups, None)

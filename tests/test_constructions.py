@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import unions_of_intervals_meet
+import bruteforce
+import convexparts.constructions as constructions
+from bruteforce import moment_adversary_exhaustive_ref, unions_of_intervals_meet
 from convexparts.constructions import (
     AdversaryReport,
     adversary_covers,
@@ -28,7 +30,7 @@ from convexparts.constructions import (
     verify_moment_adversary,
     verify_periodic_line_cover,
 )
-from convexparts.errors import CapExceeded, InputError
+from convexparts.errors import CapExceeded, InputError, InternalInvariantError
 from convexparts.geometry import hull_disjoint, point_set
 from convexparts.partitions import (
     MeetOracle,
@@ -195,6 +197,80 @@ class TestAdversaryCovers:
         monkeypatch.setattr(MeetOracle, "intersection", no_certificate)
         rep = moment_adversary_exhaustive(1, 3, 4)
         assert rep.ok and rep.verified == rep.total == 256
+
+    @pytest.mark.parametrize("d, s, r", [(1, 3, 2), (1, 3, 4), (1, 5, 2), (1, 7, 2),
+                                         (3, 7, 2), (3, 9, 2), (5, 7, 2)])
+    def test_sweep_matches_the_per_coloring_reference(self, d, s, r):
+        # every instance with r^n <= 4096
+        assert moment_adversary_exhaustive(d, s, r) == moment_adversary_exhaustive_ref(d, s, r)
+
+    @pytest.mark.parametrize("k", [1, 17, 300, 4097])
+    def test_sweep_stops_at_the_same_coloring_as_the_reference(self, monkeypatch, k):
+        # a verdict that fails the k-th coloring asked; both walks ask one
+        # verdict per coloring, so they must stop at the k-th coloring in
+        # lexicographic order with the same counts
+        def failing_at_k():
+            asked = 0
+
+            def verdict(oracle, combo):
+                nonlocal asked
+                asked += 1
+                return asked != k
+            return verdict
+
+        monkeypatch.setattr(constructions, "_all_tuples_empty", failing_at_k())
+        monkeypatch.setattr(bruteforce, "_all_tuples_empty", failing_at_k())
+        rep = moment_adversary_exhaustive(1, 5, 4)
+        ref = moment_adversary_exhaustive_ref(1, 5, 4)
+        assert (rep.ok, rep.first_failure, rep.verified, rep.max_groups) \
+            == (ref.ok, ref.first_failure, ref.verified, ref.max_groups)
+        assert not rep.ok and rep.verified == k - 1
+        assert rep.first_failure == next(itertools.islice(
+            itertools.product(range(4), repeat=8), k - 1, None))
+
+    def test_sweep_and_single_coloring_share_the_checker(self, monkeypatch):
+        calls = []
+        check = constructions._check_structure
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(constructions, "_check_structure", counted)
+        assert moment_adversary_exhaustive(1, 3, 4).verified == 256
+        inst = moment_adversary_instance(1, 3, 4)
+        verify_moment_adversary(inst, (0, 1, 2, 3))
+        assert len(calls) == 257
+
+    def test_checker_rejects_too_many_groups(self):
+        inst = moment_adversary_instance(1, 3, 4)
+        chosen, groups, classes = constructions._adversary(inst, (0, 0, 0, 0))
+        assert groups[0] == ((0, 1, 2, 3),)
+        constructions._check_structure(inst, classes, chosen, groups)
+        split = (((0,), (1,), (2,), (3,)),) + groups[1:]
+        with pytest.raises(InternalInvariantError, match="uses 4 groups"):
+            constructions._check_structure(inst, classes, chosen, split)
+
+    def test_checker_rejects_a_dropped_point(self):
+        inst = moment_adversary_instance(1, 3, 4)
+        chosen, groups, classes = constructions._adversary(inst, (0, 0, 0, 0))
+        dropped = (((0, 1, 2),),) + groups[1:]
+        with pytest.raises(InternalInvariantError, match="misses points"):
+            constructions._check_structure(inst, classes, chosen, dropped)
+
+    def test_checker_rejects_a_large_piece_in_a_chosen_interval(self):
+        # interval 0 is chosen for color 0, which has one point there
+        inst = moment_adversary_instance(2, 3, 4)
+        chosen, groups, classes = constructions._adversary(
+            inst, (0, 1, 1, 1, 2, 2, 3, 3))
+        assert chosen == (0, 1) and groups[:2] == (((0,),), ((1, 2, 3),))
+        constructions._check_structure(inst, classes, chosen, groups)
+        # recolor point 1 to 0 and hand it to color 0's piece: the covers
+        # still hold their classes, but the piece has floor(d/2)+1 points
+        classes = (classes[0] | 2, classes[1] & ~2) + classes[2:]
+        groups = (((0, 1),), ((2, 3),)) + groups[2:]
+        with pytest.raises(InternalInvariantError, match="single-interval piece"):
+            constructions._check_structure(inst, classes, chosen, groups)
 
     def test_planar_sample_colorings(self):
         # the full 4^8 sweep runs in the acceptance suite; spot-check a

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 from bruteforce import (affine_dependence_ref, barycentric_in_triangle, distinct_rand_point_set,
-                        rand_point_set, segments_meet)
+                        in_hull, rand_point_set, segments_meet)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from convexparts.geometry import (
     closed_cells_meet,
     hull_disjoint,
     hulls_common_point,
-    in_hull,
     make_hyperplane,
     point_set,
     strict_separator,

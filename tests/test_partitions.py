@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 import convexparts.geometry as geometry
 from bruteforce import (distinct_rand_point_set, geometric_space_ref,
-                        halfspace_traces_ref, segments_meet)
+                        halfspace_traces_ref, in_hull, rgs_partitions_exact_ref,
+                        segments_meet)
 from convexparts.abstract import geometric_space
-from convexparts.combinat import mask_of, partitions_le_count
+from convexparts.combinat import mask_of, partitions_le_count, rgs_partitions_exact, stirling2
 from convexparts.errors import CapExceeded, InputError, PreconditionFailed
-from convexparts.geometry import circuit_table, hulls_common_point, in_hull, point_set
+from convexparts.geometry import circuit_table, hulls_common_point, point_set
 from convexparts.partitions import (
     MeetOracle,
     build_K_polyhedra,
@@ -161,14 +162,26 @@ def test_tverberg_search_on_five_collinear_points():
     assert cert is not None
     assert cert.partition == ((0, 3), (1, 4), (2,))
     # independent route: first exact-3 partition whose intervals share a point
-    from convexparts.combinat import rgs_partitions_exact
-
     for parts in rgs_partitions_exact(range(5), 3):
         segs = [(min(p), max(p)) for p in parts]
         if segments_meet(segs):
             assert parts == cert.partition
             break
     assert cert.enumerated == cert.closed_form == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 9), st.integers(0, 10))
+def test_exact_partitions_match_the_filtering_reference(n, blocks):
+    items = "abcdefghi"[:n]
+    assert (list(rgs_partitions_exact(items, blocks))
+            == list(rgs_partitions_exact_ref(items, blocks)))
+
+
+def test_exact_partitions_near_the_item_count_are_walked_directly():
+    # 20 items into at most 18 blocks are about 5.2e13 partitions; the
+    # pruned walk reaches only the S(20, 18) with exactly 18
+    assert sum(1 for _ in rgs_partitions_exact(range(20), 18)) == stirling2(20, 18) == 15675
 
 
 def test_tverberg_search_on_hexagon_with_center():
