@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .abstract import (
+    check_member_pairs,
     halfspaces as abstract_halfspaces,
     is_separable,
     radon_number,
@@ -518,12 +519,13 @@ def _verify_f3(args):
 def _verify_abstract(args):
     data = _load_json(args.input)
     space = space_from_data(data)
+    cap = _cap(args)
+    check_member_pairs(space, cap)
     ok, violation = validate_space(space)
     doc = {"subcommand": "verify", "target": "abstract", "ok": ok,
            "n": space.n, "members": len(space.family),
            "violation": None if violation is None else list(violation)}
     if ok:
-        cap = _cap(args)
         doc["radon_number"] = radon_number(space, cap=cap)
         if args.r is not None:
             doc["tverberg_number"] = tverberg_number(space, args.r, cap=cap)

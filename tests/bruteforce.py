@@ -16,14 +16,21 @@ membership of an arbitrary point (`in_hull`, one LP) serves only
 now prunes or shares: `rgs_partitions_exact_ref` filters every partition
 into at most r blocks, and `moment_adversary_exhaustive_ref` runs the t42
 greedy, cover builder and structural checks afresh for each of the r^n
-colorings.
+colorings. `radon_number_ref` and `tverberg_number_ref` walk every
+bipartition or exact r-partition of every subset and intersect the hulls
+of its parts, where `abstract` now asks capture tests, and
+`validate_space_ref` meets every pair of members, where `validate_space`
+meets each member with a few generators.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 
-from convexparts.combinat import indices_of, mask_of, rgs_partitions
+from convexparts.abstract import _hull_mask, _radon_work
+from convexparts.combinat import (check_total, indices_of, mask_of, rgs_partitions,
+                                  rgs_partitions_exact, stirling2)
 from convexparts.constructions import AdversarySweepReport, moment_adversary_instance
 from convexparts.errors import InputError, InternalInvariantError
 from convexparts.geometry import _norm_group, circuit_table
@@ -522,3 +529,81 @@ def moment_adversary_exhaustive_ref(d: int, s: int, r: int):
         verified += 1
     return AdversarySweepReport(True, d, s, r, inst.n, r ** inst.n,
                                 verified, max_groups, None)
+
+
+def validate_space_ref(space):
+    """The axiom check pair by pair, in mask order: (True, None), or
+    (False, violation) naming the first violation."""
+    members = set(space.family)
+    full = (1 << space.n) - 1
+    if 0 not in members:
+        return False, ("missing-empty",)
+    if full not in members:
+        return False, ("missing-full",)
+    for a, b in itertools.combinations(space.family, 2):
+        if a & b not in members:
+            return False, ("intersection", indices_of(a), indices_of(b))
+    return True, None
+
+
+def radon_number_ref(space, cap: int = 10**6):
+    """Least k such that every k-subset has two parts with meeting hulls,
+    or None: every bipartition of every subset, hulls memoized by part."""
+    check_total("radon_checks",
+                (_radon_work(space.n, k) for k in range(2, space.n + 1)), cap)
+    hulls = {}
+    for k in range(2, space.n + 1):
+        if all(_has_radon_partition(space, sub, hulls)
+               for sub in itertools.combinations(range(space.n), k)):
+            return k
+    return None
+
+
+def _has_radon_partition(space, sub, hulls) -> bool:
+    for asize in range(1, len(sub) // 2 + 1):
+        for a in itertools.combinations(sub, asize):
+            b = tuple(i for i in sub if i not in a)
+            if asize == len(b) and a > b:
+                continue
+            ha = hulls.get(a)
+            if ha is None:
+                ha = hulls[a] = _hull_mask(space, mask_of(a, space.n))
+            hb = hulls.get(b)
+            if hb is None:
+                hb = hulls[b] = _hull_mask(space, mask_of(b, space.n))
+            if ha & hb:
+                return True
+    return False
+
+
+def tverberg_number_ref(space, r: int, cap: int = 10**6):
+    """Least k such that every k-subset has an r-partition whose hulls
+    share an element, or None: every exact r-partition of every subset."""
+    if r < 2:
+        raise InputError("need at least two parts")
+    if r == 2:
+        return radon_number_ref(space, cap)
+    check_total("tverberg_checks",
+                (comb(space.n, k) * stirling2(k, r) for k in range(r, space.n + 1)),
+                cap)
+    hulls = {}
+    for k in range(r, space.n + 1):
+        if all(_has_tverberg_partition(space, sub, r, hulls)
+               for sub in itertools.combinations(range(space.n), k)):
+            return k
+    return None
+
+
+def _has_tverberg_partition(space, sub, r, hulls) -> bool:
+    for parts in rgs_partitions_exact(sub, r):
+        common = (1 << space.n) - 1
+        for part in parts:
+            h = hulls.get(part)
+            if h is None:
+                h = hulls[part] = _hull_mask(space, mask_of(part, space.n))
+            common &= h
+            if not common:
+                break
+        if common:
+            return True
+    return False

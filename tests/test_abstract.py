@@ -1,5 +1,6 @@
-"""Abstract convexity spaces against frozen values, exhaustive axioms, and
-the geometric oracle on embedded line instances."""
+"""Abstract convexity spaces against frozen values, exhaustive axioms, the
+partition-walking and pair-walking references, and the geometric oracle on
+embedded line instances."""
 
 import itertools
 
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruteforce import (_has_tverberg_partition, radon_number_ref, tverberg_number_ref,
+                        validate_space_ref)
 from convexparts.abstract import (
+    _has_good_partition,
     AbstractSeparation,
     ConvexitySpace,
     abstract_good_partition,
@@ -76,6 +80,17 @@ class TestValidateSpace:
         sp = convexity_space(3, [[], [0, 1, 2], [0, 1], [1, 2]])
         assert validate_space(sp) == (False, ("intersection", (0, 1), (1, 2)))
 
+    def test_large_free_family_checks_few_pairs(self):
+        # 2^14 members, 134 million pairs; the generators are the 14
+        # coatoms, so the check stays linear in the members
+        assert validate_space(free_space(14)) == (True, None)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_pair_walk(self, data):
+        sp = random_space(data)
+        assert validate_space(sp) == validate_space_ref(sp)
+
 
 class TestHull:
     def test_members_are_fixed(self):
@@ -126,8 +141,15 @@ class TestRadonNumber:
             assert r is None or r >= 3
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded) as err:
             radon_number(interval_space(8), cap=10)
+        # C(8, 2) bipartitions at k = 2 already pass the cap
+        assert (err.value.cap_name, err.value.needed) == ("radon_checks", 28)
+        with pytest.raises(CapExceeded) as err:
+            radon_number(FREE4, cap=24)
+        # 6 + 4 * 3 + 7 over k = 2, 3, 4
+        assert (err.value.cap_name, err.value.needed) == ("radon_checks", 25)
+        assert radon_number(FREE4, cap=25) is None
 
 
 class TestTverbergNumber:
@@ -144,8 +166,94 @@ class TestTverbergNumber:
     def test_validation(self):
         with pytest.raises(InputError):
             tverberg_number(PATH5, 1)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded) as err:
             tverberg_number(interval_space(8), 3, cap=10)
+        # C(8, 3) * S(3, 3) at k = 3
+        assert (err.value.cap_name, err.value.needed) == ("tverberg_checks", 56)
+        with pytest.raises(CapExceeded) as err:
+            tverberg_number(interval_space(8), 2, cap=10)
+        assert (err.value.cap_name, err.value.needed) == ("radon_checks", 28)
+        with pytest.raises(CapExceeded) as err:
+            tverberg_number(FREE4, 3, cap=9)
+        # 4 * S(3, 3) + 1 * S(4, 3)
+        assert (err.value.cap_name, err.value.needed) == ("tverberg_checks", 10)
+        assert tverberg_number(FREE4, 3, cap=10) is None
+
+
+def random_space(data, max_n=9):
+    """A random family: as drawn, with or without the empty and full sets;
+    intersection-closed; or closed with one proper meet of two members
+    taken out, which leaves it open."""
+    n = data.draw(st.integers(1, max_n))
+    full = (1 << n) - 1
+    kind = data.draw(st.sampled_from(["drawn", "closed", "punctured"]))
+    fam = set(data.draw(st.lists(st.integers(0, full), min_size=n, max_size=24)))
+    if kind != "drawn" or data.draw(st.booleans()):
+        fam |= {0, full}
+    if kind != "drawn":
+        while True:
+            extra = {a & b for a in fam for b in fam} - fam
+            if not extra:
+                break
+            fam |= extra
+    meets = sorted({a & b for a in fam for b in fam if a & b not in (a, b, 0)})
+    if kind == "punctured" and meets:
+        fam.discard(data.draw(st.sampled_from(meets)))
+    return ConvexitySpace(n, tuple(sorted(fam)))
+
+
+def _number_or_cap(fn, *args):
+    try:
+        return fn(*args)
+    except CapExceeded as err:
+        return err.cap_name, err.needed
+
+
+class TestCaptureTests:
+    """Radon and Tverberg numbers from capture tests against the scans that
+    walk every partition of every subset."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(2, 5))
+    def test_matches_the_partition_walk(self, data, r):
+        sp = random_space(data, max_n=8)
+        assert (_number_or_cap(tverberg_number, sp, r, 5000)
+                == _number_or_cap(tverberg_number_ref, sp, r, 5000))
+        if r == 2:
+            assert radon_number(sp) == radon_number_ref(sp)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(2, 5))
+    def test_each_subset_matches_the_partition_walk(self, data, r):
+        # the numbers only see the last failing subset of a size; this
+        # compares the verdict of every subset
+        sp = random_space(data, max_n=7)
+        for mask in range(1 << sp.n):
+            sub = tuple(i for i in range(sp.n) if mask >> i & 1)
+            if len(sub) >= r:
+                assert (_has_good_partition(sp.capture_tests, mask, r)
+                        == _has_tverberg_partition(sp, sub, r, {})), (sub, r)
+
+    @pytest.mark.parametrize("space", [
+        interval_space(1), interval_space(4), interval_space(7), FREE4,
+        free_space(6), geometric_space(TRI_CENTER),
+        # a square around four central points: 5, 7 and 8 for r = 2, 3, 4
+        geometric_space(point_set([[0, 0], [8, 0], [0, 8], [8, 8], [4, 4],
+                                   [3, 4], [4, 3], [5, 4]])),
+        geometric_space(point_set([[0, 0, 0], [6, 0, 0], [0, 6, 0], [0, 0, 6],
+                                   [1, 1, 1], [2, 1, 1], [1, 2, 1]])),
+    ])
+    def test_named_spaces_match_the_partition_walk(self, space):
+        for r in range(2, 6):
+            assert tverberg_number(space, r) == tverberg_number_ref(space, r)
+
+    def test_tests_decide_hull_membership(self):
+        for sp in (PATH5, FREE4, geometric_space(TRI_CENTER),
+                   convexity_space(4, [[0, 1], [1, 2], [0, 1, 2, 3]])):
+            for mask in range(1 << sp.n):
+                h = hull(sp, [i for i in range(sp.n) if mask >> i & 1])
+                for x, tests in enumerate(sp.capture_tests):
+                    assert (x in h) == all(mask & t for t in tests)
 
 
 class TestHalfspaces:

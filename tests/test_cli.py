@@ -454,6 +454,15 @@ class TestInputContract:
         assert main(["verify", "abstract", "--input", str(path), "--cap", "10"]) == 3
         capsys.readouterr()
 
+    def test_abstract_member_pairs_capped_before_validation(self, capsys, tmp_path):
+        # the free family on 14 points is valid, but its 2^14 members make
+        # 134 million pairs: the member_pairs cap fires before any check
+        n = 14
+        family = [[i for i in range(n) if m >> i & 1] for m in range(1 << n)]
+        path = put(tmp_path, "space.json", {"n": n, "family": family})
+        assert main(["verify", "abstract", "--input", str(path)]) == 3
+        assert "member_pairs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", list(INPUT_COMMANDS.values()),
                              ids=list(INPUT_COMMANDS))
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -534,3 +543,15 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "6\n"
+
+    def test_package_runs_as_a_module(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "convexparts", "bound-e31", "--d", "1", "--r", "2"],
+            capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "6\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "convexparts", "verify", "abstract"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 4 and "needs --input" in proc.stderr
