@@ -202,7 +202,7 @@ def _cmd_vcdim(args):
     _json_only(args)
     system = _load_system(args.input)
     doc = {"subcommand": "vcdim", "n": system.n, "edge_count": len(system),
-           "vc_dim": vc_dim(system)}
+           "vc_dim": vc_dim(system, cap=_cap(args))}
     return 0, canonical_text(doc), [("report.json", canonical_bytes(doc))]
 
 
@@ -475,8 +475,8 @@ def _verify_rshatter(args):
     _require(args, "r")
     system = _load_system(args.input)
     profile = check_r_shatter(system, args.r, m_max=args.n, cap=_cap(args))
-    d = vc_dim(system)
-    ceiling = min_f_counting(max(1, d), args.r) - 1
+    d = vc_dim(system, cap=_cap(args))
+    ceiling = min_f_counting(max(1, d), args.r, f_cap=_cap(args)) - 1
     consistent = profile.dimension <= ceiling
     doc = {"subcommand": "verify", "target": "rshatter",
            "ok": profile.all_ok and consistent, "vc_dim": d,
@@ -532,7 +532,7 @@ def _verify_abstract(args):
         separable, pair = is_separable(space, cap=cap)
         doc["separable"] = separable
         doc["first_inseparable"] = None if pair is None else [list(m) for m in pair]
-        doc["halfspace_vc"] = vc_dim(abstract_halfspaces(space))
+        doc["halfspace_vc"] = vc_dim(abstract_halfspaces(space), cap=cap)
     return (0 if ok else 2), doc, []
 
 

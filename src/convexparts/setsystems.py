@@ -16,13 +16,24 @@ shared by all the partitions that have that block.
 
 r-shattering is closed under subsets, so `check_r_shatter` takes the rows
 up to t = r_vc_dim as r^m without enumerating them (see its docstring).
+
+Lemma (r = 2). Let T_S = {e & S} be the traces on S. The ordered
+2-partition (B, S - B) is realizable iff B and S - B are both in T_S.
+Proof: realizable means traces t1 containing B and t2 containing S - B
+with t1 & t2 = 0. Then t1 lies in S - t2, which lies in B, so t1 = B, and
+likewise t2 = S - B. An empty part is a wildcard slot, so it accepts any
+trace, but the other trace contains all of S and must miss it: the pair is
+forced to be 0 and S all the same. Hence at r = 2 the realizable count is
+#{t in T_S : S - t in T_S}, S is 2-shattered iff |T_S| = 2^|S|, and
+r_vc_dim is the VC dimension. Those three answers come from the trace set
+alone; the class walk serves r >= 3 only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import perm
+from math import log, log1p, perm
 
 from .combinat import binomial, check_total, indices_of, mask_of, partitions_le_count
 from .errors import CapExceeded, InputError
@@ -98,19 +109,32 @@ class ShatterProfile:
         return all(row.ok for row in self.rows)
 
 
+def _traces(sys: SetSystem, mask: int) -> set:
+    """The distinct traces {e & mask} of the edges."""
+    return {e & mask for e in sys.edges}
+
+
 def is_shattered(sys: SetSystem, S) -> bool:
     mask = mask_of(S, sys.n)
-    size = mask.bit_count()
-    traces = {e & mask for e in sys.edges}
-    return len(traces) == 1 << size
+    return len(_traces(sys, mask)) == 1 << mask.bit_count()
 
 
-def vc_dim(sys: SetSystem) -> int:
+def vc_dim(sys: SetSystem, cap: int | None = 10**6) -> int:
+    """Largest k with a shattered k-subset, scanned from the top level down.
+
+    Before level k is scanned, its C(n, k) subsets are added to those of
+    the levels above and the total goes through cap as `vc_subsets`.
+    cap=None scans uncapped: `r_vc_dim` at r = 2 bounds it by its own check.
+    """
     if not sys.edges:
         return 0
     top = min(sys.n, len(sys.edges).bit_length() - 1)
     ground = range(sys.n)
+    total = 0
     for k in range(top, 0, -1):
+        total += binomial(sys.n, k)
+        if cap is not None and total > cap:
+            raise CapExceeded("vc_subsets", cap, total)
         for combo in itertools.combinations(ground, k):
             if is_shattered(sys, combo):
                 return k
@@ -126,8 +150,7 @@ def primal_shatter(sys: SetSystem, m: int, cap: int = 10**6) -> int:
         raise CapExceeded("primal_shatter_subsets", cap, total)
     best = 0
     for combo in itertools.combinations(range(sys.n), m):
-        mask = mask_of(combo, sys.n)
-        seen = {e & mask for e in sys.edges}
+        seen = _traces(sys, mask_of(combo, sys.n))
         if len(seen) > best:
             best = len(seen)
             if best == 1 << m:
@@ -150,7 +173,7 @@ def _last_row(sys: SetSystem, m_max: int | None) -> int:
 
 def check_sauer(sys: SetSystem, m_max: int | None = None, cap: int = 10**6) -> ShatterProfile:
     m_max = _last_row(sys, m_max)
-    d = vc_dim(sys)
+    d = vc_dim(sys, cap=cap)
     rows = []
     for m in range(m_max + 1):
         computed = primal_shatter(sys, m, cap=cap)
@@ -171,7 +194,7 @@ class _Traces:
         self.s_mask = s_mask
         self.size = s_mask.bit_count()
         # smallest first: a trace is minimal iff no kept one lies inside it
-        self.traces = sorted({e & s_mask for e in sys.edges}, key=int.bit_count)
+        self.traces = sorted(_traces(sys, s_mask), key=int.bit_count)
         self._up = {}
 
     def up(self, block: int):
@@ -253,7 +276,8 @@ def is_realizable(sys: SetSystem, partition: RPartition) -> bool:
 def is_r_shattered(sys: SetSystem, S, r: int, cap: int = 10**6) -> bool:
     """Every r-partition of S realizable; |S| = 0 counts as shattered.
 
-    Unordered block classes are enumerated once (RGS order) with empty parts
+    At r = 2 this is plain shattering (module docstring). Otherwise the
+    unordered block classes are enumerated once (RGS order) with empty parts
     as wildcard slots, since realizability only depends on the class.
     """
     if r < 2:
@@ -264,13 +288,26 @@ def is_r_shattered(sys: SetSystem, S, r: int, cap: int = 10**6) -> bool:
         return True
     if partitions_le_count(size, r) > cap:
         raise CapExceeded("r_shatter_classes", cap, partitions_le_count(size, r))
+    if r == 2:
+        return len(_traces(sys, mask)) == 1 << size
     traces = _Traces(sys, mask)
     return all(traces.realizable(blocks, r) for blocks in _classes(mask, r))
 
 
 def r_vc_dim(sys: SetSystem, r: int, cap: int = 10**6) -> int:
+    """Largest k with an r-shattered k-subset, scanned from k = n down.
+
+    The first subset asked is the whole ground, and its class count caps
+    every later one. At r = 2 that one question is kept, then the answer is
+    the VC dimension (module docstring); the cap already held 2^(n-1), so
+    the uncapped `vc_dim` scan visits fewer than 2^n subsets.
+    """
     if r < 2:
         raise InputError("r must be at least 2")
+    if r == 2:
+        if is_r_shattered(sys, range(sys.n), 2, cap=cap):
+            return sys.n
+        return vc_dim(sys, cap=None)
     for k in range(sys.n, 0, -1):
         for combo in itertools.combinations(range(sys.n), k):
             if is_r_shattered(sys, combo, r, cap=cap):
@@ -281,8 +318,9 @@ def r_vc_dim(sys: SetSystem, r: int, cap: int = 10**6) -> int:
 def count_realizable(sys: SetSystem, S, r: int, cap: int = 10**6) -> int:
     """Number of realizable ordered r-partitions (functions S -> r parts).
 
-    Each unordered class of k nonempty blocks is tested once and contributes
-    r!/(r-k)! orderings when realizable.
+    At r = 2 these are the traces whose complement in S is a trace too
+    (module docstring). Otherwise each unordered class of k nonempty blocks
+    is tested once and contributes r!/(r-k)! orderings when realizable.
     """
     if r < 1:
         raise InputError("r must be at least 1")
@@ -290,6 +328,9 @@ def count_realizable(sys: SetSystem, S, r: int, cap: int = 10**6) -> int:
     size = mask.bit_count()
     if r ** max(size, 1) > cap:
         raise CapExceeded("count_realizable_orderings", cap, r ** size)
+    if r == 2:
+        traces = _traces(sys, mask)
+        return sum(mask ^ t in traces for t in traces)
     if not size:
         return 1 if sys.edges else 0
     traces = _Traces(sys, mask)
@@ -343,15 +384,36 @@ def min_f_counting(d: int, r: int, f_cap: int = 10**6) -> int:
 
     Any r-shattered set in a system of VC dimension d has size at most f-1
     (r-shattering is closed under subsets, so one threshold serves all sizes).
+
+    Write S(f) for the sum. No f <= d qualifies: there S(f) = 2^f, and
+    2^r (r-1) >= r. At d = 0, S(f) = 1 and f = 1 qualifies. For d >= 1,
+    S(f) >= 2 and ln(r/(r-1)) <= 1/(r-1), so the least f exceeds
+    r(r-1) ln 2, and a cap of at most r(r-1)/2 is refused at once. The scan
+    starts at f = d + 1 and carries S(f) and C(f, d) from one f to the next:
+    S(f+1) = 2 S(f) - C(f, d).
+
+    Each f is screened in floats: x = r ln S(f) against y = f ln(r/(r-1)),
+    the latter by log1p. Each log, quotient and product is off by a few
+    units of 2^-53 relative to its size (ln S(f) by about 2^-52 absolute,
+    and S(f) >= 3 makes ln S(f) >= 1), so the float y - x lies within
+    2^-47 (x + y) of the true difference. Outside the margin 2^-40 (x + y)
+    its sign decides; inside it the integers are compared exactly.
     """
     if d < 0:
         raise InputError("d must be nonnegative")
     if r < 2:
         raise InputError("r must be at least 2")
-    f = 1
+    if d == 0 and f_cap >= 1:
+        return 1
+    if d and r * (r - 1) >= 2 * f_cap:
+        raise CapExceeded("min_f_counting", f_cap)
+    log_ratio = log1p(1 / (r - 1))
+    f, s, c = d + 1, (1 << d + 1) - 1, d + 1
     while f <= f_cap:
-        lhs = sauer_bound(f, d) ** r * (r - 1) ** f
-        if lhs < r ** f:
+        x, y = r * log(s), f * log_ratio
+        margin = (x + y) * 2.0**-40
+        if y - x > margin or (y - x >= -margin and s ** r * (r - 1) ** f < r ** f):
             return f
+        s, c = 2 * s - c, c * (f + 1) // (f + 1 - d)
         f += 1
     raise CapExceeded("min_f_counting", f_cap)

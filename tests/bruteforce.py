@@ -21,23 +21,31 @@ bipartition or exact r-partition of every subset and intersect the hulls
 of its parts, where `abstract` now asks capture tests, and
 `validate_space_ref` meets every pair of members, where `validate_space`
 meets each member with a few generators.
+
+The `_walk_ref` routines are `setsystems`' block-class walk as it answered
+every r, caps included: `setsystems` now answers r = 2 from the trace set
+alone, and these keep the walk as the r = 2 reference. `min_f_counting_ref`
+recomputes every power for every f, where `min_f_counting` screens each f
+in floats.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, perm
 
 from convexparts.abstract import _hull_mask, _radon_work
-from convexparts.combinat import (check_total, indices_of, mask_of, rgs_partitions,
+from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
+                                  partitions_le_count, rgs_partitions,
                                   rgs_partitions_exact, stirling2)
 from convexparts.constructions import AdversarySweepReport, moment_adversary_instance
-from convexparts.errors import InputError, InternalInvariantError
+from convexparts.errors import CapExceeded, InputError, InternalInvariantError
 from convexparts.geometry import _norm_group, circuit_table
 from convexparts.linprog import REL_EQ, lp_feasible, normalize_rows
 from convexparts.partitions import MeetOracle, SConvexCover, _all_tuples_empty
 from convexparts.rational import ONE, ZERO, Rat
-from convexparts.setsystems import ShatterProfile, ShatterRow, r_shatter_bound
+from convexparts.setsystems import (ShatterProfile, ShatterRow, _classes, _last_row,
+                                    _Traces, r_shatter_bound, sauer_bound)
 
 
 def _norm_row(a, b):
@@ -607,3 +615,76 @@ def _has_tverberg_partition(space, sub, r, hulls) -> bool:
         if common:
             return True
     return False
+
+
+def is_r_shattered_walk_ref(sys, S, r: int, cap: int = 10**6) -> bool:
+    if r < 2:
+        raise InputError("r must be at least 2")
+    mask = mask_of(S, sys.n)
+    size = mask.bit_count()
+    if not size:
+        return True
+    if partitions_le_count(size, r) > cap:
+        raise CapExceeded("r_shatter_classes", cap, partitions_le_count(size, r))
+    traces = _Traces(sys, mask)
+    return all(traces.realizable(blocks, r) for blocks in _classes(mask, r))
+
+
+def r_vc_dim_walk_ref(sys, r: int, cap: int = 10**6) -> int:
+    if r < 2:
+        raise InputError("r must be at least 2")
+    for k in range(sys.n, 0, -1):
+        for combo in itertools.combinations(range(sys.n), k):
+            if is_r_shattered_walk_ref(sys, combo, r, cap=cap):
+                return k
+    return 0
+
+
+def count_realizable_walk_ref(sys, S, r: int, cap: int = 10**6) -> int:
+    if r < 1:
+        raise InputError("r must be at least 1")
+    mask = mask_of(S, sys.n)
+    size = mask.bit_count()
+    if r ** max(size, 1) > cap:
+        raise CapExceeded("count_realizable_orderings", cap, r ** size)
+    if not size:
+        return 1 if sys.edges else 0
+    traces = _Traces(sys, mask)
+    return sum(perm(r, len(blocks)) for blocks in _classes(mask, r)
+               if traces.realizable(blocks, r))
+
+
+def check_r_shatter_walk_ref(sys, r: int, m_max=None, cap: int = 10**6):
+    m_max = _last_row(sys, m_max)
+    t = r_vc_dim_walk_ref(sys, r, cap=cap)
+    check_total("r_shatter_classes_total",
+                (binomial(sys.n, m) * partitions_le_count(m, r)
+                 for m in range(t + 1, m_max + 1)), cap)
+    rows = []
+    for m in range(m_max + 1):
+        if binomial(sys.n, m) > cap:
+            raise CapExceeded("r_shatter_subsets", cap, binomial(sys.n, m))
+        if 1 <= m <= t:
+            if r ** m > cap:
+                raise CapExceeded("count_realizable_orderings", cap, r ** m)
+            computed = r ** m
+        else:
+            computed = max(count_realizable_walk_ref(sys, combo, r, cap=cap)
+                           for combo in itertools.combinations(range(sys.n), m))
+        bound = r_shatter_bound(m, t, r)
+        rows.append(ShatterRow(m, computed, bound, computed <= bound))
+    return ShatterProfile("rvc", t, r, tuple(rows))
+
+
+def min_f_counting_ref(d: int, r: int, f_cap: int = 10**6) -> int:
+    if d < 0:
+        raise InputError("d must be nonnegative")
+    if r < 2:
+        raise InputError("r must be at least 2")
+    f = 1
+    while f <= f_cap:
+        lhs = sauer_bound(f, d) ** r * (r - 1) ** f
+        if lhs < r ** f:
+            return f
+        f += 1
+    raise CapExceeded("min_f_counting", f_cap)

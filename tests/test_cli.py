@@ -4,6 +4,7 @@ trips, byte reproducibility whatever --jobs says, and runs without a pool."""
 import concurrent.futures
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from convexparts.cli import main
 from convexparts.serialize import canonical_bytes
+from convexparts.setsystems import _Traces
 
 SQUARE_DOC = {"dim": 2, "points": [["0", "0"], ["1", "1"], ["1", "0"], ["0", "1"]]}
 TRIANGLE_DOC = {"dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}
@@ -121,6 +123,24 @@ class TestSystemCommands:
         sys_path = put(tmp_path, "system.json", doc)
         code, doc = run_json(capsys, "rvcdim", "--input", sys_path, "--r", 2)
         assert code == 0 and doc["r_vc_dim"] >= 0
+
+    def test_two_part_commands_never_walk_classes(self, capsys, tmp_path, monkeypatch):
+        class ClassWalk(Exception):
+            pass
+
+        def walk(*args):
+            raise ClassWalk
+
+        monkeypatch.setattr(_Traces, "realizable", walk)
+        # intervals on 5 points: r_vc_dim 2 at r = 2, so rows 3..5 are counted
+        edges = [list(range(i, j)) for i in range(5) for j in range(i, 6)]
+        path = put(tmp_path, "system.json", {"n": 5, "edges": edges})
+        for argv in (["rshatter", "--r", "2"], ["rvcdim", "--r", "2"],
+                     ["verify", "rshatter", "--r", "2"]):
+            assert main(argv + ["--input", str(path)]) == 0
+            capsys.readouterr()
+        with pytest.raises(ClassWalk):
+            main(["rshatter", "--r", "3", "--input", str(path)])
 
     def test_shatter_csv_header(self, capsys, tmp_path):
         sq = put(tmp_path, "square.json", SQUARE_DOC)
@@ -422,6 +442,29 @@ class TestInputContract:
         path = put(tmp_path, "system.json", {"n": 3, "edges": [[0], [1, 2], [0, 1, 2]]})
         assert main(argv + ["--input", str(path), "--n", "-3"]) == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["vcdim"],
+        ["shatter", "--n", "2"],
+        ["verify", "sauer", "--n", "2"],
+    ])
+    def test_vc_scan_respects_cap(self, capsys, tmp_path, argv):
+        # 64 edges put the top level at 6: C(100, 6) subsets, far past the cap
+        rng = random.Random(100)
+        edges = [[i for i in range(100) if rng.random() < 0.5] for _ in range(64)]
+        path = put(tmp_path, "system.json", {"n": 100, "edges": edges})
+        assert main(argv + ["--input", str(path)]) == 3
+        assert "vc_subsets" in capsys.readouterr().err
+
+    def test_counting_ceiling_respects_cap(self, capsys, tmp_path):
+        # the ceiling's least f is 37,610 at r = 60 and 24 at r = 3
+        path = put(tmp_path, "system.json", {"n": 1, "edges": [[], [0]]})
+        code, doc = run_json(capsys, "verify", "rshatter", "--input", path,
+                             "--r", 60)
+        assert code == 0 and doc["counting_ceiling"] == 37609
+        assert main(["verify", "rshatter", "--input", str(path), "--r", "3",
+                     "--cap", "10"]) == 3
+        assert "min_f_counting" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_fsearch_needs_a_sample(self, capsys, samples):

@@ -4,12 +4,14 @@ import itertools
 from math import comb
 
 import pytest
-from bruteforce import (check_r_shatter_ref, count_realizable_ref,
-                        is_r_shattered_ref, is_realizable_ref)
+from bruteforce import (check_r_shatter_ref, check_r_shatter_walk_ref,
+                        count_realizable_ref, count_realizable_walk_ref,
+                        is_r_shattered_ref, is_r_shattered_walk_ref, is_realizable_ref,
+                        min_f_counting_ref, r_vc_dim_walk_ref)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convexparts.combinat import mask_of
+from convexparts.combinat import indices_of, mask_of
 from convexparts.errors import CapExceeded, InputError
 from convexparts.rng import CounterRng
 from convexparts.setsystems import (
@@ -300,3 +302,108 @@ def test_many_wildcard_slots_stay_shallow():
                              r_partition((1, 2), [(1, 2)] + [()] * 4999))
     assert is_realizable(set_system(3, [(1,), (2,)]),
                          r_partition((1, 2), [(1,)] + [()] * 4998 + [(2,)]))
+
+
+def _outcome(fn, *args, **kwargs):
+    """The answer, or the (cap name, cap, need) of the cap that stopped it."""
+    try:
+        return fn(*args, **kwargs)
+    except CapExceeded as err:
+        return err.cap_name, err.cap_value, err.needed
+
+
+@st.composite
+def _two_part_cases(draw):
+    """A system on n <= 8 points, a cap, an m_max and a subset S."""
+    n = draw(st.integers(0, 8))
+    edges = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    cap = draw(st.sampled_from([1, 2, 8, 30, 100, 300, 10**6]))
+    m_max = draw(st.none() | st.integers(0, n))
+    base = draw(st.integers(0, (1 << n) - 1))
+    return n, edges, cap, m_max, base
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_two_part_cases())
+@example((0, [], 1, None, 0))                          # empty ground
+@example((4, list(range(16)), 8, None, 0b1111))        # shattered ground at the cap
+@example((4, list(range(16)), 7, 2, 0b0111))           # one class above the cap
+@example((6, [0, 63, 7, 56, 5, 58], 10**6, None, 0b111111))  # complements only
+@example((5, [0, 1, 2, 4, 8, 16], 30, 3, 0b10110))     # singletons and the empty edge
+@example((4, [0, 1, 2, 4, 8, 3, 6, 12], 8, None, 0b0111))  # VC scan past the cap
+def test_two_part_answers_match_the_class_walk(case):
+    # r = 2 reads the trace set; the references walk every block class
+    n, edges, cap, m_max, base = case
+    sys = set_system(n, edges)
+    S = indices_of(base)
+    assert _outcome(r_vc_dim, sys, 2, cap=cap) == _outcome(r_vc_dim_walk_ref, sys, 2, cap=cap)
+    assert (_outcome(check_r_shatter, sys, 2, m_max=m_max, cap=cap)
+            == _outcome(check_r_shatter_walk_ref, sys, 2, m_max=m_max, cap=cap))
+    assert (_outcome(count_realizable, sys, S, 2, cap=cap)
+            == _outcome(count_realizable_walk_ref, sys, S, 2, cap=cap))
+    assert (_outcome(is_r_shattered, sys, S, 2, cap=cap)
+            == _outcome(is_r_shattered_walk_ref, sys, S, 2, cap=cap))
+
+
+def test_two_part_dimension_keeps_its_one_cap():
+    # every subset of at most 2 of 10 points: 56 edges, so the scan starts
+    # at level 5 and visits 252 + 210 + 120 + 45 subsets down to level 2,
+    # more than the cap of 512 = 2^9 classes that r_vc_dim checks; vc_dim
+    # under that cap stops before level 3
+    sys = set_system(10, [c for k in range(3) for c in itertools.combinations(range(10), k)])
+    assert _outcome(vc_dim, sys, cap=512) == ("vc_subsets", 512, 582)
+    assert r_vc_dim(sys, 2, cap=512) == r_vc_dim_walk_ref(sys, 2, cap=512) == 2
+    assert (_outcome(r_vc_dim, sys, 2, cap=511) == _outcome(r_vc_dim_walk_ref, sys, 2, cap=511)
+            == ("r_shatter_classes", 511, 512))
+
+
+def test_vc_subsets_cap_adds_levels_from_the_top():
+    # 11 edges on 10 points: the scan starts at level 3 and finds only
+    # singletons shattered, after C(10, 3) + C(10, 2) + C(10, 1) subsets
+    sys = set_system(10, [()] + [(i,) for i in range(10)])
+    assert vc_dim(sys, cap=175) == vc_dim(sys, cap=None) == 1
+    assert _outcome(vc_dim, sys, cap=174) == ("vc_subsets", 174, 175)
+    # a shattered top level stops the scan after its own C(10, 3) subsets
+    cube = set_system(10, [indices_of(m) for m in range(8)])
+    assert vc_dim(cube, cap=120) == 3
+    assert _outcome(vc_dim, cube, cap=119) == ("vc_subsets", 119, 120)
+    # check_sauer asks vc_dim under the same cap before its first row
+    assert _outcome(check_sauer, sys, m_max=1, cap=174) == ("vc_subsets", 174, 175)
+
+
+# min_f_counting_ref over d = 0..6 (rows) and r = 2..20 (columns), recorded
+# once: the reference recomputes every power for every f, which takes about
+# 100 s over this grid on one core of a 2-CPU x86-64 host
+MIN_F_GRID = {
+    0: [1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1],
+    1: [6, 24, 57, 105, 170, 252, 352, 471, 609, 767,
+        946, 1144, 1364, 1605, 1868, 2153, 2459, 2788, 3140],
+    2: [14, 55, 125, 228, 366, 541, 753, 1004, 1295, 1627,
+        2002, 2419, 2879, 3383, 3933, 4527, 5167, 5854, 6587],
+    3: [22, 86, 196, 355, 567, 836, 1162, 1547, 1994, 2503,
+        3076, 3715, 4419, 5191, 6030, 6939, 7917, 8966, 10086],
+    4: [30, 118, 267, 483, 771, 1134, 1574, 2095, 2698, 3386,
+        4159, 5020, 5970, 7010, 8142, 9367, 10685, 12098, 13607],
+    5: [39, 150, 339, 612, 975, 1433, 1989, 2645, 3406, 4272,
+        5246, 6331, 7527, 8837, 10262, 11804, 13463, 15242, 17140],
+    6: [48, 182, 411, 741, 1180, 1733, 2405, 3197, 4115, 5161,
+        6337, 7645, 9089, 10669, 12388, 14247, 16248, 18393, 20683],
+}
+
+
+def test_min_f_counting_matches_the_reference_grid():
+    assert {d: [min_f_counting(d, r) for r in range(2, 21)] for d in range(7)} == MIN_F_GRID
+    # the grid's cheap entries, recomputed by the reference here
+    for d, row in MIN_F_GRID.items():
+        for r, f in enumerate(row, start=2):
+            if f <= 1000:
+                assert min_f_counting_ref(d, r) == f
+
+
+def test_min_f_counting_cap_outcomes_match_the_reference():
+    for d in range(4):
+        for r in (2, 3, 5):
+            for f_cap in range(0, 60):
+                assert (_outcome(min_f_counting, d, r, f_cap=f_cap)
+                        == _outcome(min_f_counting_ref, d, r, f_cap=f_cap))
