@@ -6,8 +6,11 @@ same bytes plus any certificate files there. Reports are canonical: re-running
 a command with the same flags byte-reproduces every artifact. Every command
 runs in one process.
 
+One flat parser is built per call: a command, a target for `gen` and
+`verify`, and the flags every command shares, in any order.
+
 Exit codes: 0 verified/found, 2 property refuted with a counterexample,
-3 resource cap hit, 4 input error.
+3 resource cap hit, 4 input error (a missing or unknown target included).
 """
 
 from __future__ import annotations
@@ -87,40 +90,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--input")
-    common.add_argument("--d", type=int)
-    common.add_argument("--s", type=int)
-    common.add_argument("--t", type=int)
-    common.add_argument("--r", type=int)
-    common.add_argument("--s-list", dest="s_list")
-    common.add_argument("--n", type=int)
-    common.add_argument("--a")
-    common.add_argument("--b")
-    common.add_argument("--parts")
-    common.add_argument("--sampler", default="random-rational")
-    common.add_argument("--samples", type=int, default=10)
-    common.add_argument("--cap", type=int)
-    common.add_argument("--seed", type=int)
-    # accepted so existing command lines keep parsing; selects nothing
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--out-dir", dest="out_dir")
-
     parser = _Parser(prog="convexparts",
                      description="Exact partition, shattering, and separation "
-                                 "oracles for finite point sets.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ["vcdim", "rvcdim", "shatter", "rshatter", "bound-e31",
-                 "traces", "radon", "tverberg", "separate", "build-separation",
-                 "fsearch", "verify-cert"]:
-        sub.add_parser(name, parents=[common])
-    gen = sub.add_parser("gen", parents=[common])
-    gen.add_argument("target", choices=["moment-curve", "convex-position",
-                                        "periodic", "tight", "copies", "t42"])
-    ver = sub.add_parser("verify", parents=[common])
-    ver.add_argument("target", choices=["t999", "t42", "sauer", "rshatter",
-                                        "f3", "abstract"])
+                                 "oracles for finite point sets.",
+                     epilog="; ".join(f"{command} targets: {', '.join(targets)}"
+                                      for command, targets in _TARGETS.items()))
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("target", nargs="?")
+    parser.add_argument("--input")
+    parser.add_argument("--d", type=int)
+    parser.add_argument("--s", type=int)
+    parser.add_argument("--t", type=int)
+    parser.add_argument("--r", type=int)
+    parser.add_argument("--s-list", dest="s_list")
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--a")
+    parser.add_argument("--b")
+    parser.add_argument("--parts")
+    parser.add_argument("--sampler", default="random-rational")
+    parser.add_argument("--samples", type=int, default=10)
+    parser.add_argument("--cap", type=int)
+    parser.add_argument("--seed", type=int)
+    # accepted so existing command lines keep parsing; selects nothing
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
+    parser.add_argument("--out-dir", dest="out_dir")
     return parser
 
 
@@ -540,6 +534,11 @@ _VERIFY = {"t999": _verify_t999, "t42": _verify_t42, "sauer": _verify_sauer,
            "rshatter": _verify_rshatter, "f3": _verify_f3,
            "abstract": _verify_abstract}
 
+# the commands that take a target, with the targets each one accepts
+_TARGETS = {"gen": ("moment-curve", "convex-position", "periodic", "tight",
+                    "copies", "t42"),
+            "verify": tuple(_VERIFY)}
+
 
 def _cmd_verify(args):
     if args.target not in ("sauer", "rshatter"):
@@ -581,9 +580,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_intermixed_args(argv)
+        targets = _TARGETS.get(args.command, ())
+        if args.target not in (targets or (None,)):
+            raise InputError(f"{args.command} got target {args.target!r}; its "
+                             f"targets: {', '.join(targets) or 'none'}")
         code, text, artifacts = _HANDLERS[args.command](args)
         if args.out_dir is not None:
             out = Path(args.out_dir)

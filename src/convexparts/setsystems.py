@@ -15,7 +15,8 @@ block mask's minimal up-set is therefore computed once per subset and
 shared by all the partitions that have that block.
 
 r-shattering is closed under subsets, so `check_r_shatter` takes the rows
-up to t = r_vc_dim as r^m without enumerating them (see its docstring).
+up to t = r_vc_dim as r^m without enumerating them (see its docstring), and
+`check_sauer` likewise the rows up to the VC dimension as 2^m.
 
 Lemma (r = 2). Let T_S = {e & S} be the traces on S. The ordered
 2-partition (B, S - B) is realizable iff B and S - B are both in T_S.
@@ -172,11 +173,26 @@ def _last_row(sys: SetSystem, m_max: int | None) -> int:
 
 
 def check_sauer(sys: SetSystem, m_max: int | None = None, cap: int = 10**6) -> ShatterProfile:
+    """Audit pi(m) against the Sauer bound, the way `check_r_shatter` audits
+    pi_r(m): rows 1 <= m <= d = vc_dim are 2^m without enumeration, since
+    subsets of a shattered d-set are shattered; they still raise
+    `primal_shatter_subsets` wherever the recount would. The C(n, m)
+    subsets of the rows above d are totalled through cap as
+    `primal_shatter_total` before the first row.
+    """
     m_max = _last_row(sys, m_max)
     d = vc_dim(sys, cap=cap)
+    check_total("primal_shatter_total",
+                (binomial(sys.n, m) for m in range(d + 1, m_max + 1)), cap)
     rows = []
     for m in range(m_max + 1):
-        computed = primal_shatter(sys, m, cap=cap)
+        if 1 <= m <= d:
+            # the check primal_shatter makes
+            if binomial(sys.n, m) > cap:
+                raise CapExceeded("primal_shatter_subsets", cap, binomial(sys.n, m))
+            computed = 1 << m
+        else:
+            computed = primal_shatter(sys, m, cap=cap)
         bound = sauer_bound(m, d)
         rows.append(ShatterRow(m, computed, bound, computed <= bound))
     return ShatterProfile("vc", d, None, tuple(rows))

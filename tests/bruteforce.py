@@ -26,7 +26,11 @@ The `_walk_ref` routines are `setsystems`' block-class walk as it answered
 every r, caps included: `setsystems` now answers r = 2 from the trace set
 alone, and these keep the walk as the r = 2 reference. `min_f_counting_ref`
 recomputes every power for every f, where `min_f_counting` screens each f
-in floats.
+in floats. `check_sauer_ref` recounts every row of the Sauer profile, where
+`check_sauer` takes the rows up to the VC dimension as 2^m.
+
+`nested_parser_ref` is the command line parser as one subparser per
+command, each copying the shared flags; `cli` now builds one flat parser.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import itertools
 from math import comb, perm
 
 from convexparts.abstract import _hull_mask, _radon_work
+from convexparts.cli import _Parser
 from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
                                   partitions_le_count, rgs_partitions,
                                   rgs_partitions_exact, stirling2)
@@ -45,7 +50,8 @@ from convexparts.linprog import REL_EQ, lp_feasible, normalize_rows
 from convexparts.partitions import MeetOracle, SConvexCover, _all_tuples_empty
 from convexparts.rational import ONE, ZERO, Rat
 from convexparts.setsystems import (ShatterProfile, ShatterRow, _classes, _last_row,
-                                    _Traces, r_shatter_bound, sauer_bound)
+                                    _Traces, primal_shatter, r_shatter_bound, sauer_bound,
+                                    vc_dim)
 
 
 def _norm_row(a, b):
@@ -688,3 +694,52 @@ def min_f_counting_ref(d: int, r: int, f_cap: int = 10**6) -> int:
             return f
         f += 1
     raise CapExceeded("min_f_counting", f_cap)
+
+
+def check_sauer_ref(sys, m_max=None, cap: int = 10**6):
+    m_max = _last_row(sys, m_max)
+    d = vc_dim(sys, cap=cap)
+    rows = []
+    for m in range(m_max + 1):
+        computed = primal_shatter(sys, m, cap=cap)
+        bound = sauer_bound(m, d)
+        rows.append(ShatterRow(m, computed, bound, computed <= bound))
+    return ShatterProfile("vc", d, None, tuple(rows))
+
+
+def nested_parser_ref() -> _Parser:
+    common = _Parser(add_help=False)
+    common.add_argument("--input")
+    common.add_argument("--d", type=int)
+    common.add_argument("--s", type=int)
+    common.add_argument("--t", type=int)
+    common.add_argument("--r", type=int)
+    common.add_argument("--s-list", dest="s_list")
+    common.add_argument("--n", type=int)
+    common.add_argument("--a")
+    common.add_argument("--b")
+    common.add_argument("--parts")
+    common.add_argument("--sampler", default="random-rational")
+    common.add_argument("--samples", type=int, default=10)
+    common.add_argument("--cap", type=int)
+    common.add_argument("--seed", type=int)
+    # accepted so existing command lines keep parsing; selects nothing
+    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--format", choices=["json", "csv"], default="json")
+    common.add_argument("--out-dir", dest="out_dir")
+
+    parser = _Parser(prog="convexparts",
+                     description="Exact partition, shattering, and separation "
+                                 "oracles for finite point sets.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ["vcdim", "rvcdim", "shatter", "rshatter", "bound-e31",
+                 "traces", "radon", "tverberg", "separate", "build-separation",
+                 "fsearch", "verify-cert"]:
+        sub.add_parser(name, parents=[common])
+    gen = sub.add_parser("gen", parents=[common])
+    gen.add_argument("target", choices=["moment-curve", "convex-position",
+                                        "periodic", "tight", "copies", "t42"])
+    ver = sub.add_parser("verify", parents=[common])
+    ver.add_argument("target", choices=["t999", "t42", "sauer", "rshatter",
+                                        "f3", "abstract"])
+    return parser

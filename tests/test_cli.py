@@ -1,5 +1,6 @@
-"""End-to-end command tests: exit codes, document shapes, artifact round
-trips, byte reproducibility whatever --jobs says, and runs without a pool."""
+"""End-to-end command tests: the flat parser against the nested reference,
+exit codes, document shapes, artifact round trips, byte reproducibility
+whatever --jobs says, and runs without a pool."""
 
 import concurrent.futures
 import json
@@ -11,10 +12,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from bruteforce import nested_parser_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexparts.cli import main
+from convexparts.cli import _build_parser, main
+from convexparts.errors import InputError
 from convexparts.serialize import canonical_bytes
 from convexparts.setsystems import _Traces
 
@@ -515,6 +518,117 @@ class TestInputContract:
             path = Path(tmp) / "input.json"
             path.write_text(json.dumps(doc))
             assert main(argv + ["--input", str(path), "--cap", "50"]) in {0, 2, 3, 4}
+
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify"], 4),
+        (["gen", "nope"], 4),
+        (["radon", "extra", "--input", "SQUARE", "--s", "1", "--t", "1"], 4),
+        (["gen", "--n", "4", "--d", "2", "moment-curve"], 0),
+    ])
+    def test_targets_keep_the_exit_contract(self, capsys, tmp_path, argv, code):
+        sq = put(tmp_path, "square.json", SQUARE_DOC)
+        argv = [str(sq) if arg == "SQUARE" else arg for arg in argv]
+        assert main(argv) == code
+        capsys.readouterr()
+
+    def test_help_exits_0_and_lists_every_target(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        for target in ["moment-curve", "convex-position", "periodic", "tight",
+                       "copies", "t42", "t999", "sauer", "rshatter", "f3",
+                       "abstract"]:
+            assert target in out
+
+    def test_sauer_profile_total_respects_cap(self, capsys, tmp_path):
+        # 20 points and 64 edges: the rows above the VC dimension hold about
+        # 2^20 subsets under the default cap of 10^6
+        rng = random.Random(100)
+        edges = [[i for i in range(20) if rng.random() < 0.5] for _ in range(64)]
+        path = put(tmp_path, "system.json", {"n": 20, "edges": edges})
+        for argv in (["shatter"], ["verify", "sauer"]):
+            assert main(argv + ["--input", str(path)]) == 3
+            assert "primal_shatter_total" in capsys.readouterr().err
+
+
+# Argv shapes of every command, both target positions of `gen` and `verify`,
+# and the argv of every benchmark op kind
+PARSER_ARGVS = [
+    ["vcdim", "--input", "F"],
+    ["rvcdim", "--input", "F", "--r", "2"],
+    ["shatter", "--input", "F"],
+    ["shatter", "--input", "F", "--n", "3", "--format", "csv"],
+    ["rshatter", "--input", "F", "--r", "3"],
+    ["bound-e31", "--d", "1", "--r", "2"],
+    ["traces", "--input", "F", "--t", "2"],
+    ["traces", "--input", "F", "--s", "2", "--out-dir", "O"],
+    ["radon", "--input", "F", "--s", "2", "--t", "1", "--out-dir", "O"],
+    ["radon", "--input", "F", "--s", "2", "--t", "2", "--jobs", "2"],
+    ["tverberg", "--input", "F", "--r", "4", "--s", "2", "--jobs", "2"],
+    ["tverberg", "--input", "F", "--r", "3", "--s-list", "1,2,1"],
+    ["separate", "--input", "F", "--a", "0,1", "--b", "2,3", "--s", "2",
+     "--t", "1", "--out-dir", "O"],
+    ["build-separation", "--input", "F", "--parts", "0,1;2;3,4", "--s", "2",
+     "--out-dir", "O"],
+    ["build-separation", "--input", "F", "--parts", "0;1", "--s-list", "2,2"],
+    ["fsearch", "--d", "2", "--n", "4", "--samples", "3", "--s", "1", "--t", "1",
+     "--seed", "5", "--sampler", "moment-curve", "--cap", "100"],
+    ["verify-cert", "--input", "F"],
+    ["gen", "moment-curve", "--n", "4", "--d", "2"],
+    ["gen", "--n", "4", "--d", "2", "moment-curve"],
+    ["gen", "copies", "--input", "F", "--s", "2"],
+    ["gen", "--input", "F", "--s", "2", "copies"],
+    ["verify", "t42", "--d", "1", "--s", "5", "--r", "4", "--jobs", "2"],
+    ["verify", "--d", "1", "--s", "5", "--r", "2", "t42"],
+    ["verify", "sauer", "--input", "F", "--format", "csv"],
+    ["verify", "--input", "F", "sauer"],
+    ["verify", "rshatter", "--input", "F", "--r", "2"],
+    ["verify", "abstract", "--input", "F", "--r", "3"],
+    ["verify", "f3", "--n", "-3", "--seed", "2"],
+]
+
+# Argv the nested parser refused
+REJECTED_ARGVS = [
+    [],
+    ["frobnicate"],
+    ["verify"],
+    ["gen"],
+    ["gen", "nope"],
+    ["gen", "nope", "--d", "1", "--s", "3", "--r", "4"],
+    ["verify", "t42", "t999"],
+    ["radon", "extra"],
+    ["radon", "--s", "x"],
+    ["radon", "--bogus", "1"],
+    ["shatter", "--format", "xml"],
+    ["vcdim", "--jobs"],
+    ["bound-e31", "--d", "1", "--r", "2", "--d"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ARGVS)
+    def test_flat_parser_matches_the_nested_reference(self, argv):
+        flat = vars(_build_parser().parse_intermixed_args(argv))
+        if flat["target"] is None:
+            del flat["target"]
+        assert flat == vars(nested_parser_ref().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", REJECTED_ARGVS)
+    def test_argv_the_reference_refuses_exits_4(self, capsys, argv):
+        with pytest.raises(InputError):
+            nested_parser_ref().parse_args(argv)
+        assert main(argv) == 4
+        capsys.readouterr()
+
+    def test_flags_may_precede_the_command(self):
+        # the one argv shape the nested parser refused and this one accepts
+        argv = ["--d", "1", "--s", "3", "--r", "4", "verify", "t42"]
+        with pytest.raises(InputError):
+            nested_parser_ref().parse_args(argv)
+        assert (_build_parser().parse_intermixed_args(argv)
+                == _build_parser().parse_intermixed_args(argv[6:] + argv[:6]))
 
 
 class TestReproducibility:

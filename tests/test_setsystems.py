@@ -4,7 +4,7 @@ import itertools
 from math import comb
 
 import pytest
-from bruteforce import (check_r_shatter_ref, check_r_shatter_walk_ref,
+from bruteforce import (check_r_shatter_ref, check_r_shatter_walk_ref, check_sauer_ref,
                         count_realizable_ref, count_realizable_walk_ref,
                         is_r_shattered_ref, is_r_shattered_walk_ref, is_realizable_ref,
                         min_f_counting_ref, r_vc_dim_walk_ref)
@@ -369,6 +369,38 @@ def test_vc_subsets_cap_adds_levels_from_the_top():
     assert _outcome(vc_dim, cube, cap=119) == ("vc_subsets", 119, 120)
     # check_sauer asks vc_dim under the same cap before its first row
     assert _outcome(check_sauer, sys, m_max=1, cap=174) == ("vc_subsets", 174, 175)
+
+
+@st.composite
+def _sauer_cases(draw):
+    """A system on n <= 9 points, a cap and an m_max."""
+    n = draw(st.integers(0, 9))
+    edges = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    cap = draw(st.sampled_from([1, 2, 8, 30, 100, 300, 10**6]))
+    m_max = draw(st.none() | st.integers(0, n))
+    return n, edges, cap, m_max
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sauer_cases())
+@example((0, [], 1, None))                             # empty ground
+@example((9, list(range(512)), 10**6, None))           # shattered ground: no row recounted
+@example((9, list(range(512)), 100, None))             # row 4 of d = 9 past the cap
+@example((9, [0] + [1 << i for i in range(9)], 200, None))  # d = 1: the rows above sum past it
+@example((9, [0] + [1 << i for i in range(9)], 200, 2))     # d = 1: row 2 alone fits
+def test_sauer_rows_match_the_recount(case):
+    # rows up to the VC dimension are 2^m; the reference recounts each row
+    n, edges, cap, m_max = case
+    sys = set_system(n, edges)
+    got = _outcome(check_sauer, sys, m_max=m_max, cap=cap)
+    d = _outcome(vc_dim, sys, cap=cap)
+    top = n if m_max is None else m_max
+    total = sum(comb(n, m) for m in range(d + 1, top + 1)) if isinstance(d, int) else 0
+    if total > cap:
+        assert got[:2] == ("primal_shatter_total", cap) and cap < got[2] <= total
+    else:
+        assert got == _outcome(check_sauer_ref, sys, m_max=m_max, cap=cap)
+    assert check_sauer(sys, m_max=m_max) == check_sauer_ref(sys, m_max=m_max)
 
 
 # min_f_counting_ref over d = 0..6 (rows) and r = 2..20 (columns), recorded
