@@ -7,7 +7,8 @@ a command with the same flags byte-reproduces every artifact. Every command
 runs in one process.
 
 One flat parser is built per call: a command, a target for `gen` and
-`verify`, and the flags every command shares, in any order.
+`verify`, and the flags every command shares, in any order. Each command
+imports what it runs, inside its handler, so a process loads only those modules.
 
 Exit codes: 0 verified/found, 2 property refuted with a counterexample,
 3 resource cap hit, 4 input error (a missing or unknown target included).
@@ -20,64 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .abstract import (
-    check_member_pairs,
-    halfspaces as abstract_halfspaces,
-    is_separable,
-    radon_number,
-    tverberg_number,
-    validate_space,
-)
-from .constructions import (
-    convex_position,
-    halfspace_4coloring,
-    moment_adversary_exhaustive,
-    moment_adversary_instance,
-    moment_adversary_size,
-    moment_curve,
-    moment_curve_bits,
-    periodic_coloring,
-    periodic_cover_size,
-    translated_copies,
-    tverberg_tight_instance,
-    verify_periodic_line_cover,
-)
 from .errors import CapExceeded, InputError
-from .geometry import point_set
-from .partitions import (
-    build_r_separation,
-    f_search,
-    good_radon_partition,
-    good_tverberg_partition,
-    joint_cover_empty,
-    st_separability_report,
-    st_separable,
-)
-from .ranges import halfspace_traces, intersect_close, union_close
-from .rng import CounterRng
-from .serialize import (
-    canonical_bytes,
-    canonical_text,
-    check_certificate,
-    empty_intersection_data,
-    good_partition_data,
-    point_set_data,
-    point_set_from_data,
-    r_separation_data,
-    separation_data,
-    set_system_data,
-    set_system_from_data,
-    shatter_profile_csv,
-    shatter_profile_data,
-    space_from_data,
-)
-from .setsystems import (
-    check_r_shatter,
-    check_sauer,
-    min_f_counting,
-    r_vc_dim,
-    vc_dim,
-)
 
 DEFAULT_CAP = 10**6
 
@@ -124,14 +68,21 @@ def _load_json(path):
     if path is None:
         raise InputError("this subcommand needs --input")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InputError("JSON input is nested too deeply") from None
 
 
 def _load_points(path):
+    from .serialize import point_set_from_data
+
     return point_set_from_data(_load_json(path))
 
 
 def _load_system(path):
+    from .serialize import set_system_from_data
+
     data = _load_json(path)
     if isinstance(data, dict) and "points" in data and "edges" not in data:
         raise InputError("this subcommand consumes a set system; "
@@ -181,6 +132,8 @@ def _json_only(args):
 
 def _profile_out(args, doc, profile, extra=None):
     """Report text honoring --format, plus the CSV profile artifact."""
+    from .serialize import canonical_bytes, canonical_text, shatter_profile_csv
+
     csv_text = shatter_profile_csv(profile)
     text = csv_text if args.format == "csv" else canonical_text(doc)
     artifacts = [("report.json", canonical_bytes(doc)),
@@ -193,6 +146,9 @@ def _profile_out(args, doc, profile, extra=None):
 # ----------------------------------------------------------------- dimensions
 
 def _cmd_vcdim(args):
+    from .serialize import canonical_bytes, canonical_text
+    from .setsystems import vc_dim
+
     _json_only(args)
     system = _load_system(args.input)
     doc = {"subcommand": "vcdim", "n": system.n, "edge_count": len(system),
@@ -201,6 +157,9 @@ def _cmd_vcdim(args):
 
 
 def _cmd_rvcdim(args):
+    from .serialize import canonical_bytes, canonical_text
+    from .setsystems import r_vc_dim
+
     _json_only(args)
     _require(args, "r")
     system = _load_system(args.input)
@@ -210,6 +169,9 @@ def _cmd_rvcdim(args):
 
 
 def _cmd_shatter(args):
+    from .serialize import shatter_profile_data
+    from .setsystems import check_sauer
+
     system = _load_system(args.input)
     profile = check_sauer(system, m_max=args.n, cap=_cap(args))
     doc = {"subcommand": "shatter", **shatter_profile_data(profile)}
@@ -218,6 +180,9 @@ def _cmd_shatter(args):
 
 
 def _cmd_rshatter(args):
+    from .serialize import shatter_profile_data
+    from .setsystems import check_r_shatter
+
     _require(args, "r")
     system = _load_system(args.input)
     profile = check_r_shatter(system, args.r, m_max=args.n, cap=_cap(args))
@@ -227,6 +192,9 @@ def _cmd_rshatter(args):
 
 
 def _cmd_bound_e31(args):
+    from .serialize import canonical_bytes
+    from .setsystems import min_f_counting
+
     _json_only(args)
     _require(args, "d", "r")
     value = min_f_counting(args.d, args.r, f_cap=_cap(args))
@@ -235,6 +203,9 @@ def _cmd_bound_e31(args):
 
 
 def _cmd_traces(args):
+    from .ranges import halfspace_traces, intersect_close, union_close
+    from .serialize import canonical_bytes, canonical_text, set_system_data
+
     _json_only(args)
     ps = _load_points(args.input)
     family = halfspace_traces(ps)
@@ -250,6 +221,9 @@ def _cmd_traces(args):
 # ------------------------------------------------------------------ searches
 
 def _cmd_radon(args):
+    from .partitions import good_radon_partition
+    from .serialize import canonical_bytes, canonical_text, good_partition_data
+
     _json_only(args)
     _require(args, "s", "t")
     ps = _load_points(args.input)
@@ -269,6 +243,9 @@ def _cmd_radon(args):
 
 
 def _cmd_tverberg(args):
+    from .partitions import good_tverberg_partition
+    from .serialize import canonical_bytes, canonical_text, good_partition_data
+
     _json_only(args)
     _require(args, "r")
     ps = _load_points(args.input)
@@ -292,6 +269,9 @@ def _cmd_tverberg(args):
 
 
 def _cmd_separate(args):
+    from .partitions import st_separability_report
+    from .serialize import canonical_bytes, canonical_text, separation_data
+
     _json_only(args)
     _require(args, "s", "t")
     ps = _load_points(args.input)
@@ -310,6 +290,10 @@ def _cmd_separate(args):
 
 
 def _cmd_build_separation(args):
+    from .partitions import build_r_separation, joint_cover_empty
+    from .serialize import (canonical_bytes, canonical_text,
+                            empty_intersection_data, r_separation_data)
+
     _json_only(args)
     ps = _load_points(args.input)
     parts = _part_lists(args.parts, "--parts")
@@ -339,6 +323,10 @@ def _cmd_build_separation(args):
 
 
 def _cmd_fsearch(args):
+    from .partitions import f_search
+    from .serialize import (canonical_bytes, canonical_text, good_partition_data,
+                            point_set_data)
+
     _json_only(args)
     _require(args, "d", "n")
     points = _load_points(args.input) if args.input is not None else None
@@ -369,6 +357,12 @@ def _cmd_fsearch(args):
 # ---------------------------------------------------------------- generators
 
 def _cmd_gen(args):
+    from .constructions import (convex_position, moment_adversary_instance,
+                                moment_curve, moment_curve_bits, periodic_coloring,
+                                translated_copies, tverberg_tight_instance)
+    from .rng import CounterRng
+    from .serialize import canonical_bytes, canonical_text, point_set_data
+
     _json_only(args)
     target = args.target
     if target == "moment-curve":
@@ -419,6 +413,8 @@ def _cmd_gen(args):
 # ----------------------------------------------------------------- verifiers
 
 def _verify_t999(args):
+    from .constructions import periodic_cover_size, verify_periodic_line_cover
+
     _require(args, "r", "s")
     _check_size(args, "t999_points", periodic_cover_size(args.r, args.s, args.n))
     report = verify_periodic_line_cover(args.r, args.s, n=args.n, cap=_cap(args))
@@ -435,6 +431,8 @@ def _verify_t999(args):
 def _t42_points(args):
     """Point count of the t42 instance; its coordinate count and bit size
     are checked against --cap."""
+    from .constructions import moment_adversary_size, moment_curve_bits
+
     _require(args, "d", "s", "r")
     m, p = moment_adversary_size(args.d, args.s, args.r)
     _check_size(args, "t42_coordinates", m * p * args.d)
@@ -443,6 +441,8 @@ def _t42_points(args):
 
 
 def _verify_t42(args):
+    from .constructions import moment_adversary_exhaustive
+
     # r >= 2, so a power past the cap's bit length already exceeds it
     n = min(_t42_points(args), _cap(args).bit_length() + 1)
     _check_size(args, "t42_colorings", args.r ** n)
@@ -457,6 +457,9 @@ def _verify_t42(args):
 
 
 def _verify_sauer(args):
+    from .serialize import shatter_profile_csv, shatter_profile_data
+    from .setsystems import check_sauer
+
     system = _load_system(args.input)
     profile = check_sauer(system, m_max=args.n, cap=_cap(args))
     doc = {"subcommand": "verify", "target": "sauer",
@@ -466,6 +469,9 @@ def _verify_sauer(args):
 
 
 def _verify_rshatter(args):
+    from .serialize import shatter_profile_csv, shatter_profile_data
+    from .setsystems import check_r_shatter, min_f_counting, vc_dim
+
     _require(args, "r")
     system = _load_system(args.input)
     profile = check_r_shatter(system, args.r, m_max=args.n, cap=_cap(args))
@@ -481,6 +487,12 @@ def _verify_rshatter(args):
 
 
 def _verify_f3(args):
+    from .constructions import halfspace_4coloring
+    from .geometry import point_set
+    from .partitions import st_separable
+    from .rng import CounterRng
+    from .serialize import canonical_bytes, separation_data
+
     if args.input is not None:
         ps = _load_points(args.input)
     else:
@@ -511,6 +523,11 @@ def _verify_f3(args):
 
 
 def _verify_abstract(args):
+    from .abstract import (check_member_pairs, halfspaces, is_separable,
+                           radon_number, tverberg_number, validate_space)
+    from .serialize import space_from_data
+    from .setsystems import vc_dim
+
     data = _load_json(args.input)
     space = space_from_data(data)
     cap = _cap(args)
@@ -526,7 +543,7 @@ def _verify_abstract(args):
         separable, pair = is_separable(space, cap=cap)
         doc["separable"] = separable
         doc["first_inseparable"] = None if pair is None else [list(m) for m in pair]
-        doc["halfspace_vc"] = vc_dim(abstract_halfspaces(space), cap=cap)
+        doc["halfspace_vc"] = vc_dim(halfspaces(space), cap=cap)
     return (0 if ok else 2), doc, []
 
 
@@ -541,6 +558,8 @@ _TARGETS = {"gen": ("moment-curve", "convex-position", "periodic", "tight",
 
 
 def _cmd_verify(args):
+    from .serialize import canonical_bytes, canonical_text
+
     if args.target not in ("sauer", "rshatter"):
         _json_only(args)
     code, doc, artifacts = _VERIFY[args.target](args)
@@ -553,6 +572,8 @@ def _cmd_verify(args):
 
 
 def _cmd_verify_cert(args):
+    from .serialize import canonical_bytes, canonical_text, check_certificate
+
     _json_only(args)
     data = _load_json(args.input)
     ok, schema = check_certificate(data)

@@ -36,19 +36,28 @@ def indices_of(mask: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _stirling_row(n: int, kmax: int) -> tuple:
+    """S(n, k) for k = 0..kmax, built row by row from
+    S(m, k) = k S(m-1, k) + S(m-1, k-1) in a loop, so any n works."""
+    row = [1] + [0] * kmax
+    for m in range(1, n + 1):
+        for k in range(min(m, kmax), 0, -1):
+            row[k] = k * row[k] + row[k - 1]
+        row[0] = 0
+    return tuple(row)
+
+
 def stirling2(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
+    if k < 0 or k > n:
         return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _stirling_row(n, k)[k]
 
 
 def partitions_le_count(n: int, kmax: int) -> int:
     """Partitions of an n-set into at most kmax nonempty blocks (1 when n=0)."""
     if n == 0:
         return 1
-    return sum(stirling2(n, k) for k in range(1, min(n, kmax) + 1))
+    return sum(_stirling_row(n, max(0, min(n, kmax)))[1:])
 
 
 def rgs_partitions(items, max_blocks: int, min_blocks: int = 0):

@@ -5,6 +5,8 @@ Canonical bytes (sorted keys, fixed indentation, one trailing newline) make
 independent runs byte-comparable. Every certificate document carries a
 "schema" tag of the form name/version; check_certificate dispatches on it and
 re-verifies the claim from scratch using only the kernel predicates.
+Each codec imports the domain module whose objects it builds or reads, so
+canonical_bytes and canonical_text load nothing beyond this module.
 """
 
 from __future__ import annotations
@@ -13,28 +15,8 @@ import csv
 import io
 import json
 
-from .abstract import (
-    AbstractGoodPartition,
-    ConvexitySpace,
-    abstract_separable,
-    convexity_space,
-)
 from .errors import InputError
-from .geometry import Hyperplane, PointSet, _norm_group, make_hyperplane, point_set
-from .partitions import (
-    EmptyIntersectionCertificate,
-    GoodPartitionCertificate,
-    PolyhedralSeparation,
-    SConvexCover,
-    SeparationCertificate,
-    TupleWitness,
-    verify_empty_intersection,
-    verify_good_partition,
-    verify_r_separation,
-    verify_separation,
-)
 from .rational import parse_rat, rat_str
-from .setsystems import SetSystem, ShatterProfile, set_system
 
 
 def canonical_bytes(data) -> bytes:
@@ -100,6 +82,8 @@ def _coord(value):
 
 
 def point_set_from_data(data) -> PointSet:
+    from .geometry import point_set
+
     pts = [[_coord(c) for c in _list(row, "a point")]
            for row in _items(data, "points", "point set")]
     labels = data.get("labels")
@@ -119,6 +103,8 @@ def set_system_data(sys: SetSystem, meta: str | None = None) -> dict:
 
 
 def set_system_from_data(data) -> SetSystem:
+    from .setsystems import set_system
+
     return set_system(_int(_need(data, "n", "set system"), "n"),
                       _index_lists(_need(data, "edges", "set system"), "edges"))
 
@@ -130,6 +116,8 @@ def space_data(space: ConvexitySpace) -> dict:
 
 
 def space_from_data(data) -> ConvexitySpace:
+    from .abstract import convexity_space
+
     return convexity_space(_int(_need(data, "n", "convexity space"), "n"),
                            _index_lists(_need(data, "family", "convexity space"),
                                         "family"))
@@ -172,6 +160,8 @@ def hyperplane_data(h: Hyperplane) -> dict:
 
 
 def hyperplane_from_data(data) -> Hyperplane:
+    from .geometry import make_hyperplane
+
     return make_hyperplane([_coord(c) for c in _items(data, "normal", "hyperplane")],
                            _coord(_need(data, "offset", "hyperplane")))
 
@@ -181,6 +171,8 @@ def _groups_data(groups) -> list:
 
 
 def _groups_from_data(ps, rows) -> tuple:
+    from .geometry import _norm_group
+
     return tuple(_norm_group(ps, g) for g in _index_lists(rows, "groups"))
 
 
@@ -207,6 +199,8 @@ def separation_data(cert: SeparationCertificate) -> dict:
 
 
 def separation_from_data(data) -> SeparationCertificate:
+    from .partitions import SeparationCertificate
+
     ps = point_set_from_data(_need(data, "points", "separation"))
     return SeparationCertificate(
         ps,
@@ -227,6 +221,8 @@ def empty_intersection_data(cert: EmptyIntersectionCertificate) -> dict:
 
 
 def empty_intersection_from_data(data) -> EmptyIntersectionCertificate:
+    from .partitions import EmptyIntersectionCertificate, SConvexCover, TupleWitness
+
     ps = point_set_from_data(_need(data, "points", "empty intersection"))
     covers = tuple(SConvexCover(ps, _groups_from_data(ps, rows))
                    for rows in _items(data, "covers", "empty intersection"))
@@ -252,6 +248,8 @@ def good_partition_data(ps: PointSet, cert: GoodPartitionCertificate) -> dict:
 
 
 def good_partition_from_data(data):
+    from .partitions import GoodPartitionCertificate
+
     ps = point_set_from_data(_need(data, "points", "good partition"))
     params = _need(data, "params", "good partition")
     if not isinstance(params, dict):
@@ -280,6 +278,8 @@ def r_separation_data(sep: PolyhedralSeparation) -> dict:
 
 
 def r_separation_from_data(data):
+    from .partitions import PolyhedralSeparation, SConvexCover
+
     ps = point_set_from_data(_need(data, "points", "r-separation"))
     covers = tuple(SConvexCover(ps, _groups_from_data(ps, rows))
                    for rows in _items(data, "covers", "r-separation"))
@@ -310,6 +310,8 @@ def abstract_partition_data(space: ConvexitySpace, subset,
 # ----------------------------------------------------------------- re-checker
 
 def _check_abstract_partition(data) -> bool:
+    from .abstract import abstract_separable
+
     space = space_from_data(_need(data, "space", "abstract partition"))
     a, b = _index_lists(_need(data, "partition", "abstract partition"), "partition")
     subset = tuple(sorted(_ints(_need(data, "subset", "abstract partition"), "subset")))
@@ -324,13 +326,17 @@ def check_certificate(data) -> tuple:
     """(ok, schema) after re-deriving the certified claim from its inputs."""
     schema = _need(data, "schema", "certificate")
     if schema == SEPARATION_SCHEMA:
+        from .partitions import verify_separation
         return verify_separation(separation_from_data(data)), schema
     if schema == EMPTY_INTERSECTION_SCHEMA:
+        from .partitions import verify_empty_intersection
         return verify_empty_intersection(empty_intersection_from_data(data)), schema
     if schema == R_SEPARATION_SCHEMA:
+        from .partitions import verify_r_separation
         ps, sep = r_separation_from_data(data)
         return verify_r_separation(ps, sep), schema
     if schema == GOOD_PARTITION_SCHEMA:
+        from .partitions import verify_good_partition
         return verify_good_partition(*good_partition_from_data(data)), schema
     if schema == ABSTRACT_PARTITION_SCHEMA:
         return _check_abstract_partition(data), schema

@@ -31,11 +31,14 @@ in floats. `check_sauer_ref` recounts every row of the Sauer profile, where
 
 `nested_parser_ref` is the command line parser as one subparser per
 command, each copying the shared flags; `cli` now builds one flat parser.
+`stirling2_ref` is the recursion S(n, k) = k S(n-1, k) + S(n-1, k-1) of
+depth n, which `combinat` replaced by a loop over the rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb, perm
 
 from convexparts.abstract import _hull_mask, _radon_work
@@ -743,3 +746,12 @@ def nested_parser_ref() -> _Parser:
     ver.add_argument("target", choices=["t999", "t42", "sauer", "rshatter",
                                         "f3", "abstract"])
     return parser
+
+
+@lru_cache(maxsize=None)
+def stirling2_ref(n: int, k: int) -> int:
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2_ref(n - 1, k) + stirling2_ref(n - 1, k - 1)

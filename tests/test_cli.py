@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexparts.cli import _build_parser, main
-from convexparts.errors import InputError
+from convexparts.errors import CapExceeded, InputError
 from convexparts.serialize import canonical_bytes
 from convexparts.setsystems import _Traces
 
@@ -552,6 +552,41 @@ class TestInputContract:
             assert main(argv + ["--input", str(path)]) == 3
             assert "primal_shatter_total" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, cap_name", [
+        (["rvcdim", "--r", "2"], "r_shatter_classes"),
+        (["rshatter", "--r", "3"], "r_shatter_classes"),
+        (["verify", "rshatter", "--r", "3"], "r_shatter_classes"),
+        (["tverberg", "--r", "3", "--s", "1"], "tverberg_partitions"),
+    ])
+    def test_partition_counts_of_large_inputs_exit_3(self, capsys, tmp_path,
+                                                      argv, cap_name):
+        # S(n, k) was a recursion n frames deep: these exited 1 on RecursionError
+        if argv[0] == "tverberg":
+            doc = {"dim": 1, "points": [[str(i)] for i in range(700)]}
+        else:
+            doc = {"n": 1000, "edges": [[0]]}
+        path = put(tmp_path, "input.json", doc)
+        assert main(argv + ["--input", str(path)]) == 3
+        assert cap_name in capsys.readouterr().err
+
+    def test_cap_need_past_the_int_print_limit_exits_3(self, capsys, tmp_path):
+        # 2^20000 - 2 bipartitions have 6,021 digits, past Python's 4,300
+        doc = {"dim": 1, "points": [[str(i)] for i in range(20000)]}
+        path = put(tmp_path, "points.json", doc)
+        assert main(["radon", "--input", str(path), "--s", "2", "--t", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "radon_bipartitions" in err and "about 2^19999" in err
+        assert CapExceeded("radon_bipartitions", 1, (1 << 20000) - 2).needed == (1 << 20000) - 2
+
+    @pytest.mark.parametrize("text", ["[" * 100000, "[" * 100000 + "]" * 100000],
+                             ids=["unclosed", "closed"])
+    def test_deeply_nested_json_exits_4(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        for argv in INPUT_COMMANDS.values():
+            assert main(argv + ["--input", str(path)]) == 4
+            assert "nested too deeply" in capsys.readouterr().err
+
 
 # Argv shapes of every command, both target positions of `gen` and `verify`,
 # and the argv of every benchmark op kind
@@ -712,3 +747,45 @@ class TestConsoleScript:
             [sys.executable, "-m", "convexparts", "verify", "abstract"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 4 and "needs --input" in proc.stderr
+
+
+def _modules_after(*code):
+    """The convexparts modules a fresh interpreter holds after running code."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "\n".join(code + (
+        "import json, sys",
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('convexparts'))))"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestColdStart:
+    """Each command imports only the modules it runs."""
+
+    def test_bound_e31_loads_the_set_system_modules_only(self):
+        loaded = _modules_after("from convexparts.cli import main",
+                                "main(['bound-e31', '--d', '1', '--r', '2'])")
+        assert loaded == {"convexparts", "convexparts.cli", "convexparts.errors",
+                          "convexparts.combinat", "convexparts.setsystems",
+                          "convexparts.serialize", "convexparts.rational"}
+
+    def test_radon_loads_no_set_system_modules(self, tmp_path):
+        path = put(tmp_path, "square.json", SQUARE_DOC)
+        loaded = _modules_after(
+            "from convexparts.cli import main",
+            f"main(['radon', '--input', {str(path)!r}, '--s', '1', '--t', '1'])")
+        assert not loaded & {"convexparts.setsystems", "convexparts.abstract",
+                             "convexparts.constructions", "convexparts.ranges",
+                             "convexparts.rng"}
+        assert {"convexparts.partitions", "convexparts.geometry",
+                "convexparts.linprog"} <= loaded
+
+    @pytest.mark.parametrize("module", sorted(
+        p.stem for p in (Path(__file__).resolve().parents[1] / "src" / "convexparts").glob("*.py")
+        if p.stem != "__main__"))
+    def test_every_module_imports_alone(self, module):
+        assert f"convexparts.{module}" in _modules_after(f"import convexparts.{module}")
+

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import convexparts.geometry as geometry
 from bruteforce import (distinct_rand_point_set, geometric_space_ref,
                         halfspace_traces_ref, in_hull, rgs_partitions_exact_ref,
-                        segments_meet)
+                        segments_meet, stirling2_ref)
 from convexparts.abstract import geometric_space
 from convexparts.combinat import mask_of, partitions_le_count, rgs_partitions_exact, stirling2
 from convexparts.errors import CapExceeded, InputError, PreconditionFailed
@@ -182,6 +182,22 @@ def test_exact_partitions_near_the_item_count_are_walked_directly():
     # 20 items into at most 18 blocks are about 5.2e13 partitions; the
     # pruned walk reaches only the S(20, 18) with exactly 18
     assert sum(1 for _ in rgs_partitions_exact(range(20), 18)) == stirling2(20, 18) == 15675
+
+
+def test_stirling_numbers_match_the_recursive_reference():
+    for n in range(61):
+        for k in range(n + 1):
+            assert stirling2(n, k) == stirling2_ref(n, k)
+        for kmax in range(n + 2):
+            assert partitions_le_count(n, kmax) == (
+                1 if n == 0 else sum(stirling2_ref(n, k) for k in range(1, min(n, kmax) + 1)))
+
+
+def test_stirling_numbers_of_large_sets_need_no_recursion():
+    # the reference recursion is n frames deep and fails well before n = 1000
+    assert stirling2(1000, 2) == 2 ** 999 - 1
+    assert partitions_le_count(600, 2) == 2 ** 599
+    assert stirling2(700, 700) == stirling2(700, 1) == 1
 
 
 def test_tverberg_search_on_hexagon_with_center():
