@@ -16,15 +16,18 @@ jointly empty intersection: a counting argument keeps the greedy from
 stalling, and floor(d/2)-neighborliness makes each single-interval piece
 avoid the other covers. Both facts are checked per run, never assumed.
 
-One step function, _interval_step, makes the greedy pick for an interval
-and extends every color's cover by it. A single coloring folds it over its
-intervals and returns a Farkas certificate. The sweep over every coloring
-walks the colorings one interval at a time, depth first, so the greedy and
-the covers of each prefix are built once for all its completions; at each
-coloring it runs the same structural checks, _check_structure, on the
-finished covers and asks the same exact predicate for a verdict only, in
-one process, with its pair questions answered from the instance's circuit
-table.
+A color's finished cover depends only on its class and the intervals the
+greedy picked for it: its points in each picked interval, plus one group per
+maximal run of intervals not picked for it. _interval_step makes the greedy
+pick for one interval, _cover builds one color's cover from its class and
+picks as masks, and _check_structure checks that cover. A single coloring
+runs the greedy over its intervals, builds and checks each color's cover and
+returns a Farkas certificate. The sweep over every coloring walks the
+colorings one interval at a time, depth first, carrying only each prefix's
+class and pick masks; it builds and checks each distinct (color, class,
+picks) cover once, the first time it appears, and asks the same exact
+predicate for one verdict per coloring, in one process, with its pair
+questions answered from the instance's circuit table.
 """
 
 from __future__ import annotations
@@ -139,88 +142,104 @@ def _check_coloring(inst: MomentAdversaryInstance, coloring) -> tuple:
 
 
 def _split_interval(inst: MomentAdversaryInstance, q: int, local) -> tuple:
-    """Interval q's points of each color, as sorted index tuples, and their
-    masks; local holds the colors of the interval's m points in order."""
+    """Interval q's points of each color as a mask; local holds the colors
+    of the interval's m points in order."""
     start = q * inst.m
-    parts = tuple(tuple(start + k for k, c in enumerate(local) if c == color)
-                  for color in range(inst.r))
-    return parts, tuple(sum(1 << i for i in part) for part in parts)
+    return tuple(sum(1 << (start + k) for k, c in enumerate(local) if c == color)
+                 for color in range(inst.r))
 
 
-def _start(inst: MomentAdversaryInstance) -> tuple:
-    """The adversary before any interval: no color chosen, every cover and
-    every color class empty. The state that _interval_step extends."""
-    return (0,) * inst.r, (((), ()),) * inst.r, (0,) * inst.r
+def _interval_step(inst: MomentAdversaryInstance, q: int, masks, picked) -> int:
+    """The greedy's pick for interval q, the lowest eligible color.
 
-
-def _interval_step(inst: MomentAdversaryInstance, q: int, parts, times,
-                   covers) -> tuple:
-    """Extend the adversary from intervals 0..q-1 to interval q.
-
-    parts holds interval q's points of each color, times how often each
-    color was chosen before q, and covers each color's cover so far as
-    (closed groups, open run). The pick is the lowest eligible color (see
-    choose_interval_colors). For it, the open run closes as a group and its
-    own points in q form one more; every other color's points in q join
-    its run. Returns (pick, times, covers) after q as new tuples, so a walk
-    can extend one prefix in every way.
+    masks holds interval q's points of each color and picked the intervals
+    chosen for each color before q, both as masks. Eligible: at most
+    floor(d/2) of the interval's points carry the color, and the color was
+    chosen fewer than floor((s-1)/2) times before. Counting keeps this
+    nonempty: at least r/2 colors meet the first condition, while fewer
+    than r/2 can be at quota.
     """
     cap = inst.d // 2
     quota = (inst.s - 1) // 2
-    pick = next((c for c in range(inst.r)
-                 if len(parts[c]) <= cap and times[c] < quota), None)
-    if pick is None:
+    for color in range(inst.r):
+        if masks[color].bit_count() <= cap and picked[color].bit_count() < quota:
+            return color
+    raise InternalInvariantError(
+        f"no eligible color in interval {q}; the counting bound failed")
+
+
+def _cover(inst: MomentAdversaryInstance, class_mask: int,
+           picked_mask: int) -> tuple:
+    """One color's cover as sorted index tuples, in interval order: its
+    points inside each interval picked for it, plus one group per maximal
+    run of intervals not picked for it.
+
+    Pieces without any point of the color are dropped; a color with no
+    points at all gets no groups, which is the empty set. The group count
+    never exceeds 2*floor((s-1)/2)+1 <= s.
+    """
+    groups = []
+    run = ()
+    for q in range(inst.p):
+        mine = tuple(i for i in range(q * inst.m, (q + 1) * inst.m)
+                     if class_mask >> i & 1)
+        if picked_mask >> q & 1:
+            groups += [g for g in (run, mine) if g]
+            run = ()
+        else:
+            run += mine
+    return tuple(groups) + ((run,) if run else ())
+
+
+def _check_structure(inst: MomentAdversaryInstance, color: int,
+                     class_mask: int, picked_mask: int, groups) -> None:
+    """The structural checks of one color's cover, single coloring or sweep.
+
+    class_mask holds the color's points, read off the coloring, not off the
+    groups, and picked_mask the intervals the greedy chose for the color.
+    The cover has at most s groups, covers exactly its color class, and
+    its pieces inside one interval chosen for its color hold at most
+    floor(d/2) points.
+    """
+    if len(groups) > inst.s:
         raise InternalInvariantError(
-            f"no eligible color in interval {q}; the counting bound failed")
-    times = times[:pick] + (times[pick] + 1,) + times[pick + 1:]
-    covers = tuple([
-        (closed + ((run,) if run else ()) + ((mine,) if mine else ()), ())
-        if color == pick else (closed, run + mine)
-        for color, ((closed, run), mine) in enumerate(zip(covers, parts))])
-    return pick, times, covers
-
-
-def _closed_covers(covers) -> tuple:
-    """Each color's groups once every interval is stepped: its closed
-    groups plus its open run, if any."""
-    return tuple([closed + (run,) if run else closed for closed, run in covers])
+            f"cover {color} uses {len(groups)} groups, allowed {inst.s}")
+    cap = inst.d // 2
+    covered = 0
+    too_large = False
+    for g in groups:
+        mask = 0
+        for i in g:
+            mask |= 1 << i
+        covered |= mask
+        # g lies in one interval iff no point lies past the interval of its
+        # lowest point
+        q = inst.interval_index[(mask & -mask).bit_length() - 1]
+        too_large |= (len(g) > cap and picked_mask >> q & 1 == 1
+                      and not mask >> (q + 1) * inst.m)
+    if covered != class_mask:
+        raise InternalInvariantError(f"cover {color} misses points of its color")
+    if too_large:
+        raise InternalInvariantError("single-interval piece too large")
 
 
 def _adversary(inst: MomentAdversaryInstance, coloring) -> tuple:
-    """(chosen, groups per color, color-class masks) of one checked
-    coloring: _interval_step folded over its intervals."""
-    times, covers, classes = _start(inst)
+    """(chosen, class masks, picked masks, groups) of one checked coloring:
+    the greedy pick per interval, then each color's cover from its class
+    and picks, structurally checked."""
+    classes = [0] * inst.r
+    picked = [0] * inst.r
     chosen = ()
     for q in range(inst.p):
-        parts, masks = _split_interval(
-            inst, q, coloring[q * inst.m:(q + 1) * inst.m])
-        pick, times, covers = _interval_step(inst, q, parts, times, covers)
+        masks = _split_interval(inst, q, coloring[q * inst.m:(q + 1) * inst.m])
+        pick = _interval_step(inst, q, masks, picked)
+        picked[pick] |= 1 << q
         chosen += (pick,)
-        classes = tuple(a | b for a, b in zip(classes, masks))
-    return chosen, _closed_covers(covers), classes
-
-
-def choose_interval_colors(inst: MomentAdversaryInstance, coloring) -> tuple:
-    """Greedy per-interval color choice, lowest eligible color first.
-
-    Eligible in an interval: at most floor(d/2) of its m points carry the
-    color, and the color was chosen fewer than floor((s-1)/2) times before.
-    Counting keeps this nonempty: at least r/2 colors meet the first
-    condition, while fewer than r/2 can be at quota.
-    """
-    return _adversary(inst, _check_coloring(inst, coloring))[0]
-
-
-def adversary_covers(inst: MomentAdversaryInstance, coloring) -> tuple:
-    """One cover per color: its points inside each interval chosen for it,
-    plus one hull per maximal run of intervals not chosen for it.
-
-    Pieces without any point of the color are dropped; a color with no
-    points at all gets a cover with no groups, which is the empty set. The
-    group count never exceeds 2*floor((s-1)/2)+1 <= s.
-    """
-    groups = _adversary(inst, _check_coloring(inst, coloring))[1]
-    return tuple(SConvexCover(inst.points, g) for g in groups)
+        classes = [a | b for a, b in zip(classes, masks)]
+    groups = tuple(_cover(inst, a, b) for a, b in zip(classes, picked))
+    for color, cover in enumerate(groups):
+        _check_structure(inst, color, classes[color], picked[color], cover)
+    return chosen, tuple(classes), tuple(picked), groups
 
 
 @dataclass(frozen=True)
@@ -236,42 +255,6 @@ class AdversaryReport:
     max_groups: int
 
 
-def _check_structure(inst: MomentAdversaryInstance, classes, chosen,
-                     groups) -> int:
-    """The structural checks of every adversary run, single coloring or
-    sweep; returns the largest group count.
-
-    groups holds each color's cover as index tuples and classes each
-    color's points as a mask read off the coloring, not off the groups.
-    Each cover has at most s groups, covers exactly its color class, and
-    its pieces inside one interval chosen for its color hold at most
-    floor(d/2) points.
-    """
-    cap = inst.d // 2
-    where = inst.interval_index
-    for color, (cover, want) in enumerate(zip(groups, classes)):
-        if len(cover) > inst.s:
-            raise InternalInvariantError(
-                f"cover {color} uses {len(cover)} groups, allowed {inst.s}")
-        covered = 0
-        too_large = False
-        for g in cover:
-            mask = 0
-            for i in g:
-                mask |= 1 << i
-            covered |= mask
-            # g lies in one interval iff no point lies past the interval
-            # of its lowest point
-            q = where[(mask & -mask).bit_length() - 1]
-            too_large |= (len(g) > cap and chosen[q] == color
-                          and not mask >> (q + 1) * inst.m)
-        if covered != want:
-            raise InternalInvariantError(f"cover {color} misses points of its color")
-        if too_large:
-            raise InternalInvariantError("single-interval piece too large")
-    return max(map(len, groups))
-
-
 def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
                             oracle=None) -> AdversaryReport:
     """Build the covers for a coloring and certify their joint emptiness.
@@ -285,12 +268,11 @@ def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
     the same instance.
     """
     coloring = _check_coloring(inst, coloring)
-    chosen, groups, classes = _adversary(inst, coloring)
-    max_groups = _check_structure(inst, classes, chosen, groups)
+    chosen, _, _, groups = _adversary(inst, coloring)
     covers = tuple(SConvexCover(inst.points, g) for g in groups)
     cert = covers_jointly_empty(inst.points, covers, oracle)
     return AdversaryReport(cert is not None, inst, coloring, chosen, covers,
-                           cert, max_groups)
+                           cert, max(map(len, groups)))
 
 
 @dataclass(frozen=True)
@@ -314,51 +296,62 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
     The walk goes one interval at a time, depth first: each interval's r^m
     local colorings are listed once, in lexicographic order, so the
     concatenated local colorings come out in the order of
-    itertools.product(range(r), repeat=n). Each prefix carries the greedy's
-    counts, the chosen colors, every color's partial cover and the color
-    classes, and _interval_step, the same step a single coloring folds
-    over, extends them; so the greedy and the covers of a prefix are built
-    once for all its completions. Every coloring then gets the structural
-    checks of verify_moment_adversary on its finished covers, and joint
-    emptiness is asked as a verdict only, with no certificate: the same
-    exact predicate, on one MeetOracle for the whole sweep. The oracle
+    itertools.product(range(r), repeat=n). A prefix carries only masks:
+    each color's class and the intervals picked for it, which is all the
+    greedy (_interval_step, as for a single coloring) needs. A finished
+    color's cover depends on its class and picks alone, so each distinct
+    (color, class, picks) cover is built by _cover and structurally checked
+    once, the first time it appears, and looked up after that; the memo
+    lives for this call and gains at most r entries per coloring walked
+    (1,812 over the 65,536 colorings at d, s, r = 1, 5, 4), whose r^n cap
+    the caller checks. Every coloring then asks for joint
+    emptiness of its covers as a verdict only, with no certificate: the
+    same exact predicate, on one MeetOracle for the whole sweep. The oracle
     holds the circuit table of all n points, so pair questions solve no
     LP; its sum over k of C(n, k) subsets, like the p * r^m local
-    colorings, is below the r^n colorings the sweep walks, whose cap the
-    caller checks. Stops at the first failing coloring.
+    colorings, is below r^n. Stops at the first failing coloring.
     """
     inst = moment_adversary_instance(d, s, r)
     oracle = MeetOracle(inst.points, circuit_table(inst.points, range(inst.n)))
-    tables = [[(local,) + _split_interval(inst, q, local)
+    tables = [[_split_interval(inst, q, local)
                for local in itertools.product(range(r), repeat=inst.m)]
               for q in range(inst.p)]
+    memo = {}
     verified = max_groups = 0
     failure = None
 
-    def walk(q, colors, chosen, times, covers, classes) -> bool:
+    def cover(key) -> tuple:
+        groups = memo.get(key)
+        if groups is None:
+            groups = _cover(inst, key[1], key[2])
+            _check_structure(inst, *key, groups)
+            memo[key] = groups
+        return groups
+
+    def walk(q, classes, picked) -> bool:
         # True once a coloring below this prefix fails
         nonlocal verified, max_groups, failure
         last = q + 1 == inst.p
-        for local, parts, masks in tables[q]:
-            pick, nxt_times, nxt_covers = _interval_step(inst, q, parts,
-                                                         times, covers)
+        for masks in tables[q]:
+            pick = _interval_step(inst, q, masks, picked)
+            nxt_picked = picked[:pick] + (picked[pick] | 1 << q,) + picked[pick + 1:]
             nxt_classes = tuple([a | b for a, b in zip(classes, masks)])
             if not last:
-                if walk(q + 1, colors + local, chosen + (pick,), nxt_times,
-                        nxt_covers, nxt_classes):
+                if walk(q + 1, nxt_classes, nxt_picked):
                     return True
                 continue
-            groups = _closed_covers(nxt_covers)
-            max_groups = max(max_groups, _check_structure(
-                inst, nxt_classes, chosen + (pick,), groups))
+            groups = tuple([cover(key) for key in
+                            zip(range(r), nxt_classes, nxt_picked)])
+            max_groups = max(max_groups, *map(len, groups))
             if not _all_tuples_empty(oracle, groups):
-                failure = colors + local
+                # the coloring, read back off the class masks
+                failure = tuple(next(c for c in range(r) if nxt_classes[c] >> i & 1)
+                                for i in range(inst.n))
                 return True
             verified += 1
         return False
 
-    times, covers, classes = _start(inst)
-    walk(0, (), (), times, covers, classes)
+    walk(0, (0,) * r, (0,) * r)
     return AdversarySweepReport(failure is None, d, s, r, inst.n, r ** inst.n,
                                 verified, max_groups, failure)
 

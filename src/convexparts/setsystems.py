@@ -342,8 +342,9 @@ def count_realizable(sys: SetSystem, S, r: int, cap: int = 10**6) -> int:
         raise InputError("r must be at least 1")
     mask = mask_of(S, sys.n)
     size = mask.bit_count()
-    if r ** max(size, 1) > cap:
-        raise CapExceeded("count_realizable_orderings", cap, r ** size)
+    orderings = r ** max(size, 1)
+    if orderings > cap:
+        raise CapExceeded("count_realizable_orderings", cap, orderings)
     if r == 2:
         traces = _traces(sys, mask)
         return sum(mask ^ t in traces for t in traces)

@@ -366,6 +366,19 @@ class TestErrorsAndCaps:
         assert main(base + ["14"]) == 0
         capsys.readouterr()
 
+    def test_rshatter_of_an_empty_ground_meets_its_caps(self, capsys, tmp_path):
+        # an empty ground asks r_vc_dim nothing, so the row-0 subset cap is
+        # the first to stop it; the orderings cap reports the r^1 it checks
+        path = put(tmp_path, "empty.json", {"n": 0, "edges": [[]]})
+        base = ["rshatter", "--input", str(path), "--r", "3", "--cap"]
+        assert main(base + ["0"]) == 3
+        assert "cap r_shatter_subsets=0 exceeded, needed 1" in capsys.readouterr().err
+        assert main(base + ["1"]) == 3
+        assert ("cap count_realizable_orderings=1 exceeded, needed 3"
+                in capsys.readouterr().err)
+        assert main(base + ["3"]) == 0
+        capsys.readouterr()
+
     def test_sampled_points_need_a_dimension(self, capsys):
         # no two distinct points exist in dimension 0, so drawing them never ends
         assert main(["fsearch", "--d", "0", "--n", "2", "--s", "1", "--t", "1",

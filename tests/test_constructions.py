@@ -16,8 +16,6 @@ import convexparts.constructions as constructions
 from bruteforce import moment_adversary_exhaustive_ref, unions_of_intervals_meet
 from convexparts.constructions import (
     AdversaryReport,
-    adversary_covers,
-    choose_interval_colors,
     convex_position,
     halfspace_4coloring,
     moment_adversary_exhaustive,
@@ -132,9 +130,9 @@ class TestAdversaryInstance:
 class TestAdversaryCovers:
     def test_rainbow_frozen(self):
         inst = moment_adversary_instance(1, 3, 4)
-        assert choose_interval_colors(inst, (0, 1, 2, 3)) == (2, 0)
-        covers = adversary_covers(inst, (0, 1, 2, 3))
-        assert [c.groups for c in covers] == [((0,),), ((1,),), ((2,),), ((3,),)]
+        rep = verify_moment_adversary(inst, (0, 1, 2, 3))
+        assert rep.chosen == (2, 0)
+        assert [c.groups for c in rep.covers] == [((0,),), ((1,),), ((2,),), ((3,),)]
 
     def test_constant_coloring_empty_covers(self):
         inst = moment_adversary_instance(1, 3, 4)
@@ -154,7 +152,7 @@ class TestAdversaryCovers:
     def test_quotas_and_interval_caps(self):
         inst = moment_adversary_instance(2, 3, 4)
         coloring = (0, 0, 1, 1, 2, 2, 3, 3)
-        chosen = choose_interval_colors(inst, coloring)
+        chosen = verify_moment_adversary(inst, coloring).chosen
         quota = (inst.s - 1) // 2
         cap = inst.d // 2
         for color in range(inst.r):
@@ -199,9 +197,9 @@ class TestAdversaryCovers:
         assert rep.ok and rep.verified == rep.total == 256
 
     @pytest.mark.parametrize("d, s, r", [(1, 3, 2), (1, 3, 4), (1, 5, 2), (1, 7, 2),
-                                         (3, 7, 2), (3, 9, 2), (5, 7, 2)])
+                                         (3, 7, 2), (3, 9, 2), (5, 7, 2), (2, 3, 4)])
     def test_sweep_matches_the_per_coloring_reference(self, d, s, r):
-        # every instance with r^n <= 4096
+        # instances with r^n <= 4096, and the 4^8 colorings of the plane
         assert moment_adversary_exhaustive(d, s, r) == moment_adversary_exhaustive_ref(d, s, r)
 
     @pytest.mark.parametrize("k", [1, 17, 300, 4097])
@@ -229,48 +227,77 @@ class TestAdversaryCovers:
             itertools.product(range(4), repeat=8), k - 1, None))
 
     def test_sweep_and_single_coloring_share_the_checker(self, monkeypatch):
+        # a color's cover depends only on its class and the intervals picked
+        # for it; the sweep checks each (color, class, picks) cover once,
+        # and those are exactly the covers the per-coloring reference builds
         calls = []
         check = constructions._check_structure
 
-        def counted(*args):
-            calls.append(args)
-            return check(*args)
+        def recorded(inst, color, class_mask, picked_mask, groups):
+            calls.append((color, class_mask, picked_mask, groups))
+            return check(inst, color, class_mask, picked_mask, groups)
 
-        monkeypatch.setattr(constructions, "_check_structure", counted)
+        monkeypatch.setattr(constructions, "_check_structure", recorded)
         assert moment_adversary_exhaustive(1, 3, 4).verified == 256
+        assert len(calls) == len(set(calls))
         inst = moment_adversary_instance(1, 3, 4)
+        want = set()
+        for coloring in itertools.product(range(4), repeat=4):
+            chosen = bruteforce._choose_interval_colors(inst, coloring)
+            covers = bruteforce._adversary_covers(inst, coloring, chosen)
+            for color, cover in enumerate(covers):
+                want.add((color,
+                          sum(1 << i for i, c in enumerate(coloring) if c == color),
+                          sum(1 << q for q, c in enumerate(chosen) if c == color),
+                          cover.groups))
+        assert set(calls) == want
+        # the single-coloring check goes through the same checker
+        del calls[:]
         verify_moment_adversary(inst, (0, 1, 2, 3))
-        assert len(calls) == 257
+        assert calls == [(0, 1, 2, ((0,),)), (1, 2, 0, ((1,),)),
+                         (2, 4, 1, ((2,),)), (3, 8, 0, ((3,),))]
+
+    def test_sweep_rejects_a_corrupt_cover(self, monkeypatch):
+        # drop a point from one (class, picks) cover: the structural check
+        # of the sweep must catch it the first time that cover is built
+        build = constructions._cover
+
+        def corrupt(inst, class_mask, picked_mask):
+            groups = build(inst, class_mask, picked_mask)
+            if (class_mask, picked_mask) == (0b0011, 0b10):
+                return ((0,),)
+            return groups
+
+        monkeypatch.setattr(constructions, "_cover", corrupt)
+        with pytest.raises(InternalInvariantError, match="misses points"):
+            moment_adversary_exhaustive(1, 3, 4)
 
     def test_checker_rejects_too_many_groups(self):
         inst = moment_adversary_instance(1, 3, 4)
-        chosen, groups, classes = constructions._adversary(inst, (0, 0, 0, 0))
+        _, classes, picked, groups = constructions._adversary(inst, (0, 0, 0, 0))
         assert groups[0] == ((0, 1, 2, 3),)
-        constructions._check_structure(inst, classes, chosen, groups)
-        split = (((0,), (1,), (2,), (3,)),) + groups[1:]
+        constructions._check_structure(inst, 0, classes[0], picked[0], groups[0])
+        split = ((0,), (1,), (2,), (3,))
         with pytest.raises(InternalInvariantError, match="uses 4 groups"):
-            constructions._check_structure(inst, classes, chosen, split)
+            constructions._check_structure(inst, 0, classes[0], picked[0], split)
 
     def test_checker_rejects_a_dropped_point(self):
         inst = moment_adversary_instance(1, 3, 4)
-        chosen, groups, classes = constructions._adversary(inst, (0, 0, 0, 0))
-        dropped = (((0, 1, 2),),) + groups[1:]
+        _, classes, picked, groups = constructions._adversary(inst, (0, 0, 0, 0))
         with pytest.raises(InternalInvariantError, match="misses points"):
-            constructions._check_structure(inst, classes, chosen, dropped)
+            constructions._check_structure(inst, 0, classes[0], picked[0], ((0, 1, 2),))
 
     def test_checker_rejects_a_large_piece_in_a_chosen_interval(self):
         # interval 0 is chosen for color 0, which has one point there
         inst = moment_adversary_instance(2, 3, 4)
-        chosen, groups, classes = constructions._adversary(
+        chosen, classes, picked, groups = constructions._adversary(
             inst, (0, 1, 1, 1, 2, 2, 3, 3))
         assert chosen == (0, 1) and groups[:2] == (((0,),), ((1, 2, 3),))
-        constructions._check_structure(inst, classes, chosen, groups)
-        # recolor point 1 to 0 and hand it to color 0's piece: the covers
-        # still hold their classes, but the piece has floor(d/2)+1 points
-        classes = (classes[0] | 2, classes[1] & ~2) + classes[2:]
-        groups = (((0, 1),), ((2, 3),)) + groups[2:]
+        constructions._check_structure(inst, 0, classes[0], picked[0], groups[0])
+        # recolor point 1 to 0 and hand it to color 0's piece: the cover
+        # still holds its class, but the piece has floor(d/2)+1 points
         with pytest.raises(InternalInvariantError, match="single-interval piece"):
-            constructions._check_structure(inst, classes, chosen, groups)
+            constructions._check_structure(inst, 0, classes[0] | 2, picked[0], ((0, 1),))
 
     def test_planar_sample_colorings(self):
         # the full 4^8 sweep runs in the acceptance suite; spot-check a
@@ -291,6 +318,20 @@ class TestAdversaryCovers:
             verify_moment_adversary(inst, (0, 1, 2, 4))
         with pytest.raises(InputError):
             verify_moment_adversary(inst, (0, 1, 2, -1))
+
+    @pytest.mark.parametrize("d, s, r", [(2, 5, 4), (3, 7, 4), (1, 9, 6), (4, 5, 6)])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_greedy_and_covers_match_the_reference(self, d, s, r, data):
+        # instances far too large to sweep: one coloring at a time, the
+        # greedy and the covers against the reference's own construction
+        inst = moment_adversary_instance(d, s, r)
+        coloring = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=inst.n,
+                                            max_size=inst.n)))
+        chosen, _, _, groups = constructions._adversary(inst, coloring)
+        assert chosen == bruteforce._choose_interval_colors(inst, coloring)
+        assert groups == tuple(c.groups for c in bruteforce._adversary_covers(
+            inst, coloring, chosen))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=8, max_size=8))

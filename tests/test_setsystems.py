@@ -275,6 +275,22 @@ def test_caps_raise_in_the_recount_order():
         "r_shatter_subsets", 0, 1)
 
 
+
+def test_every_cap_reports_a_need_past_it():
+    # a cap fires only when the value it checked passes it; the orderings
+    # cap checks r^max(|S|, 1) and once reported r^0 = 1 at a cap of 1
+    rng = CounterRng(36, "cap-needs")
+    systems = [set_system(0, []), set_system(0, [0])]
+    systems += [random_system(rng, n, 12) for n in range(1, 5) for _ in range(3)]
+    for sys in systems:
+        for cap in range(70):
+            for fn, args in ((check_sauer, ()), (check_r_shatter, (2,)),
+                             (check_r_shatter, (3,)), (check_r_shatter, (4,))):
+                try:
+                    fn(sys, *args, cap=cap)
+                except CapExceeded as err:
+                    assert err.needed > err.cap_value, (sys, args, str(err))
+
 def test_r_shatter_total_work_stops_at_the_cap():
     # each row passes its own caps here (at most C(10, 5) = 252 subsets and
     # 2^10 = 1024 orderings per subset), but the rows above t = r_vc_dim
