@@ -45,11 +45,6 @@ class ConvexitySpace:
     n: int
     family: tuple
 
-    @property
-    def member_sets(self) -> tuple:
-        """Family members as sorted index tuples, in mask order."""
-        return tuple(indices_of(m) for m in self.family)
-
     @cached_property
     def capture_tests(self) -> tuple:
         """Per ground element x, the complements of the maximal members

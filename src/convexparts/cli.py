@@ -230,7 +230,8 @@ def _cmd_radon(args):
     bipartitions = (1 << len(ps)) - 2
     if bipartitions > _cap(args):
         raise CapExceeded("radon_bipartitions", _cap(args), bipartitions)
-    cert = good_radon_partition(ps, range(len(ps)), args.s, args.t)
+    cert = good_radon_partition(ps, range(len(ps)), args.s, args.t,
+                                cap=_cap(args))
     if cert is None:
         doc = {"subcommand": "radon", "found": False, "s": args.s, "t": args.t,
                "n": len(ps), "bipartitions": (1 << len(ps)) - 2}
@@ -277,7 +278,8 @@ def _cmd_separate(args):
     ps = _load_points(args.input)
     a = _int_list(args.a, "--a")
     b = _int_list(args.b, "--b")
-    cert, tried, closed = st_separability_report(ps, a, b, args.s, args.t)
+    cert, tried, closed = st_separability_report(ps, a, b, args.s, args.t,
+                                                 cap=_cap(args))
     if cert is None:
         doc = {"subcommand": "separate", "separable": False, "s": args.s,
                "t": args.t, "enumerated": tried, "closed_form": closed}

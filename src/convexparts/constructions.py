@@ -48,38 +48,27 @@ from .partitions import (
     good_tverberg_partition,
 )
 from .ranges import halfspace_traces
-from .rational import Rat, rat
+from .rational import Rat
 from .rng import CounterRng
 
 log = logging.getLogger(__name__)
 
 
-def moment_curve(n: int, d: int, t_values=None, rng=None) -> PointSet:
+def moment_curve(n: int, d: int, rng=None) -> PointSet:
     """n points (t, t^2, ..., t^d) at strictly increasing t in (0, 1).
 
     Default parameters are t_i = i/(n+1); a generator draws distinct random
-    t instead. Explicit t_values exclude the generator.
+    t instead.
     """
     if n < 1 or d < 1:
         raise InputError("need n >= 1 and d >= 1")
-    if t_values is not None and rng is not None:
-        raise InputError("give explicit t values or a generator, not both")
-    if t_values is None:
-        if rng is None:
-            ts = [Rat(i, n + 1) for i in range(1, n + 1)]
-        else:
-            seen = set()
-            while len(seen) < n:
-                seen.add(Rat(rng.randint(1, (1 << 30) - 1), 1 << 30))
-            ts = sorted(seen)
+    if rng is None:
+        ts = [Rat(i, n + 1) for i in range(1, n + 1)]
     else:
-        ts = [rat(t) for t in t_values]
-        if len(ts) != n:
-            raise InputError(f"{len(ts)} t values for n = {n}")
-        if any(t <= 0 or t >= 1 for t in ts):
-            raise InputError("t values must lie strictly between 0 and 1")
-        if any(a >= b for a, b in zip(ts, ts[1:])):
-            raise InputError("t values must be strictly increasing")
+        seen = set()
+        while len(seen) < n:
+            seen.add(Rat(rng.randint(1, (1 << 30) - 1), 1 << 30))
+        ts = sorted(seen)
     return point_set([[t ** k for k in range(1, d + 1)] for t in ts])
 
 

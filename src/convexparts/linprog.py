@@ -58,19 +58,11 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import InputError, InternalInvariantError
-from .rational import ZERO, Rat, rat
+from .rational import ZERO, Rat
 
 REL_GE = ">="
 REL_LE = "<="
 REL_EQ = "=="
-_RELS = (REL_GE, REL_LE, REL_EQ)
-
-
-def con(coeffs, rel, rhs):
-    """Validate and coerce one constraint to exact-rational form."""
-    if rel not in _RELS:
-        raise InputError(f"unknown relation {rel!r}")
-    return (tuple(rat(c) for c in coeffs), rel, rat(rhs))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ convex sets) and its r-fold analogue (covers with empty joint intersection)
 reduce to finitely many hull-disjointness questions once each side is grouped:
 a grouping works iff every cross tuple of hulls fails to meet. Searchers
 exhaust groupings in restricted-growth order and return certificates that
-re-verify from kernel predicates alone.
+re-verify from kernel predicates alone. One (A, B) grouping walk stops past
+cap groupings tried (separation_groupings), whatever their closed form.
 
 Every such question goes to one MeetOracle per search. A search that
 enumerates the bipartitions or partitions of its whole ground builds the
@@ -64,19 +65,6 @@ class SConvexCover:
 
     ground: PointSet
     groups: tuple   # tuple of sorted index tuples, each nonempty
-
-    @property
-    def covered(self) -> tuple:
-        return tuple(sorted(set(itertools.chain.from_iterable(self.groups))))
-
-
-def s_convex_cover(ps: PointSet, groups, s: int | None = None) -> SConvexCover:
-    norm = tuple(_norm_group(ps, g) for g in groups)
-    if not norm:
-        raise InputError("cover needs at least one group")
-    if s is not None and len(norm) > s:
-        raise InputError(f"cover uses {len(norm)} groups, allowed {s}")
-    return SConvexCover(ps, norm)
 
 
 @dataclass(frozen=True)
@@ -291,20 +279,21 @@ def st_separable(ps: PointSet, a, b, s: int, t: int):
     return st_separability_report(ps, a, b, s, t)[0]
 
 
-def st_separability_report(ps: PointSet, a, b, s: int, t: int):
+def st_separability_report(ps: PointSet, a, b, s: int, t: int,
+                           cap: int = 10**6):
     """(certificate or None, groupings enumerated, closed-form grouping count).
 
     The search itself only asks whether hulls meet; separators are built
     for the grouping it returns, not for the ones it passes over."""
     oracle = MeetOracle(ps)
-    grouping, tried, closed_form = _separating_grouping(oracle, a, b, s, t)
+    grouping, tried, closed_form = _separating_grouping(oracle, a, b, s, t, cap)
     if grouping is None:
         return None, tried, closed_form
     ks = build_K_polyhedra(ps, *grouping, oracle=oracle)
     return SeparationCertificate(ps, *grouping, ks), tried, closed_form
 
 
-def _separating_grouping(oracle, a, b, s, t):
+def _separating_grouping(oracle, a, b, s, t, cap):
     """(first (a_groups, b_groups) in restricted-growth order whose cross
     hulls are all disjoint, or None; groupings tried; closed-form count)."""
     a = _norm_group(oracle.ps, a)
@@ -318,6 +307,8 @@ def _separating_grouping(oracle, a, b, s, t):
     for a_groups in rgs_partitions(a, s):
         for b_groups in rgs_partitions(b, t):
             tried += 1
+            if tried > cap:
+                raise CapExceeded("separation_groupings", cap, closed_form)
             if not any(oracle.meets((ga, gb)) for ga in a_groups for gb in b_groups):
                 return (a_groups, b_groups), tried, closed_form
     return None, tried, closed_form
@@ -449,14 +440,16 @@ def verify_empty_intersection(cert: EmptyIntersectionCertificate) -> bool:
     return seen == expected
 
 
-def good_radon_partition(ps: PointSet, subset, s: int, t: int):
+def good_radon_partition(ps: PointSet, subset, s: int, t: int,
+                         cap: int = 10**6):
     """First bipartition (by size of A, then lexicographic) that no grouping
     pair separates, as a certificate, or None when all bipartitions separate.
 
     One MeetOracle serves every candidate, so verdicts carry over from one
     bipartition to the next, and it holds the circuit table of subset, so
     it solves no LP. The table needs no cap of its own: its sum over k of
-    C(m, k) subsets is below the 2^m - 2 bipartitions the search walks."""
+    C(m, k) subsets is below the 2^m - 2 bipartitions the search walks.
+    Each bipartition's grouping walk stops past cap groupings."""
     subset = _norm_group(ps, subset)
     if len(subset) < 2:
         raise InputError("need at least two points to bipartition")
@@ -467,14 +460,14 @@ def good_radon_partition(ps: PointSet, subset, s: int, t: int):
     for size in range(1, len(subset)):
         for a in itertools.combinations(subset, size):
             b = tuple(sorted(members - set(a)))
-            cert = _radon_candidate_good(oracle, a, b, s, t)
+            cert = _radon_candidate_good(oracle, a, b, s, t, cap)
             if cert is not None:
                 return cert
     return None
 
 
-def _radon_candidate_good(oracle, a, b, s, t):
-    grouping, tried, closed_form = _separating_grouping(oracle, a, b, s, t)
+def _radon_candidate_good(oracle, a, b, s, t, cap):
+    grouping, tried, closed_form = _separating_grouping(oracle, a, b, s, t, cap)
     if grouping is not None:
         return None
     return GoodPartitionCertificate(
@@ -539,7 +532,8 @@ def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate) -> bool:
     params = cert.params
     oracle = MeetOracle(ps)
     if cert.kind == "radon" and set(params) == {"s", "t"} and len(cert.partition) == 2:
-        derived = _radon_candidate_good(oracle, *cert.partition, params["s"], params["t"])
+        derived = _radon_candidate_good(oracle, *cert.partition, params["s"],
+                                        params["t"], 10**6)
     elif cert.kind == "tverberg" and set(params) == {"s_list"}:
         derived = _tverberg_candidate_good(oracle, cert.partition, params["s_list"], 10**6)
     else:
@@ -771,7 +765,7 @@ def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsear
     for k, ps in enumerate(sampled):
         everything = range(n)
         if radon_mode:
-            cert = good_radon_partition(ps, everything, s, t)
+            cert = good_radon_partition(ps, everything, s, t, cap=cap)
             transcript = (1 << n) - 2
         else:
             cert = good_tverberg_partition(ps, everything, r, s_list, cap=cap)

@@ -83,13 +83,6 @@ def union_close(tf: TraceFamily, s: int, cap: int = 10**6) -> TraceFamily:
     return _close(tf, s, int.__or__, 0, f"union<={s}", cap)
 
 
-def build_union_polytope_system(ps: PointSet, s: int, t: int,
-                                n_cap: int = 18, cap: int = 10**6) -> SetSystem:
-    """Traces of unions of <= s polyhedra with <= t facets each."""
-    tf = intersect_close(halfspace_traces(ps, n_cap=n_cap), t, cap=cap)
-    return union_close(tf, s, cap=cap).to_set_system()
-
-
 def interval_union_traces(ps: PointSet, s: int) -> TraceFamily:
     """Fast path for collinear input: traces of unions of <= s intervals.
 

@@ -17,10 +17,8 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
-def rat(value, den=None) -> "Rat":
+def rat(value) -> "Rat":
     """Build an exact rational from ints, a 'p/q' string, or another rational."""
-    if den is not None:
-        return Rat(value, den)
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass ints, rationals, or 'p/q' strings")
     return Rat(value)

@@ -1,10 +1,12 @@
-"""JSON and CSV forms for point sets, set systems, spaces, and certificates.
+"""JSON and CSV forms for point sets, set systems, and certificates, and
+the reader of convexity spaces.
 
 Rationals travel as "p/q" strings, never floats, so round-trips are exact.
 Canonical bytes (sorted keys, fixed indentation, one trailing newline) make
 independent runs byte-comparable. Every certificate document carries a
 "schema" tag of the form name/version; check_certificate dispatches on it and
-re-verifies the claim from scratch using only the kernel predicates.
+re-verifies the claim from scratch using only the kernel predicates. Only
+the four schemas that commands emit are known; any other is an input error.
 Each codec imports the domain module whose objects it builds or reads, so
 canonical_bytes and canonical_text load nothing beyond this module.
 """
@@ -111,10 +113,6 @@ def set_system_from_data(data) -> SetSystem:
 
 # ------------------------------------------------------------ abstract spaces
 
-def space_data(space: ConvexitySpace) -> dict:
-    return {"n": space.n, "family": [list(m) for m in space.member_sets]}
-
-
 def space_from_data(data) -> ConvexitySpace:
     from .abstract import convexity_space
 
@@ -186,7 +184,6 @@ SEPARATION_SCHEMA = "separation/1"
 EMPTY_INTERSECTION_SCHEMA = "empty-intersection/1"
 GOOD_PARTITION_SCHEMA = "good-partition/1"
 R_SEPARATION_SCHEMA = "r-separation/1"
-ABSTRACT_PARTITION_SCHEMA = "abstract-good-partition/1"
 
 
 def separation_data(cert: SeparationCertificate) -> dict:
@@ -294,33 +291,7 @@ def r_separation_from_data(data):
     return ps, PolyhedralSeparation(covers, unions, emptiness)
 
 
-def abstract_partition_data(space: ConvexitySpace, subset,
-                            found: AbstractGoodPartition) -> dict:
-    return {"schema": ABSTRACT_PARTITION_SCHEMA,
-            "space": space_data(space),
-            "subset": list(subset),
-            "partition": _groups_data(found.partition),
-            "s": found.s,
-            "t": found.t,
-            "a_cover_count": found.a_cover_count,
-            "b_cover_count": found.b_cover_count,
-            "checked_pairs": found.checked_pairs}
-
-
 # ----------------------------------------------------------------- re-checker
-
-def _check_abstract_partition(data) -> bool:
-    from .abstract import abstract_separable
-
-    space = space_from_data(_need(data, "space", "abstract partition"))
-    a, b = _index_lists(_need(data, "partition", "abstract partition"), "partition")
-    subset = tuple(sorted(_ints(_need(data, "subset", "abstract partition"), "subset")))
-    if tuple(sorted(a + b)) != subset:
-        return False
-    s = _int(_need(data, "s", "abstract partition"), "s")
-    t = _int(_need(data, "t", "abstract partition"), "t")
-    return abstract_separable(space, a, b, s, t) is None
-
 
 def check_certificate(data) -> tuple:
     """(ok, schema) after re-deriving the certified claim from its inputs."""
@@ -338,6 +309,4 @@ def check_certificate(data) -> tuple:
     if schema == GOOD_PARTITION_SCHEMA:
         from .partitions import verify_good_partition
         return verify_good_partition(*good_partition_from_data(data)), schema
-    if schema == ABSTRACT_PARTITION_SCHEMA:
-        return _check_abstract_partition(data), schema
     raise InputError(f"unknown certificate schema {schema!r}")

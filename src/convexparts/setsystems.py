@@ -67,30 +67,6 @@ def set_system(n: int, edges) -> SetSystem:
 
 
 @dataclass(frozen=True)
-class RPartition:
-    base: tuple          # sorted indices of S
-    parts: tuple         # r tuples of indices, disjoint, covering base
-
-    @property
-    def r(self) -> int:
-        return len(self.parts)
-
-
-def r_partition(base, parts) -> RPartition:
-    base_idx = tuple(sorted(set(int(i) for i in base)))
-    norm = tuple(tuple(sorted(set(int(i) for i in p))) for p in parts)
-    seen = set()
-    for p in norm:
-        for i in p:
-            if i in seen:
-                raise InputError("partition parts overlap")
-            seen.add(i)
-    if seen != set(base_idx):
-        raise InputError("parts do not cover the base set")
-    return RPartition(base_idx, norm)
-
-
-@dataclass(frozen=True)
 class ShatterRow:
     m: int
     computed: int
@@ -281,12 +257,6 @@ def _classes(s_mask: int, r: int):
             blocks.pop()
 
     return walk(0)
-
-
-def is_realizable(sys: SetSystem, partition: RPartition) -> bool:
-    s_mask = mask_of(partition.base, sys.n)
-    blocks = [mask_of(p, sys.n) for p in partition.parts if p]
-    return _Traces(sys, s_mask).realizable(blocks, partition.r)
 
 
 def is_r_shattered(sys: SetSystem, S, r: int, cap: int = 10**6) -> bool:

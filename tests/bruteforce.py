@@ -33,6 +33,9 @@ in floats. `check_sauer_ref` recounts every row of the Sauer profile, where
 command, each copying the shared flags; `cli` now builds one flat parser.
 `stirling2_ref` is the recursion S(n, k) = k S(n-1, k) + S(n-1, k-1) of
 depth n, which `combinat` replaced by a loop over the rows.
+`union_polytope_system_ref` is the general route to the traces of unions of
+polytopes, by the package's closure operators; no command takes it, and
+collinear input has `ranges.interval_union_traces` as its fast path.
 """
 
 from __future__ import annotations
@@ -306,9 +309,10 @@ def _realizable(sys, s_mask: int, part_masks) -> bool:
     return dfs(0, s_mask)
 
 
-def is_realizable_ref(sys, partition) -> bool:
-    s_mask = mask_of(partition.base, sys.n)
-    return _realizable(sys, s_mask, [mask_of(p, sys.n) for p in partition.parts])
+def is_realizable_ref(sys, S, parts) -> bool:
+    """Whether the r-partition parts of S is realizable; an empty part is a
+    wildcard slot."""
+    return _realizable(sys, mask_of(S, sys.n), [mask_of(p, sys.n) for p in parts])
 
 
 def is_r_shattered_ref(sys, S, r: int) -> bool:
@@ -429,6 +433,14 @@ def halfspace_traces_ref(ps, n_cap: int = 18):
     return TraceFamily(ps, traces, "halfspace")
 
 
+def union_polytope_system_ref(ps, s: int, t: int):
+    """Traces of unions of <= s polyhedra with <= t facets each, by closing
+    the halfspace traces under <= t intersections, then <= s unions."""
+    from convexparts.ranges import halfspace_traces, intersect_close, union_close
+
+    return union_close(intersect_close(halfspace_traces(ps), t), s).to_set_system()
+
+
 def geometric_space_ref(ps, n_cap: int = 12):
     """Hull-closed subsets of a point set: S with CH(S) picking up no
     further points. Intersection-closed by hull monotonicity."""
@@ -519,7 +531,7 @@ def _check_structure(inst, coloring, chosen, covers) -> int:
             raise InternalInvariantError(
                 f"cover {color} uses {len(cover.groups)} groups, allowed {inst.s}")
         want = tuple(i for i in range(inst.n) if coloring[i] == color)
-        if cover.covered != want:
+        if tuple(sorted(itertools.chain.from_iterable(cover.groups))) != want:
             raise InternalInvariantError(f"cover {color} misses points of its color")
         for g in cover.groups:
             qs = {inst.interval_index[i] for i in g}

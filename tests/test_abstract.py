@@ -26,6 +26,7 @@ from convexparts.abstract import (
     tverberg_number,
     validate_space,
 )
+from convexparts.combinat import indices_of
 from convexparts.errors import CapExceeded, InputError
 from convexparts.geometry import point_set
 from convexparts.partitions import good_radon_partition, st_separable
@@ -52,7 +53,7 @@ class TestSpaceConstruction:
     def test_normalizes_and_dedupes(self):
         sp = convexity_space(3, [[2, 0], [0, 2], [], [0, 1, 2]])
         assert sp.family == (0, 0b101, 0b111)
-        assert sp.member_sets == ((), (0, 2), (0, 1, 2))
+        assert tuple(map(indices_of, sp.family)) == ((), (0, 2), (0, 1, 2))
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -94,7 +95,7 @@ class TestValidateSpace:
 
 class TestHull:
     def test_members_are_fixed(self):
-        for member in PATH5.member_sets:
+        for member in map(indices_of, PATH5.family):
             assert hull(PATH5, member) == member
 
     def test_spanning_pair(self):
@@ -298,7 +299,7 @@ class TestIsSeparable:
 
 def _check_separation(space, a, b, sep, s, t):
     assert len(sep.a_members) <= s and len(sep.b_members) <= t
-    members = set(space.member_sets)
+    members = set(map(indices_of, space.family))
     ua, ub = set(), set()
     for m in sep.a_members:
         assert m in members

@@ -1,7 +1,9 @@
 """End-to-end command tests: the flat parser against the nested reference,
 exit codes, document shapes, artifact round trips, byte reproducibility
-whatever --jobs says, and runs without a pool."""
+whatever --jobs says, runs without a pool, and a scan for library code that
+no command reaches."""
 
+import ast
 import concurrent.futures
 import json
 import os
@@ -513,6 +515,26 @@ class TestInputContract:
         assert main(["verify", "abstract", "--input", str(path), "--cap", "10"]) == 3
         capsys.readouterr()
 
+    def test_separate_stops_its_grouping_walk_at_the_cap(self, capsys, tmp_path):
+        # evens against odds on a 16-point line: no grouping separates, and
+        # there are 4,111^2 of them, so the walk has to stop at the cap
+        path = put(tmp_path, "line16.json",
+                   {"dim": 1, "points": [[str(i)] for i in range(16)]})
+        assert main(["separate", "--input", str(path), "--a", "0,2,4,6,8,10,12,14",
+                     "--b", "1,3,5,7,9,11,13,15", "--s", "6", "--t", "6",
+                     "--cap", "10"]) == 3
+        err = capsys.readouterr().err
+        assert "cap separation_groupings=10 exceeded, needed 16900321" in err
+
+    def test_abstract_partition_documents_are_an_unknown_schema(self, capsys, tmp_path):
+        # no command emits this schema, so verify-cert no longer reads it
+        doc = {"schema": "abstract-good-partition/1", "space": PATH3_SPACE,
+               "subset": [0, 1, 2], "partition": [[1], [0, 2]], "s": 1, "t": 1,
+               "a_cover_count": 4, "b_cover_count": 1, "checked_pairs": 4}
+        path = put(tmp_path, "abstract.json", doc)
+        assert main(["verify-cert", "--input", str(path)]) == 4
+        assert "unknown certificate schema" in capsys.readouterr().err
+
     def test_abstract_member_pairs_capped_before_validation(self, capsys, tmp_path):
         # the free family on 14 points is valid, but its 2^14 members make
         # 134 million pairs: the member_pairs cap fires before any check
@@ -760,6 +782,34 @@ class TestConsoleScript:
             [sys.executable, "-m", "convexparts", "verify", "abstract"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 4 and "needs --input" in proc.stderr
+
+
+# Public names that no module of the package references, and why each stays
+UNREACHED_ALLOWLIST = {
+    "abstract.abstract_good_partition": "acceptance check 12, on the geometric line",
+    "abstract.geometric_space": "acceptance check 12, the line as a convexity space",
+    "abstract.interval_space": "acceptance check 12, the abstract interval space",
+    "geometry.affine_dependence": "acceptance checks 1 and 5, generic position",
+    "ranges.interval_union_traces": "acceptance check 7, interval-union traces",
+    "constructions.verify_moment_adversary": "the per-coloring t42 tests",
+    "parallel.pmap": "imported by the benchmark tracer",
+}
+
+
+def test_every_public_function_is_reached_from_the_package():
+    package = Path(__file__).resolve().parents[1] / "src" / "convexparts"
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    # each top-level statement of each module, with the names it reads
+    refs = [(top, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(top)
+                   if isinstance(n, (ast.Name, ast.Attribute))})
+            for tree in trees.values() for top in tree.body]
+    unreached = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(node.name in used for top, used in refs if top is not node)}
+    assert unreached == set(UNREACHED_ALLOWLIST)
 
 
 def _modules_after(*code):

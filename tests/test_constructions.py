@@ -51,7 +51,7 @@ def line(n):
 
 class TestMomentCurve:
     def test_single_point(self):
-        ps = moment_curve(1, 2, t_values=["1/2"])
+        ps = moment_curve(1, 2)
         assert ps.points == ((Rat(1, 2), Rat(1, 4)),)
 
     def test_default_t_values(self):
@@ -91,16 +91,6 @@ class TestMomentCurve:
             moment_curve(0, 2)
         with pytest.raises(InputError):
             moment_curve(2, 0)
-        with pytest.raises(InputError):
-            moment_curve(2, 1, t_values=["1/3", "1/3"])
-        with pytest.raises(InputError):
-            moment_curve(2, 1, t_values=["2/3", "1/3"])
-        with pytest.raises(InputError):
-            moment_curve(2, 1, t_values=["0", "1/3"])
-        with pytest.raises(InputError):
-            moment_curve(2, 1, t_values=["1/3"])
-        with pytest.raises(InputError):
-            moment_curve(2, 1, t_values=["1/4", "1/2"], rng=CounterRng("x"))
 
 
 class TestAdversaryInstance:

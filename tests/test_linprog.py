@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 from convexparts import linprog
 from convexparts.errors import InputError
 from convexparts.geometry import hull_meet_constraints, point_set
-from convexparts.linprog import check_farkas, con, lp_feasible, normalize_rows
+from convexparts.linprog import check_farkas, lp_feasible, normalize_rows
 from convexparts.rational import Rat
 from convexparts.rng import CounterRng
 
 
 def test_unit_box_feasible_at_origin():
-    out = lp_feasible([con([1], ">=", 0), con([1], "<=", 1)])
+    out = lp_feasible([((1,), ">=", 0), ((1,), "<=", 1)])
     assert out.feasible
     assert out.solution == (Rat(0),)
 
 
 def test_contradictory_pair_farkas():
-    cons = [con([1], ">=", 1), con([1], "<=", 0)]
+    cons = [((1,), ">=", 1), ((1,), "<=", 0)]
     out = lp_feasible(cons)
     assert not out.feasible
     # 1*(x >= 1) + 1*(-x >= 0) sums to 0 >= 1
@@ -32,13 +32,13 @@ def test_contradictory_pair_farkas():
 
 
 def test_equality_pins_value():
-    out = lp_feasible([con([2], "==", 1)])
+    out = lp_feasible([((2,), "==", 1)])
     assert out.feasible
     assert out.solution == (Rat(1, 2),)
 
 
 def test_normalize_expands_equalities_in_order():
-    rows = normalize_rows([con([1, 0], "==", 3), con([0, 1], "<=", 2)])
+    rows = normalize_rows([((1, 0), "==", 3), ((0, 1), "<=", 2)])
     assert rows == [
         ((Rat(1), Rat(0)), Rat(3)),
         ((Rat(-1), Rat(0)), Rat(-3)),
@@ -47,7 +47,7 @@ def test_normalize_expands_equalities_in_order():
 
 
 def test_nonneg_mode_shrinks_the_feasible_set():
-    cons = [con([1, 1], "<=", -1)]
+    cons = [((1, 1), "<=", -1)]
     assert lp_feasible(cons).feasible
     out = lp_feasible(cons, nonneg=True)
     assert not out.feasible
@@ -59,7 +59,12 @@ def test_zero_width_rows_and_explicit_nvars():
     with pytest.raises(InputError):
         lp_feasible([])
     with pytest.raises(InputError):
-        lp_feasible([con([1], ">=", 0), con([1, 2], ">=", 0)])
+        lp_feasible([((1,), ">=", 0), ((1, 2), ">=", 0)])
+
+
+def test_unknown_relation_is_an_input_error():
+    with pytest.raises(InputError, match="unknown relation '<'"):
+        lp_feasible([((1,), ">=", 0), ((1,), "<", 1)])
 
 
 def _random_system(rng, nvars, ncons, nonneg_prob=False):
@@ -67,7 +72,7 @@ def _random_system(rng, nvars, ncons, nonneg_prob=False):
     cons = []
     for _ in range(ncons):
         coeffs = [rng.randint(-4, 4) for _ in range(nvars)]
-        cons.append(con(coeffs, rels[rng.randint(0, 2)], Rat(rng.randint(-6, 6), 2)))
+        cons.append((tuple(coeffs), rels[rng.randint(0, 2)], Rat(rng.randint(-6, 6), 2)))
     return cons
 
 
@@ -130,7 +135,7 @@ def test_outcome_invariant_under_constraint_shuffles():
     )
 )
 def test_every_outcome_carries_a_checkable_witness(raw):
-    cons = [con(a, rel, b) for a, rel, b in raw]
+    cons = [(tuple(a), rel, b) for a, rel, b in raw]
     out = lp_feasible(cons, nvars=2)
     if out.feasible:
         _assert_solution_ok(cons, out.solution, nonneg=False)
@@ -156,7 +161,7 @@ def _phase1_inputs(draw):
     cons = []
     for _ in range(draw(st.integers(1, 6))):
         coeffs = [Rat(0) if j in zero_cols else draw(_VALUES) for j in range(nvars)]
-        cons.append(con(coeffs, draw(st.sampled_from([">=", "<=", "=="])), draw(_VALUES)))
+        cons.append((tuple(coeffs), draw(st.sampled_from([">=", "<=", "=="])), draw(_VALUES)))
     if draw(st.booleans()):
         cons.append(draw(st.sampled_from(cons)))
     return sorted(normalize_rows(cons)), nvars, draw(st.booleans())

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 import convexparts.geometry as geometry
 from bruteforce import (distinct_rand_point_set, geometric_space_ref,
                         halfspace_traces_ref, in_hull, rgs_partitions_exact_ref,
-                        segments_meet, stirling2_ref)
+                        segments_meet, stirling2_ref, union_polytope_system_ref)
 from convexparts.abstract import geometric_space
 from convexparts.combinat import mask_of, partitions_le_count, rgs_partitions_exact, stirling2
 from convexparts.errors import CapExceeded, InputError, PreconditionFailed
 from convexparts.geometry import circuit_table, hulls_common_point, point_set
 from convexparts.partitions import (
     MeetOracle,
+    SConvexCover,
     build_K_polyhedra,
     build_r_separation,
     good_radon_partition,
@@ -23,13 +24,12 @@ from convexparts.partitions import (
     joint_cover_empty,
     st_separable,
     st_separability_report,
-    s_convex_cover,
     verify_empty_intersection,
     verify_good_partition,
     verify_r_separation,
     verify_separation,
 )
-from convexparts.ranges import build_union_polytope_system, halfspace_traces, intersect_close
+from convexparts.ranges import halfspace_traces, intersect_close
 from convexparts.rng import CounterRng
 
 SQUARE = point_set([(0, 0), (1, 1), (1, 0), (0, 1)])
@@ -84,6 +84,22 @@ def test_separability_report_counts_the_rejected_groupings():
     assert cert is not None
     assert closed == partitions_le_count(2, 2) ** 2 == 4
     assert tried <= closed
+
+
+def test_grouping_walks_stop_past_the_cap():
+    # the cap counts groupings tried, so a walk that ends within it runs
+    # as before; the need reported is the closed form
+    _, tried, _ = st_separability_report(SQUARE, [0, 1], [2, 3], 2, 2)
+    assert st_separability_report(SQUARE, [0, 1], [2, 3], 2, 2, cap=tried)[1] == tried
+    with pytest.raises(CapExceeded) as err:
+        st_separability_report(SQUARE, [0, 1], [2, 3], 2, 2, cap=tried - 1)
+    assert (err.value.cap_name, err.value.cap_value, err.value.needed) == (
+        "separation_groupings", tried - 1, 4)
+    # every bipartition of the radon search walks one grouping at s = t = 1
+    assert good_radon_partition(SQUARE, range(4), 1, 1, cap=1).partition == ((0, 1), (2, 3))
+    with pytest.raises(CapExceeded) as err:
+        good_radon_partition(SQUARE, range(4), 1, 1, cap=0)
+    assert (err.value.cap_name, err.value.needed) == ("separation_groupings", 1)
 
 
 def test_separability_input_errors():
@@ -298,7 +314,7 @@ def test_build_K_rejects_crossing_hulls_with_a_witness():
 
 def test_r_separation_reduces_to_pairwise_for_two_covers():
     ps = point_set([[0], [1], [5], [7]])
-    covers = [s_convex_cover(ps, [(0, 1)]), s_convex_cover(ps, [(2, 3)])]
+    covers = [SConvexCover(ps, ((0, 1),)), SConvexCover(ps, ((2, 3),))]
     cert = joint_cover_empty(ps, [(0, 1), (2, 3)], [1, 1])
     sep = build_r_separation(ps, covers, cert)
     assert sep.facet_counts == ((1,), (1,))
@@ -337,11 +353,11 @@ def test_r_separation_random_planar_instances():
 
 def test_r_separation_rejects_a_bad_certificate():
     ps = point_set([[0], [1], [5], [7]])
-    covers = [s_convex_cover(ps, [(0, 1)]), s_convex_cover(ps, [(2, 3)])]
+    covers = [SConvexCover(ps, ((0, 1),)), SConvexCover(ps, ((2, 3),))]
     with pytest.raises(PreconditionFailed):
         build_r_separation(ps, covers, None)
     good = joint_cover_empty(ps, [(0, 1), (2, 3)], [1, 1])
-    other = [s_convex_cover(ps, [(0,)]), s_convex_cover(ps, [(2, 3)])]
+    other = [SConvexCover(ps, ((0,),)), SConvexCover(ps, ((2, 3),))]
     with pytest.raises(PreconditionFailed):
         build_r_separation(ps, other, good)
 
@@ -366,7 +382,7 @@ def test_separability_agrees_with_closed_trace_families():
 def test_separable_side_is_a_union_polytope_trace():
     rng = CounterRng("trace-oneside")
     ps = distinct_rand_point_set(rng, 5, 2, num_bound=16, den=4)
-    edges = set(build_union_polytope_system(ps, 2, 2).edges)
+    edges = set(union_polytope_system_ref(ps, 2, 2).edges)
     for size in range(1, 5):
         for a in itertools.combinations(range(5), size):
             b = tuple(i for i in range(5) if i not in a)

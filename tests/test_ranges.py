@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import distinct_rand_point_set, run_union_masks
+from bruteforce import distinct_rand_point_set, run_union_masks, union_polytope_system_ref
 from convexparts.errors import CapExceeded, InputError
 from convexparts.geometry import point_set
 from convexparts.ranges import (
-    build_union_polytope_system,
     halfspace_traces,
     intersect_close,
     interval_union_traces,
@@ -82,7 +81,7 @@ def test_interval_fast_path_matches_polytope_route():
     for n, s in [(3, 1), (4, 2), (5, 2), (5, 3)]:
         ps = point_set([[i] for i in range(n)])
         fast = interval_union_traces(ps, s).to_set_system()
-        slow = build_union_polytope_system(ps, s, 2)
+        slow = union_polytope_system_ref(ps, s, 2)
         assert fast == slow
 
 

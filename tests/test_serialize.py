@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from convexparts.abstract import abstract_good_partition, interval_space
+from convexparts.abstract import interval_space
+from convexparts.combinat import indices_of
 from convexparts.errors import InputError
 from convexparts.geometry import make_hyperplane, point_set
 from convexparts.partitions import (
@@ -15,7 +16,6 @@ from convexparts.partitions import (
     st_separable,
 )
 from convexparts.serialize import (
-    abstract_partition_data,
     canonical_bytes,
     canonical_text,
     check_certificate,
@@ -33,7 +33,6 @@ from convexparts.serialize import (
     set_system_data,
     set_system_from_data,
     shatter_profile_csv,
-    space_data,
     space_from_data,
 )
 from convexparts.setsystems import check_sauer, set_system
@@ -99,7 +98,8 @@ class TestSystemAndSpaceDocs:
 
     def test_space_round_trip(self):
         sp = interval_space(4)
-        assert space_from_data(reload(space_data(sp))) == sp
+        doc = {"n": sp.n, "family": [indices_of(m) for m in sp.family]}
+        assert space_from_data(reload(doc)) == sp
 
 
 class TestShatterCsv:
@@ -224,28 +224,6 @@ class TestRSeparationDocs:
         data = reload(r_separation_data(sep))
         data["unions"][0][0][0]["offset"] = "-1000"
         assert check_certificate(data) == (False, "r-separation/1")
-
-
-class TestAbstractPartitionDocs:
-    def test_check(self):
-        sp = interval_space(5)
-        found = abstract_good_partition(sp, [0, 1, 2], 1, 1)
-        data = reload(abstract_partition_data(sp, [0, 1, 2], found))
-        assert check_certificate(data) == (True, "abstract-good-partition/1")
-
-    def test_tamper_fails(self):
-        sp = interval_space(5)
-        found = abstract_good_partition(sp, [0, 1, 2], 1, 1)
-        data = reload(abstract_partition_data(sp, [0, 1, 2], found))
-        data["partition"] = [[0], [1, 2]]
-        assert check_certificate(data) == (False, "abstract-good-partition/1")
-
-    def test_partition_must_match_subset(self):
-        sp = interval_space(5)
-        found = abstract_good_partition(sp, [0, 1, 2], 1, 1)
-        data = reload(abstract_partition_data(sp, [0, 1, 2], found))
-        data["subset"] = [0, 1, 3]
-        assert check_certificate(data) == (False, "abstract-good-partition/1")
 
 
 class TestDispatch:

@@ -18,18 +18,24 @@ from convexparts.setsystems import (
     check_r_shatter,
     check_sauer,
     count_realizable,
+    _Traces,
     is_r_shattered,
-    is_realizable,
     is_shattered,
     min_f_counting,
     primal_shatter,
-    r_partition,
     r_shatter_bound,
     r_vc_dim,
     sauer_bound,
     set_system,
     vc_dim,
 )
+
+
+def realizable(sys, S, parts):
+    """Whether the r-partition parts of S is realizable; an empty part is a
+    wildcard slot."""
+    blocks = [mask_of(p, sys.n) for p in parts if p]
+    return _Traces(sys, mask_of(S, sys.n)).realizable(blocks, len(parts))
 
 
 def power_set_system(n):
@@ -89,19 +95,10 @@ def test_min_f_counting_worked_threshold():
         assert sauer_bound(f - 1, d) ** r * (r - 1) ** (f - 1) >= r ** (f - 1)
 
 
-def test_r_partition_validation():
-    with pytest.raises(InputError):
-        r_partition((0, 1, 2), [(0, 1), (1, 2)])
-    with pytest.raises(InputError):
-        r_partition((0, 1, 2), [(0,), (1,)])
-    part = r_partition((0, 1, 2), [(0, 2), (), (1,)])
-    assert part.r == 3 and part.parts[1] == ()
-
-
 def test_realizability_needs_an_edge_per_part():
     sys = set_system(3, [(0,), (1,)])
-    assert not is_realizable(sys, r_partition((0, 1, 2), [(0,), (1,), (2,)]))
-    assert is_realizable(sys, r_partition((0, 1), [(0,), (1,)]))
+    assert not realizable(sys, (0, 1, 2), [(0,), (1,), (2,)])
+    assert realizable(sys, (0, 1), [(0,), (1,)])
 
 
 def test_count_realizable_on_shattered_set_is_two_power():
@@ -133,7 +130,7 @@ def test_count_realizable_matches_direct_enumeration():
             parts = [[] for _ in range(r)]
             for item, lab in zip(items, labels):
                 parts[lab].append(item)
-            if is_realizable(sys, r_partition(items, parts)):
+            if realizable(sys, items, parts):
                 direct += 1
         assert count_realizable(sys, items, r) == direct
 
@@ -252,8 +249,7 @@ def test_realizability_matches_the_rescanning_reference(case):
     assert check_r_shatter(sys, r, m_max=m_max) == check_r_shatter_ref(sys, r, m_max)
     assert count_realizable(sys, S, r) == count_realizable_ref(sys, S, r)
     assert is_r_shattered(sys, S, r) == is_r_shattered_ref(sys, S, r)
-    partition = r_partition(S, parts)
-    assert is_realizable(sys, partition) == is_realizable_ref(sys, partition)
+    assert realizable(sys, S, parts) == is_realizable_ref(sys, S, parts)
 
 
 def test_caps_raise_in_the_recount_order():
@@ -313,11 +309,9 @@ def test_many_wildcard_slots_stay_shallow():
     sys = set_system(3, [(0,), (0, 1), (0, 2)])
     assert not is_r_shattered(sys, (0, 1, 2), 5000)
     assert r_vc_dim(sys, 5000) == 1
-    assert not is_realizable(sys, r_partition((0,), [(0,)] + [()] * 4999))
-    assert not is_realizable(set_system(3, [(1,), (2,)]),
-                             r_partition((1, 2), [(1, 2)] + [()] * 4999))
-    assert is_realizable(set_system(3, [(1,), (2,)]),
-                         r_partition((1, 2), [(1,)] + [()] * 4998 + [(2,)]))
+    assert not realizable(sys, (0,), [(0,)] + [()] * 4999)
+    assert not realizable(set_system(3, [(1,), (2,)]), (1, 2), [(1, 2)] + [()] * 4999)
+    assert realizable(set_system(3, [(1,), (2,)]), (1, 2), [(1,)] + [()] * 4998 + [(2,)])
 
 
 def _outcome(fn, *args, **kwargs):
