@@ -1,8 +1,14 @@
-"""Exact convex-hull primitives: common points, separators, affine dependences.
+"""Exact convex-hull primitives: common points, separators, circuits.
 
 Points are tuples of exact rationals; a PointSet fixes the ambient dimension.
 The hull predicates reduce to linprog.lp_feasible, so each of their answers
 comes with either an exact witness or a re-checkable Farkas certificate.
+Two LP systems are built here: hull_meet_constraints (do some hulls and
+halfspaces share a point?) and closed_cells_constraints (do some closed
+cells share a point?). Separators need no system of their own. By Farkas'
+lemma, the vector that refutes a common point of one group's hull with the
+rest already holds a hyperplane between them, and farkas_separator reads it
+off; farkas_shadows reads the same vector as the masks it still refutes.
 
 The circuit table answers "do these two hulls meet?" without an LP. A
 circuit is a minimal affinely dependent subset; its dependence is unique up
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import InputError, InternalInvariantError
-from .linprog import REL_EQ, REL_GE, REL_LE, check_farkas, lp_feasible
+from .linprog import REL_EQ, REL_GE, check_farkas, lp_feasible
 from .rational import ONE, ZERO, Rat, rat
 
 
@@ -82,28 +88,30 @@ def _norm_group(ps: PointSet, group) -> tuple:
 
 @dataclass(frozen=True)
 class HullIntersection:
-    """Outcome of a common-point query over several hulls.
+    """Outcome of a common-point query over several hulls and halfspaces.
 
     Exactly one of (point, weights) and farkas is set. weights[g] aligns with
     the g-th normalized group; farkas indexes the normalized rows of
-    hull_meet_constraints(ps, groups).
+    hull_meet_constraints(ps, groups, halfspaces).
     """
 
     groups: tuple
     point: tuple | None
     weights: tuple | None
     farkas: tuple | None
+    halfspaces: tuple = ()
 
     def __bool__(self) -> bool:
         return self.point is not None
 
 
-def hull_meet_constraints(ps: PointSet, groups):
+def hull_meet_constraints(ps: PointSet, groups, halfspaces=()):
     """The canonical common-point system over convex weights (variables >= 0).
 
     Variables are the concatenated weights per group. Rows: one weight-sum per
     group, then for each group after the first, per-coordinate agreement with
-    the first group's combination.
+    the first group's combination, then one row per halfspace
+    {x : normal.x >= offset}, read on the first group's combination.
     """
     nvar = sum(len(g) for g in groups)
     offsets = list(itertools.accumulate([0] + [len(g) for g in groups]))
@@ -123,43 +131,79 @@ def hull_meet_constraints(ps: PointSet, groups):
             for k, idx in enumerate(first):
                 row[offsets[0] + k] -= ps.points[idx][c]
             cons.append((tuple(row), REL_EQ, ZERO))
+    for h in halfspaces:
+        row = [ZERO] * nvar
+        for k, idx in enumerate(first):
+            row[k] = sum((n * x for n, x in zip(h.normal, ps.points[idx])), ZERO)
+        cons.append((tuple(row), REL_GE, h.offset))
     return cons, nvar
 
 
-def farkas_shadows(ps: PointSet, groups, farkas) -> tuple:
+def _farkas_columns(ps: PointSet, meet: HullIntersection) -> list:
+    """Per group position g, (alpha_g, w_g): the column of a point p at
+    position g in the certificate meet.farkas is alpha_g + w_g.p, and the
+    certificate needs each such column <= 0.
+
+    Write alpha_g for the net multiplier on group g's weight-sum row, c_g for
+    those on group g's agreement rows (g >= 1) and u_h for the multiplier on
+    halfspace h. Then w_g = c_g for g >= 1, and w_0 = -N with
+    N = c_1 + ... + c_{r-1} - sum_h u_h normal_h. The vector's value,
+    alpha_0 + ... + alpha_{r-1} + sum_h u_h offset_h, is 1.
+    """
+    r, d = len(meet.groups), ps.dim
+    y = meet.farkas
+    neq = r + (r - 1) * d
+    net = [y[2 * k] - y[2 * k + 1] for k in range(neq)]
+    normals = [net[r + (g - 1) * d:r + g * d] for g in range(1, r)]
+    pull = [sum((c[k] for c in normals), ZERO)
+            - sum((u * h.normal[k] for u, h in zip(y[2 * neq:], meet.halfspaces)), ZERO)
+            for k in range(d)]
+    return [(net[0], [-v for v in pull])] + list(zip(net[1:r], normals))
+
+
+def farkas_shadows(ps: PointSet, meet: HullIntersection) -> tuple:
     """Per group position, the bitmask of every point the certificate still
     keeps out of a common point.
 
-    farkas refutes hull_meet_constraints(ps, groups). Write alpha_g for its
-    net multiplier on group g's weight-sum row and c_g for those on group
-    g's agreement rows (g >= 1). The column of a point p at position 0 is
-    alpha_0 - (c_1 + ... + c_{r-1}).p, at position g >= 1 it is
-    alpha_g + c_g.p, and the certificate needs each column <= 0. A system
-    whose g-th group lies inside the g-th mask has only such columns, so
-    the same vector proves its hulls disjoint.
+    A system with the same halfspaces whose g-th group lies inside the g-th
+    mask has only columns <= 0 (see _farkas_columns), so the same vector
+    proves it has no common point either.
     """
-    r, d = len(groups), ps.dim
-    net = [farkas[2 * k] - farkas[2 * k + 1] for k in range(len(farkas) // 2)]
-    alpha = net[:r]
-    normals = [net[r + (g - 1) * d:r + g * d] for g in range(1, r)]
-    total = [sum((c[k] for c in normals), ZERO) for k in range(d)]
-    columns = [(alpha[0], [-v for v in total])]
-    columns += [(alpha[g], normals[g - 1]) for g in range(1, r)]
     return tuple(
         sum(1 << i for i, p in enumerate(ps.points)
-            if a + sum((v * x for v, x in zip(c, p)), ZERO) <= 0)
-        for a, c in columns)
+            if a + sum((v * x for v, x in zip(w, p)), ZERO) <= 0)
+        for a, w in _farkas_columns(ps, meet))
 
 
-def hulls_common_point(ps: PointSet, groups) -> HullIntersection:
-    """A point in the intersection of the groups' hulls, or a Farkas witness."""
+def farkas_separator(ps: PointSet, meet: HullIntersection) -> Hyperplane:
+    """The hyperplane (2N, 2 alpha_0 - 1) of a disjointness certificate, in
+    the notation of _farkas_columns: the first group lies at side >= 1, and
+    every common point of the other groups and the halfspaces at side <= -1.
+
+    The first group's columns give N.p >= alpha_0 on its points. A common
+    point y of the rest is a convex combination of each group g >= 1, whose
+    columns give c_g.y <= -alpha_g, and satisfies u_h normal_h.y >=
+    u_h offset_h; summed, N.y <= alpha_0 - 1 since the value is 1 (Farkas'
+    lemma read as a separation theorem). So N is nonzero whenever the rest
+    has a common point. For two groups, (2c_1, alpha_0 - alpha_1) is the
+    midpoint hyperplane of c_1.p >= alpha_0 and c_1.q <= -alpha_1, scaled
+    to the unit gap alpha_0 + alpha_1 = 1.
+    """
+    alpha, w = _farkas_columns(ps, meet)[0]
+    return Hyperplane(tuple(-2 * v for v in w), 2 * alpha - 1)
+
+
+def hulls_common_point(ps: PointSet, groups, halfspaces=()) -> HullIntersection:
+    """A point in the intersection of the groups' hulls and the halfspaces,
+    or a Farkas witness that there is none."""
     ngroups = tuple(_norm_group(ps, g) for g in groups)
     if not ngroups:
         raise InputError("need at least one group")
-    cons, nvar = hull_meet_constraints(ps, ngroups)
+    halfspaces = tuple(halfspaces)
+    cons, nvar = hull_meet_constraints(ps, ngroups, halfspaces)
     out = lp_feasible(cons, nvars=nvar, nonneg=True)
     if not out.feasible:
-        return HullIntersection(ngroups, None, None, out.farkas)
+        return HullIntersection(ngroups, None, None, out.farkas, halfspaces)
     sol = out.solution
     offsets = list(itertools.accumulate([0] + [len(g) for g in ngroups]))
     weights = tuple(
@@ -170,7 +214,7 @@ def hulls_common_point(ps: PointSet, groups) -> HullIntersection:
     for g in range(1, len(ngroups)):
         if _combine(ps, ngroups[g], weights[g]) != point:
             raise InternalInvariantError("groups disagree on the common point")
-    return HullIntersection(ngroups, point, weights, None)
+    return HullIntersection(ngroups, point, weights, None, halfspaces)
 
 
 def _combine(ps: PointSet, group, weights):
@@ -193,47 +237,28 @@ def hull_disjoint(ps: PointSet, S, T) -> bool:
     return not hulls_common_point(ps, (S, T))
 
 
-def strict_separator(ps: PointSet, S, T) -> Hyperplane | None:
-    """Hyperplane with S strictly negative and T strictly positive, if any.
+def strict_separator(ps: PointSet, S, T, meet=None) -> Hyperplane | None:
+    """Hyperplane with S at side <= -1 and T at side >= 1, or None when the
+    hulls of S and T meet.
 
-    Exists iff the hulls are disjoint. The unit gap (S at <= offset-1, T at
-    >= offset+1) costs no generality: any strict separator scales to it.
+    farkas_separator reads it off the Farkas vector of
+    hulls_common_point(ps, (T, S)). meet, when given, is the answer for the
+    two groups in either order (MeetOracle sorts them), and no LP is solved
+    here. The unit gap costs no generality: any strict separator scales to it.
     """
     s_idx = _norm_group(ps, S)
     t_idx = _norm_group(ps, T)
-    if set(s_idx) & set(t_idx):
-        raise InputError("separator sides overlap")
-    d = ps.dim
-    cons = []
-    for i in s_idx:
-        cons.append((ps.points[i] + (-ONE,), REL_LE, -ONE))
-    for i in t_idx:
-        cons.append((ps.points[i] + (-ONE,), REL_GE, ONE))
-    out = lp_feasible(cons, nvars=d + 1)
-    if not out.feasible:
+    if meet is None:
+        meet = hulls_common_point(ps, (t_idx, s_idx))
+    if meet:
         return None
-    w, b = out.solution[:d], out.solution[d]
-    hp = make_hyperplane(w, b)
-    for i in s_idx:
-        if hp.side(ps.points[i]) > -1:
-            raise InternalInvariantError("separator violates its own gap")
-    for i in t_idx:
-        if hp.side(ps.points[i]) < 1:
-            raise InternalInvariantError("separator violates its own gap")
+    hp = farkas_separator(ps, meet)
+    if meet.groups[0] != t_idx:
+        hp = Hyperplane(tuple(-c for c in hp.normal), -hp.offset)
+    if any(hp.side(ps.points[i]) > -1 for i in s_idx) or \
+            any(hp.side(ps.points[i]) < 1 for i in t_idx):
+        raise InternalInvariantError("separator violates its own gap")
     return hp
-
-
-def affine_dependence(points) -> list | None:
-    """A nonzero alpha with sum(alpha)=0 and sum(alpha_i p_i)=0, or None.
-
-    Canonical choice: Gaussian elimination with lowest-index pivots; the first
-    free column is set to 1 and the rest to 0.
-    """
-    out = _integer_dependence(_lifted_rows(points), len(points))
-    if out is None:
-        return None
-    div, alpha = out
-    return [Rat(a, div) for a in alpha]
 
 
 def _lifted_rows(points) -> list:
@@ -349,6 +374,15 @@ def uncrossed_masks(n: int, signed) -> tuple:
     return tuple(sorted(masks))
 
 
+def closed_cells_constraints(cells) -> tuple:
+    """(constraints, dimension): one row {normal.x >= offset} per hyperplane
+    of every cell, in order, over free variables."""
+    cons = [(h.normal, REL_GE, h.offset) for cell in cells for h in cell]
+    if not cons:
+        raise InputError("no hyperplanes given")
+    return cons, len(cons[-1][0])
+
+
 def closed_cells_meet(cells) -> "LPOutcome":
     """Feasibility of the closed relaxations {normal.x >= offset} of all cells.
 
@@ -356,12 +390,5 @@ def closed_cells_meet(cells) -> "LPOutcome":
     meet either. Constructions in this package bake a unit gap into their
     hyperplanes, so the closed check is the right re-verification.
     """
-    cons = []
-    dim = None
-    for cell in cells:
-        for h in cell:
-            dim = len(h.normal)
-            cons.append((h.normal, REL_GE, h.offset))
-    if dim is None:
-        raise InputError("no hyperplanes given")
+    cons, dim = closed_cells_constraints(cells)
     return lp_feasible(cons, nvars=dim)

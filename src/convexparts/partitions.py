@@ -24,12 +24,17 @@ LP of exactly the groups they name. Callers that may ask a single question
 (separate, build-separation, covers_jointly_empty) and the certificate
 checker verify_good_partition keep an oracle without a table.
 
-The constructive half replaces each cover by a union of polytopes. Cross-pair
-separators give polytopes with at most t facets. The r-fold construction is
-sequential; each separation target is an intersection of earlier polytopes
-with later hulls, kept in mixed halfspace/hull form, and the separating
-hyperplane is found jointly with multipliers that bound the target side of
-the inner optimum, so no facet or vertex enumeration of the target is needed.
+The constructive half replaces each cover by a union of polytopes, and
+every facet is read off the Farkas vector of a meeting question
+(geometry.farkas_separator), so no LP is built for separation alone.
+Cross-pair separators give polytopes with at most t facets; each comes from
+the pair's answer in the search's oracle, which holds it already unless the
+oracle has a circuit table or inferred the verdict. The r-fold construction
+is sequential: each separation target is an intersection of earlier
+polytopes with later hulls, kept in mixed halfspace/hull form. A target that
+is nonempty gets one facet per group: the Farkas vector that refutes a common
+point of the group's hull with the target separates them with a unit gap,
+so no facet or vertex enumeration of the target is needed.
 """
 
 from __future__ import annotations
@@ -47,16 +52,16 @@ from .geometry import (
     PointSet,
     _norm_group,
     circuit_table,
+    closed_cells_constraints,
     closed_cells_meet,
+    farkas_separator,
     farkas_shadows,
     hulls_common_point,
-    make_hyperplane,
     point_set,
     strict_separator,
     verify_hulls_empty,
 )
-from .linprog import REL_EQ, REL_GE, lp_feasible
-from .rational import ONE, ZERO
+from .linprog import check_farkas
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,7 @@ class MeetOracle:
                      for g, ws in zip(out.groups, out.weights)]
             table = self._meeting
         else:
-            masks = farkas_shadows(self.ps, out.groups, out.farkas)
+            masks = farkas_shadows(self.ps, out)
             table = self._apart
         table.setdefault(len(key), []).extend(
             {self._pack(order) for order in itertools.permutations(masks)})
@@ -228,8 +233,8 @@ def build_K_polyhedra(ps: PointSet, a_groups, b_groups, oracle=None) -> tuple:
 
     K_i has at most len(b_groups) facets, contains a_groups[i] with unit
     margin, and every B point sits at side <= -1 of at least one facet.
-    oracle, a MeetOracle of ps, lends the disjointness verdicts a search
-    already has.
+    oracle, a MeetOracle of ps, lends the answers a search already has:
+    each separator is read off the pair's Farkas vector.
     """
     a_groups = tuple(_norm_group(ps, g) for g in a_groups)
     b_groups = tuple(_norm_group(ps, g) for g in b_groups)
@@ -240,11 +245,11 @@ def build_K_polyhedra(ps: PointSet, a_groups, b_groups, oracle=None) -> tuple:
     for ga in a_groups:
         facets = []
         for gb in b_groups:
-            if oracle.meets((ga, gb)):
-                raise PreconditionFailed(
-                    f"hulls of {ga} and {gb} share a point",
-                    witness=oracle.intersection((ga, gb)).point)
-            facets.append(_oriented_separator(ps, ga, gb))
+            meet = oracle.intersection((ga, gb))
+            if meet:
+                raise PreconditionFailed(f"hulls of {ga} and {gb} share a point",
+                                         witness=meet.point)
+            facets.append(strict_separator(ps, gb, ga, meet))
         ks.append(tuple(facets))
     for ga, facets in zip(a_groups, ks):
         for i in ga:
@@ -264,13 +269,6 @@ def _oracle_for(ps, oracle):
     if oracle.ps is not ps and oracle.ps != ps:
         raise InputError("oracle built for another point set")
     return oracle
-
-
-def _oriented_separator(ps, positive, negative) -> Hyperplane:
-    hp = strict_separator(ps, negative, positive)
-    if hp is None:
-        raise InternalInvariantError("disjoint hulls without a separator")
-    return hp
 
 
 def st_separable(ps: PointSet, a, b, s: int, t: int):
@@ -325,7 +323,7 @@ def verify_separation(cert: SeparationCertificate) -> bool:
     for i, ga in enumerate(cert.a_groups):
         for j, gb in enumerate(cert.b_groups):
             hp = cert.hyperplanes[i][j]
-            if any(hp.side(ps.points[k]) < 1 for k in ga):
+            if len(hp.normal) != ps.dim or any(hp.side(ps.points[k]) < 1 for k in ga):
                 return False
             if any(hp.side(ps.points[k]) > -1 for k in gb):
                 return False
@@ -541,94 +539,28 @@ def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate) -> bool:
     return derived == cert
 
 
-def _target_system(ps, halfspaces, hull_groups):
-    """Rows over (y, weights) for one separation target: a polyhedron given
-    by halfspace rows intersected with the hulls of the listed groups.
-
-    Returns (ineq, eq, nvars) with rows as (coeffs, rhs); ineq rows mean
-    coeffs . z >= rhs and include the weight nonnegativity units.
-    """
-    d = ps.dim
-    sizes = [len(g) for g in hull_groups]
-    offsets = list(itertools.accumulate([d] + sizes))
-    nvars = d + sum(sizes)
-    ineq, eq = [], []
-    for h in halfspaces:
-        row = list(h.normal) + [ZERO] * (nvars - d)
-        ineq.append((tuple(row), h.offset))
-    for g, grp in enumerate(hull_groups):
-        for c in range(d):
-            row = [ZERO] * nvars
-            row[c] = ONE
-            for k, idx in enumerate(grp):
-                row[offsets[g] + k] = -ps.points[idx][c]
-            eq.append((tuple(row), ZERO))
-        row = [ZERO] * nvars
-        for k in range(len(grp)):
-            row[offsets[g] + k] = ONE
-        eq.append((tuple(row), ONE))
-        for k in range(len(grp)):
-            row = [ZERO] * nvars
-            row[offsets[g] + k] = ONE
-            ineq.append((tuple(row), ZERO))
-    return ineq, eq, nvars
-
-
-def _target_nonempty(ineq, eq, nvars) -> bool:
-    cons = [(c, REL_GE, b) for c, b in ineq] + [(c, REL_EQ, b) for c, b in eq]
-    if not cons:
-        return True
-    return lp_feasible(cons, nvars=nvars).feasible
-
-
-def _robust_separator(ps, x_group, ineq, eq, nvars_z) -> Hyperplane:
-    """Hyperplane with x_group at side >= 1 and the whole target at side <= -1.
-
-    The target side is enforced through multipliers (u, v) that are dual
-    feasible for maximizing w . y over the target, so the bound
-    w . y <= -(g.u + e.v) <= b - 1 holds on every target point. Solved as one
-    LP in (w, b, u, v); feasibility is guaranteed whenever the hull of
-    x_group misses the nonempty target.
-    """
-    if not ineq and not eq:
+def _target_meets(ps, groups, halfspaces) -> bool:
+    """Whether the hulls of the groups and the closed halfspaces share a point."""
+    if groups:
+        return bool(hulls_common_point(ps, groups, halfspaces))
+    if not halfspaces:
         raise InternalInvariantError("separation target is the whole space")
-    d = ps.dim
-    nu, ne = len(ineq), len(eq)
-    nvars = d + 1 + nu + ne
-    cons = []
-    for i in x_group:
-        row = list(ps.points[i]) + [-ONE] + [ZERO] * (nu + ne)
-        cons.append((tuple(row), REL_GE, ONE))
-    for col in range(nvars_z):
-        row = [ZERO] * nvars
-        if col < d:
-            row[col] = ONE
-        for k, (coeffs, _) in enumerate(ineq):
-            row[d + 1 + k] = coeffs[col]
-        for k, (coeffs, _) in enumerate(eq):
-            row[d + 1 + nu + k] = coeffs[col]
-        cons.append((tuple(row), REL_EQ, ZERO))
-    value = [ZERO] * nvars
-    value[d] = ONE
-    for k, (_, rhs) in enumerate(ineq):
-        value[d + 1 + k] = rhs
-    for k, (_, rhs) in enumerate(eq):
-        value[d + 1 + nu + k] = rhs
-    cons.append((tuple(value), REL_GE, ONE))
-    for k in range(nu):
-        row = [ZERO] * nvars
-        row[d + 1 + k] = ONE
-        cons.append((tuple(row), REL_GE, ZERO))
-    out = lp_feasible(cons, nvars=nvars)
-    if not out.feasible:
+    return closed_cells_meet([halfspaces]).feasible
+
+
+def _target_separator(ps, group, groups, halfspaces) -> Hyperplane:
+    """Hyperplane with group at side >= 1 and the nonempty target (the hulls
+    of groups within the halfspaces) at side <= -1: the target's meeting
+    question with group placed first has a Farkas vector, and
+    farkas_separator reads the hyperplane off it."""
+    meet = hulls_common_point(ps, (group,) + groups, halfspaces)
+    if meet:
         raise InternalInvariantError("separation target meets the group hull")
-    hp = make_hyperplane(out.solution[:d], out.solution[d])
-    if any(hp.side(ps.points[i]) < 1 for i in x_group):
+    hp = farkas_separator(ps, meet)
+    if any(hp.side(ps.points[i]) < 1 for i in group):
         raise InternalInvariantError("separator misses its own group")
-    # primal recheck: no target point on the nonnegative side
-    probe = [(c, REL_GE, b) for c, b in ineq] + [(c, REL_EQ, b) for c, b in eq]
-    probe.append((tuple(hp.normal) + (ZERO,) * (nvars_z - d), REL_GE, hp.offset))
-    if lp_feasible(probe, nvars=nvars_z).feasible:
+    # recheck: no target point on the nonnegative side
+    if _target_meets(ps, groups, halfspaces + (hp,)):
         raise InternalInvariantError("separator leaks target points")
     return hp
 
@@ -657,25 +589,17 @@ def build_r_separation(ps: PointSet, covers, certificate: EmptyIntersectionCerti
         raise CapExceeded("separation_tuples", cap, work)
     built = []
     for i in range(r):
-        factors = [built[j] for j in range(i)] + \
-                  [[("hull", g) for g in covers[j].groups] for j in range(i + 1, r)]
-        pieces = []
-        for grp in covers[i].groups:
-            facets = []
-            for pick in itertools.product(*factors):
-                halfspaces = []
-                hull_groups = []
-                for item in pick:
-                    if isinstance(item, tuple) and item and item[0] == "hull":
-                        hull_groups.append(item[1])
-                    else:
-                        halfspaces.extend(item)
-                ineq, eq, nvars_z = _target_system(ps, halfspaces, hull_groups)
-                if not _target_nonempty(ineq, eq, nvars_z):
-                    continue
-                facets.append(_robust_separator(ps, grp, ineq, eq, nvars_z))
-            pieces.append(tuple(facets))
-        built.append(pieces)
+        # (halfspaces, hull groups) per item: built pieces, then pending hulls
+        factors = [[(piece, ()) for piece in built[j]] for j in range(i)] + \
+                  [[((), (g,)) for g in covers[j].groups] for j in range(i + 1, r)]
+        targets = []
+        for pick in itertools.product(*factors):
+            halfspaces = tuple(h for cell, _ in pick for h in cell)
+            groups = tuple(g for _, gs in pick for g in gs)
+            if _target_meets(ps, groups, halfspaces):
+                targets.append((groups, halfspaces))
+        built.append([tuple(_target_separator(ps, grp, *target) for target in targets)
+                      for grp in covers[i].groups])
     emptiness = []
     for choice in itertools.product(*[range(len(p)) for p in built]):
         pick = tuple(built[i][k] for i, k in enumerate(choice))
@@ -690,20 +614,31 @@ def build_r_separation(ps: PointSet, covers, certificate: EmptyIntersectionCerti
 
 
 def verify_r_separation(ps: PointSet, sep: PolyhedralSeparation) -> bool:
-    """Re-check containment, joint emptiness, and facet bounds from scratch."""
+    """Re-check containment and facet bounds from scratch, and joint
+    emptiness from the certificate: one Farkas vector per cross choice of
+    pieces, in product order, refuting the closed-cell system of exactly
+    that choice. No LP is solved."""
+    if len(sep.unions) != len(sep.covers):
+        return False
     counts = [len(c.groups) for c in sep.covers]
     bounds = [prod(counts[:i] + counts[i + 1:]) for i in range(len(counts))]
     for cov, union, bound in zip(sep.covers, sep.unions, bounds):
         if len(union) != len(cov.groups):
             return False
         for grp, piece in zip(cov.groups, union):
-            if len(piece) > bound:
+            if len(piece) > bound or any(len(h.normal) != ps.dim for h in piece):
                 return False
             for idx in grp:
                 if any(h.side(ps.points[idx]) < 1 for h in piece):
                     return False
-    for pick in itertools.product(*sep.unions):
-        if closed_cells_meet(pick).feasible:
+    choices = list(itertools.product(*[range(len(u)) for u in sep.unions]))
+    if len(sep.emptiness) != len(choices):
+        return False
+    for choice, (claimed, farkas) in zip(choices, sep.emptiness):
+        pick = [sep.unions[i][k] for i, k in enumerate(choice)]
+        if tuple(claimed) != choice or not any(pick):
+            return False
+        if not check_farkas(closed_cells_constraints(pick)[0], farkas):
             return False
     return True
 

@@ -36,6 +36,14 @@ depth n, which `combinat` replaced by a loop over the rows.
 `union_polytope_system_ref` is the general route to the traces of unions of
 polytopes, by the package's closure operators; no command takes it, and
 collinear input has `ranges.interval_union_traces` as its fast path.
+
+`strict_separator_ref` and `robust_separator_ref` are the separator LPs
+that `geometry.farkas_separator` replaced: a row per point over (w, b) for
+a pair of groups, and for an r-fold target of `build_r_separation` one LP
+over (w, b) and dual multipliers of the target system
+(`target_system_ref`). `unit_gap_ref` asks the same dual multipliers of a
+fixed hyperplane, so it certifies side <= -1 on a whole target by LP
+duality, without enumerating its vertices.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
 from convexparts.constructions import AdversarySweepReport, moment_adversary_instance
 from convexparts.errors import CapExceeded, InputError, InternalInvariantError
 from convexparts.geometry import _norm_group, circuit_table
-from convexparts.linprog import REL_EQ, lp_feasible, normalize_rows
+from convexparts.linprog import REL_EQ, REL_GE, REL_LE, lp_feasible, normalize_rows
 from convexparts.partitions import MeetOracle, SConvexCover, _all_tuples_empty
 from convexparts.rational import ONE, ZERO, Rat
 from convexparts.setsystems import (ShatterProfile, ShatterRow, _classes, _last_row,
@@ -405,6 +413,150 @@ def affine_dependence_ref(points) -> list | None:
     for row, col in pivots:
         alpha[col] = -mat[row][free]
     return alpha
+
+
+def strict_separator_ref(ps, S, T):
+    """Hyperplane with S at side <= -1 and T at side >= 1, or None: one LP
+    in (w, b) with a row per point, w.p - b <= -1 on S and >= 1 on T."""
+    from convexparts.geometry import make_hyperplane
+
+    s_idx = _norm_group(ps, S)
+    t_idx = _norm_group(ps, T)
+    if set(s_idx) & set(t_idx):
+        raise InputError("separator sides overlap")
+    d = ps.dim
+    cons = [(ps.points[i] + (-ONE,), REL_LE, -ONE) for i in s_idx]
+    cons += [(ps.points[i] + (-ONE,), REL_GE, ONE) for i in t_idx]
+    out = lp_feasible(cons, nvars=d + 1)
+    if not out.feasible:
+        return None
+    return make_hyperplane(out.solution[:d], out.solution[d])
+
+
+def target_system_ref(ps, halfspaces, hull_groups):
+    """Rows over (y, weights) for one separation target: the halfspace rows
+    intersected with the hulls of the listed groups.
+
+    Returns (ineq, eq, nvars) with rows as (coeffs, rhs); ineq rows mean
+    coeffs . z >= rhs and include the weight nonnegativity units.
+    """
+    d = ps.dim
+    sizes = [len(g) for g in hull_groups]
+    offsets = list(itertools.accumulate([d] + sizes))
+    nvars = d + sum(sizes)
+    ineq, eq = [], []
+    for h in halfspaces:
+        row = list(h.normal) + [ZERO] * (nvars - d)
+        ineq.append((tuple(row), h.offset))
+    for g, grp in enumerate(hull_groups):
+        for c in range(d):
+            row = [ZERO] * nvars
+            row[c] = ONE
+            for k, idx in enumerate(grp):
+                row[offsets[g] + k] = -ps.points[idx][c]
+            eq.append((tuple(row), ZERO))
+        row = [ZERO] * nvars
+        for k in range(len(grp)):
+            row[offsets[g] + k] = ONE
+        eq.append((tuple(row), ONE))
+        for k in range(len(grp)):
+            row = [ZERO] * nvars
+            row[offsets[g] + k] = ONE
+            ineq.append((tuple(row), ZERO))
+    return ineq, eq, nvars
+
+
+def target_nonempty_ref(ineq, eq, nvars) -> bool:
+    cons = [(c, REL_GE, b) for c, b in ineq] + [(c, REL_EQ, b) for c, b in eq]
+    if not cons:
+        return True
+    return lp_feasible(cons, nvars=nvars).feasible
+
+
+def unit_gap_ref(hp, ineq, eq, nvars_z) -> bool:
+    """Whether multipliers (u >= 0, v) certify hp.side(y) <= -1 on every
+    point y of the target, by LP duality: normal + G^T u + E^T v = 0 on the
+    y coordinates, 0 on the weights, and offset + g.u + e.v >= 1. For a
+    nonempty target they exist iff the maximum of normal . y there is at
+    most offset - 1."""
+    d = len(hp.normal)
+    nu, ne = len(ineq), len(eq)
+    cons = []
+    for col in range(nvars_z):
+        row = [ZERO] * (nu + ne)
+        for k, (coeffs, _) in enumerate(ineq):
+            row[k] = coeffs[col]
+        for k, (coeffs, _) in enumerate(eq):
+            row[nu + k] = coeffs[col]
+        cons.append((tuple(row), REL_EQ, -hp.normal[col] if col < d else ZERO))
+    cons.append((tuple(rhs for _, rhs in ineq) + tuple(rhs for _, rhs in eq),
+                 REL_GE, ONE - hp.offset))
+    for k in range(nu):
+        row = [ZERO] * (nu + ne)
+        row[k] = ONE
+        cons.append((tuple(row), REL_GE, ZERO))
+    return lp_feasible(cons, nvars=nu + ne).feasible
+
+
+def robust_separator_ref(ps, x_group, ineq, eq, nvars_z):
+    """Hyperplane with x_group at side >= 1 and the whole target at side <= -1.
+
+    The target side is enforced through multipliers (u, v) that are dual
+    feasible for maximizing w . y over the target, so the bound
+    w . y <= -(g.u + e.v) <= b - 1 holds on every target point. Solved as one
+    LP in (w, b, u, v); feasibility is guaranteed whenever the hull of
+    x_group misses the nonempty target.
+    """
+    from convexparts.geometry import make_hyperplane
+
+    if not ineq and not eq:
+        raise InternalInvariantError("separation target is the whole space")
+    d = ps.dim
+    nu, ne = len(ineq), len(eq)
+    nvars = d + 1 + nu + ne
+    cons = []
+    for i in x_group:
+        row = list(ps.points[i]) + [-ONE] + [ZERO] * (nu + ne)
+        cons.append((tuple(row), REL_GE, ONE))
+    for col in range(nvars_z):
+        row = [ZERO] * nvars
+        if col < d:
+            row[col] = ONE
+        for k, (coeffs, _) in enumerate(ineq):
+            row[d + 1 + k] = coeffs[col]
+        for k, (coeffs, _) in enumerate(eq):
+            row[d + 1 + nu + k] = coeffs[col]
+        cons.append((tuple(row), REL_EQ, ZERO))
+    value = [ZERO] * nvars
+    value[d] = ONE
+    for k, (_, rhs) in enumerate(ineq):
+        value[d + 1 + k] = rhs
+    for k, (_, rhs) in enumerate(eq):
+        value[d + 1 + nu + k] = rhs
+    cons.append((tuple(value), REL_GE, ONE))
+    for k in range(nu):
+        row = [ZERO] * nvars
+        row[d + 1 + k] = ONE
+        cons.append((tuple(row), REL_GE, ZERO))
+    out = lp_feasible(cons, nvars=nvars)
+    if not out.feasible:
+        raise InternalInvariantError("separation target meets the group hull")
+    return make_hyperplane(out.solution[:d], out.solution[d])
+
+
+def separation_targets_ref(ps, covers, unions, i: int):
+    """The nonempty targets of cover i, as target_system_ref triples, in the
+    order build_r_separation gives them facets: every cross product of the
+    pieces of covers j < i (taken from unions) and the hulls of covers j > i."""
+    factors = [[(piece, ()) for piece in unions[j]] for j in range(i)] + \
+              [[((), (g,)) for g in covers[j].groups] for j in range(i + 1, len(covers))]
+    targets = []
+    for pick in itertools.product(*factors):
+        system = target_system_ref(ps, [h for cell, _ in pick for h in cell],
+                                   [g for _, gs in pick for g in gs])
+        if target_nonempty_ref(*system):
+            targets.append(system)
+    return targets
 
 
 def halfspace_traces_ref(ps, n_cap: int = 18):

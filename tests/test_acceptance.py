@@ -7,6 +7,8 @@ and prints a single verdict line.
 
 import itertools
 
+from bruteforce import affine_dependence_ref
+
 from convexparts.abstract import (abstract_good_partition, geometric_space,
                                   halfspaces, interval_space, is_separable,
                                   radon_number, tverberg_number)
@@ -16,7 +18,7 @@ from convexparts.constructions import (convex_position, halfspace_4coloring,
                                        translated_copies,
                                        tverberg_tight_instance,
                                        verify_periodic_line_cover)
-from convexparts.geometry import affine_dependence, point_set
+from convexparts.geometry import point_set
 from convexparts.partitions import (build_K_polyhedra, build_r_separation,
                                     f_search, good_radon_partition,
                                     good_tverberg_partition,
@@ -48,7 +50,7 @@ def _generic_pts(seed, n, d):
     attempt = 0
     while True:
         ps = _pts(f"{seed}:{attempt}", n, d)
-        if affine_dependence(ps.points) is None:
+        if affine_dependence_ref(ps.points) is None:
             return ps
         attempt += 1
 

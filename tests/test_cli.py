@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -622,6 +623,40 @@ class TestInputContract:
             assert main(argv + ["--input", str(path)]) == 4
             assert "nested too deeply" in capsys.readouterr().err
 
+    def test_separate_on_602_collinear_points_solves_only_meeting_lps(
+            self, capsys, tmp_path, monkeypatch):
+        # the separator is read off the meeting LP of the two groups, whose
+        # 2(d+2) normalized rows do not grow with the point count; a row LP
+        # with one row per point takes tens of seconds on this input
+        import convexparts.geometry
+        import convexparts.linprog as linprog
+        import convexparts.partitions  # noqa: F401  (so its names are patched)
+
+        rows = []
+        real = linprog.lp_feasible
+
+        def counted(constraints, *args, **kwargs):
+            constraints = list(constraints)
+            rows.append(len(linprog.normalize_rows(constraints)))
+            return real(constraints, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("convexparts") and getattr(module, "lp_feasible", None) is real:
+                monkeypatch.setattr(module, "lp_feasible", counted)
+        d, n = 1, 602
+        path = put(tmp_path, "line.json", {"dim": d, "points": [[str(i)] for i in range(n)]})
+        out = tmp_path / "sep"
+        start = time.perf_counter()
+        code = main(["separate", "--input", str(path), "--a", ",".join(map(str, range(n - 2))),
+                     "--b", f"{n - 2},{n - 1}", "--s", "2", "--t", "1", "--out-dir", str(out)])
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert code == 0
+        assert rows and max(rows) <= 2 * (d + 2)
+        code, verdict = run_json(capsys, "verify-cert", "--input", out / "certificate.json")
+        assert code == 0 and verdict["ok"]
+        assert elapsed < 20
+
 
 # Argv shapes of every command, both target positions of `gen` and `verify`,
 # and the argv of every benchmark op kind
@@ -789,7 +824,6 @@ UNREACHED_ALLOWLIST = {
     "abstract.abstract_good_partition": "acceptance check 12, on the geometric line",
     "abstract.geometric_space": "acceptance check 12, the line as a convexity space",
     "abstract.interval_space": "acceptance check 12, the abstract interval space",
-    "geometry.affine_dependence": "acceptance checks 1 and 5, generic position",
     "ranges.interval_union_traces": "acceptance check 7, interval-union traces",
     "constructions.verify_moment_adversary": "the per-coloring t42 tests",
     "parallel.pmap": "imported by the benchmark tracer",

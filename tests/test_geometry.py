@@ -4,14 +4,15 @@ import itertools
 
 import pytest
 from bruteforce import (affine_dependence_ref, barycentric_in_triangle, distinct_rand_point_set,
-                        in_hull, rand_point_set, segments_meet)
+                        in_hull, rand_point_set, segments_meet, strict_separator_ref)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexparts.errors import InputError
 from convexparts.geometry import (
     Hyperplane,
-    affine_dependence,
+    _integer_dependence,
+    _lifted_rows,
     closed_cells_meet,
     hull_disjoint,
     hulls_common_point,
@@ -105,10 +106,36 @@ def test_separator_exists_iff_hulls_disjoint_exhaustive():
                             assert all(sep.side(ps.points[i]) >= 1 for i in B)
 
 
+_SEP_COORDS = [Rat(num, den) for num in range(-4, 5) for den in (1, 2)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_separator_exists_iff_the_row_lp_finds_one(data):
+    # repeated and collinear points are common, so are meeting hulls
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(2, 7))
+    pts = data.draw(st.lists(st.tuples(*[st.sampled_from(_SEP_COORDS)] * d),
+                             min_size=n, max_size=n))
+    sides = data.draw(st.lists(st.sampled_from("STx"), min_size=n, max_size=n))
+    S = [i for i in range(n) if sides[i] == "S"]
+    T = [i for i in range(n) if sides[i] == "T"]
+    if not S or not T:
+        return
+    ps = point_set(pts)
+    ref = strict_separator_ref(ps, S, T)
+    for meet in (None, hulls_common_point(ps, (S, T)), hulls_common_point(ps, (T, S))):
+        hp = strict_separator(ps, S, T, meet)
+        assert (hp is None) == (ref is None)
+        if hp is not None:
+            assert all(hp.side(ps.points[i]) <= -1 for i in S)
+            assert all(hp.side(ps.points[i]) >= 1 for i in T)
+
+
 def test_separator_rejects_overlap():
+    # groups that share a point meet, so no hyperplane separates them
     ps = point_set([(0, 0), (1, 1), (2, 0)])
-    with pytest.raises(InputError):
-        strict_separator(ps, (0, 1), (1, 2))
+    assert strict_separator(ps, (0, 1), (1, 2)) is None
 
 
 # The classic Radon split of S is a good (1,1) bipartition: one hull per side,
@@ -156,9 +183,15 @@ def test_radon_finds_no_split_below_threshold_when_generic():
     assert _radon_split(ps, (0, 1, 2)) is None
 
 
+def _dependence(points):
+    """The canonical dependence circuit_table computes, as rationals."""
+    out = _integer_dependence(_lifted_rows(points), len(points))
+    return None if out is None else [Rat(a, out[0]) for a in out[1]]
+
+
 def test_affine_dependence_shape():
-    assert affine_dependence([(Rat(0), Rat(0)), (Rat(1), Rat(0)), (Rat(0), Rat(1))]) is None
-    alpha = affine_dependence([(Rat(0),), (Rat(1),), (Rat(2),)])
+    assert _dependence([(Rat(0), Rat(0)), (Rat(1), Rat(0)), (Rat(0), Rat(1))]) is None
+    alpha = _dependence([(Rat(0),), (Rat(1),), (Rat(2),)])
     assert alpha is not None
     assert sum(alpha, Rat(0)) == 0
     assert sum((a * p for a, p in zip(alpha, [Rat(0), Rat(1), Rat(2)])), Rat(0)) == 0
@@ -173,7 +206,7 @@ _SMALL_RATS = [Rat(num, den) for num in range(-3, 4) for den in (1, 2, 3)]
     st.tuples(*[st.sampled_from(_SMALL_RATS)] * d), min_size=1, max_size=7)))
 def test_affine_dependence_matches_the_rat_routine(points):
     # repeats and shared coordinates are common, so so are dependences
-    assert affine_dependence(points) == affine_dependence_ref(points)
+    assert _dependence(points) == affine_dependence_ref(points)
 
 
 def test_hyperplane_requires_nonzero_normal():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import convexparts.geometry as geometry
 from bruteforce import (distinct_rand_point_set, geometric_space_ref,
                         halfspace_traces_ref, in_hull, rgs_partitions_exact_ref,
-                        segments_meet, stirling2_ref, union_polytope_system_ref)
+                        robust_separator_ref, segments_meet, separation_targets_ref,
+                        stirling2_ref, union_polytope_system_ref, unit_gap_ref)
 from convexparts.abstract import geometric_space
 from convexparts.combinat import mask_of, partitions_le_count, rgs_partitions_exact, stirling2
 from convexparts.errors import CapExceeded, InputError, PreconditionFailed
@@ -17,6 +18,7 @@ from convexparts.geometry import circuit_table, hulls_common_point, point_set
 from convexparts.partitions import (
     MeetOracle,
     SConvexCover,
+    SeparationCertificate,
     build_K_polyhedra,
     build_r_separation,
     good_radon_partition,
@@ -30,6 +32,7 @@ from convexparts.partitions import (
     verify_separation,
 )
 from convexparts.ranges import halfspace_traces, intersect_close
+from convexparts.rational import Rat
 from convexparts.rng import CounterRng
 
 SQUARE = point_set([(0, 0), (1, 1), (1, 0), (0, 1)])
@@ -349,6 +352,64 @@ def test_r_separation_random_planar_instances():
         for counts in sep.facet_counts:
             assert all(c <= 4 for c in counts)
     assert hits >= 3
+
+
+_SMALL = [Rat(num, den) for num in range(-4, 5) for den in (1, 2)]
+
+
+def _points_and_labels(data, labels):
+    """A drawn point set of 3-6 points in R^1 or R^2, and a label per point."""
+    d = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(3, 6))
+    pts = data.draw(st.lists(st.tuples(*[st.sampled_from(_SMALL)] * d),
+                             min_size=n, max_size=n))
+    return point_set(pts), data.draw(st.lists(st.sampled_from(labels), min_size=n,
+                                              max_size=n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_built_separations_verify(data):
+    ps, sides = _points_and_labels(data, "ABx")
+    a = [i for i, c in enumerate(sides) if c == "A"]
+    b = [i for i, c in enumerate(sides) if c == "B"]
+    if not a or not b:
+        return
+    s, t = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    cert = st_separable(ps, a, b, s, t)
+    if cert is None:
+        return
+    assert verify_separation(cert)
+    # with a circuit table the oracle solves the pair's LP on demand
+    oracle = MeetOracle(ps, circuit_table(ps, range(len(ps))))
+    ks = build_K_polyhedra(ps, cert.a_groups, cert.b_groups, oracle=oracle)
+    assert verify_separation(SeparationCertificate(ps, cert.a_groups, cert.b_groups, ks))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_built_r_separations_keep_the_unit_gap_of_the_dual_lp_reference(data):
+    r = data.draw(st.integers(2, 3))
+    ps, labels = _points_and_labels(data, range(r))
+    parts = [[i for i, c in enumerate(labels) if c == k] for k in range(r)]
+    if not all(parts):
+        return
+    cert = joint_cover_empty(ps, parts, data.draw(st.lists(st.integers(1, 2),
+                                                           min_size=r, max_size=r)))
+    if cert is None:
+        return
+    sep = build_r_separation(ps, cert.covers, cert)
+    assert verify_r_separation(ps, sep)
+    for i, cov in enumerate(cert.covers):
+        # one facet per nonempty target, in the reference's target order
+        targets = separation_targets_ref(ps, cert.covers, sep.unions, i)
+        for grp, piece in zip(cov.groups, sep.unions[i]):
+            assert len(piece) == len(targets)
+            for hp, target in zip(piece, targets):
+                ref = robust_separator_ref(ps, grp, *target)
+                for h in (hp, ref):
+                    assert all(h.side(ps.points[k]) >= 1 for k in grp)
+                    assert unit_gap_ref(h, *target)
 
 
 def test_r_separation_rejects_a_bad_certificate():

@@ -1,6 +1,7 @@
 """Round trips and the certificate re-checker, including tamper detection."""
 
 import json
+import sys
 
 import pytest
 
@@ -130,6 +131,16 @@ class TestSeparationDocs:
         assert separation_from_data(data) == cert
         assert check_certificate(data) == (True, "separation/1")
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_normal_of_another_dimension_fails(self, width):
+        # the square's first separator has normal (-2, 0): a side test that
+        # zips it with the points would accept either width
+        cert = st_separable(SQUARE, [0], [1, 2], 1, 2)
+        data = reload(separation_data(cert))
+        normal = data["hyperplanes"][0][0]["normal"]
+        data["hyperplanes"][0][0]["normal"] = (normal + ["5"])[:width]
+        assert check_certificate(data) == (False, "separation/1")
+
     def test_tampered_side_fails(self):
         cert = st_separable(SQUARE, [0], [1], 1, 1)
         data = reload(separation_data(cert))
@@ -223,6 +234,37 @@ class TestRSeparationDocs:
         sep = build_r_separation(LINE4, cert.covers, cert)
         data = reload(r_separation_data(sep))
         data["unions"][0][0][0]["offset"] = "-1000"
+        assert check_certificate(data) == (False, "r-separation/1")
+
+    def test_check_solves_no_lp(self, monkeypatch):
+        cert = joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])
+        data = reload(r_separation_data(build_r_separation(LINE4, cert.covers, cert)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the checker solved an LP")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("convexparts") and hasattr(module, "lp_feasible"):
+                monkeypatch.setattr(module, "lp_feasible", refuse)
+        assert check_certificate(data) == (True, "r-separation/1")
+
+    def test_normal_of_another_dimension_fails(self):
+        cert = joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])
+        data = reload(r_separation_data(build_r_separation(LINE4, cert.covers, cert)))
+        data["unions"][0][0][0]["normal"].append("0")
+        assert check_certificate(data) == (False, "r-separation/1")
+
+    @pytest.mark.parametrize("tamper", [
+        lambda data: [e.update(farkas=["0"] * len(e["farkas"])) for e in data["emptiness"]],
+        lambda data: data["emptiness"][0].update(choice=[7, 7]),
+        lambda data: data.update(emptiness=[]),
+    ], ids=["zeroed-farkas", "out-of-range-choice", "no-emptiness"])
+    def test_tampered_emptiness_fails(self, tamper):
+        # joint emptiness is read from these vectors, one per cross choice
+        cert = joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])
+        sep = build_r_separation(LINE4, cert.covers, cert)
+        data = reload(r_separation_data(sep))
+        tamper(data)
         assert check_certificate(data) == (False, "r-separation/1")
 
 
