@@ -6,9 +6,11 @@ same bytes plus any certificate files there. Reports are canonical: re-running
 a command with the same flags byte-reproduces every artifact. Every command
 runs in one process.
 
-One flat parser is built per call: a command, a target for `gen` and
-`verify`, and the flags every command shares, in any order. Each command
-imports what it runs, inside its handler, so a process loads only those modules.
+A command line is a command, a target for `gen` and `verify`, and the flags
+every command shares, in any order. `_parse` reads it in one pass over the
+`_FLAGS` table, so no parser object is built per call; `--help` prints usage
+from that table. Each command imports what it runs, inside its handler, so a
+process loads only those modules.
 
 Exit codes: 0 verified/found, 2 property refuted with a counterexample,
 3 resource cap hit, 4 input error (a missing or unknown target included).
@@ -16,50 +18,142 @@ Exit codes: 0 verified/found, 2 property refuted with a counterexample,
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import CapExceeded, InputError
 
 DEFAULT_CAP = 10**6
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; 2 means refuted here."""
+def _format(text):
+    if text not in ("json", "csv"):
+        raise ValueError("choose json or csv")
+    return text
 
-    def error(self, message):
-        raise InputError(message)
 
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="convexparts",
-                     description="Exact partition, shattering, and separation "
-                                 "oracles for finite point sets.",
-                     epilog="; ".join(f"{command} targets: {', '.join(targets)}"
-                                      for command, targets in _TARGETS.items()))
-    parser.add_argument("command", choices=_HANDLERS)
-    parser.add_argument("target", nargs="?")
-    parser.add_argument("--input")
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--s", type=int)
-    parser.add_argument("--t", type=int)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--s-list", dest="s_list")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--a")
-    parser.add_argument("--b")
-    parser.add_argument("--parts")
-    parser.add_argument("--sampler", default="random-rational")
-    parser.add_argument("--samples", type=int, default=10)
-    parser.add_argument("--cap", type=int)
-    parser.add_argument("--seed", type=int)
+# flag -> (attribute, converter, default); every flag takes one value
+_FLAGS = {
+    "--input": ("input", str, None),
+    "--d": ("d", int, None),
+    "--s": ("s", int, None),
+    "--t": ("t", int, None),
+    "--r": ("r", int, None),
+    "--s-list": ("s_list", str, None),
+    "--n": ("n", int, None),
+    "--a": ("a", str, None),
+    "--b": ("b", str, None),
+    "--parts": ("parts", str, None),
+    "--sampler": ("sampler", str, "random-rational"),
+    "--samples": ("samples", int, 10),
+    "--cap": ("cap", int, None),
+    "--seed": ("seed", int, None),
     # accepted so existing command lines keep parsing; selects nothing
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--out-dir", dest="out_dir")
-    return parser
+    "--jobs": ("jobs", int, 1),
+    "--format": ("format", _format, "json"),
+    "--out-dir": ("out_dir", str, None),
+}
+_HELP = "--help"
+
+# a word starting with "-" is still a value when it reads as a negative number
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _flag(word):
+    """(flag, attached value) when word names a flag, else None.
+
+    A flag may be any unique prefix of its name, with its value attached
+    after "="; "-h" takes whatever is glued to it as its value. An unknown
+    flag comes back as (None, word).
+    """
+    if not word.startswith("-") or word == "-":
+        return None
+    if not word.startswith("--"):
+        if word.startswith("-h"):
+            return _HELP, word[2:] or None
+        return None if _NEGATIVE.match(word) or " " in word else (None, word)
+    name, eq, value = word.partition("=")
+    if name not in _FLAGS and name != _HELP:
+        found = [flag for flag in (*_FLAGS, _HELP) if flag.startswith(name)]
+        if len(found) > 1:
+            raise InputError(f"ambiguous flag {name}: it could be "
+                             f"{', '.join(found)}")
+        if not found:
+            return None if " " in word else (None, word)
+        name = found[0]
+    return name, (value if eq else None)
+
+
+def _usage():
+    kinds = {int: "INT", str: "TEXT", _format: "json|csv"}
+    lines = ["usage: convexparts COMMAND [TARGET] [--FLAG VALUE ...]", "",
+             "Exact partition, shattering, and separation oracles for finite "
+             "point sets.", "",
+             f"commands: {', '.join(_HANDLERS)}"]
+    lines += [f"{command} targets: {', '.join(targets)}"
+              for command, targets in _TARGETS.items()]
+    lines += ["", "Flags stand before or after the command. Each takes one "
+              "value, as --flag VALUE or --flag=VALUE;", "a unique prefix "
+              "names a flag, and the last repeat wins.", ""]
+    lines += [f"  {flag} {kinds[convert]}"
+              + ("" if default is None else f"  (default {default})")
+              for flag, (_, convert, default) in _FLAGS.items()]
+    lines.append("  -h, --help  print this text and exit")
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv):
+    """The command, its optional target and every flag of argv.
+
+    Flags stand anywhere around the command and its target. "--" ends the
+    flags: each later word is a command or target, and each "--" is dropped.
+    """
+    argv = list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    # every flag word is read, and an ambiguous prefix refused, before any
+    # value is converted
+    flags = [_flag(word) for word in argv[:cut]] + [None] * (len(argv) - cut)
+    args = {dest: default for dest, _, default in _FLAGS.values()}
+    words, unknown = [], []
+    i = 0
+    while i < len(argv):
+        word, flag = argv[i], flags[i]
+        i += 1
+        if flag is None:
+            if word != "--":
+                words.append(word)
+            continue
+        name, value = flag
+        if name is None:
+            unknown.append(word)
+            continue
+        if name == _HELP:
+            if value is not None:
+                raise InputError(f"{name} takes no value")
+            sys.stdout.write(_usage())
+            raise SystemExit(0)
+        if value is None:
+            if i == cut or flags[i] is not None:
+                raise InputError(f"{name} needs a value")
+            value = argv[i]
+            i += 1
+        dest, convert, _ = _FLAGS[name]
+        try:
+            args[dest] = convert(value)
+        except ValueError as err:
+            raise InputError(f"{name} got {value!r}: {err}") from None
+    if unknown:
+        raise InputError(f"unknown flags: {' '.join(unknown)}")
+    if not words or words[0] not in _HANDLERS:
+        raise InputError(f"the first word must be a command: "
+                         f"{', '.join(_HANDLERS)}")
+    if len(words) > 2:
+        raise InputError(f"unexpected words: {' '.join(words[2:])}")
+    return SimpleNamespace(command=words[0],
+                           target=words[1] if len(words) > 1 else None, **args)
 
 
 # ------------------------------------------------------------------- plumbing
@@ -604,7 +698,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_intermixed_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         targets = _TARGETS.get(args.command, ())
         if args.target not in (targets or (None,)):
             raise InputError(f"{args.command} got target {args.target!r}; its "

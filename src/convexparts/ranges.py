@@ -82,35 +82,3 @@ def union_close(tf: TraceFamily, s: int, cap: int = 10**6) -> TraceFamily:
         raise InputError("s must be at least 1")
     return _close(tf, s, int.__or__, 0, f"union<={s}", cap)
 
-
-def interval_union_traces(ps: PointSet, s: int) -> TraceFamily:
-    """Fast path for collinear input: traces of unions of <= s intervals.
-
-    These are exactly the subsets forming at most s runs of consecutive
-    positions in coordinate order. Coinciding points share every trace, so
-    runs range over distinct values rather than raw indices.
-    """
-    if ps.dim != 1:
-        raise InputError("interval unions need 1-dimensional input")
-    if s < 1:
-        raise InputError("s must be at least 1")
-    by_value = {}
-    for i, p in enumerate(ps.points):
-        by_value.setdefault(p[0], 0)
-        by_value[p[0]] |= 1 << i
-    slot_masks = [by_value[v] for v in sorted(by_value)]
-    k = len(slot_masks)
-    out = []
-
-    def rec(i, mask, runs, in_run):
-        if i == k:
-            out.append(mask)
-            return
-        rec(i + 1, mask, runs, False)
-        if in_run:
-            rec(i + 1, mask | slot_masks[i], runs, True)
-        elif runs < s:
-            rec(i + 1, mask | slot_masks[i], runs + 1, True)
-
-    rec(0, 0, 0, False)
-    return TraceFamily(ps, tuple(sorted(out)), f"interval-union<={s}")

@@ -30,12 +30,15 @@ in floats. `check_sauer_ref` recounts every row of the Sauer profile, where
 `check_sauer` takes the rows up to the VC dimension as 2^m.
 
 `nested_parser_ref` is the command line parser as one subparser per
-command, each copying the shared flags; `cli` now builds one flat parser.
+command, each copying the shared flags, and `flat_parser_ref` the one flat
+argparse parser that replaced it; `cli._parse` now reads argv in one pass
+over its flag table instead.
 `stirling2_ref` is the recursion S(n, k) = k S(n-1, k) + S(n-1, k-1) of
 depth n, which `combinat` replaced by a loop over the rows.
 `union_polytope_system_ref` is the general route to the traces of unions of
-polytopes, by the package's closure operators; no command takes it, and
-collinear input has `ranges.interval_union_traces` as its fast path.
+polytopes, by the package's closure operators. `interval_union_traces` is its
+fast path on collinear input, the runs of at most s intervals; no command
+takes either, and acceptance check 7 reads the fast path.
 
 `strict_separator_ref` and `robust_separator_ref` are the separator LPs
 that `geometry.farkas_separator` replaced: a row per point over (w, b) for
@@ -48,12 +51,13 @@ duality, without enumerating its vertices.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from functools import lru_cache
 from math import comb, perm
 
 from convexparts.abstract import _hull_mask, _radon_work
-from convexparts.cli import _Parser
+from convexparts.cli import _HANDLERS, _TARGETS
 from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
                                   partitions_le_count, rgs_partitions,
                                   rgs_partitions_exact, stirling2)
@@ -593,6 +597,41 @@ def union_polytope_system_ref(ps, s: int, t: int):
     return union_close(intersect_close(halfspace_traces(ps), t), s).to_set_system()
 
 
+def interval_union_traces(ps, s: int):
+    """Fast path for collinear input: traces of unions of <= s intervals.
+
+    These are exactly the subsets forming at most s runs of consecutive
+    positions in coordinate order. Coinciding points share every trace, so
+    runs range over distinct values rather than raw indices.
+    """
+    from convexparts.ranges import TraceFamily
+
+    if ps.dim != 1:
+        raise InputError("interval unions need 1-dimensional input")
+    if s < 1:
+        raise InputError("s must be at least 1")
+    by_value = {}
+    for i, p in enumerate(ps.points):
+        by_value.setdefault(p[0], 0)
+        by_value[p[0]] |= 1 << i
+    slot_masks = [by_value[v] for v in sorted(by_value)]
+    k = len(slot_masks)
+    out = []
+
+    def rec(i, mask, runs, in_run):
+        if i == k:
+            out.append(mask)
+            return
+        rec(i + 1, mask, runs, False)
+        if in_run:
+            rec(i + 1, mask | slot_masks[i], runs, True)
+        elif runs < s:
+            rec(i + 1, mask | slot_masks[i], runs + 1, True)
+
+    rec(0, 0, 0, False)
+    return TraceFamily(ps, tuple(sorted(out)), f"interval-union<={s}")
+
+
 def geometric_space_ref(ps, n_cap: int = 12):
     """Hull-closed subsets of a point set: S with CH(S) picking up no
     further points. Intersection-closed by hull monotonicity."""
@@ -873,6 +912,42 @@ def check_sauer_ref(sys, m_max=None, cap: int = 10**6):
         bound = sauer_bound(m, d)
         rows.append(ShatterRow(m, computed, bound, computed <= bound))
     return ShatterProfile("vc", d, None, tuple(rows))
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits with status 2 on bad flags; 2 means refuted here."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def flat_parser_ref() -> _Parser:
+    parser = _Parser(prog="convexparts",
+                     description="Exact partition, shattering, and separation "
+                                 "oracles for finite point sets.",
+                     epilog="; ".join(f"{command} targets: {', '.join(targets)}"
+                                      for command, targets in _TARGETS.items()))
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("target", nargs="?")
+    parser.add_argument("--input")
+    parser.add_argument("--d", type=int)
+    parser.add_argument("--s", type=int)
+    parser.add_argument("--t", type=int)
+    parser.add_argument("--r", type=int)
+    parser.add_argument("--s-list", dest="s_list")
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--a")
+    parser.add_argument("--b")
+    parser.add_argument("--parts")
+    parser.add_argument("--sampler", default="random-rational")
+    parser.add_argument("--samples", type=int, default=10)
+    parser.add_argument("--cap", type=int)
+    parser.add_argument("--seed", type=int)
+    # accepted so existing command lines keep parsing; selects nothing
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
+    parser.add_argument("--out-dir", dest="out_dir")
+    return parser
 
 
 def nested_parser_ref() -> _Parser:

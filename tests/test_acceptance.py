@@ -7,7 +7,7 @@ and prints a single verdict line.
 
 import itertools
 
-from bruteforce import affine_dependence_ref
+from bruteforce import affine_dependence_ref, interval_union_traces
 
 from convexparts.abstract import (abstract_good_partition, geometric_space,
                                   halfspaces, interval_space, is_separable,
@@ -24,8 +24,7 @@ from convexparts.partitions import (build_K_polyhedra, build_r_separation,
                                     good_tverberg_partition,
                                     joint_cover_empty, st_separable,
                                     verify_r_separation)
-from convexparts.ranges import (halfspace_traces, intersect_close,
-                                interval_union_traces, union_close)
+from convexparts.ranges import halfspace_traces, intersect_close, union_close
 from convexparts.rng import CounterRng
 from convexparts.setsystems import (check_r_shatter, check_sauer,
                                     is_r_shattered, min_f_counting, r_vc_dim,

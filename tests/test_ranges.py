@@ -4,15 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import distinct_rand_point_set, run_union_masks, union_polytope_system_ref
+from bruteforce import (distinct_rand_point_set, interval_union_traces, run_union_masks,
+                        union_polytope_system_ref)
 from convexparts.errors import CapExceeded, InputError
 from convexparts.geometry import point_set
-from convexparts.ranges import (
-    halfspace_traces,
-    intersect_close,
-    interval_union_traces,
-    union_close,
-)
+from convexparts.ranges import halfspace_traces, intersect_close, union_close
 from convexparts.rng import CounterRng
 from convexparts.setsystems import vc_dim
 
