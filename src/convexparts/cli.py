@@ -6,6 +6,13 @@ same bytes plus any certificate files there. Reports are canonical: re-running
 a command with the same flags byte-reproduces every artifact. Every command
 runs in one process.
 
+There is one render path. A handler returns (exit code, document, files) as
+plain data, each file a (name, payload) pair whose payload is a JSON value,
+or the text of profile.csv. `main` alone renders them: it refuses
+--format csv before any handler runs unless the command and target are in
+`_CSV`, prints the canonical JSON text of the document (or the profile.csv
+text under --format csv), and writes each file's canonical bytes.
+
 A command line is a command, a target for `gen` and `verify`, and the flags
 every command shares, in any order. `_parse` reads it in one pass over the
 `_FLAGS` table, so no parser object is built per call; `--help` prints usage
@@ -205,8 +212,8 @@ def _require(args, *names):
             raise InputError(f"this subcommand needs --{name}")
 
 
-def _cap(args, fallback=DEFAULT_CAP):
-    return fallback if args.cap is None else args.cap
+def _cap(args):
+    return DEFAULT_CAP if args.cap is None else args.cap
 
 
 def _check_size(args, name, size):
@@ -219,88 +226,72 @@ def _seed(args, fallback=0):
     return fallback if args.seed is None else args.seed
 
 
-def _json_only(args):
-    if args.format != "json":
-        raise InputError("this subcommand emits JSON only")
-
-
-def _profile_out(args, doc, profile, extra=None):
-    """Report text honoring --format, plus the CSV profile artifact."""
-    from .serialize import canonical_bytes, canonical_text, shatter_profile_csv
-
-    csv_text = shatter_profile_csv(profile)
-    text = csv_text if args.format == "csv" else canonical_text(doc)
-    artifacts = [("report.json", canonical_bytes(doc)),
-                 ("profile.csv", csv_text.encode("utf-8"))]
-    if extra:
-        artifacts.extend(extra)
-    return text, artifacts
+def _s_list(args, count):
+    """--s-list, else --s once per part."""
+    if args.s_list is not None:
+        return _int_list(args.s_list, "--s-list")
+    if args.s is None:
+        raise InputError("this subcommand needs --s or --s-list")
+    return [args.s] * count
 
 
 # ----------------------------------------------------------------- dimensions
 
 def _cmd_vcdim(args):
-    from .serialize import canonical_bytes, canonical_text
     from .setsystems import vc_dim
 
-    _json_only(args)
     system = _load_system(args.input)
     doc = {"subcommand": "vcdim", "n": system.n, "edge_count": len(system),
            "vc_dim": vc_dim(system, cap=_cap(args))}
-    return 0, canonical_text(doc), [("report.json", canonical_bytes(doc))]
+    return 0, doc, [("report.json", doc)]
 
 
 def _cmd_rvcdim(args):
-    from .serialize import canonical_bytes, canonical_text
     from .setsystems import r_vc_dim
 
-    _json_only(args)
     _require(args, "r")
     system = _load_system(args.input)
     doc = {"subcommand": "rvcdim", "n": system.n, "edge_count": len(system),
            "r": args.r, "r_vc_dim": r_vc_dim(system, args.r, cap=_cap(args))}
-    return 0, canonical_text(doc), [("report.json", canonical_bytes(doc))]
+    return 0, doc, [("report.json", doc)]
 
 
 def _cmd_shatter(args):
-    from .serialize import shatter_profile_data
+    from .serialize import shatter_profile_csv, shatter_profile_data
     from .setsystems import check_sauer
 
     system = _load_system(args.input)
     profile = check_sauer(system, m_max=args.n, cap=_cap(args))
     doc = {"subcommand": "shatter", **shatter_profile_data(profile)}
-    text, artifacts = _profile_out(args, doc, profile)
-    return (0 if profile.all_ok else 2), text, artifacts
+    return (0 if profile.all_ok else 2), doc, [
+        ("report.json", doc), ("profile.csv", shatter_profile_csv(profile))]
 
 
 def _cmd_rshatter(args):
-    from .serialize import shatter_profile_data
+    from .serialize import shatter_profile_csv, shatter_profile_data
     from .setsystems import check_r_shatter
 
     _require(args, "r")
     system = _load_system(args.input)
     profile = check_r_shatter(system, args.r, m_max=args.n, cap=_cap(args))
     doc = {"subcommand": "rshatter", **shatter_profile_data(profile)}
-    text, artifacts = _profile_out(args, doc, profile)
-    return (0 if profile.all_ok else 2), text, artifacts
+    return (0 if profile.all_ok else 2), doc, [
+        ("report.json", doc), ("profile.csv", shatter_profile_csv(profile))]
 
 
 def _cmd_bound_e31(args):
-    from .serialize import canonical_bytes
     from .setsystems import min_f_counting
 
-    _json_only(args)
     _require(args, "d", "r")
     value = min_f_counting(args.d, args.r, f_cap=_cap(args))
-    doc = {"subcommand": "bound-e31", "d": args.d, "r": args.r, "value": value}
-    return 0, f"{value}\n", [("report.json", canonical_bytes(doc))]
+    report = {"subcommand": "bound-e31", "d": args.d, "r": args.r, "value": value}
+    return 0, value, [("report.json", report)]
 
 
 def _cmd_traces(args):
     from .ranges import halfspace_traces, intersect_close, union_close
-    from .serialize import canonical_bytes, canonical_text, set_system_data
+    from .serialize import set_system_data
 
-    _json_only(args)
     ps = _load_points(args.input)
     family = halfspace_traces(ps)
     if args.t is not None:
@@ -309,16 +300,15 @@ def _cmd_traces(args):
         family = union_close(family, args.s, cap=_cap(args))
     doc = set_system_data(family.to_set_system(), meta=family.provenance)
     doc["subcommand"] = "traces"
-    return 0, canonical_text(doc), [("system.json", canonical_bytes(doc))]
+    return 0, doc, [("system.json", doc)]
 
 
 # ------------------------------------------------------------------ searches
 
 def _cmd_radon(args):
     from .partitions import good_radon_partition
-    from .serialize import canonical_bytes, canonical_text, good_partition_data
+    from .serialize import good_partition_data
 
-    _json_only(args)
     _require(args, "s", "t")
     ps = _load_points(args.input)
     bipartitions = (1 << len(ps)) - 2
@@ -329,45 +319,36 @@ def _cmd_radon(args):
     if cert is None:
         doc = {"subcommand": "radon", "found": False, "s": args.s, "t": args.t,
                "n": len(ps), "bipartitions": (1 << len(ps)) - 2}
-        return 2, canonical_text(doc), [("report.json", canonical_bytes(doc))]
+        return 2, doc, [("report.json", doc)]
     cert_doc = good_partition_data(ps, cert)
     doc = {"subcommand": "radon", "found": True, "s": args.s, "t": args.t,
            "n": len(ps), "certificate": cert_doc}
-    return 0, canonical_text(doc), [("report.json", canonical_bytes(doc)),
-                                    ("certificate.json", canonical_bytes(cert_doc))]
+    return 0, doc, [("report.json", doc), ("certificate.json", cert_doc)]
 
 
 def _cmd_tverberg(args):
     from .partitions import good_tverberg_partition
-    from .serialize import canonical_bytes, canonical_text, good_partition_data
+    from .serialize import good_partition_data
 
-    _json_only(args)
     _require(args, "r")
     ps = _load_points(args.input)
-    if args.s_list is not None:
-        s_list = _int_list(args.s_list, "--s-list")
-    elif args.s is not None:
-        s_list = [args.s] * args.r
-    else:
-        raise InputError("this subcommand needs --s or --s-list")
+    s_list = _s_list(args, args.r)
     cert = good_tverberg_partition(ps, range(len(ps)), args.r, s_list,
                                    cap=_cap(args))
     if cert is None:
         doc = {"subcommand": "tverberg", "found": False, "r": args.r,
                "s_list": list(s_list), "n": len(ps)}
-        return 2, canonical_text(doc), [("report.json", canonical_bytes(doc))]
+        return 2, doc, [("report.json", doc)]
     cert_doc = good_partition_data(ps, cert)
     doc = {"subcommand": "tverberg", "found": True, "r": args.r,
            "s_list": list(s_list), "n": len(ps), "certificate": cert_doc}
-    return 0, canonical_text(doc), [("report.json", canonical_bytes(doc)),
-                                    ("certificate.json", canonical_bytes(cert_doc))]
+    return 0, doc, [("report.json", doc), ("certificate.json", cert_doc)]
 
 
 def _cmd_separate(args):
     from .partitions import st_separability_report
-    from .serialize import canonical_bytes, canonical_text, separation_data
+    from .serialize import separation_data
 
-    _json_only(args)
     _require(args, "s", "t")
     ps = _load_points(args.input)
     a = _int_list(args.a, "--a")
@@ -377,34 +358,26 @@ def _cmd_separate(args):
     if cert is None:
         doc = {"subcommand": "separate", "separable": False, "s": args.s,
                "t": args.t, "enumerated": tried, "closed_form": closed}
-        return 2, canonical_text(doc), [("report.json", canonical_bytes(doc))]
+        return 2, doc, [("report.json", doc)]
     cert_doc = separation_data(cert)
     doc = {"subcommand": "separate", "separable": True, "s": args.s,
            "t": args.t, "certificate": cert_doc}
-    return 0, canonical_text(doc), [("report.json", canonical_bytes(doc)),
-                                    ("certificate.json", canonical_bytes(cert_doc))]
+    return 0, doc, [("report.json", doc), ("certificate.json", cert_doc)]
 
 
 def _cmd_build_separation(args):
     from .partitions import build_r_separation, joint_cover_empty
-    from .serialize import (canonical_bytes, canonical_text,
-                            empty_intersection_data, r_separation_data)
+    from .serialize import empty_intersection_data, r_separation_data
 
-    _json_only(args)
     ps = _load_points(args.input)
     parts = _part_lists(args.parts, "--parts")
-    if args.s_list is not None:
-        s_list = _int_list(args.s_list, "--s-list")
-    elif args.s is not None:
-        s_list = [args.s] * len(parts)
-    else:
-        raise InputError("this subcommand needs --s or --s-list")
+    s_list = _s_list(args, len(parts))
     cert = joint_cover_empty(ps, parts, s_list, cap=_cap(args))
     if cert is None:
         doc = {"subcommand": "build-separation", "built": False,
                "parts": [sorted(p) for p in parts], "s_list": list(s_list),
                "reason": "no cover choice has empty joint intersection"}
-        return 2, canonical_text(doc), [("report.json", canonical_bytes(doc))]
+        return 2, doc, [("report.json", doc)]
     sep = build_r_separation(ps, cert.covers, cert, cap=_cap(args))
     empty_doc = empty_intersection_data(cert)
     sep_doc = r_separation_data(sep)
@@ -412,18 +385,14 @@ def _cmd_build_separation(args):
            "parts": [sorted(p) for p in parts], "s_list": list(s_list),
            "facet_counts": [list(c) for c in sep.facet_counts],
            "empty_intersection": empty_doc, "separation": sep_doc}
-    return 0, canonical_text(doc), [
-        ("report.json", canonical_bytes(doc)),
-        ("empty_intersection.json", canonical_bytes(empty_doc)),
-        ("r_separation.json", canonical_bytes(sep_doc))]
+    return 0, doc, [("report.json", doc), ("empty_intersection.json", empty_doc),
+                    ("r_separation.json", sep_doc)]
 
 
 def _cmd_fsearch(args):
     from .partitions import f_search
-    from .serialize import (canonical_bytes, canonical_text, good_partition_data,
-                            point_set_data)
+    from .serialize import good_partition_data, point_set_data
 
-    _json_only(args)
     _require(args, "d", "n")
     points = _load_points(args.input) if args.input is not None else None
     s_list = None if args.s_list is None else _int_list(args.s_list, "--s-list")
@@ -443,11 +412,10 @@ def _cmd_fsearch(args):
                             else good_partition_data(sample_ps, c)
                             for sample_ps, c in zip(report.samples,
                                                     report.certificates)]}
-    artifacts = [("report.json", canonical_bytes(doc))]
+    files = [("report.json", doc)]
     if report.witness is not None:
-        artifacts.append(("witness_points.json",
-                          canonical_bytes(point_set_data(report.witness))))
-    return (0 if report.all_good else 2), canonical_text(doc), artifacts
+        files.append(("witness_points.json", point_set_data(report.witness)))
+    return (0 if report.all_good else 2), doc, files
 
 
 # ---------------------------------------------------------------- generators
@@ -457,9 +425,8 @@ def _cmd_gen(args):
                                 moment_curve, moment_curve_bits, periodic_coloring,
                                 translated_copies, tverberg_tight_instance)
     from .rng import CounterRng
-    from .serialize import canonical_bytes, canonical_text, point_set_data
+    from .serialize import point_set_data
 
-    _json_only(args)
     target = args.target
     if target == "moment-curve":
         _require(args, "n", "d")
@@ -503,7 +470,7 @@ def _cmd_gen(args):
                "points": point_set_data(inst.points),
                "interval_index": list(inst.interval_index)}
         name = "instance.json"
-    return 0, canonical_text(doc), [(name, canonical_bytes(doc))]
+    return 0, doc, [(name, doc)]
 
 
 # ----------------------------------------------------------------- verifiers
@@ -521,7 +488,7 @@ def _verify_t999(args):
            "max_missed": report.max_missed, "miss_bound": report.miss_bound,
            "failure": None if report.failure is None
            else [[list(iv) for iv in cover] for cover in report.failure]}
-    return (0 if report.ok else 2), doc, []
+    return (0 if report.ok else 2), doc, [("report.json", doc)]
 
 
 def _t42_points(args):
@@ -549,7 +516,7 @@ def _verify_t42(args):
            "max_groups": report.max_groups,
            "first_failure": None if report.first_failure is None
            else list(report.first_failure)}
-    return (0 if report.ok else 2), doc, []
+    return (0 if report.ok else 2), doc, [("report.json", doc)]
 
 
 def _verify_sauer(args):
@@ -561,7 +528,7 @@ def _verify_sauer(args):
     doc = {"subcommand": "verify", "target": "sauer",
            "ok": profile.all_ok, **shatter_profile_data(profile)}
     return (0 if profile.all_ok else 2), doc, [
-        ("profile.csv", shatter_profile_csv(profile).encode("utf-8"))]
+        ("report.json", doc), ("profile.csv", shatter_profile_csv(profile))]
 
 
 def _verify_rshatter(args):
@@ -579,7 +546,7 @@ def _verify_rshatter(args):
            "counting_ceiling": ceiling, "consistent": consistent,
            **shatter_profile_data(profile)}
     return (0 if doc["ok"] else 2), doc, [
-        ("profile.csv", shatter_profile_csv(profile).encode("utf-8"))]
+        ("report.json", doc), ("profile.csv", shatter_profile_csv(profile))]
 
 
 def _verify_f3(args):
@@ -587,7 +554,7 @@ def _verify_f3(args):
     from .geometry import point_set
     from .partitions import st_separable
     from .rng import CounterRng
-    from .serialize import canonical_bytes, separation_data
+    from .serialize import separation_data
 
     if args.input is not None:
         ps = _load_points(args.input)
@@ -602,7 +569,7 @@ def _verify_f3(args):
         doc = {"subcommand": "verify", "target": "f3", "ok": False,
                "n": len(ps), "reason": "no 4-coloring avoids monochromatic "
                "halfspace traces of size >= 2"}
-        return 2, doc, []
+        return 2, doc, [("report.json", doc)]
     classes = [[i for i, c in enumerate(coloring) if c == k] for k in range(4)]
     big = max(classes, key=len)
     rest = [i for i in range(len(ps)) if i not in big]
@@ -610,12 +577,12 @@ def _verify_f3(args):
     doc = {"subcommand": "verify", "target": "f3", "ok": cert is None,
            "n": len(ps), "coloring": list(coloring), "largest_class": big,
            "class_size": len(big)}
-    artifacts = []
+    files = [("report.json", doc)]
     if cert is not None:
         counter = separation_data(cert)
         doc["counterexample"] = counter
-        artifacts.append(("counterexample.json", canonical_bytes(counter)))
-    return (0 if cert is None else 2), doc, artifacts
+        files.append(("counterexample.json", counter))
+    return (0 if cert is None else 2), doc, files
 
 
 def _verify_abstract(args):
@@ -640,7 +607,7 @@ def _verify_abstract(args):
         doc["separable"] = separable
         doc["first_inseparable"] = None if pair is None else [list(m) for m in pair]
         doc["halfspace_vc"] = vc_dim(halfspaces(space), cap=cap)
-    return (0 if ok else 2), doc, []
+    return (0 if ok else 2), doc, [("report.json", doc)]
 
 
 _VERIFY = {"t999": _verify_t999, "t42": _verify_t42, "sauer": _verify_sauer,
@@ -654,28 +621,16 @@ _TARGETS = {"gen": ("moment-curve", "convex-position", "periodic", "tight",
 
 
 def _cmd_verify(args):
-    from .serialize import canonical_bytes, canonical_text
-
-    if args.target not in ("sauer", "rshatter"):
-        _json_only(args)
-    code, doc, artifacts = _VERIFY[args.target](args)
-    if args.format == "csv":
-        text = next(data.decode("utf-8") for name, data in artifacts
-                    if name.endswith(".csv"))
-    else:
-        text = canonical_text(doc)
-    return code, text, [("report.json", canonical_bytes(doc))] + artifacts
+    return _VERIFY[args.target](args)
 
 
 def _cmd_verify_cert(args):
-    from .serialize import canonical_bytes, canonical_text, check_certificate
+    from .serialize import check_certificate
 
-    _json_only(args)
     data = _load_json(args.input)
     ok, schema = check_certificate(data)
     doc = {"subcommand": "verify-cert", "schema": schema, "ok": ok}
-    return (0 if ok else 2), canonical_text(doc), [
-        ("report.json", canonical_bytes(doc))]
+    return (0 if ok else 2), doc, [("report.json", doc)]
 
 
 _HANDLERS = {
@@ -696,6 +651,11 @@ _HANDLERS = {
 }
 
 
+# the (command, target) pairs whose profile.csv --format csv prints
+_CSV = {("shatter", None), ("rshatter", None), ("verify", "sauer"),
+        ("verify", "rshatter")}
+
+
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
@@ -703,11 +663,19 @@ def main(argv=None) -> int:
         if args.target not in (targets or (None,)):
             raise InputError(f"{args.command} got target {args.target!r}; its "
                              f"targets: {', '.join(targets) or 'none'}")
-        code, text, artifacts = _HANDLERS[args.command](args)
+        if args.format == "csv" and (args.command, args.target) not in _CSV:
+            raise InputError("this subcommand emits JSON only")
+        code, doc, files = _HANDLERS[args.command](args)
+        from .serialize import canonical_bytes, canonical_text
+
+        text = (dict(files)["profile.csv"] if args.format == "csv"
+                else canonical_text(doc))
         if args.out_dir is not None:
+            payloads = [(name, data.encode("utf-8") if name.endswith(".csv")
+                         else canonical_bytes(data)) for name, data in files]
             out = Path(args.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            for name, payload in artifacts:
+            for name, payload in payloads:
                 (out / name).write_bytes(payload)
     except CapExceeded as err:
         print(f"resource cap: {err}", file=sys.stderr)

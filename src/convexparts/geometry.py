@@ -8,7 +8,7 @@ halfspaces share a point?) and closed_cells_constraints (do some closed
 cells share a point?). Separators need no system of their own. By Farkas'
 lemma, the vector that refutes a common point of one group's hull with the
 rest already holds a hyperplane between them, and farkas_separator reads it
-off; farkas_shadows reads the same vector as the masks it still refutes.
+off.
 
 The circuit table answers "do these two hulls meet?" without an LP. A
 circuit is a minimal affinely dependent subset; its dependence is unique up
@@ -139,58 +139,36 @@ def hull_meet_constraints(ps: PointSet, groups, halfspaces=()):
     return cons, nvar
 
 
-def _farkas_columns(ps: PointSet, meet: HullIntersection) -> list:
-    """Per group position g, (alpha_g, w_g): the column of a point p at
-    position g in the certificate meet.farkas is alpha_g + w_g.p, and the
-    certificate needs each such column <= 0.
+def farkas_separator(ps: PointSet, meet: HullIntersection) -> Hyperplane:
+    """The hyperplane (2N, 2 alpha_0 - 1) of a disjointness certificate: the
+    first group lies at side >= 1, and every common point of the other
+    groups and the halfspaces at side <= -1.
 
-    Write alpha_g for the net multiplier on group g's weight-sum row, c_g for
-    those on group g's agreement rows (g >= 1) and u_h for the multiplier on
-    halfspace h. Then w_g = c_g for g >= 1, and w_0 = -N with
-    N = c_1 + ... + c_{r-1} - sum_h u_h normal_h. The vector's value,
+    In the certificate meet.farkas, write alpha_g for the net multiplier on
+    group g's weight-sum row, c_g for those on group g's agreement rows
+    (g >= 1), u_h for the multiplier on halfspace h, and
+    N = c_1 + ... + c_{r-1} - sum_h u_h normal_h. The certificate makes the
+    column of every variable <= 0: alpha_0 - N.p for a point p of the first
+    group, alpha_g + c_g.p for a point p of group g >= 1. Its value,
     alpha_0 + ... + alpha_{r-1} + sum_h u_h offset_h, is 1.
+
+    So N.p >= alpha_0 on the first group's points. A common point y of the
+    rest is a convex combination of each group g >= 1, so c_g.y <= -alpha_g,
+    and satisfies u_h normal_h.y >= u_h offset_h; summed, N.y <= alpha_0 - 1
+    since the value is 1 (Farkas' lemma read as a separation theorem). So N
+    is nonzero whenever the rest has a common point. For two groups,
+    (2c_1, alpha_0 - alpha_1) is the midpoint hyperplane of c_1.p >= alpha_0
+    and c_1.q <= -alpha_1, scaled to the unit gap alpha_0 + alpha_1 = 1.
     """
     r, d = len(meet.groups), ps.dim
     y = meet.farkas
     neq = r + (r - 1) * d
     net = [y[2 * k] - y[2 * k + 1] for k in range(neq)]
-    normals = [net[r + (g - 1) * d:r + g * d] for g in range(1, r)]
-    pull = [sum((c[k] for c in normals), ZERO)
-            - sum((u * h.normal[k] for u, h in zip(y[2 * neq:], meet.halfspaces)), ZERO)
-            for k in range(d)]
-    return [(net[0], [-v for v in pull])] + list(zip(net[1:r], normals))
-
-
-def farkas_shadows(ps: PointSet, meet: HullIntersection) -> tuple:
-    """Per group position, the bitmask of every point the certificate still
-    keeps out of a common point.
-
-    A system with the same halfspaces whose g-th group lies inside the g-th
-    mask has only columns <= 0 (see _farkas_columns), so the same vector
-    proves it has no common point either.
-    """
-    return tuple(
-        sum(1 << i for i, p in enumerate(ps.points)
-            if a + sum((v * x for v, x in zip(w, p)), ZERO) <= 0)
-        for a, w in _farkas_columns(ps, meet))
-
-
-def farkas_separator(ps: PointSet, meet: HullIntersection) -> Hyperplane:
-    """The hyperplane (2N, 2 alpha_0 - 1) of a disjointness certificate, in
-    the notation of _farkas_columns: the first group lies at side >= 1, and
-    every common point of the other groups and the halfspaces at side <= -1.
-
-    The first group's columns give N.p >= alpha_0 on its points. A common
-    point y of the rest is a convex combination of each group g >= 1, whose
-    columns give c_g.y <= -alpha_g, and satisfies u_h normal_h.y >=
-    u_h offset_h; summed, N.y <= alpha_0 - 1 since the value is 1 (Farkas'
-    lemma read as a separation theorem). So N is nonzero whenever the rest
-    has a common point. For two groups, (2c_1, alpha_0 - alpha_1) is the
-    midpoint hyperplane of c_1.p >= alpha_0 and c_1.q <= -alpha_1, scaled
-    to the unit gap alpha_0 + alpha_1 = 1.
-    """
-    alpha, w = _farkas_columns(ps, meet)[0]
-    return Hyperplane(tuple(-2 * v for v in w), 2 * alpha - 1)
+    pulls = list(zip(y[2 * neq:], meet.halfspaces))
+    normal = tuple(2 * (sum(net[r + k::d], ZERO)
+                        - sum((u * h.normal[k] for u, h in pulls), ZERO))
+                   for k in range(d))
+    return Hyperplane(normal, 2 * net[0] - 1)
 
 
 def hulls_common_point(ps: PointSet, groups, halfspaces=()) -> HullIntersection:

@@ -12,13 +12,12 @@ Every such question goes to one MeetOracle per search. A search that
 enumerates the bipartitions or partitions of its whole ground builds the
 ground's circuit table (geometry.circuit_table) first, so its oracle answers
 every pair question by a mask test, with no LP. Questions about three or
-more groups, and oracles without a table, use inference, which rests on two
-facts. Meeting is monotone: if subgroups of the asked groups meet, so do
-the groups, and a meeting tuple is already witnessed by the points with
-nonzero weight in a basic solution of its equality rows (Caratheodory).
-Disjointness is certified by a Farkas vector, which refutes every system
-whose points pass its column test, not only the one it was solved for.
-Every verdict is therefore exact. Separators are built only for the
+more groups, and oracles without a table, infer "meets" only, from one
+fact: meeting is monotone. If subgroups of the asked groups meet, so do the
+groups, and a meeting tuple is already witnessed by the points with nonzero
+weight in a basic solution of its equality rows (Caratheodory). Every
+"disjoint" comes from the table or from the LP of exactly the asked groups,
+so every verdict is exact. Separators are built only for the
 grouping a search returns, and Farkas vectors in certificates come from the
 LP of exactly the groups they name. Callers that may ask a single question
 (separate, build-separation, covers_jointly_empty) and the certificate
@@ -29,12 +28,12 @@ every facet is read off the Farkas vector of a meeting question
 (geometry.farkas_separator), so no LP is built for separation alone.
 Cross-pair separators give polytopes with at most t facets; each comes from
 the pair's answer in the search's oracle, which holds it already unless the
-oracle has a circuit table or inferred the verdict. The r-fold construction
-is sequential: each separation target is an intersection of earlier
-polytopes with later hulls, kept in mixed halfspace/hull form. A target that
-is nonempty gets one facet per group: the Farkas vector that refutes a common
-point of the group's hull with the target separates them with a unit gap,
-so no facet or vertex enumeration of the target is needed.
+oracle has a circuit table. The r-fold construction is sequential: each
+separation target is an intersection of earlier polytopes with later hulls,
+kept in mixed halfspace/hull form. A target that is nonempty gets one facet
+per group: the Farkas vector that refutes a common point of the group's
+hull with the target separates them with a unit gap, so no facet or vertex
+enumeration of the target is needed.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .geometry import (
     closed_cells_constraints,
     closed_cells_meet,
     farkas_separator,
-    farkas_shadows,
     hulls_common_point,
     point_set,
     strict_separator,
@@ -153,9 +151,6 @@ class MeetOracle:
       solution (at most d+2 for a pair: a basic solution of d+2 equality
       rows) already share a point, and hulls only grow, so any groups that
       contain them, one support per group, meet too;
-    - from an earlier certificate of disjointness: farkas_shadows names,
-      per position, every point whose column the same Farkas vector still
-      refutes, so any groups inside those masks are disjoint too;
     - by solving the LP, whose answer then serves the later questions.
 
     Questions of different arity never inform each other. intersection()
@@ -169,7 +164,6 @@ class MeetOracle:
         self._verdicts = {}  # key -> bool, from the table, solved or inferred
         self._solved = {}    # key -> HullIntersection
         self._meeting = {}   # arity -> packed supports, every group order
-        self._apart = {}     # arity -> packed shadows, every group order
 
     def meets(self, groups) -> bool:
         """Whether the hulls of the groups share a point."""
@@ -204,25 +198,20 @@ class MeetOracle:
         return sum(m << (k * n) for k, m in enumerate(masks))
 
     def _infer(self, key):
-        packed = self._pack(sum(1 << i for i in g) for g in key)
-        outside = ~packed
+        """True when an earlier meeting's supports lie inside the groups,
+        else None: "disjoint" is never inferred."""
+        outside = ~self._pack(sum(1 << i for i in g) for g in key)
         if any(not support & outside for support in self._meeting.get(len(key), ())):
             return True
-        if any(not packed & ~shadow for shadow in self._apart.get(len(key), ())):
-            return False
         return None
 
     def _solve(self, key) -> HullIntersection:
         out = hulls_common_point(self.ps, key)
         if out:
-            masks = [sum(1 << i for i, w in zip(g, ws) if w)
-                     for g, ws in zip(out.groups, out.weights)]
-            table = self._meeting
-        else:
-            masks = farkas_shadows(self.ps, out)
-            table = self._apart
-        table.setdefault(len(key), []).extend(
-            {self._pack(order) for order in itertools.permutations(masks)})
+            supports = [sum(1 << i for i, w in zip(g, ws) if w)
+                        for g, ws in zip(out.groups, out.weights)]
+            self._meeting.setdefault(len(key), []).extend(
+                {self._pack(order) for order in itertools.permutations(supports)})
         self._solved[key] = out
         self._verdicts[key] = bool(out)
         return out
@@ -425,12 +414,11 @@ def verify_empty_intersection(cert: EmptyIntersectionCertificate) -> bool:
         if w.choice in seen or w.choice not in expected:
             return False
         seen.add(w.choice)
-        if len(set(w.classes)) != len(w.classes) or len(w.classes) < 2:
+        # a negative class would index a real cover from the end
+        if len(set(w.classes)) != len(w.classes) or len(w.classes) < 2 or \
+                not all(0 <= c < len(cert.covers) for c in w.classes):
             return False
-        try:
-            groups = [cert.covers[c].groups[w.choice[c]] for c in w.classes]
-        except IndexError:
-            return False
+        groups = [cert.covers[c].groups[w.choice[c]] for c in w.classes]
         # ordering must match the solved system: MeetOracle sorts
         groups = tuple(sorted(groups))
         if not verify_hulls_empty(ps, groups, w.farkas):

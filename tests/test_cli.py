@@ -72,6 +72,28 @@ INPUT_COMMANDS = {
 }
 
 
+# One command line per command or verify target that emits JSON only, each
+# complete but for --input
+JSON_ONLY = {
+    "vcdim": ["vcdim"],
+    "rvcdim": ["rvcdim", "--r", "2"],
+    "bound-e31": ["bound-e31", "--d", "1", "--r", "2"],
+    "traces": ["traces"],
+    "radon": ["radon", "--s", "1", "--t", "1"],
+    "tverberg": ["tverberg", "--r", "2", "--s", "1"],
+    "separate": ["separate", "--a", "0", "--b", "1", "--s", "1", "--t", "1"],
+    "build-separation": ["build-separation", "--parts", "0;1", "--s", "1"],
+    "fsearch": ["fsearch", "--d", "1", "--n", "3", "--s", "1", "--t", "1",
+                "--samples", "1"],
+    "gen": ["gen", "moment-curve", "--n", "4", "--d", "2"],
+    "verify-cert": ["verify-cert"],
+    "verify-t999": ["verify", "t999", "--r", "2", "--s", "1"],
+    "verify-t42": ["verify", "t42", "--d", "1", "--s", "1", "--r", "2"],
+    "verify-f3": ["verify", "f3"],
+    "verify-abstract": ["verify", "abstract", "--r", "3"],
+}
+
+
 def run(capsys, *args):
     code = main([str(a) for a in args])
     return code, capsys.readouterr().out
@@ -390,12 +412,14 @@ class TestErrorsAndCaps:
                      "--samples", "1", "--sampler", "random-rational"]) == 4
         capsys.readouterr()
 
-    def test_csv_only_for_profiles(self, capsys, tmp_path):
-        sq = put(tmp_path, "square.json", SQUARE_DOC)
-        code = main(["radon", "--input", str(sq), "--s", "1", "--t", "1",
-                     "--format", "csv"])
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv", list(JSON_ONLY.values()), ids=list(JSON_ONLY))
+    def test_csv_only_for_profiles(self, capsys, tmp_path, argv):
+        # no --input: the refusal comes before any input is read or search run
+        out = tmp_path / "out"
+        code = main(argv + ["--format", "csv", "--out-dir", str(out)])
         assert code == 4
+        assert "emits JSON only" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInputContract:
@@ -928,6 +952,22 @@ def test_every_public_function_is_reached_from_the_package():
         and not node.name.startswith("_")
         and not any(node.name in used for top, used in refs if top is not node)}
     assert unreached == set(UNREACHED_ALLOWLIST)
+
+
+def test_only_main_renders_documents():
+    # handlers return plain data; main alone turns it into text and bytes
+    cli = Path(__file__).resolve().parents[1] / "src" / "convexparts" / "cli.py"
+
+    def names(top):
+        return {n.id if isinstance(n, ast.Name) else
+                n.attr if isinstance(n, ast.Attribute) else n.name
+                for n in ast.walk(top)
+                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+    users = {getattr(top, "name", "module level")
+             for top in ast.parse(cli.read_text()).body
+             if names(top) & {"canonical_text", "canonical_bytes"}}
+    assert users == {"main"}
 
 
 def _modules_after(*code, prefix="convexparts"):

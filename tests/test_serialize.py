@@ -169,6 +169,22 @@ class TestEmptyIntersectionDocs:
             ["0"] * len(data["witnesses"][0]["farkas"])
         assert check_certificate(data) == (False, "empty-intersection/1")
 
+    @pytest.mark.parametrize("tamper", [
+        # -1 would read as cover 1, and every Farkas vector would still check
+        lambda data: [w.update(classes=[0, -1]) for w in data["witnesses"]],
+        lambda data: data["witnesses"][0].update(classes=[0, 2]),
+        lambda data: data["witnesses"][0].update(classes=[1, 1]),
+        lambda data: data["witnesses"][1].update(
+            choice=data["witnesses"][0]["choice"]),
+    ], ids=["negative-class", "out-of-range-class", "repeated-class",
+            "repeated-choice"])
+    def test_tampered_witness_indices_fail(self, tamper):
+        cert = joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])
+        data = reload(empty_intersection_data(cert))
+        assert [w["classes"] for w in data["witnesses"]] == [[0, 1]] * 4
+        tamper(data)
+        assert check_certificate(data) == (False, "empty-intersection/1")
+
 
 # One tampered value per good-partition/1 field, for the radon certificate
 # on SQUARE (partition [[0, 1], [2, 3]], s = t = 1) and the tverberg one on
