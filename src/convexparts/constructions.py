@@ -3,9 +3,9 @@
 Generators here produce the point sets behind the lower and upper bounds
 tested elsewhere: moment-curve instances, planar convex position, periodic
 colorings on a line, tight Tverberg instances, and far-apart translated
-copies. Each verifier re-derives its claim from kernel predicates (hull
-emptiness via Farkas certificates, interval arithmetic on a line) instead
-of trusting the construction.
+copies. Each verifier re-derives its claim from kernel predicates (exact
+hull emptiness, interval arithmetic on a line) instead of trusting the
+construction.
 
 The moment-curve adversary: points z_i = (t_i, ..., t_i^d) split into p
 consecutive intervals of m points each. Against any r-coloring it picks one
@@ -18,40 +18,34 @@ avoid the other covers. Both facts are checked per run, never assumed.
 
 A color's finished cover depends only on its class and the intervals the
 greedy picked for it: its points in each picked interval, plus one group per
-maximal run of intervals not picked for it. _interval_step makes the greedy
-pick for one interval, _cover builds one color's cover from its class and
-picks as masks, and _check_structure checks that cover. A single coloring
-runs the greedy over its intervals, builds and checks each color's cover and
-returns a Farkas certificate. The sweep over every coloring walks the
-colorings one interval at a time, depth first, carrying only each prefix's
-class and pick masks; it builds and checks each distinct (color, class,
-picks) cover once, the first time it appears, and asks the same exact
-predicate for one verdict per coloring, in one process, with its pair
-questions answered from the instance's circuit table.
+maximal run of intervals not picked for it. _eligible lists the colors an
+interval's local coloring allows, _pick makes the greedy pick among them from
+the colors' pick counts, _cover builds one color's cover from its class and
+picks as masks, and _check_structure checks that cover; the single-coloring
+path built from these lives with the test references. The sweep over every
+coloring walks the colorings one interval at a time, depth first, carrying
+only each prefix's class and pick masks and pick counts. It walks the last
+interval inline, reading each color's cover from a slot indexed by the
+color's mask in that interval and its picked bit, in a slot list kept per
+(color, prefix class, prefix picks); a slot is filled the first time a
+coloring needs it, so each distinct (color, class, picks) cover is built and
+checked once. Each coloring then asks _covers_empty for one verdict, the
+exact predicate of partitions._all_tuples_empty read on group masks, in one
+process, with its pair questions answered from the instance's circuit table
+and memoized by mask.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from math import comb
 
 from .combinat import check_total, run_splits
 from .errors import CapExceeded, InputError, InternalInvariantError
 from .geometry import PointSet, circuit_table, hull_disjoint, point_set
-from .partitions import (
-    MeetOracle,
-    SConvexCover,
-    _all_tuples_empty,
-    covers_jointly_empty,
-    good_tverberg_partition,
-)
-from .ranges import halfspace_traces
+from .partitions import MeetOracle, good_tverberg_partition
 from .rational import Rat
-from .rng import CounterRng
-
-log = logging.getLogger(__name__)
 
 
 def moment_curve(n: int, d: int, rng=None) -> PointSet:
@@ -121,15 +115,6 @@ def moment_adversary_instance(d: int, s: int, r: int) -> MomentAdversaryInstance
                                    tuple(i // m for i in range(n)))
 
 
-def _check_coloring(inst: MomentAdversaryInstance, coloring) -> tuple:
-    coloring = tuple(int(c) for c in coloring)
-    if len(coloring) != inst.n:
-        raise InputError(f"coloring length {len(coloring)}, need {inst.n}")
-    if any(c < 0 or c >= inst.r for c in coloring):
-        raise InputError(f"colors must lie in 0..{inst.r - 1}")
-    return coloring
-
-
 def _split_interval(inst: MomentAdversaryInstance, q: int, local) -> tuple:
     """Interval q's points of each color as a mask; local holds the colors
     of the interval's m points in order."""
@@ -138,23 +123,24 @@ def _split_interval(inst: MomentAdversaryInstance, q: int, local) -> tuple:
                  for color in range(inst.r))
 
 
-def _interval_step(inst: MomentAdversaryInstance, q: int, masks, picked) -> int:
-    """The greedy's pick for interval q, the lowest eligible color.
+def _eligible(inst: MomentAdversaryInstance, masks) -> tuple:
+    """The colors with at most floor(d/2) points among one interval's masks,
+    in increasing order."""
+    return tuple(c for c, mask in enumerate(masks) if mask.bit_count() <= inst.d // 2)
 
-    masks holds interval q's points of each color and picked the intervals
-    chosen for each color before q, both as masks. Eligible: at most
-    floor(d/2) of the interval's points carry the color, and the color was
-    chosen fewer than floor((s-1)/2) times before. Counting keeps this
-    nonempty: at least r/2 colors meet the first condition, while fewer
-    than r/2 can be at quota.
+
+def _pick(inst: MomentAdversaryInstance, eligible, counts) -> int:
+    """The greedy's pick for one interval: the first of its eligible colors
+    chosen fewer than floor((s-1)/2) times before, counts holding each
+    color's picks so far. Counting keeps this defined: at least r/2 colors
+    are eligible, while fewer than r/2 can be at quota.
     """
-    cap = inst.d // 2
     quota = (inst.s - 1) // 2
-    for color in range(inst.r):
-        if masks[color].bit_count() <= cap and picked[color].bit_count() < quota:
+    for color in eligible:
+        if counts[color] < quota:
             return color
-    raise InternalInvariantError(
-        f"no eligible color in interval {q}; the counting bound failed")
+    raise InternalInvariantError("no eligible color in an interval; the "
+                                 "counting bound failed")
 
 
 def _cover(inst: MomentAdversaryInstance, class_mask: int,
@@ -212,56 +198,38 @@ def _check_structure(inst: MomentAdversaryInstance, color: int,
         raise InternalInvariantError("single-interval piece too large")
 
 
-def _adversary(inst: MomentAdversaryInstance, coloring) -> tuple:
-    """(chosen, class masks, picked masks, groups) of one checked coloring:
-    the greedy pick per interval, then each color's cover from its class
-    and picks, structurally checked."""
-    classes = [0] * inst.r
-    picked = [0] * inst.r
-    chosen = ()
-    for q in range(inst.p):
-        masks = _split_interval(inst, q, coloring[q * inst.m:(q + 1) * inst.m])
-        pick = _interval_step(inst, q, masks, picked)
-        picked[pick] |= 1 << q
-        chosen += (pick,)
-        classes = [a | b for a, b in zip(classes, masks)]
-    groups = tuple(_cover(inst, a, b) for a, b in zip(classes, picked))
-    for color, cover in enumerate(groups):
-        _check_structure(inst, color, classes[color], picked[color], cover)
-    return chosen, tuple(classes), tuple(picked), groups
+def _covers_empty(oracle, covers, pairs) -> bool:
+    """Whether no cross tuple of the covers' hulls meets: the predicate of
+    partitions._all_tuples_empty, on covers given as (group, mask) pieces.
 
-
-@dataclass(frozen=True)
-class AdversaryReport:
-    """Outcome of checking the adversary covers against one coloring."""
-
-    ok: bool
-    inst: MomentAdversaryInstance
-    coloring: tuple
-    chosen: tuple
-    covers: tuple
-    certificate: object
-    max_groups: int
-
-
-def verify_moment_adversary(inst: MomentAdversaryInstance, coloring,
-                            oracle=None) -> AdversaryReport:
-    """Build the covers for a coloring and certify their joint emptiness.
-
-    Structural checks (at most s groups per cover, each cover holds exactly
-    its color class, single-interval pieces within floor(d/2) points) raise
-    on violation since the greedy enforces them by construction. The
-    mathematical claim, empty joint intersection, is returned as ok with a
-    per-tuple Farkas certificate; ok=False would falsify the construction.
-    oracle, a MeetOracle of inst.points, may be shared across colorings of
-    the same instance.
+    A cover without pieces is the empty set, so the answer is then true at
+    once. Otherwise the tuples grow one cover at a time and keep a piece
+    only if it meets every piece already chosen; pairs memoizes those pair
+    verdicts by mask, its first answer for a pair coming from
+    oracle.meets. The tuples left, in product order, are exactly those
+    whose pairs all meet, and each asks oracle.meets whole until one meets,
+    as _all_tuples_empty asks them.
     """
-    coloring = _check_coloring(inst, coloring)
-    chosen, _, _, groups = _adversary(inst, coloring)
-    covers = tuple(SConvexCover(inst.points, g) for g in groups)
-    cert = covers_jointly_empty(inst.points, covers, oracle)
-    return AdversaryReport(cert is not None, inst, coloring, chosen, covers,
-                           cert, max(map(len, groups)))
+    if not all(covers):
+        return True
+    tuples = [()]
+    for cover in covers:
+        grown = []
+        for t in tuples:
+            for piece in cover:
+                for g, x in t:
+                    key = (x, piece[1])
+                    meets = pairs.get(key)
+                    if meets is None:
+                        meets = pairs[key] = oracle.meets((g, piece[0]))
+                    if not meets:
+                        break
+                else:
+                    grown.append(t + (piece,))
+        if not grown:
+            return True
+        tuples = grown
+    return not any(oracle.meets(tuple(g for g, _ in t)) for t in tuples)
 
 
 @dataclass(frozen=True)
@@ -282,65 +250,99 @@ class AdversarySweepReport:
 def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
     """Run the adversary against every coloring, lexicographic order.
 
-    The walk goes one interval at a time, depth first: each interval's r^m
-    local colorings are listed once, in lexicographic order, so the
-    concatenated local colorings come out in the order of
-    itertools.product(range(r), repeat=n). A prefix carries only masks:
-    each color's class and the intervals picked for it, which is all the
-    greedy (_interval_step, as for a single coloring) needs. A finished
-    color's cover depends on its class and picks alone, so each distinct
-    (color, class, picks) cover is built by _cover and structurally checked
-    once, the first time it appears, and looked up after that; the memo
-    lives for this call and gains at most r entries per coloring walked
-    (1,812 over the 65,536 colorings at d, s, r = 1, 5, 4), whose r^n cap
-    the caller checks. Every coloring then asks for joint
-    emptiness of its covers as a verdict only, with no certificate: the
-    same exact predicate, on one MeetOracle for the whole sweep. The oracle
-    holds the circuit table of all n points, so pair questions solve no
-    LP; its sum over k of C(n, k) subsets, like the p * r^m local
-    colorings, is below r^n. Stops at the first failing coloring.
+    The walk goes one interval at a time, depth first. An interval's r^m
+    local colorings are listed once, in lexicographic order, as per-color
+    masks, so the concatenated local colorings come out in the order of
+    itertools.product(range(r), repeat=n); each local coloring's eligible
+    colors are listed with it. A prefix carries each color's class, picks
+    (as masks) and pick count, and the greedy's pick for a local coloring
+    depends on the counts alone, so the picks are listed once per counts
+    tuple.
+
+    A finished color's cover depends on its class and picks alone. The last
+    interval is walked inline: for each prefix and color a slot list, kept
+    per (color, prefix class, prefix picks), is indexed by the color's mask
+    in the last interval and whether the last interval was picked for it.
+    An empty slot is filled by building the cover with _cover and checking
+    it with _check_structure, so each distinct (color, class, picks) cover
+    is built and checked once, when a coloring first holds it, and no cover
+    is built that the sweep never meets. A slot holds the cover's groups
+    with their masks; the slot lists hold at most r covers per coloring
+    walked (1,812 over the 65,536 colorings at d, s, r = 1, 5, 4), whose
+    r^n cap the caller checks.
+
+    Every coloring then asks _covers_empty, once, for the joint emptiness of
+    its covers as a verdict only, with no certificate: the same exact
+    predicate as _all_tuples_empty, on one MeetOracle for the whole sweep,
+    with pair verdicts memoized by mask across colorings. The oracle holds
+    the circuit table of all n points, so pair questions solve no LP; its
+    sum over k of C(n, k) subsets, like the r^m local colorings, is below
+    r^n. Stops at the first failing coloring.
     """
     inst = moment_adversary_instance(d, s, r)
     oracle = MeetOracle(inst.points, circuit_table(inst.points, range(inst.n)))
-    tables = [[_split_interval(inst, q, local)
-               for local in itertools.product(range(r), repeat=inst.m)]
-              for q in range(inst.p)]
-    memo = {}
+    local = [_split_interval(inst, 0, c)
+             for c in itertools.product(range(r), repeat=inst.m)]
+    eligible = [_eligible(inst, masks) for masks in local]
+    last = inst.p - 1
+    by_counts = {}  # counts -> (picks, slot indices), per local coloring
+    slots = {}      # (color, prefix class, prefix picks) -> slot list
+    pairs = {}
     verified = max_groups = 0
     failure = None
 
-    def cover(key) -> tuple:
-        groups = memo.get(key)
-        if groups is None:
-            groups = _cover(inst, key[1], key[2])
-            _check_structure(inst, *key, groups)
-            memo[key] = groups
-        return groups
+    def greedy(counts) -> tuple:
+        out = by_counts.get(counts)
+        if out is None:
+            picks = [_pick(inst, e, counts) for e in eligible]
+            out = by_counts[counts] = picks, [
+                tuple(mask << 1 | (c == pick) for c, mask in enumerate(masks))
+                for masks, pick in zip(local, picks)]
+        return out
 
-    def walk(q, classes, picked) -> bool:
+    def cover(color, class_mask, picked_mask) -> tuple:
+        nonlocal max_groups
+        groups = _cover(inst, class_mask, picked_mask)
+        _check_structure(inst, color, class_mask, picked_mask, groups)
+        max_groups = max(max_groups, len(groups))
+        return tuple((g, sum(1 << i for i in g)) for g in groups)
+
+    def walk(q, classes, picked, counts) -> bool:
         # True once a coloring below this prefix fails
-        nonlocal verified, max_groups, failure
-        last = q + 1 == inst.p
-        for masks in tables[q]:
-            pick = _interval_step(inst, q, masks, picked)
-            nxt_picked = picked[:pick] + (picked[pick] | 1 << q,) + picked[pick + 1:]
-            nxt_classes = tuple([a | b for a, b in zip(classes, masks)])
-            if not last:
-                if walk(q + 1, nxt_classes, nxt_picked):
+        nonlocal verified, failure
+        picks, indices = greedy(counts)
+        shift = q * inst.m
+        if q < last:
+            for masks, pick in zip(local, picks):
+                if walk(q + 1, tuple([a | b << shift for a, b in zip(classes, masks)]),
+                        picked[:pick] + (picked[pick] | 1 << q,) + picked[pick + 1:],
+                        counts[:pick] + (counts[pick] + 1,) + counts[pick + 1:]):
                     return True
-                continue
-            groups = tuple([cover(key) for key in
-                            zip(range(r), nxt_classes, nxt_picked)])
-            max_groups = max(max_groups, *map(len, groups))
-            if not _all_tuples_empty(oracle, groups):
+            return False
+        lists = []
+        for key in zip(range(r), classes, picked):
+            lst = slots.get(key)
+            if lst is None:
+                lst = slots[key] = [None] * (2 << inst.m)
+            lists.append(lst)
+        for masks, pick, idx in zip(local, picks, indices):
+            covers = [lst[i] for lst, i in zip(lists, idx)]
+            if None in covers:
+                for c in range(r):
+                    if covers[c] is None:
+                        covers[c] = lists[c][idx[c]] = cover(
+                            c, classes[c] | masks[c] << shift,
+                            picked[c] | (c == pick) << q)
+            if not _covers_empty(oracle, covers, pairs):
                 # the coloring, read back off the class masks
-                failure = tuple(next(c for c in range(r) if nxt_classes[c] >> i & 1)
+                full = [a | b << shift for a, b in zip(classes, masks)]
+                failure = tuple(next(c for c in range(r) if full[c] >> i & 1)
                                 for i in range(inst.n))
                 return True
             verified += 1
         return False
 
-    walk(0, (0,) * r, (0,) * r)
+    walk(0, (0,) * r, (0,) * r, (0,) * r)
     return AdversarySweepReport(failure is None, d, s, r, inst.n, r ** inst.n,
                                 verified, max_groups, failure)
 
@@ -479,6 +481,8 @@ def convex_position(n: int, rng=None) -> PointSet:
 def tverberg_tight_instance(d: int, r: int, seed="tight", attempts: int = 64) -> PointSet:
     """(r-1)(d+1) random rational points admitting no r-partition whose
     hulls share a point, retried until the exhaustive search confirms it."""
+    from .rng import CounterRng
+
     if not 1 <= d <= 2:
         raise InputError("supported dimensions are 1 and 2")
     if not 2 <= r <= 4:
@@ -523,6 +527,10 @@ def halfspace_4coloring(ps: PointSet, n_cap: int = 18):
     search is exhausted, which for valid input would refute that fact, so
     it is logged prominently rather than raised.
     """
+    import logging
+
+    from .ranges import halfspace_traces
+
     if ps.dim != 3:
         raise InputError("the four-coloring argument lives in dimension 3")
     n = len(ps.points)
@@ -559,6 +567,7 @@ def halfspace_4coloring(ps: PointSet, n_cap: int = 18):
 
     if search(0):
         return tuple(colors)
-    log.warning("4-coloring search exhausted for %d points without a valid "
-                "coloring; this should be impossible for points in 3-space", n)
+    logging.getLogger(__name__).warning(
+        "4-coloring search exhausted for %d points without a valid coloring; "
+        "this should be impossible for points in 3-space", n)
     return None

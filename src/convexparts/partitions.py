@@ -20,8 +20,8 @@ weight in a basic solution of its equality rows (Caratheodory). Every
 so every verdict is exact. Separators are built only for the
 grouping a search returns, and Farkas vectors in certificates come from the
 LP of exactly the groups they name. Callers that may ask a single question
-(separate, build-separation, covers_jointly_empty) and the certificate
-checker verify_good_partition keep an oracle without a table.
+(separate, build-separation) and the certificate checker
+verify_good_partition keep an oracle without a table.
 
 The constructive half replaces each cover by a union of polytopes, and
 every facet is read off the Farkas vector of a meeting question
@@ -381,28 +381,6 @@ def _tuple_witnesses(oracle, combo):
             classes, sub = everyone, groups
         witnesses.append(TupleWitness(choice, classes, oracle.intersection(sub).farkas))
     return tuple(witnesses)
-
-
-def covers_jointly_empty(ps: PointSet, covers, oracle=None):
-    """Per-tuple emptiness certificate for covers fixed in advance, or None
-    when some cross tuple of hulls meets.
-
-    Unlike joint_cover_empty there is no grouping search: the covers are the
-    candidate. A cover with no groups is the empty set, so the certificate
-    then carries no tuples. oracle, a MeetOracle of ps, may be shared across
-    calls; sweeps over many covers of one set reuse verdicts that way.
-    """
-    covers = tuple(covers)
-    if len(covers) < 2:
-        raise InputError("need at least two covers")
-    for c in covers:
-        if c.ground != ps:
-            raise InputError("cover ground disagrees with the point set")
-    oracle = _oracle_for(ps, oracle)
-    witnesses = _tuple_witnesses(oracle, tuple(c.groups for c in covers))
-    if witnesses is None:
-        return None
-    return EmptyIntersectionCertificate(ps, covers, witnesses)
 
 
 def verify_empty_intersection(cert: EmptyIntersectionCertificate) -> bool:

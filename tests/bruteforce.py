@@ -16,7 +16,12 @@ membership of an arbitrary point (`in_hull`, one LP) serves only
 now prunes or shares: `rgs_partitions_exact_ref` filters every partition
 into at most r blocks, and `moment_adversary_exhaustive_ref` runs the t42
 greedy, cover builder and structural checks afresh for each of the r^n
-colorings. `radon_number_ref` and `tverberg_number_ref` walk every
+colorings. `verify_moment_adversary` is the adversary against one
+coloring, with a Farkas certificate of joint emptiness from
+`covers_jointly_empty`: no command takes a single coloring, so it lives here
+and builds its covers with the package's greedy (`_eligible`, `_pick`),
+`_cover` and `_check_structure`, the functions the sweep calls.
+`radon_number_ref` and `tverberg_number_ref` walk every
 bipartition or exact r-partition of every subset and intersect the hulls
 of its parts, where `abstract` now asks capture tests, and
 `validate_space_ref` meets every pair of members, where `validate_space`
@@ -53,9 +58,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, perm
 
+import convexparts.constructions as constructions
 from convexparts.abstract import _hull_mask, _radon_work
 from convexparts.cli import _HANDLERS, _TARGETS
 from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
@@ -65,7 +72,8 @@ from convexparts.constructions import AdversarySweepReport, moment_adversary_ins
 from convexparts.errors import CapExceeded, InputError, InternalInvariantError
 from convexparts.geometry import _norm_group, circuit_table
 from convexparts.linprog import REL_EQ, REL_GE, REL_LE, lp_feasible, normalize_rows
-from convexparts.partitions import MeetOracle, SConvexCover, _all_tuples_empty
+from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle, SConvexCover,
+                                    _all_tuples_empty, _oracle_for, _tuple_witnesses)
 from convexparts.rational import ONE, ZERO, Rat
 from convexparts.setsystems import (ShatterProfile, ShatterRow, _classes, _last_row,
                                     _Traces, primal_shatter, r_shatter_bound, sauer_bound,
@@ -672,6 +680,91 @@ def rgs_partitions_exact_ref(items, blocks: int):
     for part in rgs_partitions(items, blocks):
         if len(part) == blocks:
             yield part
+
+
+def _check_coloring(inst, coloring) -> tuple:
+    coloring = tuple(int(c) for c in coloring)
+    if len(coloring) != inst.n:
+        raise InputError(f"coloring length {len(coloring)}, need {inst.n}")
+    if any(c < 0 or c >= inst.r for c in coloring):
+        raise InputError(f"colors must lie in 0..{inst.r - 1}")
+    return coloring
+
+
+def _adversary(inst, coloring) -> tuple:
+    """(chosen, class masks, picked masks, groups) of one checked coloring:
+    the package's greedy pick per interval, then each color's cover from
+    its class and picks, built and structurally checked by the package's
+    _cover and _check_structure, as the sweep builds and checks them."""
+    classes = [0] * inst.r
+    picked = [0] * inst.r
+    counts = [0] * inst.r
+    chosen = ()
+    for q in range(inst.p):
+        masks = constructions._split_interval(inst, q, coloring[q * inst.m:(q + 1) * inst.m])
+        pick = constructions._pick(inst, constructions._eligible(inst, masks), counts)
+        picked[pick] |= 1 << q
+        counts[pick] += 1
+        chosen += (pick,)
+        classes = [a | b for a, b in zip(classes, masks)]
+    groups = tuple(constructions._cover(inst, a, b) for a, b in zip(classes, picked))
+    for color, cover in enumerate(groups):
+        constructions._check_structure(inst, color, classes[color], picked[color], cover)
+    return chosen, tuple(classes), tuple(picked), groups
+
+
+def covers_jointly_empty(ps, covers, oracle=None):
+    """Per-tuple emptiness certificate for covers fixed in advance, or None
+    when some cross tuple of hulls meets.
+
+    Unlike joint_cover_empty there is no grouping search: the covers are the
+    candidate. A cover with no groups is the empty set, so the certificate
+    then carries no tuples. oracle, a MeetOracle of ps, may be shared across
+    calls; sweeps over many covers of one set reuse verdicts that way.
+    """
+    covers = tuple(covers)
+    if len(covers) < 2:
+        raise InputError("need at least two covers")
+    for c in covers:
+        if c.ground != ps:
+            raise InputError("cover ground disagrees with the point set")
+    oracle = _oracle_for(ps, oracle)
+    witnesses = _tuple_witnesses(oracle, tuple(c.groups for c in covers))
+    if witnesses is None:
+        return None
+    return EmptyIntersectionCertificate(ps, covers, witnesses)
+
+
+@dataclass(frozen=True)
+class AdversaryReport:
+    """Outcome of checking the adversary covers against one coloring."""
+
+    ok: bool
+    inst: object
+    coloring: tuple
+    chosen: tuple
+    covers: tuple
+    certificate: object
+    max_groups: int
+
+
+def verify_moment_adversary(inst, coloring, oracle=None) -> AdversaryReport:
+    """Build the covers for a coloring and certify their joint emptiness.
+
+    Structural checks (at most s groups per cover, each cover holds exactly
+    its color class, single-interval pieces within floor(d/2) points) raise
+    on violation since the greedy enforces them by construction. The
+    mathematical claim, empty joint intersection, is returned as ok with a
+    per-tuple Farkas certificate; ok=False would falsify the construction.
+    oracle, a MeetOracle of inst.points, may be shared across colorings of
+    the same instance.
+    """
+    coloring = _check_coloring(inst, coloring)
+    chosen, _, _, groups = _adversary(inst, coloring)
+    covers = tuple(SConvexCover(inst.points, g) for g in groups)
+    cert = covers_jointly_empty(inst.points, covers, oracle)
+    return AdversaryReport(cert is not None, inst, coloring, chosen, covers,
+                           cert, max(map(len, groups)))
 
 
 def _choose_interval_colors(inst, coloring) -> tuple:

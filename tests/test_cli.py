@@ -933,7 +933,6 @@ UNREACHED_ALLOWLIST = {
     "abstract.abstract_good_partition": "acceptance check 12, on the geometric line",
     "abstract.geometric_space": "acceptance check 12, the line as a convexity space",
     "abstract.interval_space": "acceptance check 12, the abstract interval space",
-    "constructions.verify_moment_adversary": "the per-coloring t42 tests",
     "parallel.pmap": "imported by the benchmark tracer",
 }
 
@@ -1009,6 +1008,15 @@ class TestColdStart:
                              "convexparts.rng"}
         assert {"convexparts.partitions", "convexparts.geometry",
                 "convexparts.linprog"} <= loaded
+
+    def test_t42_loads_no_rng_or_set_system_modules(self):
+        # hashlib pulls in OpenSSL; the sweep needs neither it nor logging
+        loaded = _modules_after(
+            "from convexparts.cli import main",
+            "main(['verify', 't42', '--d', '1', '--s', '3', '--r', '4'])", prefix="")
+        assert not loaded & {"convexparts.rng", "convexparts.ranges",
+                             "convexparts.setsystems", "hashlib", "logging"}
+        assert "convexparts.constructions" in loaded
 
     @pytest.mark.parametrize("module", sorted(
         p.stem for p in (Path(__file__).resolve().parents[1] / "src" / "convexparts").glob("*.py")

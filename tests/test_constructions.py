@@ -5,6 +5,7 @@ arithmetic, the periodic-coloring verifier against the LP-based cover
 search, and every lower-bound set against the partition searcher itself.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 import bruteforce
 import convexparts.constructions as constructions
-from bruteforce import moment_adversary_exhaustive_ref, unions_of_intervals_meet
+from bruteforce import (moment_adversary_exhaustive_ref, unions_of_intervals_meet,
+                        verify_moment_adversary)
 from convexparts.constructions import (
-    AdversaryReport,
     convex_position,
     halfspace_4coloring,
     moment_adversary_exhaustive,
@@ -25,13 +26,13 @@ from convexparts.constructions import (
     periodic_coloring,
     translated_copies,
     tverberg_tight_instance,
-    verify_moment_adversary,
     verify_periodic_line_cover,
 )
 from convexparts.errors import CapExceeded, InputError, InternalInvariantError
-from convexparts.geometry import hull_disjoint, point_set
+from convexparts.geometry import circuit_table, hull_disjoint, hulls_common_point, point_set
 from convexparts.partitions import (
     MeetOracle,
+    _all_tuples_empty,
     f_search,
     good_radon_partition,
     good_tverberg_partition,
@@ -197,19 +198,20 @@ class TestAdversaryCovers:
         # a verdict that fails the k-th coloring asked; both walks ask one
         # verdict per coloring, so they must stop at the k-th coloring in
         # lexicographic order with the same counts
-        def failing_at_k():
-            asked = 0
-
-            def verdict(oracle, combo):
-                nonlocal asked
-                asked += 1
-                return asked != k
+        def failing_at_k(asked):
+            def verdict(oracle, covers, *memo):
+                asked.append(covers)
+                return len(asked) != k
             return verdict
 
-        monkeypatch.setattr(constructions, "_all_tuples_empty", failing_at_k())
-        monkeypatch.setattr(bruteforce, "_all_tuples_empty", failing_at_k())
+        asked, ref_asked = [], []
+        monkeypatch.setattr(constructions, "_covers_empty", failing_at_k(asked))
+        monkeypatch.setattr(bruteforce, "_all_tuples_empty", failing_at_k(ref_asked))
         rep = moment_adversary_exhaustive(1, 5, 4)
         ref = moment_adversary_exhaustive_ref(1, 5, 4)
+        assert len(asked) == len(ref_asked) == k
+        # and the failing verdict saw the reference's covers, as pieces
+        assert tuple(tuple(g for g, _ in cover) for cover in asked[-1]) == ref_asked[-1]
         assert (rep.ok, rep.first_failure, rep.verified, rep.max_groups) \
             == (ref.ok, ref.first_failure, ref.verified, ref.max_groups)
         assert not rep.ok and rep.verified == k - 1
@@ -264,7 +266,7 @@ class TestAdversaryCovers:
 
     def test_checker_rejects_too_many_groups(self):
         inst = moment_adversary_instance(1, 3, 4)
-        _, classes, picked, groups = constructions._adversary(inst, (0, 0, 0, 0))
+        _, classes, picked, groups = bruteforce._adversary(inst, (0, 0, 0, 0))
         assert groups[0] == ((0, 1, 2, 3),)
         constructions._check_structure(inst, 0, classes[0], picked[0], groups[0])
         split = ((0,), (1,), (2,), (3,))
@@ -273,14 +275,14 @@ class TestAdversaryCovers:
 
     def test_checker_rejects_a_dropped_point(self):
         inst = moment_adversary_instance(1, 3, 4)
-        _, classes, picked, groups = constructions._adversary(inst, (0, 0, 0, 0))
+        _, classes, picked, groups = bruteforce._adversary(inst, (0, 0, 0, 0))
         with pytest.raises(InternalInvariantError, match="misses points"):
             constructions._check_structure(inst, 0, classes[0], picked[0], ((0, 1, 2),))
 
     def test_checker_rejects_a_large_piece_in_a_chosen_interval(self):
         # interval 0 is chosen for color 0, which has one point there
         inst = moment_adversary_instance(2, 3, 4)
-        chosen, classes, picked, groups = constructions._adversary(
+        chosen, classes, picked, groups = bruteforce._adversary(
             inst, (0, 1, 1, 1, 2, 2, 3, 3))
         assert chosen == (0, 1) and groups[:2] == (((0,),), ((1, 2, 3),))
         constructions._check_structure(inst, 0, classes[0], picked[0], groups[0])
@@ -318,7 +320,7 @@ class TestAdversaryCovers:
         inst = moment_adversary_instance(d, s, r)
         coloring = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=inst.n,
                                             max_size=inst.n)))
-        chosen, _, _, groups = constructions._adversary(inst, coloring)
+        chosen, _, _, groups = bruteforce._adversary(inst, coloring)
         assert chosen == bruteforce._choose_interval_colors(inst, coloring)
         assert groups == tuple(c.groups for c in bruteforce._adversary_covers(
             inst, coloring, chosen))
@@ -332,6 +334,81 @@ class TestAdversaryCovers:
         quota = (inst.s - 1) // 2
         for color in range(inst.r):
             assert rep.chosen.count(color) <= quota
+
+
+class _Recording(MeetOracle):
+    """A MeetOracle that records every tuple question, in order."""
+
+    def __init__(self, ps, table=None):
+        super().__init__(ps, table)
+        self.tuples = []
+
+    def meets(self, groups):
+        if len(groups) > 2:
+            self.tuples.append(tuple(groups))
+        return super().meets(groups)
+
+
+def _pieces(groups):
+    return tuple((g, sum(1 << i for i in g)) for g in groups)
+
+
+@functools.lru_cache(maxsize=None)
+def _verdict_oracles(d, s, r):
+    # one table-backed oracle per instance for the whole draw, with one pair
+    # memo, as in the sweep, and a fresh reference oracle beside it
+    inst = moment_adversary_instance(d, s, r)
+    table = circuit_table(inst.points, range(inst.n))
+    return inst, _Recording(inst.points, table), {}, _Recording(inst.points, table)
+
+
+class TestCoversEmpty:
+    """The sweep's verdict against partitions._all_tuples_empty."""
+
+    @pytest.mark.parametrize("d, s, r", [(1, 5, 4), (2, 3, 4)])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_covers_match_the_tuple_predicate(self, d, s, r, data):
+        # one to s random groups per color, overlapping across colors, so
+        # that some tuples have every pair meeting and reach the whole-tuple
+        # question
+        inst, oracle, pairs, ref = _verdict_oracles(d, s, r)
+        group = st.sets(st.integers(0, inst.n - 1), min_size=1, max_size=4).map(
+            lambda g: tuple(sorted(g)))
+        combo = tuple(tuple(data.draw(st.lists(group, min_size=1, max_size=s)))
+                      for _ in range(r))
+        del oracle.tuples[:], ref.tuples[:]
+        got = constructions._covers_empty(oracle, [_pieces(g) for g in combo], pairs)
+        assert got == _all_tuples_empty(ref, combo)
+        # the same whole-tuple questions, in the same order
+        assert oracle.tuples == ref.tuples
+
+    @pytest.mark.parametrize("combo, empty", [
+        # every pair of chords crosses; the three do not share a point
+        ((((0, 4),), ((1, 5),), ((2, 6),)), True),
+        # every pair of triangles meets, and so do all three
+        ((((0, 3, 6),), ((1, 4, 7),), ((2, 5),)), False),
+        # the first tuple whose pairs all meet is empty, a later one meets
+        ((((0, 4), (0, 3, 6)), ((1, 5), (1, 4, 7)), ((2, 6), (2, 5))), False),
+    ])
+    def test_pairwise_meeting_covers_ask_the_whole_tuple(self, combo, empty):
+        inst = moment_adversary_instance(2, 3, 4)
+        table = circuit_table(inst.points, range(inst.n))
+        oracle, ref = _Recording(inst.points, table), _Recording(inst.points, table)
+        got = constructions._covers_empty(oracle, [_pieces(g) for g in combo], {})
+        assert got == _all_tuples_empty(ref, combo) == empty
+        assert oracle.tuples and oracle.tuples == ref.tuples
+        assert any(bool(hulls_common_point(inst.points, t)) for t in oracle.tuples) \
+            == (not empty)
+
+    def test_an_empty_cover_asks_nothing(self):
+        class Mute(MeetOracle):
+            def meets(self, groups):
+                raise AssertionError("the verdict asked the oracle")
+
+        inst = moment_adversary_instance(1, 5, 4)
+        covers = [_pieces(((0, 1),)), (), _pieces(((2,), (5, 6))), _pieces(((3, 4),))]
+        assert constructions._covers_empty(Mute(inst.points), covers, {})
 
 
 class TestPeriodicColoring:
