@@ -3,11 +3,7 @@ small ground set standing in for the convex sets.
 
 The hull of a subset is the intersection of every family member containing
 it, so hulls exist, are monotone, and land back in the family. Halfspaces
-are the members with a member complement, and (s,t)-separability of a
-bipartition is decided against unions of family members. The block-hull
-reduction that powers the geometric searcher is used here only to find
-witnesses early; the verdict that none exists always comes from full union
-enumeration.
+are the members with a member complement.
 
 Radon and Tverberg numbers come from capture tests, not from walking the
 partitions of each subset. An element x lies in the hull of P iff P fits
@@ -33,7 +29,7 @@ from functools import cached_property, reduce
 from math import comb
 from operator import and_
 
-from .combinat import check_total, indices_of, mask_of, rgs_partitions, stirling2
+from .combinat import check_total, indices_of, mask_of, stirling2
 from .errors import CapExceeded, InputError
 from .setsystems import SetSystem, set_system
 
@@ -103,19 +99,6 @@ def validate_space(space: ConvexitySpace):
             if a & b not in members:
                 return False, ("intersection", indices_of(a), indices_of(b))
     return True, None
-
-
-def hull(space: ConvexitySpace, subset) -> tuple:
-    """Smallest family member containing the subset, as sorted indices."""
-    return indices_of(_hull_mask(space, mask_of(subset, space.n)))
-
-
-def _hull_mask(space: ConvexitySpace, mask: int) -> int:
-    out = (1 << space.n) - 1
-    for member in space.family:
-        if member & mask == mask:
-            out &= member
-    return out
 
 
 def _radon_work(n: int, k: int) -> int:
@@ -247,109 +230,6 @@ def is_separable(space: ConvexitySpace, cap: int = 10**6):
         if not any(h & a == a and h & b == 0 for h in halves):
             return False, (indices_of(a), indices_of(b))
     return True, None
-
-
-@dataclass(frozen=True)
-class AbstractSeparation:
-    """Disjoint unions of family members covering the two sides."""
-
-    a_members: tuple   # member index tuples whose union holds side A
-    b_members: tuple
-
-
-@dataclass(frozen=True)
-class AbstractGoodPartition:
-    """A bipartition whose every cover pair intersects, with the exhaustion
-    counts of the union enumeration that proved it."""
-
-    partition: tuple
-    s: int
-    t: int
-    a_cover_count: int
-    b_cover_count: int
-    checked_pairs: int
-
-
-def abstract_separable(space: ConvexitySpace, a, b, s: int, t: int,
-                       cap: int = 10**6):
-    """A pair of disjoint unions (at most s members over A, t over B), or
-    None when every cover pair intersects.
-
-    Witnesses are searched first among unions of block hulls, mirroring the
-    geometric reduction; the None verdict always comes from enumerating all
-    member unions, which is the ground truth here. An empty side is covered
-    by the empty union, so it is separable from anything outright.
-    """
-    if s < 1 or t < 1:
-        raise InputError("cover sizes must be at least 1")
-    a_mask = mask_of(a, space.n)
-    b_mask = mask_of(b, space.n)
-    if a_mask & b_mask:
-        raise InputError("sides overlap")
-    if not a_mask or not b_mask:
-        return AbstractSeparation((), ())
-    a_idx = indices_of(a_mask)
-    b_idx = indices_of(b_mask)
-    # block-hull pruning pass
-    for a_blocks in rgs_partitions(a_idx, s):
-        ua = 0
-        for block in a_blocks:
-            ua |= _hull_mask(space, mask_of(block, space.n))
-        if ua & b_mask:
-            continue
-        for b_blocks in rgs_partitions(b_idx, t):
-            ub = 0
-            for block in b_blocks:
-                ub |= _hull_mask(space, mask_of(block, space.n))
-            if not ua & ub:
-                return AbstractSeparation(
-                    tuple(hull(space, blk) for blk in a_blocks),
-                    tuple(hull(space, blk) for blk in b_blocks))
-    # ground truth: every union of members
-    a_unions = _unions_covering(space, a_mask, s, cap)
-    b_unions = _unions_covering(space, b_mask, t, cap)
-    for ua, ma in a_unions.items():
-        for ub, mb in b_unions.items():
-            if not ua & ub:
-                return AbstractSeparation(
-                    tuple(indices_of(space.family[i]) for i in ma),
-                    tuple(indices_of(space.family[i]) for i in mb))
-    return None
-
-
-def _unions_covering(space, mask, limit, cap):
-    """Distinct unions of at most `limit` members containing mask, each with
-    its first representative member tuple, in size-then-lex order."""
-    count = len(space.family)
-    check_total("family_unions", (comb(count, k) for k in range(1, limit + 1)), cap)
-    out = {}
-    for k in range(1, limit + 1):
-        for members in itertools.combinations(range(count), k):
-            u = 0
-            for mi in members:
-                u |= space.family[mi]
-            if u & mask == mask and u not in out:
-                out[u] = members
-    return out
-
-
-def abstract_good_partition(space: ConvexitySpace, subset, s: int, t: int,
-                            cap: int = 10**6):
-    """First bipartition (by size of A, then lexicographic) that no cover
-    pair separates, or None when all bipartitions separate."""
-    subset = indices_of(mask_of(subset, space.n))
-    if len(subset) < 2:
-        raise InputError("need at least two elements to bipartition")
-    for size in range(1, len(subset)):
-        for a in itertools.combinations(subset, size):
-            b = tuple(i for i in subset if i not in a)
-            if abstract_separable(space, a, b, s, t, cap) is None:
-                a_unions = _unions_covering(space, mask_of(a, space.n), s, cap)
-                b_unions = _unions_covering(space, mask_of(b, space.n), t, cap)
-                return AbstractGoodPartition(
-                    (a, b), s, t, len(a_unions), len(b_unions),
-                    len(a_unions) * len(b_unions))
-    return None
 
 
 def interval_space(n: int) -> ConvexitySpace:

@@ -5,8 +5,9 @@ convex sets) and its r-fold analogue (covers with empty joint intersection)
 reduce to finitely many hull-disjointness questions once each side is grouped:
 a grouping works iff every cross tuple of hulls fails to meet. Searchers
 exhaust groupings in restricted-growth order and return certificates that
-re-verify from kernel predicates alone. One (A, B) grouping walk stops past
-cap groupings tried (separation_groupings), whatever their closed form.
+re-verify from kernel predicates alone. One lazy grouping walk serves every
+search and the good-partition checker; it stops past cap combinations
+tried (separation_groupings), whatever their closed form.
 
 Every such question goes to one MeetOracle per search. A search that
 enumerates the bipartitions or partitions of its whole ground builds the
@@ -273,38 +274,18 @@ def st_separability_report(ps: PointSet, a, b, s: int, t: int,
     The search itself only asks whether hulls meet; separators are built
     for the grouping it returns, not for the ones it passes over."""
     oracle = MeetOracle(ps)
-    grouping, tried, closed_form = _separating_grouping(oracle, a, b, s, t, cap)
+    grouping, tried, closed_form = _empty_cover(oracle, (a, b), (s, t), cap)
     if grouping is None:
         return None, tried, closed_form
     ks = build_K_polyhedra(ps, *grouping, oracle=oracle)
     return SeparationCertificate(ps, *grouping, ks), tried, closed_form
 
 
-def _separating_grouping(oracle, a, b, s, t, cap):
-    """(first (a_groups, b_groups) in restricted-growth order whose cross
-    hulls are all disjoint, or None; groupings tried; closed-form count)."""
-    a = _norm_group(oracle.ps, a)
-    b = _norm_group(oracle.ps, b)
-    if set(a) & set(b):
-        raise InputError("sides overlap")
-    if s < 1 or t < 1:
-        raise InputError("group counts must be at least 1")
-    closed_form = partitions_le_count(len(a), s) * partitions_le_count(len(b), t)
-    tried = 0
-    for a_groups in rgs_partitions(a, s):
-        for b_groups in rgs_partitions(b, t):
-            tried += 1
-            if tried > cap:
-                raise CapExceeded("separation_groupings", cap, closed_form)
-            if not any(oracle.meets((ga, gb)) for ga in a_groups for gb in b_groups):
-                return (a_groups, b_groups), tried, closed_form
-    return None, tried, closed_form
-
-
 def verify_separation(cert: SeparationCertificate) -> bool:
     """Re-check a separation certificate from scratch."""
     ps = cert.ps
-    if len(cert.hyperplanes) != len(cert.a_groups):
+    if not cert.a_groups or not cert.b_groups or \
+            len(cert.hyperplanes) != len(cert.a_groups):
         return False
     for row in cert.hyperplanes:
         if len(row) != len(cert.b_groups):
@@ -324,42 +305,58 @@ def joint_cover_empty(ps: PointSet, parts, s_list, cap: int = 10**6):
     hulls has empty intersection, or None when every grouping combination
     leaves some tuple meeting."""
     oracle = MeetOracle(ps)
-    for combo in itertools.product(*_cover_groupings(ps, parts, s_list, cap)):
-        if _all_tuples_empty(oracle, combo):
-            covers = tuple(SConvexCover(ps, groups) for groups in combo)
-            return EmptyIntersectionCertificate(
-                ps, covers, _tuple_witnesses(oracle, combo))
-    return None
+    combo = _empty_cover(oracle, parts, s_list, cap)[0]
+    if combo is None:
+        return None
+    covers = tuple(SConvexCover(ps, groups) for groups in combo)
+    return EmptyIntersectionCertificate(ps, covers, _tuple_witnesses(oracle, combo))
 
 
-def _cover_groupings(ps, parts, s_list, cap):
-    """Per part, its groupings into <= s_i groups, after the input checks."""
-    parts = [_norm_group(ps, p) for p in parts]
+def _empty_cover(oracle, parts, s_list, cap):
+    """(first combination of groupings, one per part into <= s_i groups, in
+    restricted-growth product order, whose cross tuples all miss, or None;
+    combinations tried; closed-form count). Each part's groupings are
+    walked afresh under every prefix, never listed up front."""
+    parts = [_norm_group(oracle.ps, p) for p in parts]
     if len(parts) < 2:
         raise InputError("need at least two parts")
-    seen = set()
-    for p in parts:
-        if seen & set(p):
-            raise InputError("parts overlap")
-        seen |= set(p)
-    s_list = list(s_list)
+    if len(set().union(*parts)) < sum(map(len, parts)):
+        raise InputError("parts overlap")
+    s_list = tuple(s_list)
     if len(s_list) != len(parts):
         raise InputError("one group bound per part required")
-    if any(s < 1 for s in s_list):
+    if min(s_list) < 1:
         raise InputError("group counts must be at least 1")
-    total = prod(partitions_le_count(len(p), s) for p, s in zip(parts, s_list))
-    if total > cap:
-        raise CapExceeded("cover_groupings", cap, total)
-    return [list(rgs_partitions(p, s)) for p, s in zip(parts, s_list)]
+    closed_form = prod(map(partitions_le_count, map(len, parts), s_list))
+
+    def combos(k, prefix):
+        for groups in rgs_partitions(parts[k], s_list[k]):
+            if k + 1 == len(parts):
+                yield prefix + (groups,)
+            else:
+                yield from combos(k + 1, prefix + (groups,))
+
+    tried = 0
+    for combo in combos(0, ()):
+        tried += 1
+        if tried > cap:
+            raise CapExceeded("separation_groupings", cap, closed_form)
+        if _all_tuples_empty(oracle, combo):
+            return combo, tried, closed_form
+    return None, tried, closed_form
 
 
 def _all_tuples_empty(oracle, combo) -> bool:
     """Whether every cross tuple of hulls misses. Pairs are asked before the
-    full tuple: an empty sub-intersection already refutes the whole tuple."""
+    full tuple: an empty sub-intersection already refutes the whole tuple.
+    At r = 2 each tuple is its own only pair."""
+    tuples = itertools.product(*combo)
+    if len(combo) == 2:
+        return not any(map(oracle.meets, tuples))
     return not any(
         all(oracle.meets(pair) for pair in itertools.combinations(groups, 2))
         and oracle.meets(groups)
-        for groups in itertools.product(*combo))
+        for groups in tuples)
 
 
 def _tuple_witnesses(oracle, combo):
@@ -413,29 +410,19 @@ def good_radon_partition(ps: PointSet, subset, s: int, t: int,
     bipartition to the next, and it holds the circuit table of subset, so
     it solves no LP. The table needs no cap of its own: its sum over k of
     C(m, k) subsets is below the 2^m - 2 bipartitions the search walks.
-    Each bipartition's grouping walk stops past cap groupings."""
+    Each bipartition's grouping walk stops past cap grouping pairs tried."""
     subset = _norm_group(ps, subset)
     if len(subset) < 2:
         raise InputError("need at least two points to bipartition")
-    if s < 1 or t < 1:
-        raise InputError("group counts must be at least 1")
     oracle = MeetOracle(ps, circuit_table(ps, subset))
     members = set(subset)
     for size in range(1, len(subset)):
         for a in itertools.combinations(subset, size):
             b = tuple(sorted(members - set(a)))
-            cert = _radon_candidate_good(oracle, a, b, s, t, cap)
+            cert = _candidate_good(oracle, "radon", (a, b), (s, t), cap)
             if cert is not None:
                 return cert
     return None
-
-
-def _radon_candidate_good(oracle, a, b, s, t, cap):
-    grouping, tried, closed_form = _separating_grouping(oracle, a, b, s, t, cap)
-    if grouping is not None:
-        return None
-    return GoodPartitionCertificate(
-        "radon", (a, b), tried, closed_form, {"s": s, "t": t})
 
 
 def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
@@ -448,7 +435,8 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
     three or more groups solve LPs. The partition count does not bound the
     table when r is near m (S(m, m-1) = C(m, 2)), so its subsets, the sum
     of C(m, k) for k = 2..min(m, d+2), are checked against cap under the
-    name circuit_table before it is built."""
+    name circuit_table before it is built. Each candidate's grouping walk
+    stops past cap combinations tried."""
     subset = _norm_group(ps, subset)
     if r < 2:
         raise InputError("need at least two parts")
@@ -473,36 +461,37 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
     for blocks in rgs_partitions_exact(subset, r):
         # blocks are disjoint and nonempty, so their permutations are distinct
         for parts in (blocks,) if uniform else itertools.permutations(blocks):
-            cert = _tverberg_candidate_good(oracle, parts, s_list, cap)
+            cert = _candidate_good(oracle, "tverberg", parts, s_list, cap)
             if cert is not None:
                 return cert
     return None
 
 
-def _tverberg_candidate_good(oracle, parts, s_list, cap):
-    groupings = _cover_groupings(oracle.ps, parts, s_list, cap)
-    if any(_all_tuples_empty(oracle, combo) for combo in itertools.product(*groupings)):
+def _candidate_good(oracle, kind, parts, s_list, cap):
+    """The good-partition certificate of parts, or None when some grouping
+    combination leaves every cross tuple empty."""
+    combo, tried, closed_form = _empty_cover(oracle, parts, s_list, cap)
+    if combo is not None:
         return None
-    closed_form = prod(partitions_le_count(len(p), s) for p, s in zip(parts, s_list))
-    return GoodPartitionCertificate(
-        "tverberg", parts, closed_form, closed_form, {"s_list": tuple(s_list)})
+    params = {"s": s_list[0], "t": s_list[1]} if kind == "radon" \
+        else {"s_list": tuple(s_list)}
+    return GoodPartitionCertificate(kind, tuple(parts), tried, closed_form, params)
 
 
 def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate) -> bool:
-    """Re-run the exhaustion for the certified partition; every field,
-    counts included, must equal the re-derived certificate. The checker's
-    oracle has no circuit table, so it decides on the LP path, apart from
-    the searcher's."""
+    """Re-run the exhaustion for the certified partition of every point;
+    every field, counts included, must equal the re-derived certificate.
+    The checker's oracle has no circuit table: it decides on the LP path."""
     params = cert.params
-    oracle = MeetOracle(ps)
     if cert.kind == "radon" and set(params) == {"s", "t"} and len(cert.partition) == 2:
-        derived = _radon_candidate_good(oracle, *cert.partition, params["s"],
-                                        params["t"], 10**6)
+        s_list = (params["s"], params["t"])
     elif cert.kind == "tverberg" and set(params) == {"s_list"}:
-        derived = _tverberg_candidate_good(oracle, cert.partition, params["s_list"], 10**6)
+        s_list = params["s_list"]
     else:
         return False
-    return derived == cert
+    if sorted(i for part in cert.partition for i in part) != list(range(len(ps.points))):
+        return False
+    return _candidate_good(MeetOracle(ps), cert.kind, cert.partition, s_list, 10**6) == cert
 
 
 def _target_meets(ps, groups, halfspaces) -> bool:

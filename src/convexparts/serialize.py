@@ -301,7 +301,9 @@ def check_certificate(data) -> tuple:
         return verify_separation(separation_from_data(data)), schema
     if schema == EMPTY_INTERSECTION_SCHEMA:
         from .partitions import verify_empty_intersection
-        return verify_empty_intersection(empty_intersection_from_data(data)), schema
+        # every command covers nonempty parts; an empty cover refutes nothing
+        cert = empty_intersection_from_data(data)
+        return all(c.groups for c in cert.covers) and verify_empty_intersection(cert), schema
     if schema == R_SEPARATION_SCHEMA:
         from .partitions import verify_r_separation
         ps, sep = r_separation_from_data(data)

@@ -45,6 +45,19 @@ polytopes, by the package's closure operators. `interval_union_traces` is its
 fast path on collinear input, the runs of at most s intervals; no command
 takes either, and acceptance check 7 reads the fast path.
 
+`separating_grouping_ref` and `cover_groupings_ref` are the two grouping
+walks that `partitions._empty_cover` replaced: a lazy (A, B) walk capped
+per grouping pair tried, and an eager listing of every part's groupings
+capped by their closed-form product. `empty_cover_ref` runs them as the
+searches did, the first on two parts and the second crossed by
+`itertools.product` on more, so the new walk must return the same triple
+and ask the oracle the same questions in the same order.
+
+The abstract union search (`abstract_separable`, `abstract_good_partition`
+and `_unions_covering`, with `hull`) is the (s, t) question in a finite
+convexity space, by block hulls first and then every union of members. No
+command asks it; acceptance check 12 compares it with the geometric line.
+
 `strict_separator_ref` and `robust_separator_ref` are the separator LPs
 that `geometry.farkas_separator` replaced: a row per point over (w, b) for
 a pair of groups, and for an r-fold target of `build_r_separation` one LP
@@ -60,10 +73,10 @@ import argparse
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, perm
+from math import comb, perm, prod
 
 import convexparts.constructions as constructions
-from convexparts.abstract import _hull_mask, _radon_work
+from convexparts.abstract import ConvexitySpace, _radon_work
 from convexparts.cli import _HANDLERS, _TARGETS
 from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
                                   partitions_le_count, rgs_partitions,
@@ -842,6 +855,178 @@ def moment_adversary_exhaustive_ref(d: int, s: int, r: int):
         verified += 1
     return AdversarySweepReport(True, d, s, r, inst.n, r ** inst.n,
                                 verified, max_groups, None)
+
+
+def hull(space: ConvexitySpace, subset) -> tuple:
+    """Smallest family member containing the subset, as sorted indices."""
+    return indices_of(_hull_mask(space, mask_of(subset, space.n)))
+
+
+def _hull_mask(space: ConvexitySpace, mask: int) -> int:
+    out = (1 << space.n) - 1
+    for member in space.family:
+        if member & mask == mask:
+            out &= member
+    return out
+
+
+@dataclass(frozen=True)
+class AbstractSeparation:
+    """Disjoint unions of family members covering the two sides."""
+
+    a_members: tuple   # member index tuples whose union holds side A
+    b_members: tuple
+
+
+@dataclass(frozen=True)
+class AbstractGoodPartition:
+    """A bipartition whose every cover pair intersects, with the exhaustion
+    counts of the union enumeration that proved it."""
+
+    partition: tuple
+    s: int
+    t: int
+    a_cover_count: int
+    b_cover_count: int
+    checked_pairs: int
+
+
+def abstract_separable(space: ConvexitySpace, a, b, s: int, t: int,
+                       cap: int = 10**6):
+    """A pair of disjoint unions (at most s members over A, t over B), or
+    None when every cover pair intersects.
+
+    Witnesses are searched first among unions of block hulls, mirroring the
+    geometric reduction; the None verdict always comes from enumerating all
+    member unions, which is the ground truth here. An empty side is covered
+    by the empty union, so it is separable from anything outright.
+    """
+    if s < 1 or t < 1:
+        raise InputError("cover sizes must be at least 1")
+    a_mask = mask_of(a, space.n)
+    b_mask = mask_of(b, space.n)
+    if a_mask & b_mask:
+        raise InputError("sides overlap")
+    if not a_mask or not b_mask:
+        return AbstractSeparation((), ())
+    a_idx = indices_of(a_mask)
+    b_idx = indices_of(b_mask)
+    # block-hull pruning pass
+    for a_blocks in rgs_partitions(a_idx, s):
+        ua = 0
+        for block in a_blocks:
+            ua |= _hull_mask(space, mask_of(block, space.n))
+        if ua & b_mask:
+            continue
+        for b_blocks in rgs_partitions(b_idx, t):
+            ub = 0
+            for block in b_blocks:
+                ub |= _hull_mask(space, mask_of(block, space.n))
+            if not ua & ub:
+                return AbstractSeparation(
+                    tuple(hull(space, blk) for blk in a_blocks),
+                    tuple(hull(space, blk) for blk in b_blocks))
+    # ground truth: every union of members
+    a_unions = _unions_covering(space, a_mask, s, cap)
+    b_unions = _unions_covering(space, b_mask, t, cap)
+    for ua, ma in a_unions.items():
+        for ub, mb in b_unions.items():
+            if not ua & ub:
+                return AbstractSeparation(
+                    tuple(indices_of(space.family[i]) for i in ma),
+                    tuple(indices_of(space.family[i]) for i in mb))
+    return None
+
+
+def _unions_covering(space, mask, limit, cap):
+    """Distinct unions of at most `limit` members containing mask, each with
+    its first representative member tuple, in size-then-lex order."""
+    count = len(space.family)
+    check_total("family_unions", (comb(count, k) for k in range(1, limit + 1)), cap)
+    out = {}
+    for k in range(1, limit + 1):
+        for members in itertools.combinations(range(count), k):
+            u = 0
+            for mi in members:
+                u |= space.family[mi]
+            if u & mask == mask and u not in out:
+                out[u] = members
+    return out
+
+
+def abstract_good_partition(space: ConvexitySpace, subset, s: int, t: int,
+                            cap: int = 10**6):
+    """First bipartition (by size of A, then lexicographic) that no cover
+    pair separates, or None when all bipartitions separate."""
+    subset = indices_of(mask_of(subset, space.n))
+    if len(subset) < 2:
+        raise InputError("need at least two elements to bipartition")
+    for size in range(1, len(subset)):
+        for a in itertools.combinations(subset, size):
+            b = tuple(i for i in subset if i not in a)
+            if abstract_separable(space, a, b, s, t, cap) is None:
+                a_unions = _unions_covering(space, mask_of(a, space.n), s, cap)
+                b_unions = _unions_covering(space, mask_of(b, space.n), t, cap)
+                return AbstractGoodPartition(
+                    (a, b), s, t, len(a_unions), len(b_unions),
+                    len(a_unions) * len(b_unions))
+    return None
+
+
+def separating_grouping_ref(oracle, a, b, s, t, cap):
+    """(first (a_groups, b_groups) in restricted-growth order whose cross
+    hulls are all disjoint, or None; groupings tried; closed-form count)."""
+    a = _norm_group(oracle.ps, a)
+    b = _norm_group(oracle.ps, b)
+    if set(a) & set(b):
+        raise InputError("sides overlap")
+    if s < 1 or t < 1:
+        raise InputError("group counts must be at least 1")
+    closed_form = partitions_le_count(len(a), s) * partitions_le_count(len(b), t)
+    tried = 0
+    for a_groups in rgs_partitions(a, s):
+        for b_groups in rgs_partitions(b, t):
+            tried += 1
+            if tried > cap:
+                raise CapExceeded("separation_groupings", cap, closed_form)
+            if not any(oracle.meets((ga, gb)) for ga in a_groups for gb in b_groups):
+                return (a_groups, b_groups), tried, closed_form
+    return None, tried, closed_form
+
+
+def cover_groupings_ref(ps, parts, s_list, cap):
+    """Per part, its groupings into <= s_i groups, after the input checks."""
+    parts = [_norm_group(ps, p) for p in parts]
+    if len(parts) < 2:
+        raise InputError("need at least two parts")
+    seen = set()
+    for p in parts:
+        if seen & set(p):
+            raise InputError("parts overlap")
+        seen |= set(p)
+    s_list = list(s_list)
+    if len(s_list) != len(parts):
+        raise InputError("one group bound per part required")
+    if any(s < 1 for s in s_list):
+        raise InputError("group counts must be at least 1")
+    total = prod(partitions_le_count(len(p), s) for p, s in zip(parts, s_list))
+    if total > cap:
+        raise CapExceeded("cover_groupings", cap, total)
+    return [list(rgs_partitions(p, s)) for p, s in zip(parts, s_list)]
+
+
+def empty_cover_ref(oracle, parts, s_list, cap: int = 10**6):
+    """The two walks as the searches ran them: separating_grouping_ref on
+    two parts, else the product of cover_groupings_ref under
+    _all_tuples_empty; the same triple as partitions._empty_cover."""
+    if len(parts) == 2:
+        return separating_grouping_ref(oracle, *parts, *s_list, cap)
+    groupings = cover_groupings_ref(oracle.ps, parts, s_list, cap)
+    closed_form = prod(map(len, groupings))
+    for tried, combo in enumerate(itertools.product(*groupings), 1):
+        if _all_tuples_empty(oracle, combo):
+            return combo, tried, closed_form
+    return None, closed_form, closed_form
 
 
 def validate_space_ref(space):

@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import (_has_tverberg_partition, radon_number_ref, tverberg_number_ref,
+from bruteforce import (AbstractSeparation, _has_tverberg_partition, abstract_good_partition,
+                        abstract_separable, hull, radon_number_ref, tverberg_number_ref,
                         validate_space_ref)
 from convexparts.abstract import (
     _has_good_partition,
-    AbstractSeparation,
     ConvexitySpace,
-    abstract_good_partition,
-    abstract_separable,
     convexity_space,
     geometric_space,
     halfspaces,
-    hull,
     interval_space,
     is_separable,
     radon_number,

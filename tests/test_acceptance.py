@@ -7,11 +7,10 @@ and prints a single verdict line.
 
 import itertools
 
-from bruteforce import affine_dependence_ref, interval_union_traces
+from bruteforce import abstract_good_partition, affine_dependence_ref, interval_union_traces
 
-from convexparts.abstract import (abstract_good_partition, geometric_space,
-                                  halfspaces, interval_space, is_separable,
-                                  radon_number, tverberg_number)
+from convexparts.abstract import (geometric_space, halfspaces, interval_space,
+                                  is_separable, radon_number, tverberg_number)
 from convexparts.combinat import mask_of, stirling2
 from convexparts.constructions import (convex_position, halfspace_4coloring,
                                        moment_adversary_exhaustive,

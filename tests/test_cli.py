@@ -553,6 +553,21 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "cap separation_groupings=10 exceeded, needed 16900321" in err
 
+    def test_build_separation_stops_its_grouping_walk_at_the_cap(self, capsys, tmp_path):
+        # the same walk under the same rule: past --cap combinations tried
+        # it stops, and one that ends within --cap runs whatever the closed
+        # form (10 for 0,1,2 against 3,4 at s = 3, 2; the first one misses)
+        path = put(tmp_path, "line16.json",
+                   {"dim": 1, "points": [[str(i)] for i in range(16)]})
+        assert main(["build-separation", "--input", str(path),
+                     "--parts", "0,2,4,6,8,10,12,14;1,3,5,7,9,11,13,15",
+                     "--s-list", "6,6", "--cap", "10"]) == 3
+        err = capsys.readouterr().err
+        assert "cap separation_groupings=10 exceeded, needed 16900321" in err
+        assert main(["build-separation", "--input", str(path), "--parts", "0,1,2;3,4",
+                     "--s-list", "3,2", "--cap", "3"]) == 0
+        capsys.readouterr()
+
     def test_abstract_partition_documents_are_an_unknown_schema(self, capsys, tmp_path):
         # no command emits this schema, so verify-cert no longer reads it
         doc = {"schema": "abstract-good-partition/1", "space": PATH3_SPACE,
@@ -930,7 +945,6 @@ class TestConsoleScript:
 
 # Public names that no module of the package references, and why each stays
 UNREACHED_ALLOWLIST = {
-    "abstract.abstract_good_partition": "acceptance check 12, on the geometric line",
     "abstract.geometric_space": "acceptance check 12, the line as a convexity space",
     "abstract.interval_space": "acceptance check 12, the abstract interval space",
     "parallel.pmap": "imported by the benchmark tracer",

@@ -1,13 +1,16 @@
 """Separability and r-fold cover oracles, searchers, and constructions."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convexparts.geometry as geometry
-from bruteforce import (distinct_rand_point_set, geometric_space_ref,
+import convexparts.partitions as partitions
+from bruteforce import (distinct_rand_point_set, empty_cover_ref, geometric_space_ref,
                         halfspace_traces_ref, in_hull, rgs_partitions_exact_ref,
                         robust_separator_ref, segments_meet, separation_targets_ref,
                         stirling2_ref, union_polytope_system_ref, unit_gap_ref)
@@ -246,8 +249,30 @@ def test_tverberg_validation_and_caps():
         joint_cover_empty(LINE, [(0, 1), (2, 3)], [1])
     with pytest.raises(CapExceeded):
         good_tverberg_partition(LINE, range(5), 3, 1, cap=10)
-    with pytest.raises(CapExceeded):
-        joint_cover_empty(LINE, [(0, 1, 2), (3, 4)], [3, 2], cap=3)
+
+
+def test_cover_walks_stop_past_the_cap():
+    # the cap counts combinations tried, as for separate: (0, 3) against
+    # (1, 2) first misses on the third of its 4 grouping pairs
+    found = joint_cover_empty(LINE, [(0, 3), (1, 2)], [2, 2])
+    assert [c.groups for c in found.covers] == [((0,), (3,)), ((1, 2),)]
+    assert joint_cover_empty(LINE, [(0, 3), (1, 2)], [2, 2], cap=3) == found
+    with pytest.raises(CapExceeded) as err:
+        joint_cover_empty(LINE, [(0, 3), (1, 2)], [2, 2], cap=2)
+    assert (err.value.cap_name, err.value.cap_value, err.value.needed) == (
+        "separation_groupings", 2, 4)
+    # on 7 collinear points at s = 3, the longest candidate walk is 82 of
+    # the 122 combinations of ((0, 2, 3, 4, 5, 6), (1,)), above the 63
+    # partitions and the 56 subsets of the circuit table
+    ps = point_set([[i] for i in range(7)])
+    found = good_tverberg_partition(ps, range(7), 2, 3)
+    assert found.partition == ((0, 2, 4, 6), (1, 3, 5))
+    assert found.enumerated == found.closed_form == 70
+    assert good_tverberg_partition(ps, range(7), 2, 3, cap=82) == found
+    with pytest.raises(CapExceeded) as err:
+        good_tverberg_partition(ps, range(7), 2, 3, cap=81)
+    assert (err.value.cap_name, err.value.cap_value, err.value.needed) == (
+        "separation_groupings", 81, 122)
 
 
 def test_heterogeneous_bounds_try_block_assignments():
@@ -572,6 +597,64 @@ def test_halfspace_traces_match_the_lp_reference(ps):
 @given(ps=small_point_sets())
 def test_geometric_space_matches_the_lp_reference(ps):
     assert geometric_space(ps) == geometric_space_ref(ps)
+
+
+class RecordingOracle(MeetOracle):
+    """A MeetOracle that logs every question asked of it, in order."""
+
+    def __init__(self, ps, table=None):
+        super().__init__(ps, table)
+        self.log = []
+
+    def meets(self, groups):
+        self.log.append(("meets", tuple(groups)))
+        return super().meets(groups)
+
+    def intersection(self, groups):
+        self.log.append(("intersection", tuple(groups)))
+        return super().intersection(groups)
+
+
+@st.composite
+def cover_walks(draw, r):
+    """A point set in R^1..R^3 with r disjoint parts of it (points may be
+    left out) and a group bound per part."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(r + 2, 7))
+    ps = point_set([draw(st.tuples(*[st.integers(0, 3)] * d)) for _ in range(n)])
+    labels = list(range(r)) + [draw(st.integers(-1, r - 1)) for _ in range(n - r)]
+    labels = draw(st.permutations(labels))
+    parts = [tuple(i for i in range(n) if labels[i] == c) for c in range(r)]
+    s_list = [draw(st.integers(2, 3)) for _ in range(2)] + [
+        draw(st.integers(1, 2)) for _ in range(r - 2)]
+    return ps, parts, s_list
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["lp-oracle", "table-oracle"])
+@pytest.mark.parametrize("r", [2, 3, 4])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grouping_walk_matches_the_two_reference_walks(r, table, data):
+    ps, parts, s_list = data.draw(cover_walks(r))
+    oracles = [RecordingOracle(ps, circuit_table(ps, range(len(ps.points))) if table else None)
+               for _ in range(2)]
+    ours = partitions._empty_cover(oracles[0], parts, s_list, 10**6)
+    ref = empty_cover_ref(oracles[1], parts, s_list)
+    assert ours == ref
+    assert oracles[0].log == oracles[1].log
+
+
+def test_only_the_grouping_walk_names_rgs_partitions():
+    # combinat defines the walk over one part's groupings, and every
+    # grouping combination a search tries comes from partitions._empty_cover
+    package = Path(partitions.__file__).parent
+    users = {f"{path.stem}.{getattr(top, 'name', 'module level')}"
+             for path in sorted(package.glob("*.py")) if path.stem != "combinat"
+             for top in ast.parse(path.read_text()).body
+             if not isinstance(top, ast.ImportFrom)
+             and any(getattr(node, "id", getattr(node, "attr", None)) == "rgs_partitions"
+                     for node in ast.walk(top))}
+    assert users == {"partitions._empty_cover"}
 
 
 def _count_lps(monkeypatch):

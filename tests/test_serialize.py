@@ -41,6 +41,9 @@ from convexparts.setsystems import check_sauer, set_system
 SQUARE = point_set([[0, 0], [1, 1], [1, 0], [0, 1]])
 LINE4 = point_set([[0], [1], [2], [3]])
 LINE5 = point_set([[0], [1], [2], [3], [4]])
+# a square with two points inside; PLANE7 adds a third
+PLANE6 = point_set([[0, 0], [4, 0], [0, 4], [4, 4], [1, 2], [3, 1]])
+PLANE7 = point_set([[0, 0], [4, 0], [0, 4], [4, 4], [1, 2], [3, 1], [2, 3]])
 
 
 def reload(data):
@@ -155,6 +158,31 @@ class TestSeparationDocs:
             check_certificate(data)
 
 
+def _separation_without_a_groups():
+    data = reload(separation_data(st_separable(PLANE6, [0, 3], [1, 2], 2, 2)))
+    assert check_certificate(data) == (True, "separation/1")
+    data.update(a_groups=[], hyperplanes=[])
+    return data
+
+
+def _cover_without_groups():
+    cert = joint_cover_empty(PLANE6, [(0, 3), (1, 2), (4, 5)], [2, 2, 2])
+    data = reload(empty_intersection_data(cert))
+    assert check_certificate(data) == (True, "empty-intersection/1")
+    data["covers"][0] = []
+    data["witnesses"] = []
+    return data
+
+
+@pytest.mark.parametrize("tampered, schema", [
+    (_separation_without_a_groups, "separation/1"),
+    (_cover_without_groups, "empty-intersection/1"),
+], ids=["separation-side-without-groups", "cover-without-groups"])
+def test_certificates_that_claim_nothing_fail(tampered, schema):
+    # with no group on one side there is no cross pair or tuple left to refute
+    assert check_certificate(tampered()) == (False, schema)
+
+
 class TestEmptyIntersectionDocs:
     def test_round_trip_and_check(self):
         cert = joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])
@@ -234,6 +262,19 @@ class TestGoodPartitionDocs:
                 check_certificate(data)
         else:
             assert check_certificate(data) == (False, "good-partition/1")
+
+
+    @pytest.mark.parametrize("partition", [
+        [[4], [0, 1, 2, 3, 5]],
+        [[4, 6], [0, 1, 2, 3, 5, 6]],
+    ], ids=["skipped-point", "repeated-point"])
+    def test_partition_of_other_points_fails(self, partition):
+        # every command certifies a partition of the whole point set
+        cert = good_radon_partition(PLANE7, range(7), 1, 1)
+        data = reload(good_partition_data(PLANE7, cert))
+        assert data["partition"] == [[4], [0, 1, 2, 3, 5, 6]]
+        data["partition"] = partition
+        assert check_certificate(data) == (False, "good-partition/1")
 
 
 class TestRSeparationDocs:
