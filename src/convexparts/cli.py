@@ -628,7 +628,7 @@ def _cmd_verify_cert(args):
     from .serialize import check_certificate
 
     data = _load_json(args.input)
-    ok, schema = check_certificate(data)
+    ok, schema = check_certificate(data, _cap(args))
     doc = {"subcommand": "verify-cert", "schema": schema, "ok": ok}
     return (0 if ok else 2), doc, [("report.json", doc)]
 

@@ -478,10 +478,12 @@ def _candidate_good(oracle, kind, parts, s_list, cap):
     return GoodPartitionCertificate(kind, tuple(parts), tried, closed_form, params)
 
 
-def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate) -> bool:
-    """Re-run the exhaustion for the certified partition of every point;
-    every field, counts included, must equal the re-derived certificate.
-    The checker's oracle has no circuit table: it decides on the LP path."""
+def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate,
+                          cap: int = 10**6) -> bool:
+    """Re-run the exhaustion for the certified partition of every point,
+    under the same grouping cap as the searches; every field, counts
+    included, must equal the re-derived certificate. The checker's oracle
+    has no circuit table: it decides on the LP path."""
     params = cert.params
     if cert.kind == "radon" and set(params) == {"s", "t"} and len(cert.partition) == 2:
         s_list = (params["s"], params["t"])
@@ -491,7 +493,7 @@ def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate) -> bool:
         return False
     if sorted(i for part in cert.partition for i in part) != list(range(len(ps.points))):
         return False
-    return _candidate_good(MeetOracle(ps), cert.kind, cert.partition, s_list, 10**6) == cert
+    return _candidate_good(MeetOracle(ps), cert.kind, cert.partition, s_list, cap) == cert
 
 
 def _target_meets(ps, groups, halfspaces) -> bool:

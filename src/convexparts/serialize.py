@@ -7,8 +7,10 @@ independent runs byte-comparable. Every certificate document carries a
 "schema" tag of the form name/version; check_certificate dispatches on it and
 re-verifies the claim from scratch using only the kernel predicates. Only
 the four schemas that commands emit are known; any other is an input error.
-Each codec imports the domain module whose objects it builds or reads, so
-canonical_bytes and canonical_text load nothing beyond this module.
+Each codec imports the domain module whose objects it builds or reads, and
+`rational` where it reads or writes a rational, so canonical_bytes and
+canonical_text load nothing beyond this module, and a set-system command
+loads no `rational`, `fractions` or `decimal`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import io
 import json
 
 from .errors import InputError
-from .rational import parse_rat, rat_str
 
 
 def canonical_bytes(data) -> bytes:
@@ -64,6 +65,8 @@ def _index_lists(rows, what) -> list:
 # ---------------------------------------------------------------- point sets
 
 def point_set_data(ps: PointSet) -> dict:
+    from .rational import rat_str
+
     data = {"dim": ps.dim,
             "points": [[rat_str(c) for c in p] for p in ps.points]}
     if ps.labels is not None:
@@ -71,7 +74,8 @@ def point_set_data(ps: PointSet) -> dict:
     return data
 
 
-def _coord(value):
+def _coord(value, parse_rat):
+    # each reader imports parse_rat once and passes it in
     if isinstance(value, str):
         try:
             return parse_rat(value)
@@ -85,8 +89,9 @@ def _coord(value):
 
 def point_set_from_data(data) -> PointSet:
     from .geometry import point_set
+    from .rational import parse_rat
 
-    pts = [[_coord(c) for c in _list(row, "a point")]
+    pts = [[_coord(c, parse_rat) for c in _list(row, "a point")]
            for row in _items(data, "points", "point set")]
     labels = data.get("labels")
     ps = point_set(pts, labels=None if labels is None else _list(labels, "labels"))
@@ -153,15 +158,18 @@ def shatter_profile_data(profile: ShatterProfile) -> dict:
 # ----------------------------------------------------------------- primitives
 
 def hyperplane_data(h: Hyperplane) -> dict:
+    from .rational import rat_str
+
     return {"normal": [rat_str(c) for c in h.normal],
             "offset": rat_str(h.offset)}
 
 
 def hyperplane_from_data(data) -> Hyperplane:
     from .geometry import make_hyperplane
+    from .rational import parse_rat
 
-    return make_hyperplane([_coord(c) for c in _items(data, "normal", "hyperplane")],
-                           _coord(_need(data, "offset", "hyperplane")))
+    normal = [_coord(c, parse_rat) for c in _items(data, "normal", "hyperplane")]
+    return make_hyperplane(normal, _coord(_need(data, "offset", "hyperplane"), parse_rat))
 
 
 def _groups_data(groups) -> list:
@@ -175,7 +183,9 @@ def _groups_from_data(ps, rows) -> tuple:
 
 
 def _farkas(values) -> tuple:
-    return tuple(_coord(y) for y in _list(values, "farkas"))
+    from .rational import parse_rat
+
+    return tuple(_coord(y, parse_rat) for y in _list(values, "farkas"))
 
 
 # --------------------------------------------------------------- certificates
@@ -208,6 +218,8 @@ def separation_from_data(data) -> SeparationCertificate:
 
 
 def empty_intersection_data(cert: EmptyIntersectionCertificate) -> dict:
+    from .rational import rat_str
+
     return {"schema": EMPTY_INTERSECTION_SCHEMA,
             "points": point_set_data(cert.ps),
             "covers": [_groups_data(c.groups) for c in cert.covers],
@@ -263,6 +275,8 @@ def good_partition_from_data(data):
 
 
 def r_separation_data(sep: PolyhedralSeparation) -> dict:
+    from .rational import rat_str
+
     ps = sep.covers[0].ground
     return {"schema": R_SEPARATION_SCHEMA,
             "points": point_set_data(ps),
@@ -293,8 +307,9 @@ def r_separation_from_data(data):
 
 # ----------------------------------------------------------------- re-checker
 
-def check_certificate(data) -> tuple:
-    """(ok, schema) after re-deriving the certified claim from its inputs."""
+def check_certificate(data, cap: int = 10**6) -> tuple:
+    """(ok, schema) after re-deriving the certified claim from its inputs;
+    cap bounds the grouping walk of the good-partition checker."""
     schema = _need(data, "schema", "certificate")
     if schema == SEPARATION_SCHEMA:
         from .partitions import verify_separation
@@ -310,5 +325,5 @@ def check_certificate(data) -> tuple:
         return verify_r_separation(ps, sep), schema
     if schema == GOOD_PARTITION_SCHEMA:
         from .partitions import verify_good_partition
-        return verify_good_partition(*good_partition_from_data(data)), schema
+        return verify_good_partition(*good_partition_from_data(data), cap), schema
     raise InputError(f"unknown certificate schema {schema!r}")

@@ -7,12 +7,29 @@ act as unconstrained edge slots, which is exactly what makes r-shattering
 monotone decreasing in r (a spare slot can repeat an edge).
 
 Realizability on S depends on the edges only through their traces e & S,
-so each subset's distinct traces are collected once. A slot's candidates
-are the traces containing its part, and of those only the inclusion-minimal
-ones matter: swapping a trace for a smaller one only shrinks the common
-part, so if any choice misses S, a choice of minimal traces does too. Every
-block mask's minimal up-set is therefore computed once per subset and
-shared by all the partitions that have that block.
+so each subset's distinct traces are collected once. Two ways read them.
+
+The class walk (`is_r_shattered`, r >= 3) tests each unordered block class.
+A slot's candidates are the traces containing its part, and of those only
+the inclusion-minimal ones matter: swapping a trace for a smaller one only
+shrinks the common part, so if any choice misses S, a choice of minimal
+traces does too. Every block mask's minimal up-set is therefore computed
+once per subset and shared by all the partitions that have that block.
+
+The count (`count_realizable`, r >= 3) takes every ordered function
+f: S -> r slots at once, as the bits of one integer. Relabelling the slots
+maps realizable functions to realizable ones, so it pins min(S) to slot 0
+and multiplies by r; bit x is then the function whose j-th other point sits
+in slot digit j of x in base r, r^(|S|-1) bits in all. The slots are walked
+in a loop, keeping a frontier from the common part m of the traces chosen
+so far to the bitset of functions whose blocks fit inside them. Trace t at
+slot i keeps the functions with no point outside t in slot i, the AND over
+those points of a "digit j is not i" mask, built once per slot, and moves
+them to m & t; the last slot keeps only m & t = 0. The orderings cap
+r^|S| is checked before any bitset is built, so each bitset holds at most
+cap/r bits, and the frontier holds at most 2^|S| of them. Nothing in the
+walk recurses or forms a reference cycle: big ints never trigger the cyclic
+collector, so bitsets held by a cycle would outlive the call.
 
 r-shattering is closed under subsets, so `check_r_shatter` takes the rows
 up to t = r_vc_dim as r^m without enumerating them (see its docstring), and
@@ -27,14 +44,14 @@ trace, but the other trace contains all of S and must miss it: the pair is
 forced to be 0 and S all the same. Hence at r = 2 the realizable count is
 #{t in T_S : S - t in T_S}, S is 2-shattered iff |T_S| = 2^|S|, and
 r_vc_dim is the VC dimension. Those three answers come from the trace set
-alone; the class walk serves r >= 3 only.
+alone; the class walk and the bitset count serve r >= 3 only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import log, log1p, perm
+from math import log, log1p
 
 from .combinat import binomial, check_total, indices_of, mask_of, partitions_le_count
 from .errors import CapExceeded, InputError
@@ -264,7 +281,12 @@ def is_r_shattered(sys: SetSystem, S, r: int, cap: int = 10**6) -> bool:
 
     At r = 2 this is plain shattering (module docstring). Otherwise the
     unordered block classes are enumerated once (RGS order) with empty parts
-    as wildcard slots, since realizability only depends on the class.
+    as wildcard slots, since realizability only depends on the class. This
+    walk, not the bitset of `count_realizable`, answers here for two
+    reasons: the cap `r_shatter_classes` counts classes, which can fit where
+    r^|S| orderings do not, and at most |S| wildcard slots are searched, so
+    r = 5000 stays shallow, where a bitset would walk every slot over
+    r^(|S|-1) bits.
     """
     if r < 2:
         raise InputError("r must be at least 2")
@@ -301,12 +323,54 @@ def r_vc_dim(sys: SetSystem, r: int, cap: int = 10**6) -> int:
     return 0
 
 
+def _count_pinned(traces, s_mask: int, r: int) -> int:
+    """The number of realizable functions f: S -> r slots with f(min S) = 0,
+    counted on one bitset walked slot by slot (module docstring)."""
+    first, *rest = [1 << i for i in indices_of(s_mask)]
+    full = (1 << r ** len(rest)) - 1
+    # digit j of x is 0 on the first r^j bits of every r^(j+1), and i on
+    # those runs shifted by i r^j
+    runs, width = [], 1
+    for bit in rest:
+        runs.append((bit, width, ((1 << width) - 1) * (full // ((1 << width * r) - 1))))
+        width *= r
+    frontier = {s_mask: full}
+    for i in range(r):
+        off = [(bit, full ^ run << i * width) for bit, width, run in runs]
+        last = i == r - 1
+        nxt = {}
+        for t in traces:
+            if not i and not t & first:
+                continue
+            fits = full
+            for bit, mask in off:
+                if not t & bit:
+                    fits &= mask
+            if not fits:
+                continue
+            for m, f in frontier.items():
+                common = m & t
+                if last and common:
+                    continue
+                kept = f & fits
+                if kept:
+                    nxt[common] = nxt.get(common, 0) | kept
+        if not nxt:
+            return 0
+        frontier = nxt
+    return frontier.get(0, 0).bit_count()
+
+
 def count_realizable(sys: SetSystem, S, r: int, cap: int = 10**6) -> int:
     """Number of realizable ordered r-partitions (functions S -> r parts).
 
     At r = 2 these are the traces whose complement in S is a trace too
-    (module docstring). Otherwise each unordered class of k nonempty blocks
-    is tested once and contributes r!/(r-k)! orderings when realizable.
+    (module docstring). Otherwise relabelling the slots maps realizable
+    functions to realizable ones, so the count is r times the number with
+    min(S) in slot 0, and `_count_pinned` takes those as one bitset over the
+    slots of the other points (module docstring). The orderings cap r^|S| is
+    checked before any bitset is built, so each holds r^(|S|-1) <= cap/r
+    bits, and the frontier holds at most one per common part, 2^|S| of them.
     """
     if r < 1:
         raise InputError("r must be at least 1")
@@ -320,9 +384,7 @@ def count_realizable(sys: SetSystem, S, r: int, cap: int = 10**6) -> int:
         return sum(mask ^ t in traces for t in traces)
     if not size:
         return 1 if sys.edges else 0
-    traces = _Traces(sys, mask)
-    return sum(perm(r, len(blocks)) for blocks in _classes(mask, r)
-               if traces.realizable(blocks, r))
+    return r * _count_pinned(_traces(sys, mask), mask, r)
 
 
 def r_shatter_bound(m: int, t: int, r: int) -> int:
@@ -339,9 +401,9 @@ def check_r_shatter(sys: SetSystem, r: int, m_max: int | None = None, cap: int =
     dropped points into any part; the same edges still work), so each of
     its m-subsets realizes all r^m ordered partitions, and no m-set can
     realize more. Those rows still raise every cap the recount would.
-    The rows above t are enumerated: each of their C(n, m) subsets tests
-    its partitions into at most r blocks, and that total goes through cap
-    before the first row.
+    The rows above t are enumerated, one `count_realizable` per subset.
+    Before the first row, the partitions of their C(n, m) subsets into at
+    most r blocks are totalled through cap as `r_shatter_classes_total`.
     """
     m_max = _last_row(sys, m_max)
     t = r_vc_dim(sys, r, cap=cap)

@@ -29,7 +29,8 @@ meets each member with a few generators.
 
 The `_walk_ref` routines are `setsystems`' block-class walk as it answered
 every r, caps included: `setsystems` now answers r = 2 from the trace set
-alone, and these keep the walk as the r = 2 reference. `min_f_counting_ref`
+alone and counts r >= 3 ordered partitions on one bitset, and these keep
+the walk as the reference for both. `min_f_counting_ref`
 recomputes every power for every f, where `min_f_counting` screens each f
 in floats. `check_sauer_ref` recounts every row of the Sauer profile, where
 `check_sauer` takes the rows up to the VC dimension as 2^m.

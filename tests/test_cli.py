@@ -21,6 +21,7 @@ from bruteforce import flat_parser_ref, nested_parser_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexparts import setsystems
 from convexparts.cli import _FLAGS, _HANDLERS, _TARGETS, _parse, main
 from convexparts.errors import CapExceeded, InputError
 from convexparts.serialize import canonical_bytes
@@ -155,13 +156,18 @@ class TestSystemCommands:
         assert code == 0 and doc["r_vc_dim"] >= 0
 
     def test_two_part_commands_never_walk_classes(self, capsys, tmp_path, monkeypatch):
-        class ClassWalk(Exception):
-            pass
+        # neither the class walk nor the r >= 3 bitset count serves r = 2
+        calls = []
 
-        def walk(*args):
-            raise ClassWalk
+        def recorded(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
 
-        monkeypatch.setattr(_Traces, "realizable", walk)
+        monkeypatch.setattr(_Traces, "realizable", recorded("walk", _Traces.realizable))
+        monkeypatch.setattr(setsystems, "_count_pinned",
+                            recorded("bitset", setsystems._count_pinned))
         # intervals on 5 points: r_vc_dim 2 at r = 2, so rows 3..5 are counted
         edges = [list(range(i, j)) for i in range(5) for j in range(i, 6)]
         path = put(tmp_path, "system.json", {"n": 5, "edges": edges})
@@ -169,8 +175,11 @@ class TestSystemCommands:
                      ["verify", "rshatter", "--r", "2"]):
             assert main(argv + ["--input", str(path)]) == 0
             capsys.readouterr()
-        with pytest.raises(ClassWalk):
-            main(["rshatter", "--r", "3", "--input", str(path)])
+        assert calls == []
+        # r = 3 asks r_vc_dim by the walk, then counts the rows above it
+        assert main(["rshatter", "--r", "3", "--input", str(path)]) == 0
+        capsys.readouterr()
+        assert set(calls) == {"walk", "bitset"}
 
     def test_shatter_csv_header(self, capsys, tmp_path):
         sq = put(tmp_path, "square.json", SQUARE_DOC)
@@ -552,6 +561,19 @@ class TestInputContract:
                      "--cap", "10"]) == 3
         err = capsys.readouterr().err
         assert "cap separation_groupings=10 exceeded, needed 16900321" in err
+
+    def test_good_partition_checker_walks_under_the_cap(self, capsys, tmp_path):
+        pts = [(0, 0), (4, 0), (0, 4), (4, 4), (1, 2), (3, 1), (2, 3)]
+        path = put(tmp_path, "seven.json",
+                   {"dim": 2, "points": [[str(x), str(y)] for x, y in pts]})
+        out = tmp_path / "radon"
+        code, _ = run(capsys, "radon", "--input", path, "--s", 1, "--t", 1, "--out-dir", out)
+        assert code == 0
+        cert = out / "certificate.json"
+        code, verdict = run_json(capsys, "verify-cert", "--input", cert)
+        assert code == 0 and verdict["ok"]
+        assert main(["verify-cert", "--input", str(cert), "--cap", "0"]) == 3
+        assert "cap separation_groupings=0 exceeded" in capsys.readouterr().err
 
     def test_build_separation_stops_its_grouping_walk_at_the_cap(self, capsys, tmp_path):
         # the same walk under the same rule: past --cap combinations tried
@@ -1004,7 +1026,15 @@ class TestColdStart:
                                 "main(['bound-e31', '--d', '1', '--r', '2'])")
         assert loaded == {"convexparts", "convexparts.cli", "convexparts.errors",
                           "convexparts.combinat", "convexparts.setsystems",
-                          "convexparts.serialize", "convexparts.rational"}
+                          "convexparts.serialize"}
+
+    def test_rshatter_loads_no_rationals(self, tmp_path):
+        path = put(tmp_path, "system.json", {"n": 5, "edges": [[0], [1, 2], [2, 3, 4], [0, 4]]})
+        loaded = _modules_after(
+            "from convexparts.cli import main",
+            f"main(['rshatter', '--r', '3', '--input', {str(path)!r}])", prefix="")
+        assert "convexparts.setsystems" in loaded
+        assert not loaded & {"convexparts.rational", "fractions", "decimal"}
 
     def test_bound_e31_loads_no_argparse(self):
         loaded = _modules_after("from convexparts.cli import main",

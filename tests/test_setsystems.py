@@ -1,5 +1,6 @@
 """Shattering machinery against closed forms and brute-force recounts."""
 
+import gc
 import itertools
 from math import comb
 
@@ -353,6 +354,56 @@ def test_two_part_answers_match_the_class_walk(case):
             == _outcome(count_realizable_walk_ref, sys, S, 2, cap=cap))
     assert (_outcome(is_r_shattered, sys, S, 2, cap=cap)
             == _outcome(is_r_shattered_walk_ref, sys, S, 2, cap=cap))
+
+
+@st.composite
+def _many_part_cases(draw):
+    """A system on n <= 8 points, r in 3..5, a cap, an m_max and a subset S."""
+    n, edges, cap, m_max, base = draw(_two_part_cases())
+    return n, edges, draw(st.integers(3, 5)), cap, m_max, base
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_many_part_cases())
+@example((0, [], 3, 1, None, 0))                       # empty ground
+@example((4, list(range(16)), 3, 81, None, 0b1111))    # shattered ground at the cap
+@example((4, list(range(16)), 3, 80, None, 0b1111))    # one ordering past the cap
+@example((5, [0, 31], 4, 10**6, None, 0b11111))        # only the empty and full edges
+@example((6, [1, 2, 4, 8, 16, 32, 63], 5, 10**6, 4, 0b110111))
+@example((8, [m for m in range(256) if m & 3 != 3], 3, 10**6, None, 0b11111111))
+def test_many_part_answers_match_the_class_walk(case):
+    # r >= 3 counts ordered partitions as one bitset; the references walk
+    # every block class and weigh each realizable one by its orderings
+    n, edges, r, cap, m_max, base = case
+    sys = set_system(n, edges)
+    S = indices_of(base)
+    assert (_outcome(count_realizable, sys, S, r, cap=cap)
+            == _outcome(count_realizable_walk_ref, sys, S, r, cap=cap))
+    assert (_outcome(check_r_shatter, sys, r, m_max=m_max, cap=cap)
+            == _outcome(check_r_shatter_walk_ref, sys, r, m_max=m_max, cap=cap))
+
+
+def test_counting_leaves_no_cycles():
+    # big ints never trigger the cyclic collector, so bitsets held by a
+    # reference cycle would outlive the call
+    rng = CounterRng(37, "no-cycles")
+    sys = random_system(rng, 9, 40)
+    want = count_realizable_walk_ref(sys, range(9), 3)  # its DFS closure is a cycle
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_realizable(sys, range(9), 3) == want
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_many_slots_count_without_recursion():
+    # 1000^2 orderings meet the default cap; the slots are walked in a loop
+    sys = set_system(3, [(0,), (1,), (0, 2), ()])
+    assert count_realizable(sys, (0, 1), 1000) == count_realizable_walk_ref(sys, (0, 1), 1000)
+    assert _outcome(count_realizable, sys, (0, 1), 1001) == (
+        "count_realizable_orderings", 10**6, 1001**2)
 
 
 def test_two_part_dimension_keeps_its_one_cap():
