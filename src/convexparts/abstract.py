@@ -230,36 +230,3 @@ def is_separable(space: ConvexitySpace, cap: int = 10**6):
         if not any(h & a == a and h & b == 0 for h in halves):
             return False, (indices_of(a), indices_of(b))
     return True, None
-
-
-def interval_space(n: int) -> ConvexitySpace:
-    """Index intervals [i..j] plus the empty set: the convexity of a path."""
-    if n < 1:
-        raise InputError("path needs at least one vertex")
-    family = [()]
-    for i in range(n):
-        for j in range(i, n):
-            family.append(range(i, j + 1))
-    return convexity_space(n, family)
-
-
-def geometric_space(ps, n_cap: int = 12) -> ConvexitySpace:
-    """Hull-closed subsets of a point set: S with CH(S) picking up no
-    further points. Intersection-closed by hull monotonicity.
-
-    A point j outside S lies in CH(S) iff some circuit has C+ = {j} and
-    C- inside S, so the closed sets are the masks that no circuit with a
-    single point on one side lies across, read off the circuit table with
-    no LP. n_cap also bounds the table: its sum over k of C(n, k) subsets
-    is below 2^n.
-    """
-    from .geometry import circuit_table, uncrossed_masks
-
-    n = len(ps.points)
-    if n > n_cap:
-        raise CapExceeded("geometric_space_points", n_cap, n)
-    # signed lists both orientations; (C, {j}) lies across S iff C is inside
-    # S and j is not, that is, iff j is a point of CH(S) outside S
-    signed = [(p, m) for p, m in circuit_table(ps, range(n)).signed
-              if m.bit_count() == 1]
-    return convexity_space(n, [indices_of(s) for s in uncrossed_masks(n, signed)])

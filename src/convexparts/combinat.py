@@ -2,7 +2,10 @@
 
 Set partitions are always produced in restricted-growth-string order (item 0
 gets block 0; item i may open at most one new block), the canonical order all
-searchers in this package quote in their transcripts.
+searchers in this package quote in their transcripts. One label walk yields
+them: rgs_partitions gives each block as a tuple of items, and rgs_masks,
+for items that are disjoint bit masks, as the mask of its items, the form
+the grouping walk hands to the hull oracle.
 """
 
 from __future__ import annotations
@@ -60,39 +63,59 @@ def partitions_le_count(n: int, kmax: int) -> int:
     return sum(_stirling_row(n, max(0, min(n, kmax)))[1:])
 
 
-def rgs_partitions(items, max_blocks: int, min_blocks: int = 0):
-    """All partitions of items into at least min_blocks and at most
-    max_blocks nonempty blocks, RGS order.
-
-    Yields tuples of blocks; each block is a tuple of items in input order.
-    The empty item list yields the empty partition when min_blocks <= 0. A
-    prefix whose remaining items cannot open the blocks still missing is not
-    extended, so every prefix walked has a completion that is yielded.
-    """
-    items = list(items)
-    n = len(items)
-    if n == 0:
-        if min_blocks <= 0:
-            yield ()
-        return
-    if max_blocks < 1:
-        return
+def _rgs_labels(n: int, max_blocks: int, min_blocks: int):
+    """(labels, block count) of every partition of n >= 1 items into at
+    least min_blocks and at most max_blocks >= 1 blocks, RGS order; labels
+    gives each item's block and is one list, reused. A prefix whose
+    remaining items cannot open the blocks still missing is not extended,
+    so every prefix walked has a completion that is yielded."""
     labels = [0] * n
 
     def rec(i, used):
         if used + n - i < min_blocks:
             return
         if i == n:
-            blocks = [[] for _ in range(used)]
-            for j, lab in enumerate(labels):
-                blocks[lab].append(items[j])
-            yield tuple(tuple(b) for b in blocks)
+            yield labels, used
             return
         for lab in range(min(used + 1, max_blocks)):
             labels[i] = lab
             yield from rec(i + 1, max(used, lab + 1))
 
     yield from rec(1, 1)
+
+
+def rgs_partitions(items, max_blocks: int, min_blocks: int = 0):
+    """All partitions of items into at least min_blocks and at most
+    max_blocks nonempty blocks, RGS order.
+
+    Yields tuples of blocks; each block is a tuple of items in input order.
+    The empty item list yields the empty partition when min_blocks <= 0.
+    """
+    items = list(items)
+    if not items:
+        if min_blocks <= 0:
+            yield ()
+        return
+    if max_blocks < 1:
+        return
+    for labels, used in _rgs_labels(len(items), max_blocks, min_blocks):
+        blocks = [[] for _ in range(used)]
+        for item, lab in zip(items, labels):
+            blocks[lab].append(item)
+        yield tuple(map(tuple, blocks))
+
+
+def rgs_masks(bits, max_blocks: int):
+    """rgs_partitions(bits, max_blocks) for a list of disjoint bit masks,
+    with each block given as the mask of its items."""
+    if not bits:
+        yield ()
+    elif max_blocks >= 1:
+        for labels, used in _rgs_labels(len(bits), max_blocks, 0):
+            blocks = [0] * used
+            for bit, lab in zip(bits, labels):
+                blocks[lab] |= bit
+            yield tuple(blocks)
 
 
 def rgs_partitions_exact(items, blocks: int):

@@ -20,19 +20,19 @@ A color's finished cover depends only on its class and the intervals the
 greedy picked for it: its points in each picked interval, plus one group per
 maximal run of intervals not picked for it. _eligible lists the colors an
 interval's local coloring allows, _pick makes the greedy pick among them from
-the colors' pick counts, _cover builds one color's cover from its class and
-picks as masks, and _check_structure checks that cover; the single-coloring
-path built from these lives with the test references. The sweep over every
-coloring walks the colorings one interval at a time, depth first, carrying
-only each prefix's class and pick masks and pick counts. It walks the last
+the colors' pick counts, _cover builds one color's cover as point masks from
+its class and picks, and _check_structure checks that cover; the
+single-coloring path built from these lives with the test references. The
+sweep over every coloring walks the colorings one interval at a time, depth
+first, carrying only each prefix's class and pick masks and pick counts. It walks the last
 interval inline, reading each color's cover from a slot indexed by the
 color's mask in that interval and its picked bit, in a slot list kept per
 (color, prefix class, prefix picks); a slot is filled the first time a
 coloring needs it, so each distinct (color, class, picks) cover is built and
-checked once. Each coloring then asks _covers_empty for one verdict, the
-exact predicate of partitions._all_tuples_empty read on group masks, in one
-process, with its pair questions answered from the instance's circuit table
-and memoized by mask.
+checked once. Each coloring then asks partitions._all_tuples_empty, the
+package's one cross-tuple predicate, for one verdict, in one process, on
+one MeetOracle whose pair questions are answered from the instance's
+circuit table and kept in the oracle's memo.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from math import comb
 from .combinat import check_total, run_splits
 from .errors import CapExceeded, InputError, InternalInvariantError
 from .geometry import PointSet, circuit_table, hull_disjoint, point_set
-from .partitions import MeetOracle, good_tverberg_partition
+from .partitions import MeetOracle, _all_tuples_empty, good_tverberg_partition
 from .rational import Rat
 
 
@@ -145,24 +145,24 @@ def _pick(inst: MomentAdversaryInstance, eligible, counts) -> int:
 
 def _cover(inst: MomentAdversaryInstance, class_mask: int,
            picked_mask: int) -> tuple:
-    """One color's cover as sorted index tuples, in interval order: its
-    points inside each interval picked for it, plus one group per maximal
-    run of intervals not picked for it.
+    """One color's cover as point masks, in interval order: its points
+    inside each interval picked for it, plus one group per maximal run of
+    intervals not picked for it.
 
     Pieces without any point of the color are dropped; a color with no
     points at all gets no groups, which is the empty set. The group count
     never exceeds 2*floor((s-1)/2)+1 <= s.
     """
     groups = []
-    run = ()
+    run = 0
+    interval = (1 << inst.m) - 1
     for q in range(inst.p):
-        mine = tuple(i for i in range(q * inst.m, (q + 1) * inst.m)
-                     if class_mask >> i & 1)
+        mine = class_mask & interval << q * inst.m
         if picked_mask >> q & 1:
             groups += [g for g in (run, mine) if g]
-            run = ()
+            run = 0
         else:
-            run += mine
+            run |= mine
     return tuple(groups) + ((run,) if run else ())
 
 
@@ -172,9 +172,9 @@ def _check_structure(inst: MomentAdversaryInstance, color: int,
 
     class_mask holds the color's points, read off the coloring, not off the
     groups, and picked_mask the intervals the greedy chose for the color.
-    The cover has at most s groups, covers exactly its color class, and
-    its pieces inside one interval chosen for its color hold at most
-    floor(d/2) points.
+    The cover, given as point masks, has at most s groups, covers exactly
+    its color class, and its pieces inside one interval chosen for its color
+    hold at most floor(d/2) points.
     """
     if len(groups) > inst.s:
         raise InternalInvariantError(
@@ -183,53 +183,16 @@ def _check_structure(inst: MomentAdversaryInstance, color: int,
     covered = 0
     too_large = False
     for g in groups:
-        mask = 0
-        for i in g:
-            mask |= 1 << i
-        covered |= mask
+        covered |= g
         # g lies in one interval iff no point lies past the interval of its
         # lowest point
-        q = inst.interval_index[(mask & -mask).bit_length() - 1]
-        too_large |= (len(g) > cap and picked_mask >> q & 1 == 1
-                      and not mask >> (q + 1) * inst.m)
+        q = inst.interval_index[(g & -g).bit_length() - 1]
+        too_large |= (g.bit_count() > cap and picked_mask >> q & 1 == 1
+                      and not g >> (q + 1) * inst.m)
     if covered != class_mask:
         raise InternalInvariantError(f"cover {color} misses points of its color")
     if too_large:
         raise InternalInvariantError("single-interval piece too large")
-
-
-def _covers_empty(oracle, covers, pairs) -> bool:
-    """Whether no cross tuple of the covers' hulls meets: the predicate of
-    partitions._all_tuples_empty, on covers given as (group, mask) pieces.
-
-    A cover without pieces is the empty set, so the answer is then true at
-    once. Otherwise the tuples grow one cover at a time and keep a piece
-    only if it meets every piece already chosen; pairs memoizes those pair
-    verdicts by mask, its first answer for a pair coming from
-    oracle.meets. The tuples left, in product order, are exactly those
-    whose pairs all meet, and each asks oracle.meets whole until one meets,
-    as _all_tuples_empty asks them.
-    """
-    if not all(covers):
-        return True
-    tuples = [()]
-    for cover in covers:
-        grown = []
-        for t in tuples:
-            for piece in cover:
-                for g, x in t:
-                    key = (x, piece[1])
-                    meets = pairs.get(key)
-                    if meets is None:
-                        meets = pairs[key] = oracle.meets((g, piece[0]))
-                    if not meets:
-                        break
-                else:
-                    grown.append(t + (piece,))
-        if not grown:
-            return True
-        tuples = grown
-    return not any(oracle.meets(tuple(g for g, _ in t)) for t in tuples)
 
 
 @dataclass(frozen=True)
@@ -267,17 +230,17 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
     it with _check_structure, so each distinct (color, class, picks) cover
     is built and checked once, when a coloring first holds it, and no cover
     is built that the sweep never meets. A slot holds the cover's groups
-    with their masks; the slot lists hold at most r covers per coloring
+    as point masks; the slot lists hold at most r covers per coloring
     walked (1,812 over the 65,536 colorings at d, s, r = 1, 5, 4), whose
     r^n cap the caller checks.
 
-    Every coloring then asks _covers_empty, once, for the joint emptiness of
-    its covers as a verdict only, with no certificate: the same exact
-    predicate as _all_tuples_empty, on one MeetOracle for the whole sweep,
-    with pair verdicts memoized by mask across colorings. The oracle holds
-    the circuit table of all n points, so pair questions solve no LP; its
-    sum over k of C(n, k) subsets, like the r^m local colorings, is below
-    r^n. Stops at the first failing coloring.
+    Every coloring then asks _all_tuples_empty, once, for the joint
+    emptiness of its covers as a verdict only, with no certificate, on one
+    MeetOracle for the whole sweep, whose memo keeps the pair verdicts
+    across colorings. The oracle holds the circuit table of all n points,
+    so pair questions solve no LP; its sum over k of C(n, k) subsets, like
+    the r^m local colorings, is below r^n. Stops at the first failing
+    coloring.
     """
     inst = moment_adversary_instance(d, s, r)
     oracle = MeetOracle(inst.points, circuit_table(inst.points, range(inst.n)))
@@ -287,7 +250,6 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
     last = inst.p - 1
     by_counts = {}  # counts -> (picks, slot indices), per local coloring
     slots = {}      # (color, prefix class, prefix picks) -> slot list
-    pairs = {}
     verified = max_groups = 0
     failure = None
 
@@ -305,7 +267,7 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
         groups = _cover(inst, class_mask, picked_mask)
         _check_structure(inst, color, class_mask, picked_mask, groups)
         max_groups = max(max_groups, len(groups))
-        return tuple((g, sum(1 << i for i in g)) for g in groups)
+        return groups
 
     def walk(q, classes, picked, counts) -> bool:
         # True once a coloring below this prefix fails
@@ -333,7 +295,7 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
                         covers[c] = lists[c][idx[c]] = cover(
                             c, classes[c] | masks[c] << shift,
                             picked[c] | (c == pick) << q)
-            if not _covers_empty(oracle, covers, pairs):
+            if not _all_tuples_empty(oracle, covers):
                 # the coloring, read back off the class masks
                 full = [a | b << shift for a, b in zip(classes, masks)]
                 failure = tuple(next(c for c in range(r) if full[c] >> i & 1)

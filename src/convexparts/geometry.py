@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import InputError, InternalInvariantError
-from .linprog import REL_EQ, REL_GE, check_farkas, lp_feasible
+from .linprog import REL_EQ, REL_GE, _pivot, check_farkas, lp_feasible
 from .rational import ONE, ZERO, Rat, rat
 
 
@@ -257,11 +257,11 @@ def _integer_dependence(rows, k: int):
     kernel vector with lowest-index pivots whose first free column is 1 and
     whose other free columns are 0.
 
-    Gauss-Jordan with integer-preserving pivots, as linprog._pivot takes
-    them: every row but the pivot row becomes (p*v - f*q) // D and D becomes
-    the pivot p. Each pivot row then holds D at its own pivot column and 0 at
-    the others, so the pivot entries of alpha are minus its entries in the
-    free column, and alpha there is D.
+    Gauss-Jordan with linprog._pivot's integer-preserving pivots: every row
+    but the pivot row becomes (p*v - f*q) // D and D becomes the pivot p.
+    Each pivot row then holds D at its own pivot column and 0 at the others,
+    so the pivot entries of alpha are minus its entries in the free column,
+    and alpha there is D.
     """
     rows = [list(row) for row in rows]
     pivots = []
@@ -272,13 +272,7 @@ def _integer_dependence(rows, k: int):
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        prow = rows[r]
-        piv = prow[col]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[col]
-                rows[i] = [(piv * v - f * q) // div for v, q in zip(row, prow)]
-        div = piv
+        div = _pivot(rows, r, col, div)
         pivots.append(col)
         if len(pivots) == len(rows):
             break

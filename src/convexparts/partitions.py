@@ -3,26 +3,32 @@
 Separability of a bipartition (A into <= s convex sets avoiding B's <= t
 convex sets) and its r-fold analogue (covers with empty joint intersection)
 reduce to finitely many hull-disjointness questions once each side is grouped:
-a grouping works iff every cross tuple of hulls fails to meet. Searchers
-exhaust groupings in restricted-growth order and return certificates that
-re-verify from kernel predicates alone. One lazy grouping walk serves every
-search and the good-partition checker; it stops past cap combinations
-tried (separation_groupings), whatever their closed form.
+a grouping works iff every cross tuple of hulls fails to meet, which one
+predicate, _all_tuples_empty, decides for every search and for the t42
+sweep in constructions. Searchers exhaust groupings in restricted-growth
+order and return certificates that re-verify from kernel predicates alone.
+One lazy grouping walk serves every search and the good-partition checker;
+it stops past cap combinations tried (separation_groupings), whatever their
+closed form.
 
-Every such question goes to one MeetOracle per search. A search that
-enumerates the bipartitions or partitions of its whole ground builds the
-ground's circuit table (geometry.circuit_table) first, so its oracle answers
-every pair question by a mask test, with no LP. Questions about three or
-more groups, and oracles without a table, infer "meets" only, from one
-fact: meeting is monotone. If subgroups of the asked groups meet, so do the
-groups, and a meeting tuple is already witnessed by the points with nonzero
-weight in a basic solution of its equality rows (Caratheodory). Every
-"disjoint" comes from the table or from the LP of exactly the asked groups,
-so every verdict is exact. Separators are built only for the
-grouping a search returns, and Farkas vectors in certificates come from the
-LP of exactly the groups they name. Callers that may ask a single question
-(separate, build-separation) and the certificate checker
-verify_good_partition keep an oracle without a table.
+Groups are point masks from the grouping walk to the oracle; they become
+sorted index tuples only where an LP is solved or a certificate is built
+(st_separability_report, joint_cover_empty), so certificates and documents
+name index tuples. Every question goes to one MeetOracle per search, whose
+memo is the only pair or tuple memo. A search that enumerates the
+bipartitions or partitions of its whole ground builds the ground's circuit
+table (geometry.circuit_table) first, so its oracle answers every pair
+question by a mask test, with no LP. Questions about three or more groups,
+and oracles without a table, infer "meets" only, from one fact: meeting is
+monotone. If subgroups of the asked groups meet, so do the groups, and a
+meeting tuple is already witnessed by the points with nonzero weight in a
+basic solution of its equality rows (Caratheodory). Every "disjoint" comes
+from the table or from the LP of exactly the asked groups, so every verdict
+is exact. Separators are built only for the grouping a search returns, and
+Farkas vectors in certificates come from the LP of exactly the groups they
+name. Callers that may ask a single question (separate, build-separation)
+and the certificate checker verify_good_partition keep an oracle without a
+table.
 
 The constructive half replaces each cover by a union of polytopes, and
 every facet is read off the Farkas vector of a meeting question
@@ -43,8 +49,8 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .combinat import (binomial, check_total, partitions_le_count, rgs_partitions,
-                       rgs_partitions_exact, stirling2)
+from .combinat import (binomial, check_total, indices_of, mask_of, partitions_le_count,
+                       rgs_masks, rgs_partitions_exact, stirling2)
 from .errors import CapExceeded, InputError, InternalInvariantError, PreconditionFailed
 from .geometry import (
     HullIntersection,
@@ -139,13 +145,14 @@ class PolyhedralSeparation:
 class MeetOracle:
     """Do the hulls of these groups share a point? One point set, asked often.
 
-    Built once per search. groups are sorted index tuples, as covers and
-    rgs_partitions hold them; a question is keyed by the groups in sorted
-    order, which is also the group order of the LP solved for it, so a
-    Farkas vector taken from here is the one hulls_common_point(ps, key)
-    gives. table, a geometry.CircuitTable of ps, answers every pair question
-    inside its ground by a mask test. Each other question is answered, in
-    this order:
+    Built once per search. Groups are point masks; a question is keyed by
+    its masks in sorted order, and _verdicts, the one pair and tuple memo
+    of a search, holds every answer under that key. Only _solve turns masks
+    into index tuples, sorted as index tuples, which is the group order of
+    the LP solved for the key, so a Farkas vector taken from here is the one
+    hulls_common_point(ps, groups) gives for those sorted tuples. table, a
+    geometry.CircuitTable of ps, answers every pair question inside its
+    ground by a mask test. Each other question is answered, in this order:
 
     - from the exact memo, when the same groups were asked before;
     - from an earlier meeting: the points with nonzero weight in its
@@ -162,37 +169,31 @@ class MeetOracle:
     def __init__(self, ps: PointSet, table=None):
         self.ps = ps
         self.table = table
-        self._verdicts = {}  # key -> bool, from the table, solved or inferred
-        self._solved = {}    # key -> HullIntersection
+        self._verdicts = {}  # sorted masks -> bool, from the table, solved or inferred
+        self._solved = {}    # sorted masks -> HullIntersection
         self._meeting = {}   # arity -> packed supports, every group order
 
     def meets(self, groups) -> bool:
-        """Whether the hulls of the groups share a point."""
+        """Whether the hulls of the point masks share a point."""
         key = tuple(sorted(groups))
         verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = self._from_table(key)
-            if verdict is None:
+            table = self.table
+            if table is not None and len(key) == 2 and not (key[0] | key[1]) & ~table.ground:
+                verdict = table.meets(*key)
+            else:
                 verdict = self._infer(key)
-            if verdict is None:
-                verdict = bool(self._solve(key))
+                if verdict is None:
+                    verdict = bool(self._solve(key))
             self._verdicts[key] = verdict
         return verdict
 
     def intersection(self, groups) -> HullIntersection:
         """The exact common-point answer, point or Farkas vector, for the
-        groups in sorted order."""
+        point masks as sorted index tuples."""
         key = tuple(sorted(groups))
         out = self._solved.get(key)
         return self._solve(key) if out is None else out
-
-    def _from_table(self, key):
-        if self.table is None or len(key) != 2:
-            return None
-        x, y = (sum(1 << i for i in g) for g in key)
-        if (x | y) & ~self.table.ground:
-            return None
-        return self.table.meets(x, y)
 
     def _pack(self, masks) -> int:
         n = len(self.ps.points)
@@ -201,13 +202,13 @@ class MeetOracle:
     def _infer(self, key):
         """True when an earlier meeting's supports lie inside the groups,
         else None: "disjoint" is never inferred."""
-        outside = ~self._pack(sum(1 << i for i in g) for g in key)
+        outside = ~self._pack(key)
         if any(not support & outside for support in self._meeting.get(len(key), ())):
             return True
         return None
 
     def _solve(self, key) -> HullIntersection:
-        out = hulls_common_point(self.ps, key)
+        out = hulls_common_point(self.ps, sorted(map(indices_of, key)))
         if out:
             supports = [sum(1 << i for i, w in zip(g, ws) if w)
                         for g, ws in zip(out.groups, out.weights)]
@@ -231,11 +232,12 @@ def build_K_polyhedra(ps: PointSet, a_groups, b_groups, oracle=None) -> tuple:
     if not a_groups or not b_groups:
         raise InputError("both sides need at least one group")
     oracle = _oracle_for(ps, oracle)
+    n = len(ps.points)
     ks = []
     for ga in a_groups:
         facets = []
         for gb in b_groups:
-            meet = oracle.intersection((ga, gb))
+            meet = oracle.intersection((mask_of(ga, n), mask_of(gb, n)))
             if meet:
                 raise PreconditionFailed(f"hulls of {ga} and {gb} share a point",
                                          witness=meet.point)
@@ -277,8 +279,9 @@ def st_separability_report(ps: PointSet, a, b, s: int, t: int,
     grouping, tried, closed_form = _empty_cover(oracle, (a, b), (s, t), cap)
     if grouping is None:
         return None, tried, closed_form
-    ks = build_K_polyhedra(ps, *grouping, oracle=oracle)
-    return SeparationCertificate(ps, *grouping, ks), tried, closed_form
+    a_groups, b_groups = (tuple(map(indices_of, side)) for side in grouping)
+    ks = build_K_polyhedra(ps, a_groups, b_groups, oracle=oracle)
+    return SeparationCertificate(ps, a_groups, b_groups, ks), tried, closed_form
 
 
 def verify_separation(cert: SeparationCertificate) -> bool:
@@ -308,15 +311,16 @@ def joint_cover_empty(ps: PointSet, parts, s_list, cap: int = 10**6):
     combo = _empty_cover(oracle, parts, s_list, cap)[0]
     if combo is None:
         return None
-    covers = tuple(SConvexCover(ps, groups) for groups in combo)
+    covers = tuple(SConvexCover(ps, tuple(map(indices_of, groups))) for groups in combo)
     return EmptyIntersectionCertificate(ps, covers, _tuple_witnesses(oracle, combo))
 
 
 def _empty_cover(oracle, parts, s_list, cap):
     """(first combination of groupings, one per part into <= s_i groups, in
     restricted-growth product order, whose cross tuples all miss, or None;
-    combinations tried; closed-form count). Each part's groupings are
-    walked afresh under every prefix, never listed up front."""
+    combinations tried; closed-form count). Groups are point masks. Each
+    part's groupings are walked afresh under every prefix, never listed up
+    front."""
     parts = [_norm_group(oracle.ps, p) for p in parts]
     if len(parts) < 2:
         raise InputError("need at least two parts")
@@ -328,9 +332,10 @@ def _empty_cover(oracle, parts, s_list, cap):
     if min(s_list) < 1:
         raise InputError("group counts must be at least 1")
     closed_form = prod(map(partitions_le_count, map(len, parts), s_list))
+    bits = [[1 << i for i in p] for p in parts]
 
     def combos(k, prefix):
-        for groups in rgs_partitions(parts[k], s_list[k]):
+        for groups in rgs_masks(bits[k], s_list[k]):
             if k + 1 == len(parts):
                 yield prefix + (groups,)
             else:
@@ -346,23 +351,46 @@ def _empty_cover(oracle, parts, s_list, cap):
     return None, tried, closed_form
 
 
-def _all_tuples_empty(oracle, combo) -> bool:
-    """Whether every cross tuple of hulls misses. Pairs are asked before the
-    full tuple: an empty sub-intersection already refutes the whole tuple.
-    At r = 2 each tuple is its own only pair."""
-    tuples = itertools.product(*combo)
-    if len(combo) == 2:
-        return not any(map(oracle.meets, tuples))
-    return not any(
-        all(oracle.meets(pair) for pair in itertools.combinations(groups, 2))
-        and oracle.meets(groups)
-        for groups in tuples)
+def _all_tuples_empty(oracle, covers) -> bool:
+    """Whether no cross tuple of the covers' hulls meets, each cover a
+    tuple of point masks. At r = 2 each tuple is its own only pair. A cover
+    with no group is the empty set, so the answer is then true at once.
+    Otherwise the tuples grow one cover at a time and keep a group only if
+    it meets every group already chosen: an empty sub-intersection already
+    refutes the whole tuple. Pair verdicts are read from the oracle's memo
+    first, under its sorted key. The tuples left, in product order, are
+    exactly those whose pairs all meet, and each is asked whole until one
+    meets."""
+    if len(covers) == 2:
+        return not any(map(oracle.meets, itertools.product(*covers)))
+    if not all(covers):
+        return True
+    verdicts = oracle._verdicts
+    tuples = [()]
+    for cover in covers:
+        grown = []
+        for t in tuples:
+            for y in cover:
+                for x in t:
+                    key = (x, y) if x < y else (y, x)
+                    meets = verdicts.get(key)
+                    if meets is None:
+                        meets = oracle.meets(key)
+                    if not meets:
+                        break
+                else:
+                    grown.append(t + (y,))
+        if not grown:
+            return True
+        tuples = grown
+    return not any(map(oracle.meets, tuples))
 
 
 def _tuple_witnesses(oracle, combo):
-    """Witness list covering every cross tuple, or None at the first tuple
-    whose hulls meet. The witness names the first disjoint pair, else the
-    whole tuple, with the Farkas vector of its exact LP."""
+    """Witness list covering every cross tuple of the point-mask covers, or
+    None at the first tuple whose hulls meet. The witness names the first
+    disjoint pair, else the whole tuple, with the Farkas vector of its
+    exact LP."""
     witnesses = []
     everyone = tuple(range(len(combo)))
     pairs = tuple(itertools.combinations(everyone, 2))
@@ -394,7 +422,7 @@ def verify_empty_intersection(cert: EmptyIntersectionCertificate) -> bool:
                 not all(0 <= c < len(cert.covers) for c in w.classes):
             return False
         groups = [cert.covers[c].groups[w.choice[c]] for c in w.classes]
-        # ordering must match the solved system: MeetOracle sorts
+        # ordering must match the solved system: MeetOracle sorts index tuples
         groups = tuple(sorted(groups))
         if not verify_hulls_empty(ps, groups, w.farkas):
             return False

@@ -368,9 +368,11 @@ def count_realizable(sys: SetSystem, S, r: int, cap: int = 10**6) -> int:
     (module docstring). Otherwise relabelling the slots maps realizable
     functions to realizable ones, so the count is r times the number with
     min(S) in slot 0, and `_count_pinned` takes those as one bitset over the
-    slots of the other points (module docstring). The orderings cap r^|S| is
-    checked before any bitset is built, so each holds r^(|S|-1) <= cap/r
-    bits, and the frontier holds at most one per common part, 2^|S| of them.
+    slots of the other points (module docstring). At r >= 3 a one-point S
+    needs no walk: its count is r when 0 and S are both traces, else 0. The
+    orderings cap r^|S| is checked before any bitset is built, so each holds
+    r^(|S|-1) <= cap/r bits, and the frontier holds at most one per common
+    part, 2^|S| of them.
     """
     if r < 1:
         raise InputError("r must be at least 1")
@@ -384,7 +386,11 @@ def count_realizable(sys: SetSystem, S, r: int, cap: int = 10**6) -> int:
         return sum(mask ^ t in traces for t in traces)
     if not size:
         return 1 if sys.edges else 0
-    return r * _count_pinned(_traces(sys, mask), mask, r)
+    traces = _traces(sys, mask)
+    if size == 1 and r >= 3:
+        # the point takes one slot, S, and the other r - 1 slots are empty
+        return r if 0 in traces and mask in traces else 0
+    return r * _count_pinned(traces, mask, r)
 
 
 def r_shatter_bound(m: int, t: int, r: int) -> int:

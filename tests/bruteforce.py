@@ -12,7 +12,10 @@ The `_ref` routines are the LP and `Rat` code that the circuit table in
 `geometry` replaced: halfspace traces and hull-closed families by one LP
 per question, and affine dependences by Gauss-Jordan on `Rat`. Hull
 membership of an arbitrary point (`in_hull`, one LP) serves only
-`geometric_space_ref` and the tests. Two more are walks that the package
+`geometric_space_ref` and the tests. `geometric_space`, the hull-closed
+family read off the circuit table, and `interval_space`, the convexity of a
+path, live here too: no command builds either, and acceptance check 12 and
+the tests compare them. Two more are walks that the package
 now prunes or shares: `rgs_partitions_exact_ref` filters every partition
 into at most r blocks, and `moment_adversary_exhaustive_ref` runs the t42
 greedy, cover builder and structural checks afresh for each of the r^n
@@ -20,7 +23,13 @@ colorings. `verify_moment_adversary` is the adversary against one
 coloring, with a Farkas certificate of joint emptiness from
 `covers_jointly_empty`: no command takes a single coloring, so it lives here
 and builds its covers with the package's greedy (`_eligible`, `_pick`),
-`_cover` and `_check_structure`, the functions the sweep calls.
+`_cover` and `_check_structure`, the functions the sweep calls. Those give
+covers as point masks, as the package's oracle takes them; the references
+turn them into index tuples where they build an `SConvexCover`.
+`all_tuples_empty_ref` is the cross-tuple predicate as a full product: per
+tuple, every pair, then the whole tuple. The package's `_all_tuples_empty`
+grows tuples one cover at a time and reads pair verdicts from the oracle's
+memo, and must give the same verdict after the same whole-tuple questions.
 `radon_number_ref` and `tverberg_number_ref` walk every
 bipartition or exact r-partition of every subset and intersect the hulls
 of its parts, where `abstract` now asks capture tests, and
@@ -51,8 +60,9 @@ walks that `partitions._empty_cover` replaced: a lazy (A, B) walk capped
 per grouping pair tried, and an eager listing of every part's groupings
 capped by their closed-form product. `empty_cover_ref` runs them as the
 searches did, the first on two parts and the second crossed by
-`itertools.product` on more, so the new walk must return the same triple
-and ask the oracle the same questions in the same order.
+`itertools.product` on more, both with groups as point masks, so the new
+walk must return the same triple and ask the oracle the same questions in
+the same order.
 
 The abstract union search (`abstract_separable`, `abstract_good_partition`
 and `_unions_covering`, with `hull`) is the (s, t) question in a finite
@@ -77,14 +87,14 @@ from functools import lru_cache
 from math import comb, perm, prod
 
 import convexparts.constructions as constructions
-from convexparts.abstract import ConvexitySpace, _radon_work
+from convexparts.abstract import ConvexitySpace, _radon_work, convexity_space
 from convexparts.cli import _HANDLERS, _TARGETS
 from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
                                   partitions_le_count, rgs_partitions,
                                   rgs_partitions_exact, stirling2)
 from convexparts.constructions import AdversarySweepReport, moment_adversary_instance
 from convexparts.errors import CapExceeded, InputError, InternalInvariantError
-from convexparts.geometry import _norm_group, circuit_table
+from convexparts.geometry import _norm_group, circuit_table, uncrossed_masks
 from convexparts.linprog import REL_EQ, REL_GE, REL_LE, lp_feasible, normalize_rows
 from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle, SConvexCover,
                                     _all_tuples_empty, _oracle_for, _tuple_witnesses)
@@ -654,12 +664,40 @@ def interval_union_traces(ps, s: int):
     return TraceFamily(ps, tuple(sorted(out)), f"interval-union<={s}")
 
 
+def interval_space(n: int) -> ConvexitySpace:
+    """Index intervals [i..j] plus the empty set: the convexity of a path."""
+    if n < 1:
+        raise InputError("path needs at least one vertex")
+    family = [()]
+    for i in range(n):
+        for j in range(i, n):
+            family.append(range(i, j + 1))
+    return convexity_space(n, family)
+
+
+def geometric_space(ps, n_cap: int = 12) -> ConvexitySpace:
+    """Hull-closed subsets of a point set: S with CH(S) picking up no
+    further points. Intersection-closed by hull monotonicity.
+
+    A point j outside S lies in CH(S) iff some circuit has C+ = {j} and
+    C- inside S, so the closed sets are the masks that no circuit with a
+    single point on one side lies across, read off the circuit table with
+    no LP. n_cap also bounds the table: its sum over k of C(n, k) subsets
+    is below 2^n.
+    """
+    n = len(ps.points)
+    if n > n_cap:
+        raise CapExceeded("geometric_space_points", n_cap, n)
+    # signed lists both orientations; (C, {j}) lies across S iff C is inside
+    # S and j is not, that is, iff j is a point of CH(S) outside S
+    signed = [(p, m) for p, m in circuit_table(ps, range(n)).signed
+              if m.bit_count() == 1]
+    return convexity_space(n, [indices_of(s) for s in uncrossed_masks(n, signed)])
+
+
 def geometric_space_ref(ps, n_cap: int = 12):
     """Hull-closed subsets of a point set: S with CH(S) picking up no
     further points. Intersection-closed by hull monotonicity."""
-    from convexparts.abstract import convexity_space
-    from convexparts.errors import CapExceeded
-
     n = len(ps.points)
     if n > n_cap:
         raise CapExceeded("geometric_space_points", n_cap, n)
@@ -708,8 +746,9 @@ def _check_coloring(inst, coloring) -> tuple:
 def _adversary(inst, coloring) -> tuple:
     """(chosen, class masks, picked masks, groups) of one checked coloring:
     the package's greedy pick per interval, then each color's cover from
-    its class and picks, built and structurally checked by the package's
-    _cover and _check_structure, as the sweep builds and checks them."""
+    its class and picks, as point masks, built and structurally checked by
+    the package's _cover and _check_structure, as the sweep builds and
+    checks them."""
     classes = [0] * inst.r
     picked = [0] * inst.r
     counts = [0] * inst.r
@@ -743,7 +782,9 @@ def covers_jointly_empty(ps, covers, oracle=None):
         if c.ground != ps:
             raise InputError("cover ground disagrees with the point set")
     oracle = _oracle_for(ps, oracle)
-    witnesses = _tuple_witnesses(oracle, tuple(c.groups for c in covers))
+    n = len(ps.points)
+    witnesses = _tuple_witnesses(
+        oracle, tuple(tuple(mask_of(g, n) for g in c.groups) for c in covers))
     if witnesses is None:
         return None
     return EmptyIntersectionCertificate(ps, covers, witnesses)
@@ -775,7 +816,7 @@ def verify_moment_adversary(inst, coloring, oracle=None) -> AdversaryReport:
     """
     coloring = _check_coloring(inst, coloring)
     chosen, _, _, groups = _adversary(inst, coloring)
-    covers = tuple(SConvexCover(inst.points, g) for g in groups)
+    covers = tuple(SConvexCover(inst.points, tuple(map(indices_of, g))) for g in groups)
     cert = covers_jointly_empty(inst.points, covers, oracle)
     return AdversaryReport(cert is not None, inst, coloring, chosen, covers,
                            cert, max(map(len, groups)))
@@ -838,6 +879,19 @@ def _check_structure(inst, coloring, chosen, covers) -> int:
     return max(len(c.groups) for c in covers)
 
 
+def all_tuples_empty_ref(oracle, combo) -> bool:
+    """Whether every cross tuple of hulls misses. Pairs are asked before the
+    full tuple: an empty sub-intersection already refutes the whole tuple.
+    At r = 2 each tuple is its own only pair."""
+    tuples = itertools.product(*combo)
+    if len(combo) == 2:
+        return not any(map(oracle.meets, tuples))
+    return not any(
+        all(oracle.meets(pair) for pair in itertools.combinations(groups, 2))
+        and oracle.meets(groups)
+        for groups in tuples)
+
+
 def moment_adversary_exhaustive_ref(d: int, s: int, r: int):
     """The t42 sweep one flat coloring at a time, lexicographic order: the
     greedy, the covers and the structural checks from scratch for each
@@ -850,7 +904,8 @@ def moment_adversary_exhaustive_ref(d: int, s: int, r: int):
         covers = _adversary_covers(inst, coloring, chosen)
         max_groups = max(max_groups,
                          _check_structure(inst, coloring, chosen, covers))
-        if not _all_tuples_empty(oracle, tuple(c.groups for c in covers)):
+        masks = tuple(tuple(mask_of(g, inst.n) for g in c.groups) for c in covers)
+        if not all_tuples_empty_ref(oracle, masks):
             return AdversarySweepReport(False, d, s, r, inst.n, r ** inst.n,
                                         verified, max_groups, coloring)
         verified += 1
@@ -984,15 +1039,21 @@ def separating_grouping_ref(oracle, a, b, s, t, cap):
     if s < 1 or t < 1:
         raise InputError("group counts must be at least 1")
     closed_form = partitions_le_count(len(a), s) * partitions_le_count(len(b), t)
+    n = len(oracle.ps.points)
     tried = 0
-    for a_groups in rgs_partitions(a, s):
-        for b_groups in rgs_partitions(b, t):
+    for a_groups in _mask_groupings(a, s, n):
+        for b_groups in _mask_groupings(b, t, n):
             tried += 1
             if tried > cap:
                 raise CapExceeded("separation_groupings", cap, closed_form)
             if not any(oracle.meets((ga, gb)) for ga in a_groups for gb in b_groups):
                 return (a_groups, b_groups), tried, closed_form
     return None, tried, closed_form
+
+
+def _mask_groupings(part, s, n):
+    for groups in rgs_partitions(part, s):
+        yield tuple(mask_of(g, n) for g in groups)
 
 
 def cover_groupings_ref(ps, parts, s_list, cap):
@@ -1013,7 +1074,7 @@ def cover_groupings_ref(ps, parts, s_list, cap):
     total = prod(partitions_le_count(len(p), s) for p, s in zip(parts, s_list))
     if total > cap:
         raise CapExceeded("cover_groupings", cap, total)
-    return [list(rgs_partitions(p, s)) for p, s in zip(parts, s_list)]
+    return [list(_mask_groupings(p, s, len(ps.points))) for p, s in zip(parts, s_list)]
 
 
 def empty_cover_ref(oracle, parts, s_list, cap: int = 10**6):

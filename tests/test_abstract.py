@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (AbstractSeparation, _has_tverberg_partition, abstract_good_partition,
-                        abstract_separable, hull, radon_number_ref, tverberg_number_ref,
-                        validate_space_ref)
+                        abstract_separable, geometric_space, hull, interval_space,
+                        radon_number_ref, tverberg_number_ref, validate_space_ref)
 from convexparts.abstract import (
     _has_good_partition,
     ConvexitySpace,
     convexity_space,
-    geometric_space,
     halfspaces,
-    interval_space,
     is_separable,
     radon_number,
     tverberg_number,

@@ -7,10 +7,10 @@ and prints a single verdict line.
 
 import itertools
 
-from bruteforce import abstract_good_partition, affine_dependence_ref, interval_union_traces
+from bruteforce import (abstract_good_partition, affine_dependence_ref, geometric_space,
+                        interval_space, interval_union_traces)
 
-from convexparts.abstract import (geometric_space, halfspaces, interval_space,
-                                  is_separable, radon_number, tverberg_number)
+from convexparts.abstract import halfspaces, is_separable, radon_number, tverberg_number
 from convexparts.combinat import mask_of, stirling2
 from convexparts.constructions import (convex_position, halfspace_4coloring,
                                        moment_adversary_exhaustive,

@@ -181,6 +181,21 @@ class TestSystemCommands:
         capsys.readouterr()
         assert set(calls) == {"walk", "bitset"}
 
+    def test_one_point_rshatter_walks_no_slots(self, capsys, tmp_path, monkeypatch):
+        # a one-point subset is counted from its traces alone, so a million
+        # slots cost no walk
+        def refuse(*args):
+            raise AssertionError("the slot walk ran on one point")
+
+        monkeypatch.setattr(setsystems, "_count_pinned", refuse)
+        path = put(tmp_path, "point.json", {"n": 1, "edges": [[0]]})
+        code, doc = run_json(capsys, "rshatter", "--r", 10**6, "--input", path)
+        assert code == 0
+        assert doc == {"all_ok": True, "dimension": 0, "kind": "rvc", "r": 10**6,
+                       "rows": [{"bound": 1, "computed": 1, "m": 0, "pass": True},
+                                {"bound": 999999, "computed": 0, "m": 1, "pass": True}],
+                       "subcommand": "rshatter"}
+
     def test_shatter_csv_header(self, capsys, tmp_path):
         sq = put(tmp_path, "square.json", SQUARE_DOC)
         _, doc = run_json(capsys, "traces", "--input", sq)
@@ -945,10 +960,11 @@ class TestReproducibility:
 
 class TestConsoleScript:
     def test_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [sys.executable, "-m", "convexparts.cli", "bound-e31",
              "--d", "1", "--r", "2"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
         assert proc.stdout == "6\n"
 
@@ -967,8 +983,6 @@ class TestConsoleScript:
 
 # Public names that no module of the package references, and why each stays
 UNREACHED_ALLOWLIST = {
-    "abstract.geometric_space": "acceptance check 12, the line as a convexity space",
-    "abstract.interval_space": "acceptance check 12, the abstract interval space",
     "parallel.pmap": "imported by the benchmark tracer",
 }
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import bruteforce
 import convexparts.constructions as constructions
-from bruteforce import (moment_adversary_exhaustive_ref, unions_of_intervals_meet,
-                        verify_moment_adversary)
+from bruteforce import (all_tuples_empty_ref, moment_adversary_exhaustive_ref,
+                        unions_of_intervals_meet, verify_moment_adversary)
 from convexparts.constructions import (
     convex_position,
     halfspace_4coloring,
@@ -28,6 +28,7 @@ from convexparts.constructions import (
     tverberg_tight_instance,
     verify_periodic_line_cover,
 )
+from convexparts.combinat import indices_of, mask_of
 from convexparts.errors import CapExceeded, InputError, InternalInvariantError
 from convexparts.geometry import circuit_table, hull_disjoint, hulls_common_point, point_set
 from convexparts.partitions import (
@@ -199,19 +200,19 @@ class TestAdversaryCovers:
         # verdict per coloring, so they must stop at the k-th coloring in
         # lexicographic order with the same counts
         def failing_at_k(asked):
-            def verdict(oracle, covers, *memo):
-                asked.append(covers)
+            def verdict(oracle, covers):
+                asked.append(tuple(covers))
                 return len(asked) != k
             return verdict
 
         asked, ref_asked = [], []
-        monkeypatch.setattr(constructions, "_covers_empty", failing_at_k(asked))
-        monkeypatch.setattr(bruteforce, "_all_tuples_empty", failing_at_k(ref_asked))
+        monkeypatch.setattr(constructions, "_all_tuples_empty", failing_at_k(asked))
+        monkeypatch.setattr(bruteforce, "all_tuples_empty_ref", failing_at_k(ref_asked))
         rep = moment_adversary_exhaustive(1, 5, 4)
         ref = moment_adversary_exhaustive_ref(1, 5, 4)
         assert len(asked) == len(ref_asked) == k
-        # and the failing verdict saw the reference's covers, as pieces
-        assert tuple(tuple(g for g, _ in cover) for cover in asked[-1]) == ref_asked[-1]
+        # and the failing verdict saw the reference's covers, as point masks
+        assert asked[-1] == ref_asked[-1]
         assert (rep.ok, rep.first_failure, rep.verified, rep.max_groups) \
             == (ref.ok, ref.first_failure, ref.verified, ref.max_groups)
         assert not rep.ok and rep.verified == k - 1
@@ -241,13 +242,12 @@ class TestAdversaryCovers:
                 want.add((color,
                           sum(1 << i for i, c in enumerate(coloring) if c == color),
                           sum(1 << q for q, c in enumerate(chosen) if c == color),
-                          cover.groups))
+                          tuple(mask_of(g, inst.n) for g in cover.groups)))
         assert set(calls) == want
         # the single-coloring check goes through the same checker
         del calls[:]
         verify_moment_adversary(inst, (0, 1, 2, 3))
-        assert calls == [(0, 1, 2, ((0,),)), (1, 2, 0, ((1,),)),
-                         (2, 4, 1, ((2,),)), (3, 8, 0, ((3,),))]
+        assert calls == [(0, 1, 2, (1,)), (1, 2, 0, (2,)), (2, 4, 1, (4,)), (3, 8, 0, (8,))]
 
     def test_sweep_rejects_a_corrupt_cover(self, monkeypatch):
         # drop a point from one (class, picks) cover: the structural check
@@ -257,7 +257,7 @@ class TestAdversaryCovers:
         def corrupt(inst, class_mask, picked_mask):
             groups = build(inst, class_mask, picked_mask)
             if (class_mask, picked_mask) == (0b0011, 0b10):
-                return ((0,),)
+                return (0b0001,)
             return groups
 
         monkeypatch.setattr(constructions, "_cover", corrupt)
@@ -267,9 +267,9 @@ class TestAdversaryCovers:
     def test_checker_rejects_too_many_groups(self):
         inst = moment_adversary_instance(1, 3, 4)
         _, classes, picked, groups = bruteforce._adversary(inst, (0, 0, 0, 0))
-        assert groups[0] == ((0, 1, 2, 3),)
+        assert groups[0] == (0b1111,)
         constructions._check_structure(inst, 0, classes[0], picked[0], groups[0])
-        split = ((0,), (1,), (2,), (3,))
+        split = (0b0001, 0b0010, 0b0100, 0b1000)
         with pytest.raises(InternalInvariantError, match="uses 4 groups"):
             constructions._check_structure(inst, 0, classes[0], picked[0], split)
 
@@ -277,19 +277,19 @@ class TestAdversaryCovers:
         inst = moment_adversary_instance(1, 3, 4)
         _, classes, picked, groups = bruteforce._adversary(inst, (0, 0, 0, 0))
         with pytest.raises(InternalInvariantError, match="misses points"):
-            constructions._check_structure(inst, 0, classes[0], picked[0], ((0, 1, 2),))
+            constructions._check_structure(inst, 0, classes[0], picked[0], (0b0111,))
 
     def test_checker_rejects_a_large_piece_in_a_chosen_interval(self):
         # interval 0 is chosen for color 0, which has one point there
         inst = moment_adversary_instance(2, 3, 4)
         chosen, classes, picked, groups = bruteforce._adversary(
             inst, (0, 1, 1, 1, 2, 2, 3, 3))
-        assert chosen == (0, 1) and groups[:2] == (((0,),), ((1, 2, 3),))
+        assert chosen == (0, 1) and groups[:2] == ((0b0001,), (0b1110,))
         constructions._check_structure(inst, 0, classes[0], picked[0], groups[0])
         # recolor point 1 to 0 and hand it to color 0's piece: the cover
         # still holds its class, but the piece has floor(d/2)+1 points
         with pytest.raises(InternalInvariantError, match="single-interval piece"):
-            constructions._check_structure(inst, 0, classes[0] | 2, picked[0], ((0, 1),))
+            constructions._check_structure(inst, 0, classes[0] | 2, picked[0], (0b0011,))
 
     def test_planar_sample_colorings(self):
         # the full 4^8 sweep runs in the acceptance suite; spot-check a
@@ -322,8 +322,8 @@ class TestAdversaryCovers:
                                             max_size=inst.n)))
         chosen, _, _, groups = bruteforce._adversary(inst, coloring)
         assert chosen == bruteforce._choose_interval_colors(inst, coloring)
-        assert groups == tuple(c.groups for c in bruteforce._adversary_covers(
-            inst, coloring, chosen))
+        assert groups == tuple(tuple(mask_of(g, inst.n) for g in c.groups)
+                               for c in bruteforce._adversary_covers(inst, coloring, chosen))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=8, max_size=8))
@@ -337,51 +337,69 @@ class TestAdversaryCovers:
 
 
 class _Recording(MeetOracle):
-    """A MeetOracle that records every tuple question, in order."""
+    """A MeetOracle that records every question asked of it, in order."""
 
     def __init__(self, ps, table=None):
         super().__init__(ps, table)
-        self.tuples = []
+        self.log = []
 
     def meets(self, groups):
-        if len(groups) > 2:
-            self.tuples.append(tuple(groups))
+        self.log.append(tuple(groups))
         return super().meets(groups)
 
-
-def _pieces(groups):
-    return tuple((g, sum(1 << i for i in g)) for g in groups)
+    def whole(self, r):
+        """The questions about r groups, in the order asked."""
+        return [q for q in self.log if len(q) == r]
 
 
 @functools.lru_cache(maxsize=None)
-def _verdict_oracles(d, s, r):
-    # one table-backed oracle per instance for the whole draw, with one pair
-    # memo, as in the sweep, and a fresh reference oracle beside it
-    inst = moment_adversary_instance(d, s, r)
+def _verdict_oracles(d, s):
+    # the points of the (d, s, 4) instance, and per oracle kind, table-backed
+    # or not, one oracle for the whole draw, as in the sweep, with a fresh
+    # reference oracle beside it
+    inst = moment_adversary_instance(d, s, 4)
     table = circuit_table(inst.points, range(inst.n))
-    return inst, _Recording(inst.points, table), {}, _Recording(inst.points, table)
+    return inst, [(_Recording(inst.points, t), _Recording(inst.points, t))
+                  for t in (table, None)]
+
+
+@functools.lru_cache(maxsize=None)
+def _hulls_meet(ps, groups):
+    return bool(hulls_common_point(ps, groups))
+
+
+def _tuple_meets(ps, groups):
+    # the LP of the whole tuple, once no pair of it is disjoint: hulls only
+    # shrink as more are intersected
+    return all(_hulls_meet(ps, pair) for pair in itertools.combinations(groups, 2)) \
+        and _hulls_meet(ps, groups)
 
 
 class TestCoversEmpty:
-    """The sweep's verdict against partitions._all_tuples_empty."""
+    """partitions._all_tuples_empty, the one cross-tuple predicate, against
+    the full-product reference and the LP on every cross tuple."""
 
-    @pytest.mark.parametrize("d, s, r", [(1, 5, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("d, s, r", [(1, 5, 4), (2, 3, 4), (1, 5, 2), (2, 3, 2),
+                                         (1, 5, 3), (2, 3, 3)])
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_random_covers_match_the_tuple_predicate(self, d, s, r, data):
-        # one to s random groups per color, overlapping across colors, so
+        # one to s random groups per cover, overlapping across covers, so
         # that some tuples have every pair meeting and reach the whole-tuple
         # question
-        inst, oracle, pairs, ref = _verdict_oracles(d, s, r)
+        inst, oracles = _verdict_oracles(d, s)
         group = st.sets(st.integers(0, inst.n - 1), min_size=1, max_size=4).map(
             lambda g: tuple(sorted(g)))
         combo = tuple(tuple(data.draw(st.lists(group, min_size=1, max_size=s)))
                       for _ in range(r))
-        del oracle.tuples[:], ref.tuples[:]
-        got = constructions._covers_empty(oracle, [_pieces(g) for g in combo], pairs)
-        assert got == _all_tuples_empty(ref, combo)
-        # the same whole-tuple questions, in the same order
-        assert oracle.tuples == ref.tuples
+        covers = tuple(tuple(mask_of(g, inst.n) for g in cover) for cover in combo)
+        truth = not any(_tuple_meets(inst.points, t) for t in itertools.product(*combo))
+        for oracle, ref in oracles:
+            del oracle.log[:], ref.log[:]
+            assert _all_tuples_empty(oracle, covers) == all_tuples_empty_ref(ref, covers) \
+                == truth
+            # the same whole-tuple questions, in the same order
+            assert oracle.whole(r) == ref.whole(r)
 
     @pytest.mark.parametrize("combo, empty", [
         # every pair of chords crosses; the three do not share a point
@@ -395,11 +413,11 @@ class TestCoversEmpty:
         inst = moment_adversary_instance(2, 3, 4)
         table = circuit_table(inst.points, range(inst.n))
         oracle, ref = _Recording(inst.points, table), _Recording(inst.points, table)
-        got = constructions._covers_empty(oracle, [_pieces(g) for g in combo], {})
-        assert got == _all_tuples_empty(ref, combo) == empty
-        assert oracle.tuples and oracle.tuples == ref.tuples
-        assert any(bool(hulls_common_point(inst.points, t)) for t in oracle.tuples) \
-            == (not empty)
+        covers = tuple(tuple(mask_of(g, inst.n) for g in cover) for cover in combo)
+        assert _all_tuples_empty(oracle, covers) == all_tuples_empty_ref(ref, covers) == empty
+        assert oracle.whole(3) and oracle.whole(3) == ref.whole(3)
+        assert any(_hulls_meet(inst.points, tuple(indices_of(g) for g in t))
+                   for t in oracle.whole(3)) == (not empty)
 
     def test_an_empty_cover_asks_nothing(self):
         class Mute(MeetOracle):
@@ -407,8 +425,8 @@ class TestCoversEmpty:
                 raise AssertionError("the verdict asked the oracle")
 
         inst = moment_adversary_instance(1, 5, 4)
-        covers = [_pieces(((0, 1),)), (), _pieces(((2,), (5, 6))), _pieces(((3, 4),))]
-        assert constructions._covers_empty(Mute(inst.points), covers, {})
+        covers = [(0b11,), (), (0b100, 0b1100000), (0b11000,)]
+        assert _all_tuples_empty(Mute(inst.points), covers)
 
 
 class TestPeriodicColoring:

@@ -68,4 +68,5 @@ for _ in range(20):
 def test_early_stop_while_results_are_in_flight_returns():
     # with multiprocessing.Pool.terminate killing busy workers, this loop
     # hung in most runs; a subprocess turns a hang into a timeout
-    subprocess.run([sys.executable, "-c", EARLY_STOP_SCRIPT], check=True, timeout=120)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    subprocess.run([sys.executable, "-c", EARLY_STOP_SCRIPT], check=True, timeout=120, env=env)

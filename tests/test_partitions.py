@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import convexparts.geometry as geometry
 import convexparts.partitions as partitions
-from bruteforce import (distinct_rand_point_set, empty_cover_ref, geometric_space_ref,
-                        halfspace_traces_ref, in_hull, rgs_partitions_exact_ref,
-                        robust_separator_ref, segments_meet, separation_targets_ref,
-                        stirling2_ref, union_polytope_system_ref, unit_gap_ref)
-from convexparts.abstract import geometric_space
-from convexparts.combinat import mask_of, partitions_le_count, rgs_partitions_exact, stirling2
+from bruteforce import (distinct_rand_point_set, empty_cover_ref, geometric_space,
+                        geometric_space_ref, halfspace_traces_ref, in_hull,
+                        rgs_partitions_exact_ref, robust_separator_ref, segments_meet,
+                        separation_targets_ref, stirling2_ref, union_polytope_system_ref,
+                        unit_gap_ref)
+from convexparts.combinat import (mask_of, partitions_le_count, rgs_masks, rgs_partitions,
+                                 rgs_partitions_exact, stirling2)
 from convexparts.errors import CapExceeded, InputError, PreconditionFailed
 from convexparts.geometry import circuit_table, hulls_common_point, point_set
 from convexparts.partitions import (
@@ -190,6 +191,14 @@ def test_tverberg_search_on_five_collinear_points():
             assert parts == cert.partition
             break
     assert cert.enumerated == cert.closed_form == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sets(st.integers(0, 12), max_size=8), st.integers(0, 5))
+def test_mask_partitions_are_the_tuple_partitions(points, blocks):
+    bits = [1 << i for i in sorted(points)]
+    assert list(rgs_masks(bits, blocks)) == [
+        tuple(map(sum, p)) for p in rgs_partitions(bits, blocks)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -519,6 +528,10 @@ def _disjoint_groups(n, r):
     return out
 
 
+def _masks(ps, groups):
+    return tuple(mask_of(g, len(ps.points)) for g in groups)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(ps=small_point_sets(), rnd=st.randoms(use_true_random=False))
 def test_oracle_agrees_with_the_lp_in_any_order(ps, rnd):
@@ -530,7 +543,7 @@ def test_oracle_agrees_with_the_lp_in_any_order(ps, rnd):
     rnd.shuffle(questions)
     oracle = MeetOracle(ps)
     for groups in questions[:120]:
-        assert oracle.meets(groups) == bool(hulls_common_point(ps, groups)), groups
+        assert oracle.meets(_masks(ps, groups)) == bool(hulls_common_point(ps, groups)), groups
 
 
 def test_radon_search_solves_fewer_lps_than_it_asks_pairs(monkeypatch):
@@ -564,16 +577,16 @@ def test_circuit_table_agrees_with_the_lp_on_pairs(ps, rnd):
     rnd.shuffle(questions)
     oracle = MeetOracle(ps, circuit_table(ps, range(n)))
     for groups in questions[:120]:
-        assert oracle.meets(groups) == bool(hulls_common_point(ps, groups)), groups
+        assert oracle.meets(_masks(ps, groups)) == bool(hulls_common_point(ps, groups)), groups
 
 
 def test_table_oracle_asks_the_lp_outside_its_ground():
     # the table of the first four points knows no circuit through point 4
     ps = point_set([(0, 0), (4, 0), (0, 4), (4, 4), (1, 1)])
     oracle = MeetOracle(ps, circuit_table(ps, range(4)))
-    assert oracle.meets(((0, 3), (1, 2)))
-    assert oracle.meets(((0, 1, 2), (4,)))
-    assert not oracle.meets(((1, 2), (4,)))
+    assert oracle.meets((0b1001, 0b0110))
+    assert oracle.meets((0b00111, 0b10000))
+    assert not oracle.meets((0b00110, 0b10000))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -645,14 +658,16 @@ def test_grouping_walk_matches_the_two_reference_walks(r, table, data):
 
 
 def test_only_the_grouping_walk_names_rgs_partitions():
-    # combinat defines the walk over one part's groupings, and every
-    # grouping combination a search tries comes from partitions._empty_cover
+    # combinat defines the walk over one part's groupings, as tuples or as
+    # masks, and every grouping combination a search tries comes from
+    # partitions._empty_cover
     package = Path(partitions.__file__).parent
     users = {f"{path.stem}.{getattr(top, 'name', 'module level')}"
              for path in sorted(package.glob("*.py")) if path.stem != "combinat"
              for top in ast.parse(path.read_text()).body
              if not isinstance(top, ast.ImportFrom)
-             and any(getattr(node, "id", getattr(node, "attr", None)) == "rgs_partitions"
+             and any(getattr(node, "id", getattr(node, "attr", None))
+                     in ("rgs_partitions", "rgs_masks")
                      for node in ast.walk(top))}
     assert users == {"partitions._empty_cover"}
 

@@ -4,8 +4,8 @@ import json
 import sys
 
 import pytest
+from bruteforce import interval_space
 
-from convexparts.abstract import interval_space
 from convexparts.combinat import indices_of
 from convexparts.errors import InputError
 from convexparts.geometry import make_hyperplane, point_set

@@ -406,6 +406,18 @@ def test_many_slots_count_without_recursion():
         "count_realizable_orderings", 10**6, 1001**2)
 
 
+def test_one_point_subsets_match_the_class_walk():
+    # one point takes one slot and leaves r - 1 empty: r orderings when the
+    # empty set and the point are both traces, else none
+    for edges in ([], [()], [(0,)], [(0,), ()], [(0, 1)], [(1,), (0, 2)],
+                  [(0,), (1,), ()], [(0, 1, 2), (2,)]):
+        sys = set_system(3, edges)
+        for i in range(3):
+            for r in range(3, 7):
+                assert count_realizable(sys, (i,), r) \
+                    == count_realizable_walk_ref(sys, (i,), r), (edges, i, r)
+
+
 def test_two_part_dimension_keeps_its_one_cap():
     # every subset of at most 2 of 10 points: 56 edges, so the scan starts
     # at level 5 and visits 252 + 210 + 120 + 45 subsets down to level 2,
