@@ -671,7 +671,9 @@ def main(argv=None) -> int:
         text = (dict(files)["profile.csv"] if args.format == "csv"
                 else canonical_text(doc))
         if args.out_dir is not None:
+            # the printed document is encoded once, for stdout and its file
             payloads = [(name, data.encode("utf-8") if name.endswith(".csv")
+                         else text.encode("utf-8") if data is doc and args.format != "csv"
                          else canonical_bytes(data)) for name, data in files]
             out = Path(args.out_dir)
             out.mkdir(parents=True, exist_ok=True)

@@ -25,31 +25,44 @@ Normalized rows are sorted lexicographically before solving, so outcomes are
 invariant under permutation of the input constraints; the Farkas vector is
 mapped back to input row order on return.
 
+Normalization reads each coefficient's numerator and denominator once and
+returns the documented rows times L, the lcm of every denominator, as
+Python ints, in the same order and with the same signs. Since L > 0 these
+integer rows sort in the same order as the rational ones, and every check
+below holds for them exactly when it holds for the rational rows.
+
 The tableau is kept in Python ints with integer-preserving pivots (Edmonds
-1967; Bareiss 1968). The starting tableau is multiplied by L, the lcm of
-every input denominator, and one divisor D starts at 1. A pivot on entry p
-of row r leaves row r as it is, replaces every other row and the objective
-row entrywise by (p*v - f*q) // D, with f that row's entry in the pivot
-column and q the pivot row's entry in v's column, and sets D = p. Read
-against a start matrix that has an extra identity block for the starting
-basis, each entry is then D times an entry of B^-1 times that matrix, with
-D = det B: a minor of the integer start matrix by Cramer's rule. So the
-division is exact, and entries are bounded by those minors with no gcd
-taken. An entry stands for the value entry / (D * L) in a row that has
-never been a pivot row and in the objective row, and entry / D in a row
-that has.
+1967; Bareiss 1968). The start matrix is the sorted integer rows, each
+sign-flipped to a nonnegative rhs, with one surplus column (entry -1 times
+the flip) and one unit artificial column per row; one divisor D starts at
+1. A pivot on entry p of row r leaves row r as it is, replaces every other
+row and the objective row entrywise by (p*v - f*q) // D, with f that row's
+entry in the pivot column and q the pivot row's entry in v's column, and
+sets D = p. Every entry is then D times an entry of B^-1 times the start
+matrix, with D = det B: a minor of the integer start matrix by Cramer's
+rule. So the division is exact, every entry stands for the value entry / D,
+and entries are bounded by those minors with no gcd taken.
 
 D stays positive: the ratio test pivots only on entries whose value is
 positive, and each value has the sign of its entry while D > 0. For the
 same reason the entering test reads the objective row's signs unchanged,
-and the ratio rhs_i / coef_i of a row is the ratio of its two entries,
-whatever its divisor, so the ratio test compares rhs_i * coef_k with
-rhs_k * coef_i. The pivot sequence is therefore exactly the one the same
-rule takes over `Rat`, and the point or raw Farkas vector it returns, built
-with one `Rat(num, den)` per coordinate, is the same rational vector.
-Everything around the kernel (normalization, the `_satisfies` check, the
-Farkas scaling and `check_farkas`) stays on `Rat`, so every outcome is
-still verified by an independent path.
+and the ratio test compares rhs_i * coef_k with rhs_k * coef_i. Scaling a
+row or a column by a positive factor changes neither those signs nor the
+order of the ratios, so the pivot sequence is exactly the one the same rule
+takes over the rational rows, and the point is the same rational vector.
+Against the rational rows, the surplus and artificial variables are scaled
+by L and so is the artificial sum, which leaves the simplex multipliers, and
+with them the artificial reduced costs that the Farkas vector is read
+from, unchanged: it too is the same rational vector.
+
+The kernel returns integer numerators over D. Both re-checks run in int
+arithmetic on the unsorted integer rows, re-derived from the input and
+independent of the tableau: a point X / D must give sum(a_ij * X_j) >=
+b_i * D on every row (and X >= 0 when nonneg); a Farkas vector y must be
+nonnegative with sum(y_i * a_i) == 0 (<= 0 when nonneg) and
+sum(y_i * b_i) > 0. `check_farkas` scales a rational vector to integers by
+the lcm of its denominators and asks the same question. One `Rat` is built
+per returned coordinate, and nowhere else.
 """
 
 from __future__ import annotations
@@ -76,46 +89,61 @@ class LPOutcome:
         return self.feasible
 
 
-def normalize_rows(constraints):
-    """The documented '>=' row list; equality constraints expand to a +/- pair."""
-    rows = []
+def normalize(constraints):
+    """The documented '>=' rows times L, the lcm of every denominator: (rows, L).
+
+    Each row is (a, b) with a a tuple of ints; equality constraints expand to
+    a +/- pair.
+    """
+    shapes, values = [], []
     for coeffs, rel, rhs in constraints:
-        a = tuple(Rat(c) for c in coeffs)
-        b = Rat(rhs)
-        if rel == REL_GE:
-            rows.append((a, b))
-        elif rel == REL_LE:
-            rows.append((tuple(-c for c in a), -b))
-        elif rel == REL_EQ:
-            rows.append((a, b))
-            rows.append((tuple(-c for c in a), -b))
-        else:
+        if rel not in (REL_GE, REL_LE, REL_EQ):
             raise InputError(f"unknown relation {rel!r}")
-    return rows
+        shapes.append((len(coeffs), rel))
+        values.extend(coeffs)
+        values.append(rhs)
+    ints, scale = _scaled(values)
+    rows = []
+    pos = 0
+    for width, rel in shapes:
+        a, b = tuple(ints[pos:pos + width]), ints[pos + width]
+        pos += width + 1
+        if rel != REL_LE:
+            rows.append((a, b))
+        if rel != REL_GE:
+            rows.append((tuple(-v for v in a), -b))
+    return rows, scale
+
+
+def _scaled(values):
+    """The values times L, the lcm of their denominators, as ints: (ints, L).
+
+    Each value's numerator and denominator are read once.
+    """
+    nums, dens = [], []
+    for v in values:
+        if v.__class__ is int:
+            nums.append(v)
+            dens.append(1)
+            continue
+        try:
+            num, den = v.numerator, v.denominator
+        except AttributeError:
+            v = Rat(v)
+            num, den = v.numerator, v.denominator
+        nums.append(num)
+        dens.append(den)
+    scale = lcm(*set(dens))
+    if scale == 1:
+        return nums, 1
+    return [num * (scale // den) for num, den in zip(nums, dens)], scale
 
 
 def check_farkas(constraints, farkas, nonneg: bool = False) -> bool:
     """Re-verify an infeasibility certificate with one exact product."""
-    rows = normalize_rows(constraints)
-    if len(farkas) != len(rows):
-        return False
-    y = [Rat(v) for v in farkas]
-    if any(v < 0 for v in y):
-        return False
-    nvars = len(rows[0][0]) if rows else 0
-    combo = [ZERO] * nvars
-    for yi, (a, _) in zip(y, rows):
-        if yi:
-            for j, aj in enumerate(a):
-                combo[j] += yi * aj
-    if nonneg:
-        if any(cj > 0 for cj in combo):
-            return False
-    else:
-        if any(cj != 0 for cj in combo):
-            return False
-    value = sum((yi * b for yi, (_, b) in zip(y, rows)), ZERO)
-    return value > 0
+    rows, _ = normalize(constraints)
+    y, _ = _scaled(farkas)
+    return _farkas_value(rows, y, nonneg) > 0
 
 
 def lp_feasible(constraints, nvars: int | None = None, nonneg: bool = False) -> LPOutcome:
@@ -136,79 +164,90 @@ def lp_feasible(constraints, nvars: int | None = None, nonneg: bool = False) -> 
     elif widths and widths.pop() != nvars:
         raise InputError("constraint width disagrees with nvars")
 
-    rows = normalize_rows(constraints)
+    rows, scale = normalize(constraints)
     if not rows:
         return LPOutcome(True, (ZERO,) * nvars, None, nonneg)
 
-    order = sorted(range(len(rows)), key=lambda i: rows[i])
-    sorted_rows = [rows[i] for i in order]
-
-    ok, payload = _phase1(sorted_rows, nvars, nonneg)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    ok, nums, div = _phase1([rows[i] for i in order], nvars, nonneg)
     if ok:
-        x = payload
-        if not _satisfies(rows, x, nonneg):
+        if not _solves(rows, nums, div, nonneg):
             raise InternalInvariantError("simplex returned a non-solution")
-        return LPOutcome(True, tuple(x), None, nonneg)
+        return LPOutcome(True, tuple(Rat(v, div) for v in nums), None, nonneg)
 
-    farkas = [ZERO] * len(rows)
-    for pos, yi in enumerate(payload):
-        farkas[order[pos]] = yi
-    value = sum((yi * b for yi, (_, b) in zip(farkas, rows)), ZERO)
+    y = [0] * len(rows)
+    for pos, yi in enumerate(nums):
+        y[order[pos]] = yi
+    # the integer rows are L times the rational ones, so y * L / value sums
+    # the rational rows to value 1
+    value = _farkas_value(rows, y, nonneg)
     if value <= 0:
-        raise InternalInvariantError("Farkas vector has nonpositive value")
-    farkas = tuple(yi / value for yi in farkas)
-    if not check_farkas(constraints, farkas, nonneg):
         raise InternalInvariantError("Farkas vector failed re-check")
-    return LPOutcome(False, None, farkas, nonneg)
+    return LPOutcome(False, None, tuple(Rat(yi * scale, value) for yi in y), nonneg)
 
 
-def _satisfies(rows, x, nonneg) -> bool:
-    if nonneg and any(v < 0 for v in x):
+def _solves(rows, x, div, nonneg) -> bool:
+    """Whether x / div satisfies every integer row (and x >= 0 when nonneg)."""
+    if div <= 0 or nonneg and any(v < 0 for v in x):
         return False
     for a, b in rows:
-        if sum((ai * xi for ai, xi in zip(a, x)), ZERO) < b:
+        if sum(ai * xi for ai, xi in zip(a, x)) < b * div:
             return False
     return True
 
 
-def _phase1(rows, nvars, nonneg):
-    """Feasibility of {a.x >= b for (a, b) in rows}.
+def _farkas_value(rows, y, nonneg) -> int:
+    """sum(y_i * b_i) when y certifies the integer rows infeasible, else 0."""
+    if len(y) != len(rows) or any(v < 0 for v in y):
+        return 0
+    combo = [0] * (len(rows[0][0]) if rows else 0)
+    value = 0
+    for yi, (a, b) in zip(y, rows):
+        if yi:
+            for j, aj in enumerate(a):
+                combo[j] += yi * aj
+            value += yi * b
+    if any(c > 0 for c in combo) if nonneg else any(combo):
+        return 0
+    return max(value, 0)
 
-    Returns (True, x) or (False, y) with y a raw Farkas vector over `rows`.
-    Standard form: x split into u - v unless nonneg, one surplus per row,
-    one artificial per row; minimize the artificial sum. The tableau is kept
-    in integers as described in the module docstring.
+
+def _phase1(rows, nvars, nonneg):
+    """Feasibility of {a.x >= b for (a, b) in rows}, over integer rows.
+
+    Returns (True, x, D) or (False, y, D): integer numerators over the common
+    divisor D of a point, or of a raw Farkas vector over `rows`. Standard
+    form: x split into u - v unless nonneg, one surplus per row, one
+    artificial per row; minimize the artificial sum. The tableau is kept in
+    integers as described in the module docstring.
     """
     m = len(rows)
     width = nvars if nonneg else 2 * nvars
     nstruct = width + m
     ncols = nstruct + m
 
-    # rows scaled so the rhs is nonnegative; sigma remembers the flips
+    # rows flipped so the rhs is nonnegative; sigma remembers the flips
     sigma = [1 if b >= 0 else -1 for _, b in rows]
-    fracs = [[(v.numerator, v.denominator) for v in (*a, b)] for a, b in rows]
-    scale = lcm(*(den for row in fracs for _, den in row))
 
     tab = []
-    for i, row_fracs in enumerate(fracs):
-        s = sigma[i] * scale
+    for i, (a, b) in enumerate(rows):
+        s = sigma[i]
         row = [0] * (ncols + 1)
-        for j, (num, den) in enumerate(row_fracs[:-1]):
-            if num:
-                row[j] = v = s * num // den
+        for j, v in enumerate(a):
+            if v:
+                row[j] = v = s * v
                 if not nonneg:
                     row[nvars + j] = -v
-        num, den = row_fracs[-1]
         row[width + i] = -s
-        row[nstruct + i] = scale
-        row[-1] = s * num // den
+        row[nstruct + i] = 1
+        row[-1] = s * b
         tab.append(row)
 
-    # reduced costs for the all-artificial starting basis, times the scale;
-    # kept as row m, which every pivot updates and none pivots on
+    # reduced costs for the all-artificial starting basis, kept as row m,
+    # which every pivot updates and none pivots on
     obj = [-sum(col) for col in zip(*tab)]
     for i in range(m):
-        obj[nstruct + i] += scale
+        obj[nstruct + i] += 1
     tab.append(obj)
 
     basis = [nstruct + i for i in range(m)]
@@ -223,7 +262,7 @@ def _phase1(rows, nvars, nonneg):
                 break
         if enter < 0:
             break
-        # row i's ratio is tab[i][-1] / tab[i][enter]: its divisor cancels
+        # row i's ratio is tab[i][-1] / tab[i][enter]: the divisor cancels
         leave = -1
         for i in range(m):
             coef = tab[i][enter]
@@ -241,22 +280,19 @@ def _phase1(rows, nvars, nonneg):
         raise InternalInvariantError("negative phase-1 objective")
 
     if obj[-1] == 0:
-        # a row with a structural basis variable has been a pivot row, so
-        # its divisor is D alone
-        w = [ZERO] * nstruct
+        w = [0] * nstruct
         for i, bi in enumerate(basis):
             if bi < nstruct:
-                w[bi] = Rat(tab[i][-1], div)
+                w[bi] = tab[i][-1]
         if nonneg:
             x = w[:nvars]
         else:
             x = [w[j] - w[nvars + j] for j in range(nvars)]
-        return True, x
+        return True, x, div
 
     # dual off the artificial reduced costs, unscaled back through sigma
-    den = div * scale
-    y = [Rat(sigma[i] * (den - obj[nstruct + i]), den) for i in range(m)]
-    return False, y
+    y = [sigma[i] * (div - obj[nstruct + i]) for i in range(m)]
+    return False, y, div
 
 
 def _pivot(tab, r, c, div):

@@ -2,9 +2,10 @@
 
 Every numeric quantity in this package is an exact rational; floats are never
 constructed. The scalar type Rat is fractions.Fraction, kept in lowest terms
-with a positive denominator. The LP kernel (linprog._phase1) pivots on Python
-ints, so Rat is used only at its edges: the input rows, the returned vectors
-and the checks that verify them.
+with a positive denominator. `linprog` reads each input coefficient's
+numerator and denominator once, then solves and re-checks every system on
+integer rows scaled by the lcm of the denominators; its only Rat values are
+the coordinates of the point or Farkas vector it returns.
 """
 
 from __future__ import annotations

@@ -2,11 +2,13 @@
 
 Deliberately different algorithms from the package's own paths: feasibility by
 Fourier-Motzkin elimination, hull membership by exhaustive simplex-free
-checks on tiny cases, the phase-1 simplex on `Rat` arithmetic that the
-integer kernel in `linprog` replaced (same pivot rule, so it must return the
-same vector), and the r-partition realizability DFS that rescans every edge
-for every block, which `setsystems` replaced by per-subset trace sets and
-minimal up-sets. Slow and simple on purpose.
+checks on tiny cases, the LP path on `Rat` arithmetic that the integer
+rows in `linprog` replaced (`fraction_normalize_rows`, the sorted `Rat`
+rows, `fraction_phase1` with the same pivot rule, and the `Rat` re-checks
+in `fraction_lp_feasible` and `fraction_check_farkas`, so each must return
+the same vector and verdict), and the r-partition realizability DFS that
+rescans every edge for every block, which `setsystems` replaced by
+per-subset trace sets and minimal up-sets. Slow and simple on purpose.
 
 The `_ref` routines are the LP and `Rat` code that the circuit table in
 `geometry` replaced: halfspace traces and hull-closed families by one LP
@@ -95,7 +97,7 @@ from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
 from convexparts.constructions import AdversarySweepReport, moment_adversary_instance
 from convexparts.errors import CapExceeded, InputError, InternalInvariantError
 from convexparts.geometry import _norm_group, circuit_table, uncrossed_masks
-from convexparts.linprog import REL_EQ, REL_GE, REL_LE, lp_feasible, normalize_rows
+from convexparts.linprog import REL_EQ, REL_GE, REL_LE, LPOutcome, lp_feasible
 from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle, SConvexCover,
                                     _all_tuples_empty, _oracle_for, _tuple_witnesses)
 from convexparts.rational import ONE, ZERO, Rat
@@ -117,7 +119,7 @@ def fm_feasible(constraints, nvars: int, nonneg: bool = False) -> bool:
 
     Intended for nvars <= 4; the intermediate row count is not controlled.
     """
-    rows = normalize_rows(constraints)
+    rows = fraction_normalize_rows(constraints)
     if nonneg:
         for j in range(nvars):
             unit = [ZERO] * nvars
@@ -218,6 +220,81 @@ def unions_of_intervals_meet(unions) -> bool:
         if lo <= hi:
             return True
     return False
+
+
+def fraction_normalize_rows(constraints):
+    """The documented '>=' rows on `Rat`; equality constraints expand to a +/- pair."""
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        a = tuple(Rat(c) for c in coeffs)
+        b = Rat(rhs)
+        if rel == REL_GE:
+            rows.append((a, b))
+        elif rel == REL_LE:
+            rows.append((tuple(-c for c in a), -b))
+        elif rel == REL_EQ:
+            rows.append((a, b))
+            rows.append((tuple(-c for c in a), -b))
+        else:
+            raise InputError(f"unknown relation {rel!r}")
+    return rows
+
+
+def fraction_check_farkas(constraints, farkas, nonneg: bool = False) -> bool:
+    """`linprog.check_farkas` on `Rat` rows and a `Rat` vector."""
+    rows = fraction_normalize_rows(constraints)
+    if len(farkas) != len(rows):
+        return False
+    y = [Rat(v) for v in farkas]
+    if any(v < 0 for v in y):
+        return False
+    nvars = len(rows[0][0]) if rows else 0
+    combo = [ZERO] * nvars
+    for yi, (a, _) in zip(y, rows):
+        if yi:
+            for j, aj in enumerate(a):
+                combo[j] += yi * aj
+    if nonneg:
+        if any(cj > 0 for cj in combo):
+            return False
+    else:
+        if any(cj != 0 for cj in combo):
+            return False
+    value = sum((yi * b for yi, (_, b) in zip(y, rows)), ZERO)
+    return value > 0
+
+
+def fraction_lp_feasible(constraints, nvars: int, nonneg: bool = False) -> LPOutcome:
+    """`linprog.lp_feasible` on sorted `Rat` rows, re-checked on `Rat`."""
+    constraints = list(constraints)
+    rows = fraction_normalize_rows(constraints)
+    if not rows:
+        return LPOutcome(True, (ZERO,) * nvars, None, nonneg)
+    order = sorted(range(len(rows)), key=lambda i: rows[i])
+    ok, payload = fraction_phase1([rows[i] for i in order], nvars, nonneg)
+    if ok:
+        if not _fraction_satisfies(rows, payload, nonneg):
+            raise InternalInvariantError("simplex returned a non-solution")
+        return LPOutcome(True, tuple(payload), None, nonneg)
+    farkas = [ZERO] * len(rows)
+    for pos, yi in enumerate(payload):
+        farkas[order[pos]] = yi
+    value = sum((yi * b for yi, (_, b) in zip(farkas, rows)), ZERO)
+    if value <= 0:
+        raise InternalInvariantError("Farkas vector has nonpositive value")
+    farkas = tuple(yi / value for yi in farkas)
+    if not fraction_check_farkas(constraints, farkas, nonneg):
+        raise InternalInvariantError("Farkas vector failed re-check")
+    return LPOutcome(False, None, farkas, nonneg)
+
+
+def _fraction_satisfies(rows, x, nonneg) -> bool:
+    if nonneg and any(v < 0 for v in x):
+        return False
+    for a, b in rows:
+        if sum((ai * xi for ai, xi in zip(a, x)), ZERO) < b:
+            return False
+    return True
 
 
 def fraction_phase1(rows, nvars, nonneg):

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 import pytest
-from bruteforce import flat_parser_ref, nested_parser_ref
+from bruteforce import flat_parser_ref, fraction_normalize_rows, nested_parser_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +130,27 @@ class TestExamples:
         code, doc = run_json(capsys, "verify-cert", "--input",
                              out / "certificate.json")
         assert code == 0 and doc["ok"]
+
+    def test_each_document_is_encoded_once(self, capsys, tmp_path, monkeypatch):
+        import convexparts.serialize as serialize
+
+        sq = put(tmp_path, "square.json", SQUARE_DOC)
+        encoded = []
+        real = serialize.canonical_bytes
+
+        def counted(data):
+            encoded.append(data)
+            return real(data)
+
+        monkeypatch.setattr(serialize, "canonical_bytes", counted)
+        out = tmp_path / "run"
+        code, text = run(capsys, "radon", "--input", sq, "--s", 1, "--t", 1,
+                         "--out-dir", out)
+        assert code == 0
+        assert text.encode("utf-8") == (out / "report.json").read_bytes()
+        documents = [json.loads((out / name).read_bytes())
+                     for name in ("report.json", "certificate.json")]
+        assert sorted(map(real, encoded)) == sorted(map(real, documents))
 
 
 class TestSystemCommands:
@@ -717,7 +738,7 @@ class TestInputContract:
 
         def counted(constraints, *args, **kwargs):
             constraints = list(constraints)
-            rows.append(len(linprog.normalize_rows(constraints)))
+            rows.append(len(fraction_normalize_rows(constraints)))
             return real(constraints, *args, **kwargs)
 
         for name, module in list(sys.modules.items()):

@@ -1,17 +1,18 @@
 """Feasibility kernel: frozen cases, oracle agreement, certificate integrity,
-and the integer kernel against the Rat-arithmetic reference."""
+and the integer rows and kernel against the Rat-arithmetic reference."""
 
 import itertools
 
 import pytest
-from bruteforce import fm_feasible, fraction_phase1
+from bruteforce import (fm_feasible, fraction_check_farkas, fraction_lp_feasible,
+                        fraction_normalize_rows, fraction_phase1)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexparts import linprog
-from convexparts.errors import InputError
+from convexparts.errors import InputError, InternalInvariantError
 from convexparts.geometry import hull_meet_constraints, point_set
-from convexparts.linprog import check_farkas, lp_feasible, normalize_rows
+from convexparts.linprog import check_farkas, lp_feasible, normalize
 from convexparts.rational import Rat
 from convexparts.rng import CounterRng
 
@@ -38,12 +39,17 @@ def test_equality_pins_value():
 
 
 def test_normalize_expands_equalities_in_order():
-    rows = normalize_rows([((1, 0), "==", 3), ((0, 1), "<=", 2)])
-    assert rows == [
-        ((Rat(1), Rat(0)), Rat(3)),
-        ((Rat(-1), Rat(0)), Rat(-3)),
-        ((Rat(0), Rat(-1)), Rat(-2)),
-    ]
+    assert normalize([((1, 0), "==", 3), ((0, 1), "<=", 2)]) == ([
+        ((1, 0), 3),
+        ((-1, 0), -3),
+        ((0, -1), -2),
+    ], 1)
+    # every row times L = lcm(2, 3), in the same order with the same signs
+    assert normalize([((1, 0), "==", 3), ((0, Rat(1, 2)), "<=", Rat(2, 3))]) == ([
+        ((6, 0), 18),
+        ((-6, 0), -18),
+        ((0, -3), -4),
+    ], 6)
 
 
 def test_nonneg_mode_shrinks_the_feasible_set():
@@ -164,14 +170,26 @@ def _phase1_inputs(draw):
         cons.append((tuple(coeffs), draw(st.sampled_from([">=", "<=", "=="])), draw(_VALUES)))
     if draw(st.booleans()):
         cons.append(draw(st.sampled_from(cons)))
-    return sorted(normalize_rows(cons)), nvars, draw(st.booleans())
+    return cons, nvars, draw(st.booleans())
+
+
+def _assert_kernel_matches_reference(cons, nvars, nonneg):
+    rows, _ = normalize(cons)
+    ok, nums, div = linprog._phase1(sorted(rows), nvars, nonneg)
+    ref = fraction_phase1(sorted(fraction_normalize_rows(cons)), nvars, nonneg)
+    assert (ok, [Rat(v, div) for v in nums]) == ref
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_phase1_inputs())
 def test_integer_kernel_returns_the_reference_vector(case):
-    rows, nvars, nonneg = case
-    assert linprog._phase1(rows, nvars, nonneg) == fraction_phase1(rows, nvars, nonneg)
+    _assert_kernel_matches_reference(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_phase1_inputs())
+def test_lp_feasible_returns_the_reference_outcome(case):
+    assert lp_feasible(*case) == fraction_lp_feasible(*case)
 
 
 _COLLINEAR = point_set([(Rat(t, 3), 2 * Rat(t, 3) + 1) for t in (0, 5, 1, 4, 2, 3)])
@@ -180,14 +198,117 @@ _COPLANAR = point_set([(x, y, x + 2 * y - 1) for x, y in
                         (Rat(5, 3), 0)]])
 
 
-@pytest.mark.parametrize("ps", [_COLLINEAR, _COPLANAR], ids=["collinear", "coplanar"])
-def test_integer_kernel_on_degenerate_hull_systems(ps):
+def _hull_systems(ps):
     n = len(ps.points)
     for k in range(1, n):
         for a in itertools.combinations(range(n), k):
             rest = [i for i in range(n) if i not in a]
             for b in (tuple(rest), tuple(rest[:1]), tuple(rest[-2:])):
-                cons, nvar = hull_meet_constraints(ps, (a, b))
-                rows = sorted(normalize_rows(cons))
-                got = linprog._phase1(rows, nvar, True)
-                assert got == fraction_phase1(rows, nvar, True)
+                yield hull_meet_constraints(ps, (a, b))
+
+
+@pytest.mark.parametrize("ps", [_COLLINEAR, _COPLANAR], ids=["collinear", "coplanar"])
+def test_integer_kernel_on_degenerate_hull_systems(ps):
+    for cons, nvar in _hull_systems(ps):
+        _assert_kernel_matches_reference(cons, nvar, True)
+
+
+@pytest.mark.parametrize("ps", [_COLLINEAR, _COPLANAR], ids=["collinear", "coplanar"])
+def test_lp_feasible_on_degenerate_hull_systems(ps):
+    outcomes = set()
+    for cons, nvar in _hull_systems(ps):
+        out = lp_feasible(cons, nvars=nvar, nonneg=True)
+        assert out == fraction_lp_feasible(cons, nvar, nonneg=True)
+        outcomes.add(out.feasible)
+    assert outcomes == {True, False}
+
+
+def _tampered(y):
+    """The vector itself and the tampered copies a re-check must judge alike."""
+    yield y
+    k = next((i for i, v in enumerate(y) if v), 0)
+    yield y[:k] + (-y[k],) + y[k + 1:]
+    yield y[:k] + (y[k] + Rat(1, 7),) + y[k + 1:]
+    yield y[:-1]
+    yield y + (Rat(0),)
+    yield (Rat(0),) * len(y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_phase1_inputs(), st.lists(_VALUES, min_size=1, max_size=14))
+def test_check_farkas_gives_the_reference_verdict(case, vector):
+    cons, nvars, nonneg = case
+    out = lp_feasible(cons, nvars=nvars, nonneg=nonneg)
+    nrows = len(fraction_normalize_rows(cons))
+    candidates = [tuple(vector), tuple(abs(v) for v in vector)[:nrows]]
+    if not out.feasible:
+        candidates.append(out.farkas)
+    for y in candidates:
+        for z in _tampered(y):
+            assert check_farkas(cons, z, nonneg) == fraction_check_farkas(cons, z, nonneg)
+
+
+# --- the re-checks read the input rows, not the tableau ---------------------
+
+_SQUARE = point_set([(0, 0), (4, 0), (0, 4), (4, 4), (1, 1)])
+
+
+def _patched_phase1(monkeypatch, tamper):
+    real = linprog._phase1
+
+    def phase1(rows, nvars, nonneg):
+        ok, nums, div = real(rows, nvars, nonneg)
+        return ok, tamper(list(nums)), div
+
+    monkeypatch.setattr(linprog, "_phase1", phase1)
+
+
+def _bump_first_nonzero(nums):
+    k = next(i for i, v in enumerate(nums) if v)
+    nums[k] += 1
+    return nums
+
+
+def test_a_point_off_by_one_numerator_is_refused(monkeypatch):
+    cons, nvar = hull_meet_constraints(_SQUARE, ((0, 3), (1, 2)))
+    assert lp_feasible(cons, nvars=nvar, nonneg=True).feasible
+    _patched_phase1(monkeypatch, _bump_first_nonzero)
+    with pytest.raises(InternalInvariantError, match="simplex returned a non-solution"):
+        lp_feasible(cons, nvars=nvar, nonneg=True)
+
+
+@pytest.mark.parametrize("cons, nonneg", [
+    ([((1,), ">=", 1), ((1,), "<=", 0)], False),
+    (hull_meet_constraints(_SQUARE, ((0, 1), (2, 3)))[0], True),
+], ids=["contradictory-pair", "disjoint-hulls"])
+def test_a_perturbed_farkas_vector_is_refused(monkeypatch, cons, nonneg):
+    assert not lp_feasible(cons, nonneg=nonneg).feasible
+
+    def tamper(y):
+        # the contradictory pair's rows cancel only at equal weights; a
+        # negated weight breaks y >= 0
+        if nonneg:
+            k = next(i for i, v in enumerate(y) if v)
+            y[k] = -y[k]
+            return y
+        return _bump_first_nonzero(y)
+
+    _patched_phase1(monkeypatch, tamper)
+    with pytest.raises(InternalInvariantError, match="Farkas vector failed re-check"):
+        lp_feasible(cons, nonneg=nonneg)
+
+
+@pytest.mark.parametrize("groups", [((0, 3), (1, 2)), ((0, 1), (2, 3))],
+                         ids=["meeting", "disjoint"])
+def test_one_rat_per_returned_coordinate(monkeypatch, groups):
+    cons, nvar = hull_meet_constraints(_SQUARE, groups)
+    built = []
+    real = linprog.Rat
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linprog, "Rat", counted)
+    out = lp_feasible(cons, nvars=nvar, nonneg=True)
+    assert len(built) == len(out.solution if out.feasible else out.farkas)
