@@ -2,10 +2,11 @@
 
 Set partitions are always produced in restricted-growth-string order (item 0
 gets block 0; item i may open at most one new block), the canonical order all
-searchers in this package quote in their transcripts. One label walk yields
-them: rgs_partitions gives each block as a tuple of items, and rgs_masks,
-for items that are disjoint bit masks, as the mask of its items, the form
-the grouping walk hands to the hull oracle.
+searchers in this package quote in their transcripts. rgs_masks is the
+package's one set-partition walk. Its items are disjoint bit masks, one per
+point, and each block comes out as the mask of its items: the form the hull
+oracle and the trace sets take. The grouping walk, the Tverberg search and
+the r-shattering check all read it.
 """
 
 from __future__ import annotations
@@ -63,66 +64,38 @@ def partitions_le_count(n: int, kmax: int) -> int:
     return sum(_stirling_row(n, max(0, min(n, kmax)))[1:])
 
 
-def _rgs_labels(n: int, max_blocks: int, min_blocks: int):
-    """(labels, block count) of every partition of n >= 1 items into at
-    least min_blocks and at most max_blocks >= 1 blocks, RGS order; labels
-    gives each item's block and is one list, reused. A prefix whose
-    remaining items cannot open the blocks still missing is not extended,
-    so every prefix walked has a completion that is yielded."""
-    labels = [0] * n
+def rgs_masks(bits, max_blocks: int, min_blocks: int = 0):
+    """All partitions of the items, disjoint bit masks, into at least
+    min_blocks and at most max_blocks nonempty blocks, RGS order; each block
+    is the mask of its items. The empty item list yields the empty
+    partition when min_blocks <= 0.
 
-    def rec(i, used):
-        if used + n - i < min_blocks:
-            return
-        if i == n:
-            yield labels, used
-            return
-        for lab in range(min(used + 1, max_blocks)):
-            labels[i] = lab
-            yield from rec(i + 1, max(used, lab + 1))
+    One list of block masks grows and shrinks as the walk goes: item i joins
+    each open block in turn, then opens a new one while fewer than
+    max_blocks are open. An item joins no block when the items after it
+    could not open the blocks still missing, so every prefix walked has a
+    completion that is yielded."""
+    last = len(bits)
+    blocks = []
 
-    yield from rec(1, 1)
-
-
-def rgs_partitions(items, max_blocks: int, min_blocks: int = 0):
-    """All partitions of items into at least min_blocks and at most
-    max_blocks nonempty blocks, RGS order.
-
-    Yields tuples of blocks; each block is a tuple of items in input order.
-    The empty item list yields the empty partition when min_blocks <= 0.
-    """
-    items = list(items)
-    if not items:
-        if min_blocks <= 0:
-            yield ()
-        return
-    if max_blocks < 1:
-        return
-    for labels, used in _rgs_labels(len(items), max_blocks, min_blocks):
-        blocks = [[] for _ in range(used)]
-        for item, lab in zip(items, labels):
-            blocks[lab].append(item)
-        yield tuple(map(tuple, blocks))
-
-
-def rgs_masks(bits, max_blocks: int):
-    """rgs_partitions(bits, max_blocks) for a list of disjoint bit masks,
-    with each block given as the mask of its items."""
-    if not bits:
-        yield ()
-    elif max_blocks >= 1:
-        for labels, used in _rgs_labels(len(bits), max_blocks, 0):
-            blocks = [0] * used
-            for bit, lab in zip(bits, labels):
-                blocks[lab] |= bit
+    def walk(i):
+        if i == last:
             yield tuple(blocks)
+            return
+        bit = bits[i]
+        k = len(blocks)
+        if k + last - i > min_blocks:
+            for j in range(k):
+                blocks[j] |= bit
+                yield from walk(i + 1)
+                blocks[j] ^= bit
+        if k < max_blocks:
+            blocks.append(bit)
+            yield from walk(i + 1)
+            blocks.pop()
 
-
-def rgs_partitions_exact(items, blocks: int):
-    """Partitions into exactly `blocks` nonempty blocks, RGS order. The walk
-    visits at most len(items) prefixes per partition yielded."""
-    if blocks >= 0:
-        yield from rgs_partitions(items, blocks, blocks)
+    if last >= min_blocks:
+        yield from walk(0)
 
 
 def run_splits(count: int, max_runs: int):

@@ -1,9 +1,13 @@
-"""Order-preserving parallel map with early stop: the package's one parallel path.
+"""Order-preserving parallel map with early stop.
 
-Results come back in input order, so sweep outputs are identical for any
-worker count. Functions passed here must be module-level (picklable). Workers
-come from multiprocessing's default start method (fork on Linux): spawned
-workers would re-import the package for every sweep.
+No package code calls pmap: every search and sweep runs in one process,
+and `--jobs` is read but not used. The module stays only because the
+benchmark tracer (`bench/tracer.py`) lists `parallel` as a layer; ROADMAP
+direction 4 retires both together. Results come back in input order, so
+outputs would be identical for any worker count. Functions passed here must
+be module-level (picklable). Workers come from multiprocessing's default
+start method (fork on Linux): spawned workers would re-import the package
+for every sweep.
 """
 
 from __future__ import annotations

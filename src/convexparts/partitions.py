@@ -7,18 +7,25 @@ a grouping works iff every cross tuple of hulls fails to meet, which one
 predicate, _all_tuples_empty, decides for every search and for the t42
 sweep in constructions. Searchers exhaust groupings in restricted-growth
 order and return certificates that re-verify from kernel predicates alone.
-One lazy grouping walk serves every search and the good-partition checker;
-it stops past cap combinations tried (separation_groupings), whatever their
-closed form.
+One lazy grouping walk (_empty_cover) serves every search and the
+good-partition checker; it stops past cap combinations tried
+(separation_groupings), whatever their closed form.
 
-Groups are point masks from the grouping walk to the oracle; they become
-sorted index tuples only where an LP is solved or a certificate is built
-(st_separability_report, joint_cover_empty), so certificates and documents
-name index tuples. Every question goes to one MeetOracle per search, whose
-memo is the only pair or tuple memo. A search that enumerates the
-bipartitions or partitions of its whole ground builds the ground's circuit
-table (geometry.circuit_table) first, so its oracle answers every pair
-question by a mask test, with no LP. Questions about three or more groups,
+Parts and groups are point masks from the candidate down. The Radon search
+takes A as a combination of the subset's point bits and B as the rest, the
+Tverberg search takes the blocks of combinat.rgs_masks, and the grouping
+walk takes each part's groupings from rgs_masks too. Parts that come from
+a caller are checked once, by _part_masks (st_separability_report,
+joint_cover_empty, verify_good_partition); a search checks its bounds once
+and builds only valid parts, so the walk itself checks nothing. Masks
+become sorted index tuples only where an LP is solved or a certificate is
+built, so certificates and documents name index tuples.
+
+Every question goes to one MeetOracle per search, whose memo is the only
+pair or tuple memo. A search that enumerates the bipartitions or partitions
+of its whole ground builds the ground's circuit table
+(geometry.circuit_table) first, so its oracle answers every pair question
+by a mask test, with no LP. Questions about three or more groups,
 and oracles without a table, infer "meets" only, from one fact: meeting is
 monotone. If subgroups of the asked groups meet, so do the groups, and a
 meeting tuple is already witnessed by the points with nonzero weight in a
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .combinat import (binomial, check_total, indices_of, mask_of, partitions_le_count,
-                       rgs_masks, rgs_partitions_exact, stirling2)
+                       rgs_masks, stirling2)
 from .errors import CapExceeded, InputError, InternalInvariantError, PreconditionFailed
 from .geometry import (
     HullIntersection,
@@ -276,7 +283,8 @@ def st_separability_report(ps: PointSet, a, b, s: int, t: int,
     The search itself only asks whether hulls meet; separators are built
     for the grouping it returns, not for the ones it passes over."""
     oracle = MeetOracle(ps)
-    grouping, tried, closed_form = _empty_cover(oracle, (a, b), (s, t), cap)
+    parts, s_list = _part_masks(ps, (a, b), (s, t))
+    grouping, tried, closed_form = _empty_cover(oracle, parts, s_list, cap)
     if grouping is None:
         return None, tried, closed_form
     a_groups, b_groups = (tuple(map(indices_of, side)) for side in grouping)
@@ -308,6 +316,7 @@ def joint_cover_empty(ps: PointSet, parts, s_list, cap: int = 10**6):
     hulls has empty intersection, or None when every grouping combination
     leaves some tuple meeting."""
     oracle = MeetOracle(ps)
+    parts, s_list = _part_masks(ps, parts, s_list)
     combo = _empty_cover(oracle, parts, s_list, cap)[0]
     if combo is None:
         return None
@@ -315,13 +324,11 @@ def joint_cover_empty(ps: PointSet, parts, s_list, cap: int = 10**6):
     return EmptyIntersectionCertificate(ps, covers, _tuple_witnesses(oracle, combo))
 
 
-def _empty_cover(oracle, parts, s_list, cap):
-    """(first combination of groupings, one per part into <= s_i groups, in
-    restricted-growth product order, whose cross tuples all miss, or None;
-    combinations tried; closed-form count). Groups are point masks. Each
-    part's groupings are walked afresh under every prefix, never listed up
-    front."""
-    parts = [_norm_group(oracle.ps, p) for p in parts]
+def _part_masks(ps, parts, s_list):
+    """(parts as point masks, s_list as a tuple) once the parts are checked
+    to be two or more nonempty disjoint index groups of ps, with one group
+    bound of at least 1 each: the one check the grouping walk relies on."""
+    parts = [_norm_group(ps, p) for p in parts]
     if len(parts) < 2:
         raise InputError("need at least two parts")
     if len(set().union(*parts)) < sum(map(len, parts)):
@@ -331,8 +338,18 @@ def _empty_cover(oracle, parts, s_list, cap):
         raise InputError("one group bound per part required")
     if min(s_list) < 1:
         raise InputError("group counts must be at least 1")
-    closed_form = prod(map(partitions_le_count, map(len, parts), s_list))
-    bits = [[1 << i for i in p] for p in parts]
+    return [sum(1 << i for i in p) for p in parts], s_list
+
+
+def _empty_cover(oracle, parts, s_list, cap):
+    """(first combination of groupings, one per part into <= s_i groups, in
+    restricted-growth product order, whose cross tuples all miss, or None;
+    combinations tried; closed-form count). Parts and groups are point
+    masks, and the parts are taken as _part_masks or a search leaves them:
+    nothing is checked here. Each part's groupings are walked afresh under
+    every prefix, never listed up front."""
+    closed_form = prod(map(partitions_le_count, map(int.bit_count, parts), s_list))
+    bits = [[1 << i for i in indices_of(p)] for p in parts]
 
     def combos(k, prefix):
         for groups in rgs_masks(bits[k], s_list[k]):
@@ -442,12 +459,15 @@ def good_radon_partition(ps: PointSet, subset, s: int, t: int,
     subset = _norm_group(ps, subset)
     if len(subset) < 2:
         raise InputError("need at least two points to bipartition")
+    if s < 1 or t < 1:
+        raise InputError("group counts must be at least 1")
     oracle = MeetOracle(ps, circuit_table(ps, subset))
-    members = set(subset)
+    bits = [1 << i for i in subset]
+    full = sum(bits)
     for size in range(1, len(subset)):
-        for a in itertools.combinations(subset, size):
-            b = tuple(sorted(members - set(a)))
-            cert = _candidate_good(oracle, "radon", (a, b), (s, t), cap)
+        for combo in itertools.combinations(bits, size):
+            a = sum(combo)
+            cert = _candidate_good(oracle, "radon", (a, full ^ a), (s, t), cap)
             if cert is not None:
                 return cert
     return None
@@ -486,7 +506,7 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
     sizes = range(2, min(len(subset), ps.dim + 2) + 1)
     check_total("circuit_table", (binomial(len(subset), k) for k in sizes), cap)
     oracle = MeetOracle(ps, circuit_table(ps, subset))
-    for blocks in rgs_partitions_exact(subset, r):
+    for blocks in rgs_masks([1 << i for i in subset], r, r):
         # blocks are disjoint and nonempty, so their permutations are distinct
         for parts in (blocks,) if uniform else itertools.permutations(blocks):
             cert = _candidate_good(oracle, "tverberg", parts, s_list, cap)
@@ -496,14 +516,15 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
 
 
 def _candidate_good(oracle, kind, parts, s_list, cap):
-    """The good-partition certificate of parts, or None when some grouping
-    combination leaves every cross tuple empty."""
+    """The good-partition certificate of parts, point masks, or None when
+    some grouping combination leaves every cross tuple empty."""
     combo, tried, closed_form = _empty_cover(oracle, parts, s_list, cap)
     if combo is not None:
         return None
     params = {"s": s_list[0], "t": s_list[1]} if kind == "radon" \
         else {"s_list": tuple(s_list)}
-    return GoodPartitionCertificate(kind, tuple(parts), tried, closed_form, params)
+    return GoodPartitionCertificate(kind, tuple(map(indices_of, parts)), tried,
+                                    closed_form, params)
 
 
 def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate,
@@ -521,7 +542,8 @@ def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate,
         return False
     if sorted(i for part in cert.partition for i in part) != list(range(len(ps.points))):
         return False
-    return _candidate_good(MeetOracle(ps), cert.kind, cert.partition, s_list, cap) == cert
+    parts, s_list = _part_masks(ps, cert.partition, s_list)
+    return _candidate_good(MeetOracle(ps), cert.kind, parts, s_list, cap) == cert
 
 
 def _target_meets(ps, groups, halfspaces) -> bool:

@@ -47,11 +47,3 @@ class CounterRng:
                 seen.add(p)
                 points.append(p)
         return points
-
-    def shuffle(self, items: list) -> list:
-        """Fisher-Yates on a copy; the input list is untouched."""
-        out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.randint(0, i)
-            out[i], out[j] = out[j], out[i]
-        return out

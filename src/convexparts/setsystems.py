@@ -9,7 +9,8 @@ monotone decreasing in r (a spare slot can repeat an edge).
 Realizability on S depends on the edges only through their traces e & S,
 so each subset's distinct traces are collected once. Two ways read them.
 
-The class walk (`is_r_shattered`, r >= 3) tests each unordered block class.
+The class walk (`is_r_shattered`, r >= 3) tests each unordered block class,
+as the block masks that `combinat.rgs_masks` yields for the points of S.
 A slot's candidates are the traces containing its part, and of those only
 the inclusion-minimal ones matter: swapping a trace for a smaller one only
 shrinks the common part, so if any choice misses S, a choice of minimal
@@ -53,7 +54,8 @@ import itertools
 from dataclasses import dataclass
 from math import log, log1p
 
-from .combinat import binomial, check_total, indices_of, mask_of, partitions_le_count
+from .combinat import (binomial, check_total, indices_of, mask_of, partitions_le_count,
+                       rgs_masks)
 from .errors import CapExceeded, InputError
 
 
@@ -251,39 +253,14 @@ class _Traces:
         return dfs(0, self.s_mask)
 
 
-def _classes(s_mask: int, r: int):
-    """Partitions of the points of s_mask into at most r nonempty blocks, in
-    RGS order (points ascending), as lists of block masks. One list is
-    reused for every partition, so read it before resuming."""
-    bits = [1 << i for i in indices_of(s_mask)]
-    last = len(bits)
-    blocks = []
-
-    def walk(i):
-        if i == last:
-            yield blocks
-            return
-        bit = bits[i]
-        for j in range(len(blocks)):
-            blocks[j] |= bit
-            yield from walk(i + 1)
-            blocks[j] ^= bit
-        if len(blocks) < r:
-            blocks.append(bit)
-            yield from walk(i + 1)
-            blocks.pop()
-
-    return walk(0)
-
-
 def is_r_shattered(sys: SetSystem, S, r: int, cap: int = 10**6) -> bool:
     """Every r-partition of S realizable; |S| = 0 counts as shattered.
 
     At r = 2 this is plain shattering (module docstring). Otherwise the
-    unordered block classes are enumerated once (RGS order) with empty parts
-    as wildcard slots, since realizability only depends on the class. This
-    walk, not the bitset of `count_realizable`, answers here for two
-    reasons: the cap `r_shatter_classes` counts classes, which can fit where
+    unordered block classes are walked once (rgs_masks, RGS order) with
+    empty parts as wildcard slots, since realizability only depends on the
+    class. This walk, not the bitset of `count_realizable`, answers here
+    for two reasons: the cap `r_shatter_classes` counts classes, which can fit where
     r^|S| orderings do not, and at most |S| wildcard slots are searched, so
     r = 5000 stays shallow, where a bitset would walk every slot over
     r^(|S|-1) bits.
@@ -299,7 +276,8 @@ def is_r_shattered(sys: SetSystem, S, r: int, cap: int = 10**6) -> bool:
     if r == 2:
         return len(_traces(sys, mask)) == 1 << size
     traces = _Traces(sys, mask)
-    return all(traces.realizable(blocks, r) for blocks in _classes(mask, r))
+    bits = [1 << i for i in indices_of(mask)]
+    return all(traces.realizable(blocks, r) for blocks in rgs_masks(bits, r))
 
 
 def r_vc_dim(sys: SetSystem, r: int, cap: int = 10**6) -> int:

@@ -17,7 +17,10 @@ membership of an arbitrary point (`in_hull`, one LP) serves only
 `geometric_space_ref` and the tests. `geometric_space`, the hull-closed
 family read off the circuit table, and `interval_space`, the convexity of a
 path, live here too: no command builds either, and acceptance check 12 and
-the tests compare them. Two more are walks that the package
+the tests compare them. `rgs_partitions_ref` is the classic set-partition
+recursion on item tuples, each item joining an earlier block or opening a
+new one, with no prune: the reference for `combinat.rgs_masks`, and the
+walk every reference here takes. Two more are walks that the package
 now prunes or shares: `rgs_partitions_exact_ref` filters every partition
 into at most r blocks, and `moment_adversary_exhaustive_ref` runs the t42
 greedy, cover builder and structural checks afresh for each of the r^n
@@ -39,7 +42,8 @@ of its parts, where `abstract` now asks capture tests, and
 meets each member with a few generators.
 
 The `_walk_ref` routines are `setsystems`' block-class walk as it answered
-every r, caps included: `setsystems` now answers r = 2 from the trace set
+every r, caps included, over the classes of `rgs_partitions_ref` with
+blocks summed to masks: `setsystems` now answers r = 2 from the trace set
 alone and counts r >= 3 ordered partitions on one bitset, and these keep
 the walk as the reference for both. `min_f_counting_ref`
 recomputes every power for every f, where `min_f_counting` screens each f
@@ -92,8 +96,7 @@ import convexparts.constructions as constructions
 from convexparts.abstract import ConvexitySpace, _radon_work, convexity_space
 from convexparts.cli import _HANDLERS, _TARGETS
 from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
-                                  partitions_le_count, rgs_partitions,
-                                  rgs_partitions_exact, stirling2)
+                                  partitions_le_count, stirling2)
 from convexparts.constructions import AdversarySweepReport, moment_adversary_instance
 from convexparts.errors import CapExceeded, InputError, InternalInvariantError
 from convexparts.geometry import _norm_group, circuit_table, uncrossed_masks
@@ -101,9 +104,8 @@ from convexparts.linprog import REL_EQ, REL_GE, REL_LE, LPOutcome, lp_feasible
 from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle, SConvexCover,
                                     _all_tuples_empty, _oracle_for, _tuple_witnesses)
 from convexparts.rational import ONE, ZERO, Rat
-from convexparts.setsystems import (ShatterProfile, ShatterRow, _classes, _last_row,
-                                    _Traces, primal_shatter, r_shatter_bound, sauer_bound,
-                                    vc_dim)
+from convexparts.setsystems import (ShatterProfile, ShatterRow, _last_row, _Traces,
+                                    primal_shatter, r_shatter_bound, sauer_bound, vc_dim)
 
 
 def _norm_row(a, b):
@@ -193,6 +195,16 @@ def rand_point_set(rng, n: int, d: int, num_bound: int = 64, den: int = 8):
     from convexparts.geometry import point_set
 
     return point_set([[rng.rat(num_bound, den) for _ in range(d)] for _ in range(n)])
+
+
+def counter_shuffle(rng, items) -> list:
+    """Fisher-Yates on a copy of items with the draws of a CounterRng; the
+    input is untouched."""
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.randint(0, i)
+        out[i], out[j] = out[j], out[i]
+    return out
 
 
 def distinct_rand_point_set(rng, n, d, num_bound=64, den=8):
@@ -441,7 +453,7 @@ def is_r_shattered_ref(sys, S, r: int) -> bool:
     items = indices_of(mask)
     if not items:
         return True
-    for blocks in rgs_partitions(items, r):
+    for blocks in rgs_partitions_ref(items, r):
         part_masks = [mask_of(b, sys.n) for b in blocks]
         if not _realizable(sys, mask, part_masks + [0] * (r - len(blocks))):
             return False
@@ -454,7 +466,7 @@ def count_realizable_ref(sys, S, r: int) -> int:
     if not items:
         return 1 if sys.edges else 0
     total = 0
-    for blocks in rgs_partitions(items, r):
+    for blocks in rgs_partitions_ref(items, r):
         k = len(blocks)
         part_masks = [mask_of(b, sys.n) for b in blocks] + [0] * (r - k)
         if _realizable(sys, mask, part_masks):
@@ -803,10 +815,27 @@ def in_hull(ps, point, S) -> bool:
     return lp_feasible(cons, nvars=k, nonneg=True).feasible
 
 
+def rgs_partitions_ref(items, max_blocks: int):
+    """Partitions of items into at most max_blocks nonempty blocks, RGS
+    order, as tuples of blocks, each a tuple of items in input order: the
+    first item opens block 0, and each later one joins an earlier block or
+    opens a new one after them. No prefix is pruned."""
+    items = tuple(items)
+    if not items:
+        yield ()
+        return
+    prefix, last = items[:-1], items[-1]
+    for blocks in rgs_partitions_ref(prefix, max_blocks):
+        for j in range(len(blocks)):
+            yield blocks[:j] + (blocks[j] + (last,),) + blocks[j + 1:]
+        if len(blocks) < max_blocks:
+            yield blocks + ((last,),)
+
+
 def rgs_partitions_exact_ref(items, blocks: int):
     """Partitions into exactly `blocks` nonempty blocks, RGS order: every
     partition into at most `blocks` blocks, filtered."""
-    for part in rgs_partitions(items, blocks):
+    for part in rgs_partitions_ref(items, blocks):
         if len(part) == blocks:
             yield part
 
@@ -1045,13 +1074,13 @@ def abstract_separable(space: ConvexitySpace, a, b, s: int, t: int,
     a_idx = indices_of(a_mask)
     b_idx = indices_of(b_mask)
     # block-hull pruning pass
-    for a_blocks in rgs_partitions(a_idx, s):
+    for a_blocks in rgs_partitions_ref(a_idx, s):
         ua = 0
         for block in a_blocks:
             ua |= _hull_mask(space, mask_of(block, space.n))
         if ua & b_mask:
             continue
-        for b_blocks in rgs_partitions(b_idx, t):
+        for b_blocks in rgs_partitions_ref(b_idx, t):
             ub = 0
             for block in b_blocks:
                 ub |= _hull_mask(space, mask_of(block, space.n))
@@ -1129,7 +1158,7 @@ def separating_grouping_ref(oracle, a, b, s, t, cap):
 
 
 def _mask_groupings(part, s, n):
-    for groups in rgs_partitions(part, s):
+    for groups in rgs_partitions_ref(part, s):
         yield tuple(mask_of(g, n) for g in groups)
 
 
@@ -1232,7 +1261,7 @@ def tverberg_number_ref(space, r: int, cap: int = 10**6):
 
 
 def _has_tverberg_partition(space, sub, r, hulls) -> bool:
-    for parts in rgs_partitions_exact(sub, r):
+    for parts in rgs_partitions_exact_ref(sub, r):
         common = (1 << space.n) - 1
         for part in parts:
             h = hulls.get(part)
@@ -1246,6 +1275,14 @@ def _has_tverberg_partition(space, sub, r, hulls) -> bool:
     return False
 
 
+def _block_masks(mask, r):
+    """The partitions of the points of mask into at most r blocks, RGS
+    order, each block summed to its mask."""
+    bits = [1 << i for i in indices_of(mask)]
+    for blocks in rgs_partitions_ref(bits, r):
+        yield tuple(map(sum, blocks))
+
+
 def is_r_shattered_walk_ref(sys, S, r: int, cap: int = 10**6) -> bool:
     if r < 2:
         raise InputError("r must be at least 2")
@@ -1256,7 +1293,7 @@ def is_r_shattered_walk_ref(sys, S, r: int, cap: int = 10**6) -> bool:
     if partitions_le_count(size, r) > cap:
         raise CapExceeded("r_shatter_classes", cap, partitions_le_count(size, r))
     traces = _Traces(sys, mask)
-    return all(traces.realizable(blocks, r) for blocks in _classes(mask, r))
+    return all(traces.realizable(blocks, r) for blocks in _block_masks(mask, r))
 
 
 def r_vc_dim_walk_ref(sys, r: int, cap: int = 10**6) -> int:
@@ -1280,7 +1317,7 @@ def count_realizable_walk_ref(sys, S, r: int, cap: int = 10**6) -> int:
     if not size:
         return 1 if sys.edges else 0
     traces = _Traces(sys, mask)
-    return sum(perm(r, len(blocks)) for blocks in _classes(mask, r)
+    return sum(perm(r, len(blocks)) for blocks in _block_masks(mask, r)
                if traces.realizable(blocks, r))
 
 

@@ -7,8 +7,8 @@ and prints a single verdict line.
 
 import itertools
 
-from bruteforce import (abstract_good_partition, affine_dependence_ref, geometric_space,
-                        interval_space, interval_union_traces)
+from bruteforce import (abstract_good_partition, affine_dependence_ref, counter_shuffle,
+                        geometric_space, interval_space, interval_union_traces)
 
 from convexparts.abstract import halfspaces, is_separable, radon_number, tverberg_number
 from convexparts.combinat import mask_of, stirling2
@@ -234,7 +234,7 @@ def _check_10():
         s, t = rng.randint(1, 3), rng.randint(1, 3)
         ps = _pts(f"c10p:{k}", n, d)
         cut = rng.randint(1, n - 1)
-        order = rng.shuffle(range(n))
+        order = counter_shuffle(rng, range(n))
         a = tuple(sorted(order[:cut]))
         b = tuple(sorted(order[cut:]))
         k += 1

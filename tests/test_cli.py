@@ -626,6 +626,32 @@ class TestInputContract:
                      "--s-list", "3,2", "--cap", "3"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"kind": "tverberg", "params": {"s_list": [1]}}, "one group bound per part required"),
+        ({"kind": "tverberg", "params": {"s_list": [0, 1]}}, "group counts must be at least 1"),
+        ({"params": {"s": 0, "t": 1}}, "group counts must be at least 1"),
+        ({"kind": "tverberg", "params": {"s_list": [1]}, "partition": [[0, 1, 2, 3, 4]]},
+         "need at least two parts"),
+        ({"partition": [[-1, 0, 1], [2, 3, 4]]}, "index out of range in group (-1, 0, 1)"),
+        ({"partition": [[4], [0, 1, 2, 3], []]}, "empty index group"),
+    ], ids=["one-bound", "zero-bound", "radon-zero-s", "one-part", "negative-index",
+            "empty-part"])
+    def test_good_partition_checker_rejects_bad_parts_and_bounds(self, capsys, tmp_path,
+                                                                 change, message):
+        # the parts and bounds of a good-partition document are checked
+        # once, before the grouping walk, which checks nothing itself
+        pts = [(0, 0), (4, 0), (0, 4), (4, 4), (1, 2)]
+        path = put(tmp_path, "five.json",
+                   {"dim": 2, "points": [[str(x), str(y)] for x, y in pts]})
+        out = tmp_path / "radon"
+        assert run(capsys, "radon", "--input", path, "--s", 1, "--t", 1,
+                   "--out-dir", out)[0] == 0
+        doc = json.loads((out / "certificate.json").read_text())
+        assert doc["partition"] == [[4], [0, 1, 2, 3]]
+        bad = put(tmp_path, "bad.json", {**doc, **change})
+        assert main(["verify-cert", "--input", str(bad)]) == 4
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_abstract_partition_documents_are_an_unknown_schema(self, capsys, tmp_path):
         # no command emits this schema, so verify-cert no longer reads it
         doc = {"schema": "abstract-good-partition/1", "space": PATH3_SPACE,
@@ -1011,16 +1037,29 @@ UNREACHED_ALLOWLIST = {
 def test_every_public_function_is_reached_from_the_package():
     package = Path(__file__).resolve().parents[1] / "src" / "convexparts"
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
-    # each top-level statement of each module, with the names it reads
-    refs = [(top, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(top)
-                   if isinstance(n, (ast.Name, ast.Attribute))})
-            for tree in trees.values() for top in tree.body]
+    # each top-level statement of each module, or of each class body, with
+    # the names it reads
+    units = [stmt for tree in trees.values() for top in tree.body
+             for stmt in (top.body if isinstance(top, ast.ClassDef) else [top])]
+    refs = [(unit, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(unit)
+                    if isinstance(n, (ast.Name, ast.Attribute))})
+            for unit in units]
+    # public functions, classes and methods, each with the units it spans
+    defs = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{module}.{node.name}"] = node.name, [node]
+            elif isinstance(node, ast.ClassDef):
+                defs[f"{module}.{node.name}"] = node.name, node.body
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        defs[f"{module}.{node.name}.{method.name}"] = method.name, [method]
     unreached = {
-        f"{module}.{node.name}"
-        for module, tree in trees.items() for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and not any(node.name in used for top, used in refs if top is not node)}
+        qualified for qualified, (name, own) in defs.items()
+        if not name.startswith("_")
+        and not any(name in used for unit, used in refs
+                    if all(unit is not o for o in own))}
     assert unreached == set(UNREACHED_ALLOWLIST)
 
 

@@ -12,11 +12,10 @@ import convexparts.geometry as geometry
 import convexparts.partitions as partitions
 from bruteforce import (distinct_rand_point_set, empty_cover_ref, geometric_space,
                         geometric_space_ref, halfspace_traces_ref, in_hull,
-                        rgs_partitions_exact_ref, robust_separator_ref, segments_meet,
-                        separation_targets_ref, stirling2_ref, union_polytope_system_ref,
-                        unit_gap_ref)
-from convexparts.combinat import (mask_of, partitions_le_count, rgs_masks, rgs_partitions,
-                                 rgs_partitions_exact, stirling2)
+                        rgs_partitions_exact_ref, rgs_partitions_ref, robust_separator_ref,
+                        segments_meet, separation_targets_ref, stirling2_ref,
+                        union_polytope_system_ref, unit_gap_ref)
+from convexparts.combinat import mask_of, partitions_le_count, rgs_masks, stirling2
 from convexparts.errors import CapExceeded, InputError, PreconditionFailed
 from convexparts.geometry import circuit_table, hulls_common_point, point_set
 from convexparts.partitions import (
@@ -185,7 +184,7 @@ def test_tverberg_search_on_five_collinear_points():
     assert cert is not None
     assert cert.partition == ((0, 3), (1, 4), (2,))
     # independent route: first exact-3 partition whose intervals share a point
-    for parts in rgs_partitions_exact(range(5), 3):
+    for parts in rgs_partitions_exact_ref(range(5), 3):
         segs = [(min(p), max(p)) for p in parts]
         if segments_meet(segs):
             assert parts == cert.partition
@@ -194,25 +193,27 @@ def test_tverberg_search_on_five_collinear_points():
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.sets(st.integers(0, 12), max_size=8), st.integers(0, 5))
-def test_mask_partitions_are_the_tuple_partitions(points, blocks):
+@given(st.sets(st.integers(0, 12), max_size=8), st.integers(0, 5), st.integers(0, 5))
+def test_mask_partitions_are_the_tuple_partitions(points, max_blocks, min_blocks):
     bits = [1 << i for i in sorted(points)]
-    assert list(rgs_masks(bits, blocks)) == [
-        tuple(map(sum, p)) for p in rgs_partitions(bits, blocks)]
+    assert list(rgs_masks(bits, max_blocks, min_blocks)) == [
+        tuple(map(sum, p)) for p in rgs_partitions_ref(bits, max_blocks)
+        if len(p) >= min_blocks]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 9), st.integers(0, 10))
 def test_exact_partitions_match_the_filtering_reference(n, blocks):
-    items = "abcdefghi"[:n]
-    assert (list(rgs_partitions_exact(items, blocks))
-            == list(rgs_partitions_exact_ref(items, blocks)))
+    bits = [1 << i for i in range(n)]
+    assert list(rgs_masks(bits, blocks, blocks)) == [
+        tuple(map(sum, p)) for p in rgs_partitions_exact_ref(bits, blocks)]
 
 
 def test_exact_partitions_near_the_item_count_are_walked_directly():
     # 20 items into at most 18 blocks are about 5.2e13 partitions; the
     # pruned walk reaches only the S(20, 18) with exactly 18
-    assert sum(1 for _ in rgs_partitions_exact(range(20), 18)) == stirling2(20, 18) == 15675
+    bits = [1 << i for i in range(20)]
+    assert sum(1 for _ in rgs_masks(bits, 18, 18)) == stirling2(20, 18) == 15675
 
 
 def test_stirling_numbers_match_the_recursive_reference():
@@ -651,25 +652,55 @@ def test_grouping_walk_matches_the_two_reference_walks(r, table, data):
     ps, parts, s_list = data.draw(cover_walks(r))
     oracles = [RecordingOracle(ps, circuit_table(ps, range(len(ps.points))) if table else None)
                for _ in range(2)]
-    ours = partitions._empty_cover(oracles[0], parts, s_list, 10**6)
+    masks = [mask_of(p, len(ps.points)) for p in parts]
+    ours = partitions._empty_cover(oracles[0], masks, s_list, 10**6)
     ref = empty_cover_ref(oracles[1], parts, s_list)
     assert ours == ref
     assert oracles[0].log == oracles[1].log
 
 
-def test_only_the_grouping_walk_names_rgs_partitions():
-    # combinat defines the walk over one part's groupings, as tuples or as
-    # masks, and every grouping combination a search tries comes from
-    # partitions._empty_cover
+def test_rgs_masks_is_the_one_partition_walk():
+    # combinat.rgs_masks walks set partitions for the grouping walk, the
+    # Tverberg search and the r-shattering check, and nothing else in the
+    # package walks them: the only generators that resume themselves are
+    # the walk inside rgs_masks and _empty_cover's product of part walks
     package = Path(partitions.__file__).parent
-    users = {f"{path.stem}.{getattr(top, 'name', 'module level')}"
-             for path in sorted(package.glob("*.py")) if path.stem != "combinat"
-             for top in ast.parse(path.read_text()).body
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    users = {f"{stem}.{getattr(top, 'name', 'module level')}"
+             for stem, tree in trees.items() if stem != "combinat"
+             for top in tree.body
              if not isinstance(top, ast.ImportFrom)
-             and any(getattr(node, "id", getattr(node, "attr", None))
-                     in ("rgs_partitions", "rgs_masks")
+             and any(getattr(node, "id", getattr(node, "attr", None)) == "rgs_masks"
                      for node in ast.walk(top))}
-    assert users == {"partitions._empty_cover"}
+    assert users == {"partitions._empty_cover", "partitions.good_tverberg_partition",
+                     "setsystems.is_r_shattered"}
+    recursive = {f"{stem}.{fn.name}"
+                 for stem, tree in trees.items() for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 and any(isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call)
+                         and getattr(node.value.func, "id", None) == fn.name
+                         for node in ast.walk(fn))}
+    assert recursive == {"combinat.walk", "partitions.combos"}
+
+
+def test_searches_normalize_their_subset_once(monkeypatch):
+    # every candidate is built as point masks and walked as it is: the
+    # index normalizer runs once per search, whatever the candidate count
+    calls = []
+    norm_group = partitions._norm_group
+
+    def counted(ps, group):
+        calls.append(group)
+        return norm_group(ps, group)
+
+    monkeypatch.setattr(partitions, "_norm_group", counted)
+    seven = point_set(CounterRng("bench7").distinct_points(7, 2))
+    assert good_radon_partition(seven, range(7), 2, 2) is None
+    assert len(calls) == 1
+    six = point_set(CounterRng("bench6").distinct_points(6, 2))
+    calls.clear()
+    assert good_tverberg_partition(six, range(6), 3, 1) is None
+    assert len(calls) == 1
 
 
 def _count_lps(monkeypatch):

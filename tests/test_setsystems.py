@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 from bruteforce import (check_r_shatter_ref, check_r_shatter_walk_ref, check_sauer_ref,
-                        count_realizable_ref, count_realizable_walk_ref,
+                        count_realizable_ref, count_realizable_walk_ref, counter_shuffle,
                         is_r_shattered_ref, is_r_shattered_walk_ref, is_realizable_ref,
                         min_f_counting_ref, r_vc_dim_walk_ref)
 from hypothesis import example, given, settings
@@ -173,7 +173,7 @@ def test_relabeling_invariance():
     rng = CounterRng(35, "relabel")
     for _ in range(20):
         sys = random_system(rng, 6, 20)
-        perm = rng.shuffle(list(range(6)))
+        perm = counter_shuffle(rng, range(6))
         remapped = set_system(
             6, [[perm[i] for i in range(6) if e >> i & 1] for e in sys.edges]
         )
