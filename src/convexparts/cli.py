@@ -256,27 +256,35 @@ def _cmd_rvcdim(args):
     return 0, doc, [("report.json", doc)]
 
 
-def _cmd_shatter(args):
+def _profile_output(args, profile, ok=None, **fields):
+    """(exit code, document, files) of a shatter profile: report.json and
+    profile.csv. A verify target's document adds the target, "ok" (the
+    profile's all_ok unless given) and fields; the exit code follows ok."""
     from .serialize import shatter_profile_csv, shatter_profile_data
-    from .setsystems import check_sauer
 
-    system = _load_system(args.input)
-    profile = check_sauer(system, m_max=args.n, cap=_cap(args))
-    doc = {"subcommand": "shatter", **shatter_profile_data(profile)}
-    return (0 if profile.all_ok else 2), doc, [
+    ok = profile.all_ok if ok is None else ok
+    doc = {"subcommand": args.command, **shatter_profile_data(profile)}
+    if args.target is not None:
+        doc.update(target=args.target, ok=ok, **fields)
+    return (0 if ok else 2), doc, [
         ("report.json", doc), ("profile.csv", shatter_profile_csv(profile))]
 
 
+def _cmd_shatter(args):
+    """shatter, and verify sauer: the same profile under its own head."""
+    from .setsystems import check_sauer
+
+    system = _load_system(args.input)
+    return _profile_output(args, check_sauer(system, m_max=args.n, cap=_cap(args)))
+
+
 def _cmd_rshatter(args):
-    from .serialize import shatter_profile_csv, shatter_profile_data
     from .setsystems import check_r_shatter
 
     _require(args, "r")
     system = _load_system(args.input)
-    profile = check_r_shatter(system, args.r, m_max=args.n, cap=_cap(args))
-    doc = {"subcommand": "rshatter", **shatter_profile_data(profile)}
-    return (0 if profile.all_ok else 2), doc, [
-        ("report.json", doc), ("profile.csv", shatter_profile_csv(profile))]
+    return _profile_output(args, check_r_shatter(system, args.r, m_max=args.n,
+                                                 cap=_cap(args)))
 
 
 def _cmd_bound_e31(args):
@@ -311,16 +319,13 @@ def _cmd_radon(args):
 
     _require(args, "s", "t")
     ps = _load_points(args.input)
-    bipartitions = (1 << len(ps)) - 2
-    if bipartitions > _cap(args):
-        raise CapExceeded("radon_bipartitions", _cap(args), bipartitions)
     cert = good_radon_partition(ps, range(len(ps)), args.s, args.t,
                                 cap=_cap(args))
     if cert is None:
         doc = {"subcommand": "radon", "found": False, "s": args.s, "t": args.t,
                "n": len(ps), "bipartitions": (1 << len(ps)) - 2}
         return 2, doc, [("report.json", doc)]
-    cert_doc = good_partition_data(ps, cert)
+    cert_doc = good_partition_data(cert)
     doc = {"subcommand": "radon", "found": True, "s": args.s, "t": args.t,
            "n": len(ps), "certificate": cert_doc}
     return 0, doc, [("report.json", doc), ("certificate.json", cert_doc)]
@@ -339,7 +344,7 @@ def _cmd_tverberg(args):
         doc = {"subcommand": "tverberg", "found": False, "r": args.r,
                "s_list": list(s_list), "n": len(ps)}
         return 2, doc, [("report.json", doc)]
-    cert_doc = good_partition_data(ps, cert)
+    cert_doc = good_partition_data(cert)
     doc = {"subcommand": "tverberg", "found": True, "r": args.r,
            "s_list": list(s_list), "n": len(ps), "certificate": cert_doc}
     return 0, doc, [("report.json", doc), ("certificate.json", cert_doc)]
@@ -378,7 +383,7 @@ def _cmd_build_separation(args):
                "parts": [sorted(p) for p in parts], "s_list": list(s_list),
                "reason": "no cover choice has empty joint intersection"}
         return 2, doc, [("report.json", doc)]
-    sep = build_r_separation(ps, cert.covers, cert, cap=_cap(args))
+    sep = build_r_separation(cert, cap=_cap(args))
     empty_doc = empty_intersection_data(cert)
     sep_doc = r_separation_data(sep)
     doc = {"subcommand": "build-separation", "built": True,
@@ -408,10 +413,8 @@ def _cmd_fsearch(args):
            "witness_transcript": report.witness_transcript,
            "witness": None if report.witness is None
            else point_set_data(report.witness),
-           "certificates": [None if c is None
-                            else good_partition_data(sample_ps, c)
-                            for sample_ps, c in zip(report.samples,
-                                                    report.certificates)]}
+           "certificates": [None if c is None else good_partition_data(c)
+                            for c in report.certificates]}
     files = [("report.json", doc)]
     if report.witness is not None:
         files.append(("witness_points.json", point_set_data(report.witness)))
@@ -519,20 +522,7 @@ def _verify_t42(args):
     return (0 if report.ok else 2), doc, [("report.json", doc)]
 
 
-def _verify_sauer(args):
-    from .serialize import shatter_profile_csv, shatter_profile_data
-    from .setsystems import check_sauer
-
-    system = _load_system(args.input)
-    profile = check_sauer(system, m_max=args.n, cap=_cap(args))
-    doc = {"subcommand": "verify", "target": "sauer",
-           "ok": profile.all_ok, **shatter_profile_data(profile)}
-    return (0 if profile.all_ok else 2), doc, [
-        ("report.json", doc), ("profile.csv", shatter_profile_csv(profile))]
-
-
 def _verify_rshatter(args):
-    from .serialize import shatter_profile_csv, shatter_profile_data
     from .setsystems import check_r_shatter, min_f_counting, vc_dim
 
     _require(args, "r")
@@ -541,12 +531,8 @@ def _verify_rshatter(args):
     d = vc_dim(system, cap=_cap(args))
     ceiling = min_f_counting(max(1, d), args.r, f_cap=_cap(args)) - 1
     consistent = profile.dimension <= ceiling
-    doc = {"subcommand": "verify", "target": "rshatter",
-           "ok": profile.all_ok and consistent, "vc_dim": d,
-           "counting_ceiling": ceiling, "consistent": consistent,
-           **shatter_profile_data(profile)}
-    return (0 if doc["ok"] else 2), doc, [
-        ("report.json", doc), ("profile.csv", shatter_profile_csv(profile))]
+    return _profile_output(args, profile, ok=profile.all_ok and consistent, vc_dim=d,
+                           counting_ceiling=ceiling, consistent=consistent)
 
 
 def _verify_f3(args):
@@ -610,7 +596,7 @@ def _verify_abstract(args):
     return (0 if ok else 2), doc, [("report.json", doc)]
 
 
-_VERIFY = {"t999": _verify_t999, "t42": _verify_t42, "sauer": _verify_sauer,
+_VERIFY = {"t999": _verify_t999, "t42": _verify_t42, "sauer": _cmd_shatter,
            "rshatter": _verify_rshatter, "f3": _verify_f3,
            "abstract": _verify_abstract}
 

@@ -37,6 +37,12 @@ name. Callers that may ask a single question (separate, build-separation)
 and the certificate checker verify_good_partition keep an oracle without a
 table.
 
+Every certificate has one shape: it holds its PointSet once, as ps, and
+names groups as sorted index tuples, a cover being a tuple of them. Its
+checker verify_X(cert) takes it alone; only verify_good_partition also
+takes a cap, because it re-runs the walk. serialize has one writer and
+one reader per schema.
+
 The constructive half replaces each cover by a union of polytopes, and
 every facet is read off the Farkas vector of a meeting question
 (geometry.farkas_separator), so no LP is built for separation alone.
@@ -77,14 +83,6 @@ from .linprog import check_farkas
 
 
 @dataclass(frozen=True)
-class SConvexCover:
-    """A point subset presented as at most s hull pieces."""
-
-    ground: PointSet
-    groups: tuple   # tuple of sorted index tuples, each nonempty
-
-
-@dataclass(frozen=True)
 class SeparationCertificate:
     """Grouping plus one strict separator per cross pair.
 
@@ -116,7 +114,7 @@ class TupleWitness:
 @dataclass(frozen=True)
 class EmptyIntersectionCertificate:
     ps: PointSet
-    covers: tuple       # one SConvexCover per class
+    covers: tuple       # per class, its hull pieces as sorted index tuples
     witnesses: tuple    # TupleWitness for every cross choice
 
 
@@ -124,6 +122,7 @@ class EmptyIntersectionCertificate:
 class GoodPartitionCertificate:
     """A partition all of whose grouping candidates were enumerated and rejected."""
 
+    ps: PointSet
     kind: str
     partition: tuple
     enumerated: int
@@ -140,7 +139,8 @@ class PolyhedralSeparation:
     vector of its closed-cell system.
     """
 
-    covers: tuple
+    ps: PointSet
+    covers: tuple       # as in EmptyIntersectionCertificate
     unions: tuple
     emptiness: tuple
 
@@ -320,7 +320,7 @@ def joint_cover_empty(ps: PointSet, parts, s_list, cap: int = 10**6):
     combo = _empty_cover(oracle, parts, s_list, cap)[0]
     if combo is None:
         return None
-    covers = tuple(SConvexCover(ps, tuple(map(indices_of, groups))) for groups in combo)
+    covers = tuple(tuple(map(indices_of, groups)) for groups in combo)
     return EmptyIntersectionCertificate(ps, covers, _tuple_witnesses(oracle, combo))
 
 
@@ -428,7 +428,7 @@ def _tuple_witnesses(oracle, combo):
 def verify_empty_intersection(cert: EmptyIntersectionCertificate) -> bool:
     """Re-check an empty-intersection certificate from scratch."""
     ps = cert.ps
-    expected = set(itertools.product(*[range(len(c.groups)) for c in cert.covers]))
+    expected = set(itertools.product(*map(range, map(len, cert.covers))))
     seen = set()
     for w in cert.witnesses:
         if w.choice in seen or w.choice not in expected:
@@ -438,7 +438,7 @@ def verify_empty_intersection(cert: EmptyIntersectionCertificate) -> bool:
         if len(set(w.classes)) != len(w.classes) or len(w.classes) < 2 or \
                 not all(0 <= c < len(cert.covers) for c in w.classes):
             return False
-        groups = [cert.covers[c].groups[w.choice[c]] for c in w.classes]
+        groups = [cert.covers[c][w.choice[c]] for c in w.classes]
         # ordering must match the solved system: MeetOracle sorts index tuples
         groups = tuple(sorted(groups))
         if not verify_hulls_empty(ps, groups, w.farkas):
@@ -455,8 +455,12 @@ def good_radon_partition(ps: PointSet, subset, s: int, t: int,
     bipartition to the next, and it holds the circuit table of subset, so
     it solves no LP. The table needs no cap of its own: its sum over k of
     C(m, k) subsets is below the 2^m - 2 bipartitions the search walks.
-    Each bipartition's grouping walk stops past cap grouping pairs tried."""
+    The 2^m - 2 bipartitions are checked against cap under the name
+    radon_bipartitions before any is walked, and each bipartition's
+    grouping walk stops past cap grouping pairs tried."""
     subset = _norm_group(ps, subset)
+    if (1 << len(subset)) - 2 > cap:
+        raise CapExceeded("radon_bipartitions", cap, (1 << len(subset)) - 2)
     if len(subset) < 2:
         raise InputError("need at least two points to bipartition")
     if s < 1 or t < 1:
@@ -523,17 +527,16 @@ def _candidate_good(oracle, kind, parts, s_list, cap):
         return None
     params = {"s": s_list[0], "t": s_list[1]} if kind == "radon" \
         else {"s_list": tuple(s_list)}
-    return GoodPartitionCertificate(kind, tuple(map(indices_of, parts)), tried,
-                                    closed_form, params)
+    return GoodPartitionCertificate(oracle.ps, kind, tuple(map(indices_of, parts)),
+                                    tried, closed_form, params)
 
 
-def verify_good_partition(ps: PointSet, cert: GoodPartitionCertificate,
-                          cap: int = 10**6) -> bool:
+def verify_good_partition(cert: GoodPartitionCertificate, cap: int = 10**6) -> bool:
     """Re-run the exhaustion for the certified partition of every point,
     under the same grouping cap as the searches; every field, counts
     included, must equal the re-derived certificate. The checker's oracle
     has no circuit table: it decides on the LP path."""
-    params = cert.params
+    ps, params = cert.ps, cert.params
     if cert.kind == "radon" and set(params) == {"s", "t"} and len(cert.partition) == 2:
         s_list = (params["s"], params["t"])
     elif cert.kind == "tverberg" and set(params) == {"s_list"}:
@@ -572,33 +575,30 @@ def _target_separator(ps, group, groups, halfspaces) -> Hyperplane:
     return hp
 
 
-def build_r_separation(ps: PointSet, covers, certificate: EmptyIntersectionCertificate,
+def build_r_separation(certificate: EmptyIntersectionCertificate,
                        cap: int = 10**6) -> PolyhedralSeparation:
-    """Replace each cover by a union of polytopes, built one cover at a time.
+    """Replace each cover of a verified empty-intersection certificate by a
+    union of polytopes, built one cover at a time.
 
     Cover i is separated from every cross product of pieces already built
     (j < i) and hulls still pending (j > i); each nonempty such target
     contributes one facet, so piece facet counts never exceed the product of
     the other covers' group counts.
     """
-    covers = tuple(covers)
+    ps, covers = certificate.ps, certificate.covers
     if len(covers) < 2:
         raise InputError("need at least two covers")
-    for cov in covers:
-        if cov.ground is not ps and cov.ground != ps:
-            raise InputError("cover ground set mismatch")
-    if certificate is None or certificate.covers != covers \
-            or not verify_empty_intersection(certificate):
+    if not verify_empty_intersection(certificate):
         raise PreconditionFailed("empty-intersection certificate does not verify")
     r = len(covers)
-    work = prod(max(1, len(c.groups)) for c in covers)
+    work = prod(max(1, len(c)) for c in covers)
     if work > cap:
         raise CapExceeded("separation_tuples", cap, work)
     built = []
     for i in range(r):
         # (halfspaces, hull groups) per item: built pieces, then pending hulls
         factors = [[(piece, ()) for piece in built[j]] for j in range(i)] + \
-                  [[((), (g,)) for g in covers[j].groups] for j in range(i + 1, r)]
+                  [[((), (g,)) for g in covers[j]] for j in range(i + 1, r)]
         targets = []
         for pick in itertools.product(*factors):
             halfspaces = tuple(h for cell, _ in pick for h in cell)
@@ -606,7 +606,7 @@ def build_r_separation(ps: PointSet, covers, certificate: EmptyIntersectionCerti
             if _target_meets(ps, groups, halfspaces):
                 targets.append((groups, halfspaces))
         built.append([tuple(_target_separator(ps, grp, *target) for target in targets)
-                      for grp in covers[i].groups])
+                      for grp in covers[i]])
     emptiness = []
     for choice in itertools.product(*[range(len(p)) for p in built]):
         pick = tuple(built[i][k] for i, k in enumerate(choice))
@@ -617,22 +617,23 @@ def build_r_separation(ps: PointSet, covers, certificate: EmptyIntersectionCerti
             raise InternalInvariantError("constructed pieces still meet")
         emptiness.append((choice, out.farkas))
     unions = tuple(tuple(pieces) for pieces in built)
-    return PolyhedralSeparation(covers, unions, tuple(emptiness))
+    return PolyhedralSeparation(ps, covers, unions, tuple(emptiness))
 
 
-def verify_r_separation(ps: PointSet, sep: PolyhedralSeparation) -> bool:
+def verify_r_separation(sep: PolyhedralSeparation) -> bool:
     """Re-check containment and facet bounds from scratch, and joint
     emptiness from the certificate: one Farkas vector per cross choice of
     pieces, in product order, refuting the closed-cell system of exactly
     that choice. No LP is solved."""
+    ps = sep.ps
     if len(sep.unions) != len(sep.covers):
         return False
-    counts = [len(c.groups) for c in sep.covers]
+    counts = list(map(len, sep.covers))
     bounds = [prod(counts[:i] + counts[i + 1:]) for i in range(len(counts))]
     for cov, union, bound in zip(sep.covers, sep.unions, bounds):
-        if len(union) != len(cov.groups):
+        if len(union) != len(cov):
             return False
-        for grp, piece in zip(cov.groups, union):
+        for grp, piece in zip(cov, union):
             if len(piece) > bound or any(len(h.normal) != ps.dim for h in piece):
                 return False
             for idx in grp:

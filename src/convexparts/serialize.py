@@ -4,9 +4,14 @@ the reader of convexity spaces.
 Rationals travel as "p/q" strings, never floats, so round-trips are exact.
 Canonical bytes (sorted keys, fixed indentation, one trailing newline) make
 independent runs byte-comparable. Every certificate document carries a
-"schema" tag of the form name/version; check_certificate dispatches on it and
-re-verifies the claim from scratch using only the kernel predicates. Only
-the four schemas that commands emit are known; any other is an input error.
+"schema" tag of the form name/version. Each schema has one writer X_data(cert)
+and one reader X_from_data(data) that returns the certificate, point set
+included; check_certificate dispatches on the tag and hands what the reader
+returns to the schema's checker in partitions, which re-verifies the claim
+from scratch using only the kernel predicates. A cover with no group
+refutes nothing, so check_certificate rejects it in both schemas that carry
+covers. Only the four schemas that commands emit are known; any other is an
+input error.
 Each codec imports the domain module whose objects it builds or reads, and
 `rational` where it reads or writes a rational, so canonical_bytes and
 canonical_text load nothing beyond this module, and a set-system command
@@ -222,7 +227,7 @@ def empty_intersection_data(cert: EmptyIntersectionCertificate) -> dict:
 
     return {"schema": EMPTY_INTERSECTION_SCHEMA,
             "points": point_set_data(cert.ps),
-            "covers": [_groups_data(c.groups) for c in cert.covers],
+            "covers": [_groups_data(c) for c in cert.covers],
             "witnesses": [{"choice": list(w.choice),
                            "classes": list(w.classes),
                            "farkas": [rat_str(y) for y in w.farkas]}
@@ -230,10 +235,10 @@ def empty_intersection_data(cert: EmptyIntersectionCertificate) -> dict:
 
 
 def empty_intersection_from_data(data) -> EmptyIntersectionCertificate:
-    from .partitions import EmptyIntersectionCertificate, SConvexCover, TupleWitness
+    from .partitions import EmptyIntersectionCertificate, TupleWitness
 
     ps = point_set_from_data(_need(data, "points", "empty intersection"))
-    covers = tuple(SConvexCover(ps, _groups_from_data(ps, rows))
+    covers = tuple(_groups_from_data(ps, rows)
                    for rows in _items(data, "covers", "empty intersection"))
     witnesses = tuple(
         TupleWitness(_ints(_need(w, "choice", "witness"), "choice"),
@@ -243,12 +248,12 @@ def empty_intersection_from_data(data) -> EmptyIntersectionCertificate:
     return EmptyIntersectionCertificate(ps, covers, witnesses)
 
 
-def good_partition_data(ps: PointSet, cert: GoodPartitionCertificate) -> dict:
+def good_partition_data(cert: GoodPartitionCertificate) -> dict:
     params = {}
     for key, value in cert.params.items():
         params[key] = list(value) if isinstance(value, tuple) else value
     return {"schema": GOOD_PARTITION_SCHEMA,
-            "points": point_set_data(ps),
+            "points": point_set_data(cert.ps),
             "kind": cert.kind,
             "partition": _groups_data(cert.partition),
             "enumerated": cert.enumerated,
@@ -256,7 +261,7 @@ def good_partition_data(ps: PointSet, cert: GoodPartitionCertificate) -> dict:
             "params": params}
 
 
-def good_partition_from_data(data):
+def good_partition_from_data(data) -> GoodPartitionCertificate:
     from .partitions import GoodPartitionCertificate
 
     ps = point_set_from_data(_need(data, "points", "good partition"))
@@ -265,22 +270,21 @@ def good_partition_from_data(data):
         raise InputError("good partition params must be an object")
     params = {key: _ints(value, key) if key == "s_list" else _int(value, key)
               for key, value in params.items()}
-    cert = GoodPartitionCertificate(
+    return GoodPartitionCertificate(
+        ps,
         str(_need(data, "kind", "good partition")),
         _groups_from_data(ps, _need(data, "partition", "good partition")),
         _int(_need(data, "enumerated", "good partition"), "enumerated"),
         _int(_need(data, "closed_form", "good partition"), "closed_form"),
         params)
-    return ps, cert
 
 
 def r_separation_data(sep: PolyhedralSeparation) -> dict:
     from .rational import rat_str
 
-    ps = sep.covers[0].ground
     return {"schema": R_SEPARATION_SCHEMA,
-            "points": point_set_data(ps),
-            "covers": [_groups_data(c.groups) for c in sep.covers],
+            "points": point_set_data(sep.ps),
+            "covers": [_groups_data(c) for c in sep.covers],
             "unions": [[[hyperplane_data(h) for h in piece] for piece in union]
                        for union in sep.unions],
             "emptiness": [{"choice": list(choice),
@@ -288,11 +292,11 @@ def r_separation_data(sep: PolyhedralSeparation) -> dict:
                           for choice, farkas in sep.emptiness]}
 
 
-def r_separation_from_data(data):
-    from .partitions import PolyhedralSeparation, SConvexCover
+def r_separation_from_data(data) -> PolyhedralSeparation:
+    from .partitions import PolyhedralSeparation
 
     ps = point_set_from_data(_need(data, "points", "r-separation"))
-    covers = tuple(SConvexCover(ps, _groups_from_data(ps, rows))
+    covers = tuple(_groups_from_data(ps, rows)
                    for rows in _items(data, "covers", "r-separation"))
     unions = tuple(
         tuple(tuple(hyperplane_from_data(h) for h in _list(piece, "unions"))
@@ -302,7 +306,7 @@ def r_separation_from_data(data):
         (_ints(_need(e, "choice", "emptiness"), "choice"),
          _farkas(_need(e, "farkas", "emptiness")))
         for e in _items(data, "emptiness", "r-separation"))
-    return ps, PolyhedralSeparation(covers, unions, emptiness)
+    return PolyhedralSeparation(ps, covers, unions, emptiness)
 
 
 # ----------------------------------------------------------------- re-checker
@@ -310,20 +314,19 @@ def r_separation_from_data(data):
 def check_certificate(data, cap: int = 10**6) -> tuple:
     """(ok, schema) after re-deriving the certified claim from its inputs;
     cap bounds the grouping walk of the good-partition checker."""
+    from . import partitions
+
     schema = _need(data, "schema", "certificate")
     if schema == SEPARATION_SCHEMA:
-        from .partitions import verify_separation
-        return verify_separation(separation_from_data(data)), schema
-    if schema == EMPTY_INTERSECTION_SCHEMA:
-        from .partitions import verify_empty_intersection
-        # every command covers nonempty parts; an empty cover refutes nothing
-        cert = empty_intersection_from_data(data)
-        return all(c.groups for c in cert.covers) and verify_empty_intersection(cert), schema
-    if schema == R_SEPARATION_SCHEMA:
-        from .partitions import verify_r_separation
-        ps, sep = r_separation_from_data(data)
-        return verify_r_separation(ps, sep), schema
+        return partitions.verify_separation(separation_from_data(data)), schema
     if schema == GOOD_PARTITION_SCHEMA:
-        from .partitions import verify_good_partition
-        return verify_good_partition(*good_partition_from_data(data), cap), schema
-    raise InputError(f"unknown certificate schema {schema!r}")
+        return partitions.verify_good_partition(good_partition_from_data(data), cap), schema
+    if schema == EMPTY_INTERSECTION_SCHEMA:
+        reader, checker = empty_intersection_from_data, partitions.verify_empty_intersection
+    elif schema == R_SEPARATION_SCHEMA:
+        reader, checker = r_separation_from_data, partitions.verify_r_separation
+    else:
+        raise InputError(f"unknown certificate schema {schema!r}")
+    cert = reader(data)
+    # every command covers nonempty parts; an empty cover refutes nothing
+    return all(cert.covers) and checker(cert), schema

@@ -30,7 +30,7 @@ coloring, with a Farkas certificate of joint emptiness from
 and builds its covers with the package's greedy (`_eligible`, `_pick`),
 `_cover` and `_check_structure`, the functions the sweep calls. Those give
 covers as point masks, as the package's oracle takes them; the references
-turn them into index tuples where they build an `SConvexCover`.
+turn them into tuples of index tuples, the cover form of certificates.
 `all_tuples_empty_ref` is the cross-tuple predicate as a full product: per
 tuple, every pair, then the whole tuple. The package's `_all_tuples_empty`
 grows tuples one cover at a time and reads pair verdicts from the oracle's
@@ -101,8 +101,8 @@ from convexparts.constructions import AdversarySweepReport, moment_adversary_ins
 from convexparts.errors import CapExceeded, InputError, InternalInvariantError
 from convexparts.geometry import _norm_group, circuit_table, uncrossed_masks
 from convexparts.linprog import REL_EQ, REL_GE, REL_LE, LPOutcome, lp_feasible
-from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle, SConvexCover,
-                                    _all_tuples_empty, _oracle_for, _tuple_witnesses)
+from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle, _all_tuples_empty,
+                                    _oracle_for, _tuple_witnesses)
 from convexparts.rational import ONE, ZERO, Rat
 from convexparts.setsystems import (ShatterProfile, ShatterRow, _last_row, _Traces,
                                     primal_shatter, r_shatter_bound, sauer_bound, vc_dim)
@@ -674,7 +674,7 @@ def separation_targets_ref(ps, covers, unions, i: int):
     order build_r_separation gives them facets: every cross product of the
     pieces of covers j < i (taken from unions) and the hulls of covers j > i."""
     factors = [[(piece, ()) for piece in unions[j]] for j in range(i)] + \
-              [[((), (g,)) for g in covers[j].groups] for j in range(i + 1, len(covers))]
+              [[((), (g,)) for g in covers[j]] for j in range(i + 1, len(covers))]
     targets = []
     for pick in itertools.product(*factors):
         system = target_system_ref(ps, [h for cell, _ in pick for h in cell],
@@ -884,13 +884,10 @@ def covers_jointly_empty(ps, covers, oracle=None):
     covers = tuple(covers)
     if len(covers) < 2:
         raise InputError("need at least two covers")
-    for c in covers:
-        if c.ground != ps:
-            raise InputError("cover ground disagrees with the point set")
     oracle = _oracle_for(ps, oracle)
     n = len(ps.points)
     witnesses = _tuple_witnesses(
-        oracle, tuple(tuple(mask_of(g, n) for g in c.groups) for c in covers))
+        oracle, tuple(tuple(mask_of(g, n) for g in c) for c in covers))
     if witnesses is None:
         return None
     return EmptyIntersectionCertificate(ps, covers, witnesses)
@@ -922,7 +919,7 @@ def verify_moment_adversary(inst, coloring, oracle=None) -> AdversaryReport:
     """
     coloring = _check_coloring(inst, coloring)
     chosen, _, _, groups = _adversary(inst, coloring)
-    covers = tuple(SConvexCover(inst.points, tuple(map(indices_of, g))) for g in groups)
+    covers = tuple(tuple(map(indices_of, g)) for g in groups)
     cert = covers_jointly_empty(inst.points, covers, oracle)
     return AdversaryReport(cert is not None, inst, coloring, chosen, covers,
                            cert, max(map(len, groups)))
@@ -965,24 +962,24 @@ def _adversary_covers(inst, coloring, chosen) -> tuple:
                 run.extend(mine)
         if run:
             groups.append(tuple(run))
-        covers.append(SConvexCover(inst.points, tuple(groups)))
+        covers.append(tuple(groups))
     return tuple(covers)
 
 
 def _check_structure(inst, coloring, chosen, covers) -> int:
     cap = inst.d // 2
     for color, cover in enumerate(covers):
-        if len(cover.groups) > inst.s:
+        if len(cover) > inst.s:
             raise InternalInvariantError(
-                f"cover {color} uses {len(cover.groups)} groups, allowed {inst.s}")
+                f"cover {color} uses {len(cover)} groups, allowed {inst.s}")
         want = tuple(i for i in range(inst.n) if coloring[i] == color)
-        if tuple(sorted(itertools.chain.from_iterable(cover.groups))) != want:
+        if tuple(sorted(itertools.chain.from_iterable(cover))) != want:
             raise InternalInvariantError(f"cover {color} misses points of its color")
-        for g in cover.groups:
+        for g in cover:
             qs = {inst.interval_index[i] for i in g}
             if len(qs) == 1 and chosen[next(iter(qs))] == color and len(g) > cap:
                 raise InternalInvariantError("single-interval piece too large")
-    return max(len(c.groups) for c in covers)
+    return max(map(len, covers))
 
 
 def all_tuples_empty_ref(oracle, combo) -> bool:
@@ -1010,7 +1007,7 @@ def moment_adversary_exhaustive_ref(d: int, s: int, r: int):
         covers = _adversary_covers(inst, coloring, chosen)
         max_groups = max(max_groups,
                          _check_structure(inst, coloring, chosen, covers))
-        masks = tuple(tuple(mask_of(g, inst.n) for g in c.groups) for c in covers)
+        masks = tuple(tuple(mask_of(g, inst.n) for g in c) for c in covers)
         if not all_tuples_empty_ref(oracle, masks):
             return AdversarySweepReport(False, d, s, r, inst.n, r ** inst.n,
                                         verified, max_groups, coloring)

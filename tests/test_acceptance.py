@@ -2,10 +2,14 @@
 
 Every check builds a plain-data summary document from seeded corpora and
 exact searches; its test asserts the document's verdicts at exact equality
-and prints a single verdict line.
+and prints a single verdict line. The documents are the oracle for any
+refactor, so a last test pins the sha256 of each one's canonical bytes.
 """
 
+import hashlib
 import itertools
+
+import pytest
 
 from bruteforce import (abstract_good_partition, affine_dependence_ref, counter_shuffle,
                         geometric_space, interval_space, interval_union_traces)
@@ -25,6 +29,7 @@ from convexparts.partitions import (build_K_polyhedra, build_r_separation,
                                     verify_r_separation)
 from convexparts.ranges import halfspace_traces, intersect_close, union_close
 from convexparts.rng import CounterRng
+from convexparts.serialize import canonical_bytes
 from convexparts.setsystems import (check_r_shatter, check_sauer,
                                     is_r_shattered, min_f_counting, r_vc_dim,
                                     set_system, vc_dim)
@@ -262,10 +267,10 @@ def _check_10():
         if cert is None:
             continue
         kept_j += 1
-        sep = build_r_separation(ps, cert.covers, cert)
+        sep = build_r_separation(cert)
         max_piece = max(max_piece,
                         max(max(u) for u in sep.facet_counts))
-        verified_j &= verify_r_separation(ps, sep)
+        verified_j &= verify_r_separation(sep)
     return {"check": 10,
             "pair": {"kept": kept, "tried": tried, "max_facets": max_facets,
                      "width_ok": bool(width_ok), "containment_ok": bool(contain_ok),
@@ -487,3 +492,26 @@ def test_check_13_three_separability_oracles_agree_everywhere():
     print("check 13: PASS  1904 oracle + 952 trace comparisons, "
           "0 disagreements")
 
+
+# sha256 of canonical_bytes(_run(k)); a change meant to alter a document
+# updates its pin here and says so
+DOC_SHA256 = {
+    1: "c7da073dee4033a07b73fd77b0e3c90a35f33d2a8566fbb76af4010fccdf9da4",
+    2: "7b520724dd13b4f5e28b3baaddd59974de4b84f3307b33d05b954b0b5fd298d4",
+    3: "c2baf2954dd58571525acc01e39392760d8d2d8ea72f3bbf6d2812b68367b08a",
+    4: "51153321c556c4d1c7f2e45c809cd3eb9bb08bdbe87956f65de866427d8e665c",
+    5: "6174a97463b0e411a90c56f44c4f12aac93eea286478f42134a94924b6d45793",
+    6: "689b602e793bac448a7c610746a059030e65467a941fb27520de406a07ae08d2",
+    7: "3f7f4668deb17330b29ba98ceae3b5e8c22a2391cfc7c65b8c9341f2756fe8d2",
+    8: "50d47519a5343e3719073c6214bb9db4a2fa58813fe9ed6671d197ea54dae8fb",
+    9: "938cfecd53d297e15e8618a9e554127a653d7619835c5f36fa14778d569e4aec",
+    10: "96769645d5b0aacefd746d0d9d4b5725e800a048937822ea9a06f0cefc114ab8",
+    11: "9910362d1a9ca287bbec8206adbe0326912759ee4cee16ba774eb8c9c94bacf1",
+    12: "00063fe49038a370fc16793590c392c8255e2e5f5bdbf7faa48646c1edf2020d",
+    13: "caa2023693555499da831a10a30fd39aa6968b74c8b27b7737efec01e6df5f1d",
+}
+
+
+@pytest.mark.parametrize("k", sorted(DOC_SHA256))
+def test_documents_keep_their_bytes(k):
+    assert hashlib.sha256(canonical_bytes(_run(k))).hexdigest() == DOC_SHA256[k]

@@ -292,6 +292,26 @@ class TestSearchCommands:
             code, verdict = run_json(capsys, "verify-cert", "--input", out / name)
             assert code == 0 and verdict["ok"], name
 
+    @pytest.mark.parametrize("name, emptied", [
+        ("empty_intersection.json", {"witnesses": []}),
+        # with cover 0 empty, the facet bound of cover 1's piece is 0
+        ("r_separation.json", {"unions": [[], [[]]], "emptiness": []}),
+    ], ids=["empty-intersection", "r-separation"])
+    def test_a_cover_with_no_group_is_rejected(self, capsys, tmp_path, name, emptied):
+        # cover 0 loses its groups, and with them every cross tuple there
+        # was to refute: the tampered certificate claims nothing
+        line = put(tmp_path, "line4.json", LINE4_DOC)
+        out = tmp_path / "bs"
+        code, _ = run(capsys, "build-separation", "--input", line,
+                      "--parts", "0,1;2,3", "--s", 1, "--out-dir", out)
+        assert code == 0
+        data = json.loads((out / name).read_text(encoding="utf-8"))
+        data["covers"][0] = []
+        data.update(emptied)
+        code, verdict = run_json(capsys, "verify-cert", "--input",
+                                 put(tmp_path, "tampered.json", data))
+        assert code == 2 and verdict["ok"] is False
+
     def test_build_separation_refuted(self, capsys, tmp_path):
         sq = put(tmp_path, "square.json", SQUARE_DOC)
         code, doc = run_json(capsys, "build-separation", "--input", sq,

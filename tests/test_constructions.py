@@ -124,13 +124,13 @@ class TestAdversaryCovers:
         inst = moment_adversary_instance(1, 3, 4)
         rep = verify_moment_adversary(inst, (0, 1, 2, 3))
         assert rep.chosen == (2, 0)
-        assert [c.groups for c in rep.covers] == [((0,),), ((1,),), ((2,),), ((3,),)]
+        assert rep.covers == (((0,),), ((1,),), ((2,),), ((3,),))
 
     def test_constant_coloring_empty_covers(self):
         inst = moment_adversary_instance(1, 3, 4)
         rep = verify_moment_adversary(inst, (0, 0, 0, 0))
         assert rep.ok
-        assert [c.groups for c in rep.covers] == [((0, 1, 2, 3),), (), (), ()]
+        assert rep.covers == (((0, 1, 2, 3),), (), (), ())
         # no nonempty cover tuple exists, so the certificate carries none
         assert rep.certificate.witnesses == ()
         assert verify_empty_intersection(rep.certificate)
@@ -166,7 +166,7 @@ class TestAdversaryCovers:
                 unions.append([
                     (min(inst.points.points[i][0] for i in g),
                      max(inst.points.points[i][0] for i in g))
-                    for g in cover.groups])
+                    for g in cover])
             assert rep.ok == (not unions_of_intervals_meet(unions))
             assert rep.ok
             assert verify_empty_intersection(rep.certificate)
@@ -242,7 +242,7 @@ class TestAdversaryCovers:
                 want.add((color,
                           sum(1 << i for i, c in enumerate(coloring) if c == color),
                           sum(1 << q for q, c in enumerate(chosen) if c == color),
-                          tuple(mask_of(g, inst.n) for g in cover.groups)))
+                          tuple(mask_of(g, inst.n) for g in cover)))
         assert set(calls) == want
         # the single-coloring check goes through the same checker
         del calls[:]
@@ -322,7 +322,7 @@ class TestAdversaryCovers:
                                             max_size=inst.n)))
         chosen, _, _, groups = bruteforce._adversary(inst, coloring)
         assert chosen == bruteforce._choose_interval_colors(inst, coloring)
-        assert groups == tuple(tuple(mask_of(g, inst.n) for g in c.groups)
+        assert groups == tuple(tuple(mask_of(g, inst.n) for g in c)
                                for c in bruteforce._adversary_covers(inst, coloring, chosen))
 
     @settings(max_examples=30, deadline=None)

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,6 @@ from convexparts.errors import CapExceeded, InputError, PreconditionFailed
 from convexparts.geometry import circuit_table, hulls_common_point, point_set
 from convexparts.partitions import (
     MeetOracle,
-    SConvexCover,
     SeparationCertificate,
     build_K_polyhedra,
     build_r_separation,
@@ -101,11 +101,29 @@ def test_grouping_walks_stop_past_the_cap():
         st_separability_report(SQUARE, [0, 1], [2, 3], 2, 2, cap=tried - 1)
     assert (err.value.cap_name, err.value.cap_value, err.value.needed) == (
         "separation_groupings", tried - 1, 4)
-    # every bipartition of the radon search walks one grouping at s = t = 1
-    assert good_radon_partition(SQUARE, range(4), 1, 1, cap=1).partition == ((0, 1), (2, 3))
+    # the radon search checks its 2^m - 2 bipartitions against the cap
+    # first; on 9 collinear points at s = t = 3 its longest grouping walk,
+    # 730 groupings, is longer than the 510 bipartitions
+    line9 = point_set([[i] for i in range(9)])
+    found = good_radon_partition(line9, range(9), 3, 3, cap=730)
+    assert found.partition == ((1, 3, 5), (0, 2, 4, 6, 7, 8))
     with pytest.raises(CapExceeded) as err:
-        good_radon_partition(SQUARE, range(4), 1, 1, cap=0)
-    assert (err.value.cap_name, err.value.needed) == ("separation_groupings", 1)
+        good_radon_partition(line9, range(9), 3, 3, cap=729)
+    assert (err.value.cap_name, err.value.needed) == ("separation_groupings", 1094)
+
+
+def test_radon_search_checks_its_bipartitions_against_the_cap(monkeypatch):
+    # 2^9 - 2 = 510 bipartitions against a cap of 200: refused before the
+    # first candidate is walked
+    ps = point_set([(-29, -7), (-18, 27), (-14, -26), (-9, -11), (-6, -11),
+                    (-4, -20), (7, -30), (22, 8), (29, -21)])
+    walked = []
+    monkeypatch.setattr(partitions, "_candidate_good", lambda *args: walked.append(args))
+    with pytest.raises(CapExceeded) as err:
+        good_radon_partition(ps, range(9), 2, 2, cap=200)
+    assert (err.value.cap_name, err.value.cap_value, err.value.needed) == (
+        "radon_bipartitions", 200, 510)
+    assert not walked
 
 
 def test_separability_input_errors():
@@ -265,7 +283,7 @@ def test_cover_walks_stop_past_the_cap():
     # the cap counts combinations tried, as for separate: (0, 3) against
     # (1, 2) first misses on the third of its 4 grouping pairs
     found = joint_cover_empty(LINE, [(0, 3), (1, 2)], [2, 2])
-    assert [c.groups for c in found.covers] == [((0,), (3,)), ((1, 2),)]
+    assert found.covers == (((0,), (3,)), ((1, 2),))
     assert joint_cover_empty(LINE, [(0, 3), (1, 2)], [2, 2], cap=3) == found
     with pytest.raises(CapExceeded) as err:
         joint_cover_empty(LINE, [(0, 3), (1, 2)], [2, 2], cap=2)
@@ -292,7 +310,7 @@ def test_heterogeneous_bounds_try_block_assignments():
     assert cert is None or hulls_common_point(ps, cert.partition)
     cert = joint_cover_empty(ps, [(0, 1), (2, 3)], [2, 1])
     assert cert is not None
-    assert tuple(len(c.groups) for c in cert.covers) == (2, 1)
+    assert tuple(map(len, cert.covers)) == (2, 1)
 
 
 def test_build_K_two_segments():
@@ -352,11 +370,12 @@ def test_build_K_rejects_crossing_hulls_with_a_witness():
 
 def test_r_separation_reduces_to_pairwise_for_two_covers():
     ps = point_set([[0], [1], [5], [7]])
-    covers = [SConvexCover(ps, ((0, 1),)), SConvexCover(ps, ((2, 3),))]
     cert = joint_cover_empty(ps, [(0, 1), (2, 3)], [1, 1])
-    sep = build_r_separation(ps, covers, cert)
+    assert cert.covers == (((0, 1),), ((2, 3),))
+    sep = build_r_separation(cert)
+    assert (sep.ps, sep.covers) == (ps, cert.covers)
     assert sep.facet_counts == ((1,), (1,))
-    assert verify_r_separation(ps, sep)
+    assert verify_r_separation(sep)
 
 
 def test_r_separation_interleaved_line():
@@ -364,9 +383,9 @@ def test_r_separation_interleaved_line():
     cert = joint_cover_empty(ps, [(0, 1), (2, 3), (4, 5)], [2, 2, 2])
     assert cert is not None
     # canonical grouping order splits only the middle part
-    assert tuple(len(c.groups) for c in cert.covers) == (1, 2, 1)
-    sep = build_r_separation(ps, cert.covers, cert)
-    assert verify_r_separation(ps, sep)
+    assert tuple(map(len, cert.covers)) == (1, 2, 1)
+    sep = build_r_separation(cert)
+    assert verify_r_separation(sep)
     for counts, bound in zip(sep.facet_counts, (2, 1, 2)):
         assert all(c <= bound for c in counts)
     assert len(sep.emptiness) == 2
@@ -382,8 +401,8 @@ def test_r_separation_random_planar_instances():
         if cert is None:
             continue
         hits += 1
-        sep = build_r_separation(ps, cert.covers, cert)
-        assert verify_r_separation(ps, sep)
+        sep = build_r_separation(cert)
+        assert verify_r_separation(sep)
         for counts in sep.facet_counts:
             assert all(c <= 4 for c in counts)
     assert hits >= 3
@@ -433,12 +452,12 @@ def test_built_r_separations_keep_the_unit_gap_of_the_dual_lp_reference(data):
                                                            min_size=r, max_size=r)))
     if cert is None:
         return
-    sep = build_r_separation(ps, cert.covers, cert)
-    assert verify_r_separation(ps, sep)
+    sep = build_r_separation(cert)
+    assert verify_r_separation(sep)
     for i, cov in enumerate(cert.covers):
         # one facet per nonempty target, in the reference's target order
         targets = separation_targets_ref(ps, cert.covers, sep.unions, i)
-        for grp, piece in zip(cov.groups, sep.unions[i]):
+        for grp, piece in zip(cov, sep.unions[i]):
             assert len(piece) == len(targets)
             for hp, target in zip(piece, targets):
                 ref = robust_separator_ref(ps, grp, *target)
@@ -449,13 +468,14 @@ def test_built_r_separations_keep_the_unit_gap_of_the_dual_lp_reference(data):
 
 def test_r_separation_rejects_a_bad_certificate():
     ps = point_set([[0], [1], [5], [7]])
-    covers = [SConvexCover(ps, ((0, 1),)), SConvexCover(ps, ((2, 3),))]
-    with pytest.raises(PreconditionFailed):
-        build_r_separation(ps, covers, None)
     good = joint_cover_empty(ps, [(0, 1), (2, 3)], [1, 1])
-    other = [SConvexCover(ps, ((0,),)), SConvexCover(ps, ((2, 3),))]
-    with pytest.raises(PreconditionFailed):
-        build_r_separation(ps, other, good)
+    # meeting covers under this one's witnesses, and witnesses whose
+    # Farkas vectors are zeroed
+    zeroed = tuple(replace(w, farkas=(0,) * len(w.farkas)) for w in good.witnesses)
+    for bad in (replace(good, covers=(((0, 2),), ((1, 3),))),
+                replace(good, witnesses=zeroed)):
+        with pytest.raises(PreconditionFailed):
+            build_r_separation(bad)
 
 
 def test_separability_agrees_with_closed_trace_families():
@@ -733,5 +753,5 @@ def test_good_partition_checker_stays_on_the_lp(monkeypatch):
     cert = good_radon_partition(SQUARE, range(4), 1, 1)
     assert cert is not None
     calls = _count_lps(monkeypatch)
-    assert verify_good_partition(SQUARE, cert)
+    assert verify_good_partition(cert)
     assert calls

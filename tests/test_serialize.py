@@ -1,5 +1,6 @@
 """Round trips and the certificate re-checker, including tamper detection."""
 
+import inspect
 import json
 import sys
 
@@ -15,6 +16,10 @@ from convexparts.partitions import (
     good_tverberg_partition,
     joint_cover_empty,
     st_separable,
+    verify_empty_intersection,
+    verify_good_partition,
+    verify_r_separation,
+    verify_separation,
 )
 from convexparts.serialize import (
     canonical_bytes,
@@ -23,6 +28,7 @@ from convexparts.serialize import (
     empty_intersection_data,
     empty_intersection_from_data,
     good_partition_data,
+    good_partition_from_data,
     hyperplane_data,
     hyperplane_from_data,
     point_set_data,
@@ -236,13 +242,13 @@ GOOD_PARTITION_TAMPERS = {
 class TestGoodPartitionDocs:
     def test_radon_check(self):
         cert = good_radon_partition(SQUARE, range(4), 1, 1)
-        data = reload(good_partition_data(SQUARE, cert))
+        data = reload(good_partition_data(cert))
         assert data["partition"] == [[0, 1], [2, 3]]
         assert check_certificate(data) == (True, "good-partition/1")
 
     def test_tverberg_check(self):
         cert = good_tverberg_partition(LINE5, range(5), 3, 1)
-        data = reload(good_partition_data(LINE5, cert))
+        data = reload(good_partition_data(cert))
         assert data["partition"] == [[0, 3], [1, 4], [2]]
         assert check_certificate(data) == (True, "good-partition/1")
 
@@ -251,10 +257,10 @@ class TestGoodPartitionDocs:
     def test_tamper_fails(self, kind, field):
         if kind == "radon":
             cert = good_radon_partition(SQUARE, range(4), 1, 1)
-            data = reload(good_partition_data(SQUARE, cert))
+            data = reload(good_partition_data(cert))
         else:
             cert = good_tverberg_partition(LINE5, range(5), 3, 1)
-            data = reload(good_partition_data(LINE5, cert))
+            data = reload(good_partition_data(cert))
         assert set(data) == set(GOOD_PARTITION_TAMPERS)
         data[field] = GOOD_PARTITION_TAMPERS[field][kind]
         if field == "schema":
@@ -271,7 +277,7 @@ class TestGoodPartitionDocs:
     def test_partition_of_other_points_fails(self, partition):
         # every command certifies a partition of the whole point set
         cert = good_radon_partition(PLANE7, range(7), 1, 1)
-        data = reload(good_partition_data(PLANE7, cert))
+        data = reload(good_partition_data(cert))
         assert data["partition"] == [[4], [0, 1, 2, 3, 5, 6]]
         data["partition"] = partition
         assert check_certificate(data) == (False, "good-partition/1")
@@ -280,22 +286,22 @@ class TestGoodPartitionDocs:
 class TestRSeparationDocs:
     def test_round_trip_and_check(self):
         cert = joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])
-        sep = build_r_separation(LINE4, cert.covers, cert)
+        sep = build_r_separation(cert)
         data = reload(r_separation_data(sep))
-        ps, decoded = r_separation_from_data(data)
-        assert ps == LINE4 and decoded == sep
+        decoded = r_separation_from_data(data)
+        assert decoded.ps == LINE4 and decoded == sep
         assert check_certificate(data) == (True, "r-separation/1")
 
     def test_tampered_offset_fails(self):
         cert = joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])
-        sep = build_r_separation(LINE4, cert.covers, cert)
+        sep = build_r_separation(cert)
         data = reload(r_separation_data(sep))
         data["unions"][0][0][0]["offset"] = "-1000"
         assert check_certificate(data) == (False, "r-separation/1")
 
     def test_check_solves_no_lp(self, monkeypatch):
         cert = joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])
-        data = reload(r_separation_data(build_r_separation(LINE4, cert.covers, cert)))
+        data = reload(r_separation_data(build_r_separation(cert)))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the checker solved an LP")
@@ -307,7 +313,7 @@ class TestRSeparationDocs:
 
     def test_normal_of_another_dimension_fails(self):
         cert = joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])
-        data = reload(r_separation_data(build_r_separation(LINE4, cert.covers, cert)))
+        data = reload(r_separation_data(build_r_separation(cert)))
         data["unions"][0][0][0]["normal"].append("0")
         assert check_certificate(data) == (False, "r-separation/1")
 
@@ -319,10 +325,48 @@ class TestRSeparationDocs:
     def test_tampered_emptiness_fails(self, tamper):
         # joint emptiness is read from these vectors, one per cross choice
         cert = joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])
-        sep = build_r_separation(LINE4, cert.covers, cert)
+        sep = build_r_separation(cert)
         data = reload(r_separation_data(sep))
         tamper(data)
         assert check_certificate(data) == (False, "r-separation/1")
+
+
+# schema -> (writer, reader, checker, a package-built certificate)
+SCHEMAS = {
+    "separation/1": (separation_data, separation_from_data, verify_separation,
+                     lambda: st_separable(SQUARE, [0], [1, 2], 1, 2)),
+    "empty-intersection/1": (
+        empty_intersection_data, empty_intersection_from_data, verify_empty_intersection,
+        lambda: joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2])),
+    "good-partition/1": (good_partition_data, good_partition_from_data, verify_good_partition,
+                         lambda: good_radon_partition(SQUARE, range(4), 1, 1)),
+    "r-separation/1": (
+        r_separation_data, r_separation_from_data, verify_r_separation,
+        lambda: build_r_separation(joint_cover_empty(LINE4, [(0, 2), (1, 3)], [2, 2]))),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+class TestOneShape:
+    """Every certificate holds its point set; its writer, reader and
+    checker take the certificate alone."""
+
+    def test_reader_inverts_writer(self, schema):
+        writer, reader, checker, build = SCHEMAS[schema]
+        cert = build()
+        data = reload(writer(cert))
+        assert data["schema"] == schema
+        assert reader(data) == cert
+        assert checker(cert)
+
+    def test_writer_and_checker_take_the_certificate_alone(self, schema):
+        writer, _, checker, _ = SCHEMAS[schema]
+        assert len(inspect.signature(writer).parameters) == 1
+        params = list(inspect.signature(checker).parameters.values())
+        assert [p.name for p in params if p.default is p.empty] == [params[0].name]
+        # only the good-partition checker walks, so only it takes a cap
+        walks = schema == "good-partition/1"
+        assert [p.name for p in params[1:]] == (["cap"] if walks else [])
 
 
 class TestDispatch:
