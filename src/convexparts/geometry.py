@@ -18,7 +18,9 @@ Bjorner, Las Vergnas, Sturmfels, White and Ziegler, Oriented Matroids,
 1993), the hulls of disjoint index sets X and Y meet iff some circuit has
 C+ inside X and C- inside Y, or the reverse. A circuit has at most d+2
 points, and a subset is one iff its lifted (d+1) x k matrix has a
-one-dimensional kernel with full support, found by integer elimination.
+one-dimensional kernel with full support. circuit_table finds them in one
+depth-first walk over the subsets, in which each subset extends its
+prefix's integer elimination by one pivot.
 """
 
 from __future__ import annotations
@@ -251,41 +253,6 @@ def _lifted_rows(points) -> list:
     return rows
 
 
-def _integer_dependence(rows, k: int):
-    """(D, alpha) for the canonical dependence of the k columns of an integer
-    matrix, or None when the columns are independent: alpha / D is the
-    kernel vector with lowest-index pivots whose first free column is 1 and
-    whose other free columns are 0.
-
-    Gauss-Jordan with linprog._pivot's integer-preserving pivots: every row
-    but the pivot row becomes (p*v - f*q) // D and D becomes the pivot p.
-    Each pivot row then holds D at its own pivot column and 0 at the others,
-    so the pivot entries of alpha are minus its entries in the free column,
-    and alpha there is D.
-    """
-    rows = [list(row) for row in rows]
-    pivots = []
-    div = 1
-    for col in range(k):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        div = _pivot(rows, r, col, div)
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    free = next((c for c in range(k) if c not in pivots), None)
-    if free is None:
-        return None
-    alpha = [0] * k
-    alpha[free] = div
-    for row, col in enumerate(pivots):
-        alpha[col] = -rows[row][free]
-    return div, alpha
-
-
 class CircuitTable:
     """The circuits of the points in a ground set, for hull-pair questions.
 
@@ -312,19 +279,46 @@ class CircuitTable:
 
 
 def circuit_table(ps: PointSet, ground) -> CircuitTable:
-    """Every circuit among the points of ground, by integer elimination of
-    each subset of at most d+2 of them: sum over k of C(m, k) subsets, which
-    callers bound before asking. A subset is a circuit iff its canonical
-    dependence has no zero entry: a kernel of two or more dimensions puts a
-    zero at its second free column."""
+    """Every circuit among the points of ground, listed by size and then
+    indices, from one depth-first walk over its subsets in lexicographic order.
+
+    A node is an independent prefix. It holds the lifted columns of the
+    later points, row-major, after the prefix's pivots (linprog._pivot, on
+    the first row at or below the pivot count with a nonzero entry). If the
+    next point's column is zero below the pivot rows, the subset's kernel
+    is one-dimensional, with canonical vector (-its pivot-row entries, D):
+    a circuit iff no entry is 0, and the walk does not descend. Otherwise
+    it pivots and descends; independent sets have at most d+1 points.
+
+    Exact: Gauss-Jordan treats columns left to right, and a pivot changes a
+    column by its own entries and the pivot's row and column alone, so a
+    prefix takes exactly the pivots of per-subset elimination. A dependent
+    proper prefix gives every extension a dependence with a zero entry, so
+    pruning loses no circuit. A pivot is taken at an independent prefix
+    with a later point; adding the last point maps it to a distinct subset
+    of 2 to d+2 points, so the sum over k of C(m, k) that callers bound
+    before asking bounds the pivots too.
+    """
     ground = _norm_group(ps, ground)
     lifted = _lifted_rows(ps.points)
     circuits = []
-    for k in range(2, min(len(ground), ps.dim + 2) + 1):
-        for idx in itertools.combinations(ground, k):
-            out = _integer_dependence([[row[i] for i in idx] for row in lifted], k)
-            if out is not None and all(out[1]):
-                circuits.append((idx, tuple(out[1])))
+
+    def walk(prefix, later, tab, first, div):
+        # tab's columns are the lifted columns of the points in later
+        r = len(prefix)
+        for c in range(first, len(later)):
+            sel = next((i for i in range(r, len(tab)) if tab[i][c]), None)
+            if sel is None:
+                alpha = tuple(-tab[i][c] for i in range(r)) + (div,)
+                if all(alpha):
+                    circuits.append((prefix + (later[c],), alpha))
+            elif c + 1 < len(later):
+                sub = [row[c:] for row in tab]
+                sub[r], sub[sel] = sub[sel], sub[r]
+                walk(prefix + (later[c],), later[c:], sub, 1, _pivot(sub, r, 0, div))
+
+    walk((), ground, [[row[i] for i in ground] for row in lifted], 0, 1)
+    circuits.sort(key=lambda c: (len(c[0]), c[0]))
     return CircuitTable(sum(1 << i for i in ground), tuple(circuits))
 
 

@@ -624,9 +624,10 @@ def verify_r_separation(sep: PolyhedralSeparation) -> bool:
     """Re-check containment and facet bounds from scratch, and joint
     emptiness from the certificate: one Farkas vector per cross choice of
     pieces, in product order, refuting the closed-cell system of exactly
-    that choice. No LP is solved."""
+    that choice. No LP is solved. A cover with no group is rejected: it
+    leaves no cross choice to refute, so it would claim nothing."""
     ps = sep.ps
-    if len(sep.unions) != len(sep.covers):
+    if len(sep.unions) != len(sep.covers) or not all(sep.covers):
         return False
     counts = list(map(len, sep.covers))
     bounds = [prod(counts[:i] + counts[i + 1:]) for i in range(len(counts))]

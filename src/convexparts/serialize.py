@@ -9,9 +9,11 @@ and one reader X_from_data(data) that returns the certificate, point set
 included; check_certificate dispatches on the tag and hands what the reader
 returns to the schema's checker in partitions, which re-verifies the claim
 from scratch using only the kernel predicates. A cover with no group
-refutes nothing, so check_certificate rejects it in both schemas that carry
-covers. Only the four schemas that commands emit are known; any other is an
-input error.
+refutes nothing: verify_r_separation rejects it itself, and
+check_certificate rejects it in an empty-intersection document, whose
+library checker accepts empty covers because the t42 adversary certifies
+empty colour classes. Only the four schemas that commands emit are known;
+any other is an input error.
 Each codec imports the domain module whose objects it builds or reads, and
 `rational` where it reads or writes a rational, so canonical_bytes and
 canonical_text load nothing beyond this module, and a set-system command
@@ -321,12 +323,10 @@ def check_certificate(data, cap: int = 10**6) -> tuple:
         return partitions.verify_separation(separation_from_data(data)), schema
     if schema == GOOD_PARTITION_SCHEMA:
         return partitions.verify_good_partition(good_partition_from_data(data), cap), schema
-    if schema == EMPTY_INTERSECTION_SCHEMA:
-        reader, checker = empty_intersection_from_data, partitions.verify_empty_intersection
-    elif schema == R_SEPARATION_SCHEMA:
-        reader, checker = r_separation_from_data, partitions.verify_r_separation
-    else:
+    if schema == R_SEPARATION_SCHEMA:
+        return partitions.verify_r_separation(r_separation_from_data(data)), schema
+    if schema != EMPTY_INTERSECTION_SCHEMA:
         raise InputError(f"unknown certificate schema {schema!r}")
-    cert = reader(data)
+    cert = empty_intersection_from_data(data)
     # every command covers nonempty parts; an empty cover refutes nothing
-    return all(cert.covers) and checker(cert), schema
+    return all(cert.covers) and partitions.verify_empty_intersection(cert), schema

@@ -12,9 +12,13 @@ per-subset trace sets and minimal up-sets. Slow and simple on purpose.
 
 The `_ref` routines are the LP and `Rat` code that the circuit table in
 `geometry` replaced: halfspace traces and hull-closed families by one LP
-per question, and affine dependences by Gauss-Jordan on `Rat`. Hull
-membership of an arbitrary point (`in_hull`, one LP) serves only
-`geometric_space_ref` and the tests. `geometric_space`, the hull-closed
+per question, and affine dependences by Gauss-Jordan on `Rat`.
+`circuit_table_ref` is the circuit table as one integer elimination
+(`integer_dependence_ref`) per subset of at most d+2 points, which
+`geometry.circuit_table` replaced by one walk over the subsets that shares
+each prefix's pivots; the two must list the same circuits in the same
+order. Hull membership of an arbitrary point (`in_hull`, one LP) serves
+only `geometric_space_ref` and the tests. `geometric_space`, the hull-closed
 family read off the circuit table, and `interval_space`, the convexity of a
 path, live here too: no command builds either, and acceptance check 12 and
 the tests compare them. `rgs_partitions_ref` is the classic set-partition
@@ -99,8 +103,9 @@ from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
                                   partitions_le_count, stirling2)
 from convexparts.constructions import AdversarySweepReport, moment_adversary_instance
 from convexparts.errors import CapExceeded, InputError, InternalInvariantError
-from convexparts.geometry import _norm_group, circuit_table, uncrossed_masks
-from convexparts.linprog import REL_EQ, REL_GE, REL_LE, LPOutcome, lp_feasible
+from convexparts.geometry import (CircuitTable, _lifted_rows, _norm_group, circuit_table,
+                                  uncrossed_masks)
+from convexparts.linprog import REL_EQ, REL_GE, REL_LE, LPOutcome, _pivot, lp_feasible
 from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle, _all_tuples_empty,
                                     _oracle_for, _tuple_witnesses)
 from convexparts.rational import ONE, ZERO, Rat
@@ -538,6 +543,58 @@ def affine_dependence_ref(points) -> list | None:
     for row, col in pivots:
         alpha[col] = -mat[row][free]
     return alpha
+
+
+def integer_dependence_ref(rows, k: int):
+    """(D, alpha) for the canonical dependence of the k columns of an integer
+    matrix, or None when the columns are independent: alpha / D is the
+    kernel vector with lowest-index pivots whose first free column is 1 and
+    whose other free columns are 0.
+
+    Gauss-Jordan with linprog._pivot's integer-preserving pivots: every row
+    but the pivot row becomes (p*v - f*q) // D and D becomes the pivot p.
+    Each pivot row then holds D at its own pivot column and 0 at the others,
+    so the pivot entries of alpha are minus its entries in the free column,
+    and alpha there is D.
+    """
+    rows = [list(row) for row in rows]
+    pivots = []
+    div = 1
+    for col in range(k):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        div = _pivot(rows, r, col, div)
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    free = next((c for c in range(k) if c not in pivots), None)
+    if free is None:
+        return None
+    alpha = [0] * k
+    alpha[free] = div
+    for row, col in enumerate(pivots):
+        alpha[col] = -rows[row][free]
+    return div, alpha
+
+
+def circuit_table_ref(ps, ground) -> CircuitTable:
+    """Every circuit among the points of ground, by integer elimination of
+    each subset of at most d+2 of them: sum over k of C(m, k) subsets, which
+    callers bound before asking. A subset is a circuit iff its canonical
+    dependence has no zero entry: a kernel of two or more dimensions puts a
+    zero at its second free column."""
+    ground = _norm_group(ps, ground)
+    lifted = _lifted_rows(ps.points)
+    circuits = []
+    for k in range(2, min(len(ground), ps.dim + 2) + 1):
+        for idx in itertools.combinations(ground, k):
+            out = integer_dependence_ref([[row[i] for i in idx] for row in lifted], k)
+            if out is not None and all(out[1]):
+                circuits.append((idx, tuple(out[1])))
+    return CircuitTable(sum(1 << i for i in ground), tuple(circuits))
 
 
 def strict_separator_ref(ps, S, T):

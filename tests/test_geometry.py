@@ -1,18 +1,21 @@
 """Hull primitives against independent oracles and frozen small cases."""
 
 import itertools
+from math import comb
 
 import pytest
-from bruteforce import (affine_dependence_ref, barycentric_in_triangle, distinct_rand_point_set,
-                        in_hull, rand_point_set, segments_meet, strict_separator_ref)
+from bruteforce import (affine_dependence_ref, barycentric_in_triangle, circuit_table_ref,
+                        distinct_rand_point_set, in_hull, integer_dependence_ref, rand_point_set,
+                        segments_meet, strict_separator_ref)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convexparts.geometry as geometry
 from convexparts.errors import InputError
 from convexparts.geometry import (
     Hyperplane,
-    _integer_dependence,
     _lifted_rows,
+    circuit_table,
     closed_cells_meet,
     hull_disjoint,
     hulls_common_point,
@@ -184,8 +187,8 @@ def test_radon_finds_no_split_below_threshold_when_generic():
 
 
 def _dependence(points):
-    """The canonical dependence circuit_table computes, as rationals."""
-    out = _integer_dependence(_lifted_rows(points), len(points))
+    """The canonical dependence of the per-subset reference, as rationals."""
+    out = integer_dependence_ref(_lifted_rows(points), len(points))
     return None if out is None else [Rat(a, out[0]) for a in out[1]]
 
 
@@ -206,7 +209,86 @@ _SMALL_RATS = [Rat(num, den) for num in range(-3, 4) for den in (1, 2, 3)]
     st.tuples(*[st.sampled_from(_SMALL_RATS)] * d), min_size=1, max_size=7)))
 def test_affine_dependence_matches_the_rat_routine(points):
     # repeats and shared coordinates are common, so so are dependences
-    assert _dependence(points) == affine_dependence_ref(points)
+    alpha = affine_dependence_ref(points)
+    assert _dependence(points) == alpha
+    # the walk lists the whole set iff its dependence has full support; a
+    # circuit's only free column is its last, so the Rat vector ends in 1
+    whole = tuple(range(len(points)))
+    listed = [a for idx, a in circuit_table(point_set(points), whole).circuits if idx == whole]
+    assert bool(listed) == (alpha is not None and all(alpha))
+    if listed:
+        assert [Rat(a, listed[0][-1]) for a in listed[0]] == alpha
+
+
+@st.composite
+def _flat_point_sets(draw):
+    """(points, ground): up to 8 points in d = 1..4 on a random flat of
+    dimension 0..d, so repeated, collinear and coplanar points are common,
+    with a random nonempty sub-ground."""
+    d = draw(st.integers(1, 4))
+    coord = st.tuples(*[st.sampled_from(_SMALL_RATS)] * d)
+    flat = draw(st.integers(0, d))
+    base = draw(coord)
+    dirs = draw(st.lists(coord, min_size=flat, max_size=flat))
+    n = draw(st.integers(1, 8))
+    points = []
+    for _ in range(n):
+        if flat == d:
+            points.append(draw(coord))
+            continue
+        lam = draw(st.tuples(*[st.integers(-2, 2)] * flat))
+        points.append(tuple(b + sum((w * v[c] for w, v in zip(lam, dirs)), Rat(0))
+                            for c, b in enumerate(base)))
+    ground = draw(st.one_of(st.just(tuple(range(n))),
+                            st.sets(st.integers(0, n - 1), min_size=1).map(sorted)))
+    return points, ground
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_flat_point_sets())
+def test_circuit_walk_matches_the_per_subset_reference(case):
+    points, ground = case
+    ps = point_set(points)
+    table, ref = circuit_table(ps, ground), circuit_table_ref(ps, ground)
+    assert table.circuits == ref.circuits
+    assert table.signed == ref.signed
+    assert table.ground == ref.ground
+
+
+def _pivots_taken(monkeypatch, ps, ground):
+    calls = []
+
+    def counted(tab, r, c, div):
+        calls.append(r)
+        return pivot(tab, r, c, div)
+
+    pivot = geometry._pivot
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_pivot", counted)
+        table = circuit_table(ps, ground)
+    assert table.circuits == circuit_table_ref(ps, ground).circuits
+    return len(calls)
+
+
+def _subset_bound(m, d):
+    return sum(comb(m, k) for k in range(2, min(m, d + 2) + 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_circuit_walk_pivots_within_the_subset_count(monkeypatch, d):
+    # the sum of C(m, k), k = 2..d+2, is what the circuit_table cap bounds
+    moment = point_set([[t ** e for e in range(1, d + 1)] for t in range(8)])
+    rng = CounterRng(d, "pivot-bound")
+    for ps in (moment, rand_point_set(rng, 8, d), rand_point_set(rng, 3, d)):
+        for ground in (range(len(ps)), range(1, len(ps), 2)):
+            assert _pivots_taken(monkeypatch, ps, ground) <= _subset_bound(len(ground), d)
+
+
+def test_circuit_walk_prunes_dependent_prefixes(monkeypatch):
+    # 8 collinear points in the plane: every triple is dependent, so the
+    # walk pivots only on singletons and pairs (7 + 21) of the 154 subsets
+    line = point_set([(t, 2 * t + 1) for t in range(8)])
+    assert _pivots_taken(monkeypatch, line, range(8)) < _subset_bound(8, 2)
 
 
 def test_hyperplane_requires_nonzero_normal():

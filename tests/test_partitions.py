@@ -478,6 +478,16 @@ def test_r_separation_rejects_a_bad_certificate():
             build_r_separation(bad)
 
 
+def test_r_separation_rejects_a_cover_with_no_group():
+    # build-separation --parts 0,1;2,3 --s 1 on the 4-point line, then
+    # cover 0 emptied: no cross choice is left to refute, so it claims nothing
+    ps = point_set([[0], [1], [2], [3]])
+    sep = build_r_separation(joint_cover_empty(ps, [(0, 1), (2, 3)], [1, 1]))
+    assert verify_r_separation(sep)
+    tampered = replace(sep, covers=((), ((2, 3),)), unions=((), ((),)), emptiness=())
+    assert not verify_r_separation(tampered)
+
+
 def test_separability_agrees_with_closed_trace_families():
     # s groups against one convex set: B must fit a trace of an
     # (<= s)-facet polyhedron that excludes A
