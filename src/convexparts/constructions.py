@@ -24,15 +24,16 @@ the colors' pick counts, _cover builds one color's cover as point masks from
 its class and picks, and _check_structure checks that cover; the
 single-coloring path built from these lives with the test references. The
 sweep over every coloring walks the colorings one interval at a time, depth
-first, carrying only each prefix's class and pick masks and pick counts. It walks the last
-interval inline, reading each color's cover from a slot indexed by the
-color's mask in that interval and its picked bit, in a slot list kept per
-(color, prefix class, prefix picks); a slot is filled the first time a
-coloring needs it, so each distinct (color, class, picks) cover is built and
-checked once. Each coloring then asks partitions._all_tuples_empty, the
-package's one cross-tuple predicate, for one verdict, in one process, on
-one MeetOracle whose pair questions are answered from the instance's
-circuit table and kept in the oracle's memo.
+first, carrying only each prefix's class and pick masks and pick counts. At
+the last interval it decides the prefix's r^m colorings together, on a tree
+keyed by each color's cover slot in turn, with the two steps of
+partitions._all_tuples_empty, the package's one cross-tuple predicate: a
+node grows its parent's tuples by its color's cover, and a node left with
+no tuple decides every coloring below it at once. Then it checks and counts
+the prefix's colorings in order, up to the first that failed, so each
+distinct (color, class, picks) cover is built and checked once. Every
+question goes to one MeetOracle, in one process, whose pair questions are
+answered from the instance's circuit table and kept in the oracle's memo.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from math import comb
 from .combinat import check_total, run_splits
 from .errors import CapExceeded, InputError, InternalInvariantError
 from .geometry import PointSet, circuit_table, hull_disjoint, point_set
-from .partitions import MeetOracle, _all_tuples_empty, good_tverberg_partition
+from .partitions import MeetOracle, _any_tuple_meets, _grow_tuples, good_tverberg_partition
 from .rational import Rat
 
 
@@ -195,6 +196,11 @@ def _check_structure(inst: MomentAdversaryInstance, color: int,
         raise InternalInvariantError("single-interval piece too large")
 
 
+def _slot_sets(indices) -> list:
+    """Per color, the set of slot indices that the listed colorings use."""
+    return [frozenset(column) for column in zip(*indices)]
+
+
 @dataclass(frozen=True)
 class AdversarySweepReport:
     """Aggregate of the adversary's checks over all r^n colorings."""
@@ -222,25 +228,36 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
     depends on the counts alone, so the picks are listed once per counts
     tuple.
 
-    A finished color's cover depends on its class and picks alone. The last
-    interval is walked inline: for each prefix and color a slot list, kept
-    per (color, prefix class, prefix picks), is indexed by the color's mask
-    in the last interval and whether the last interval was picked for it.
-    An empty slot is filled by building the cover with _cover and checking
-    it with _check_structure, so each distinct (color, class, picks) cover
-    is built and checked once, when a coloring first holds it, and no cover
-    is built that the sweep never meets. A slot holds the cover's groups
-    as point masks; the slot lists hold at most r covers per coloring
-    walked (1,812 over the 65,536 colorings at d, s, r = 1, 5, 4), whose
-    r^n cap the caller checks.
+    A finished color's cover depends on its class and picks alone. At the
+    last interval, each color keeps its covers per (color, prefix class,
+    prefix picks), in slots keyed by the color's mask in the last interval
+    and whether the last interval was picked for it. With the picks, each
+    counts tuple lists every local coloring's slot per color, the set of
+    slots each color's colorings use, and a tree of the local colorings
+    keyed by color 0's slot, then color 1's, and so on; a leaf is the index
+    of one local coloring.
 
-    Every coloring then asks _all_tuples_empty, once, for the joint
-    emptiness of its covers as a verdict only, with no certificate, on one
-    MeetOracle for the whole sweep, whose memo keeps the pair verdicts
-    across colorings. The oracle holds the circuit table of all n points,
-    so pair questions solve no LP; its sum over k of C(n, k) subsets, like
-    the r^m local colorings, is below r^n. Stops at the first failing
-    coloring.
+    A prefix first fills, with _cover, each empty slot that its colorings
+    use. Its colorings are then decided on the tree with the two steps of
+    partitions._all_tuples_empty, the package's one cross-tuple predicate:
+    a node for color c grows its parent's tuples by color c's cover with
+    _grow_tuples, and a node left with no tuple decides every coloring
+    below it at once. A leaf left with tuples asks _any_tuple_meets. Then
+    the prefix's colorings are counted in order, up to the first that
+    failed, and each cover the prefix filled goes through _check_structure
+    if one of those colorings holds it. A prefix that does not fail checks
+    every cover it filled, so each distinct (color, class, picks) cover is
+    built and checked once, and the checks are exactly those of the
+    per-coloring reference (1,812 over the 65,536 colorings at d, s, r =
+    1, 5, 4). The slots hold at most r covers per coloring walked, whose
+    r^n cap the caller checks. No verdict is kept across prefixes but
+    the oracle's.
+
+    Every question goes to one MeetOracle for the whole sweep, as a verdict
+    only, with no certificate, and its memo keeps the pair verdicts across
+    colorings. The oracle holds the circuit table of all n points, so pair
+    questions solve no LP; its sum over k of C(n, k) subsets, like the r^m
+    local colorings, is below r^n. Stops at the first failing coloring.
     """
     inst = moment_adversary_instance(d, s, r)
     oracle = MeetOracle(inst.points, circuit_table(inst.points, range(inst.n)))
@@ -248,8 +265,8 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
              for c in itertools.product(range(r), repeat=inst.m)]
     eligible = [_eligible(inst, masks) for masks in local]
     last = inst.p - 1
-    by_counts = {}  # counts -> (picks, slot indices), per local coloring
-    slots = {}      # (color, prefix class, prefix picks) -> slot list
+    by_counts = {}  # counts -> (picks, slot indices, tree, slot sets per color)
+    slots = [{} for _ in range(r)]  # per color: (prefix class, picks) -> {slot: cover}
     verified = max_groups = 0
     failure = None
 
@@ -257,22 +274,33 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
         out = by_counts.get(counts)
         if out is None:
             picks = [_pick(inst, e, counts) for e in eligible]
-            out = by_counts[counts] = picks, [
-                tuple(mask << 1 | (c == pick) for c, mask in enumerate(masks))
-                for masks, pick in zip(local, picks)]
+            indices = [tuple(mask << 1 | (c == pick) for c, mask in enumerate(masks))
+                       for masks, pick in zip(local, picks)]
+            tree = {}
+            for j, idx in enumerate(indices):
+                node = tree
+                for i in idx[:-1]:
+                    node = node.setdefault(i, {})
+                node[idx[-1]] = j
+            out = by_counts[counts] = picks, indices, tree, _slot_sets(indices)
         return out
 
-    def cover(color, class_mask, picked_mask) -> tuple:
-        nonlocal max_groups
-        groups = _cover(inst, class_mask, picked_mask)
-        _check_structure(inst, color, class_mask, picked_mask, groups)
-        max_groups = max(max_groups, len(groups))
-        return groups
+    def decide(c, tuples, node, covers, failing) -> None:
+        # grow tuples by color c's cover at each child of node; a child left
+        # with none is decided, and a leaf left with some is asked whole
+        for i, child in node.items():
+            grown = _grow_tuples(oracle, tuples, covers[c][i])
+            if not grown:
+                continue
+            if c + 1 < r:
+                decide(c + 1, grown, child, covers, failing)
+            elif _any_tuple_meets(oracle, grown):
+                failing.append(child)
 
     def walk(q, classes, picked, counts) -> bool:
         # True once a coloring below this prefix fails
-        nonlocal verified, failure
-        picks, indices = greedy(counts)
+        nonlocal verified, max_groups, failure
+        picks, indices, tree, needed = greedy(counts)
         shift = q * inst.m
         if q < last:
             for masks, pick in zip(local, picks):
@@ -281,28 +309,33 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
                         counts[:pick] + (counts[pick] + 1,) + counts[pick + 1:]):
                     return True
             return False
-        lists = []
-        for key in zip(range(r), classes, picked):
-            lst = slots.get(key)
-            if lst is None:
-                lst = slots[key] = [None] * (2 << inst.m)
-            lists.append(lst)
-        for masks, pick, idx in zip(local, picks, indices):
-            covers = [lst[i] for lst, i in zip(lists, idx)]
-            if None in covers:
-                for c in range(r):
-                    if covers[c] is None:
-                        covers[c] = lists[c][idx[c]] = cover(
-                            c, classes[c] | masks[c] << shift,
-                            picked[c] | (c == pick) << q)
-            if not _all_tuples_empty(oracle, covers):
-                # the coloring, read back off the class masks
-                full = [a | b << shift for a, b in zip(classes, masks)]
-                failure = tuple(next(c for c in range(r) if full[c] >> i & 1)
-                                for i in range(inst.n))
-                return True
-            verified += 1
-        return False
+        covers, fresh = [], []
+        for c, key in enumerate(zip(classes, picked)):
+            store = slots[c].setdefault(key, {})
+            for i in needed[c].difference(store):
+                masks = classes[c] | (i >> 1) << shift, picked[c] | (i & 1) << q
+                store[i] = _cover(inst, *masks)
+                fresh.append((c, i, masks))
+            covers.append(store)
+        failing = []
+        decide(0, [()], tree, covers, failing)
+        first = min(failing, default=None)
+        if first is not None:
+            used = _slot_sets(indices[:first + 1])
+            fresh = [f for f in fresh if f[1] in used[f[0]]]
+        for c, i, masks in fresh:
+            groups = covers[c][i]
+            _check_structure(inst, c, *masks, groups)
+            max_groups = max(max_groups, len(groups))
+        if first is None:
+            verified += len(local)
+            return False
+        verified += first
+        # the coloring, read back off the class masks
+        full = [a | b << shift for a, b in zip(classes, local[first])]
+        failure = tuple(next(c for c in range(r) if full[c] >> i & 1)
+                        for i in range(inst.n))
+        return True
 
     walk(0, (0,) * r, (0,) * r, (0,) * r)
     return AdversarySweepReport(failure is None, d, s, r, inst.n, r ** inst.n,

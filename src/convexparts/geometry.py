@@ -258,7 +258,8 @@ class CircuitTable:
 
     circuits lists (indices, dependence) per circuit, the integer dependence
     of its points in index order, with no zero entry. signed lists the
-    (C+, C-) bitmasks of every circuit in both orientations.
+    (C+, C-) bitmasks of every circuit in both orientations, and by_low the
+    same pairs bucketed by the bit of the lowest point of C+.
     """
 
     def __init__(self, ground: int, circuits: tuple):
@@ -270,12 +271,26 @@ class CircuitTable:
             minus = sum(1 << i for i, a in zip(idx, alpha) if a < 0)
             signed += [(plus, minus), (minus, plus)]
         self.signed = tuple(signed)
+        by_low = {}
+        for p, m in signed:
+            by_low.setdefault(p & -p, []).append((p, m))
+        self.by_low = {low: tuple(pairs) for low, pairs in by_low.items()}
 
     def meets(self, x: int, y: int) -> bool:
         """Whether the hulls of the point masks x and y (inside ground)
-        meet: they share a point, or some circuit has C+ in x and C- in y."""
-        return bool(x & y) or any(
-            p & x == p and m & y == m for p, m in self.signed)
+        meet: they share a point, or some circuit has C+ in x and C- in y.
+        A C+ inside x has its lowest point in x, so only the buckets of x's
+        points are read."""
+        if x & y:
+            return True
+        by_low = self.by_low
+        rest = x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if any(p & x == p and m & y == m for p, m in by_low.get(low, ())):
+                return True
+        return False
 
 
 def circuit_table(ps: PointSet, ground) -> CircuitTable:

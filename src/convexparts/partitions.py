@@ -4,12 +4,15 @@ Separability of a bipartition (A into <= s convex sets avoiding B's <= t
 convex sets) and its r-fold analogue (covers with empty joint intersection)
 reduce to finitely many hull-disjointness questions once each side is grouped:
 a grouping works iff every cross tuple of hulls fails to meet, which one
-predicate, _all_tuples_empty, decides for every search and for the t42
-sweep in constructions. Searchers exhaust groupings in restricted-growth
-order and return certificates that re-verify from kernel predicates alone.
-One lazy grouping walk (_empty_cover) serves every search and the
-good-partition checker; it stops past cap combinations tried
-(separation_groupings), whatever their closed form.
+predicate, _all_tuples_empty, decides for every search. It is the fold of
+two steps, _grow_tuples (the pair filter, one cover at a time) and
+_any_tuple_meets (the whole-tuple ask), which the t42 sweep in
+constructions takes on its own tree of colorings. Searchers exhaust
+groupings in restricted-growth order and return certificates that
+re-verify from kernel predicates alone. One lazy grouping walk
+(_empty_cover) serves every search and the good-partition checker; it
+stops past cap combinations tried (separation_groupings), whatever their
+closed form.
 
 Parts and groups are point masks from the candidate down. The Radon search
 takes A as a combination of the subset's point bits and B as the rest, the
@@ -25,7 +28,9 @@ Every question goes to one MeetOracle per search, whose memo is the only
 pair or tuple memo. A search that enumerates the bipartitions or partitions
 of its whole ground builds the ground's circuit table
 (geometry.circuit_table) first, so its oracle answers every pair question
-by a mask test, with no LP. Questions about three or more groups,
+by a mask test, with no LP. On the line the predicate asks no tuple of
+three or more groups at all: by Helly's theorem in R^1, intervals that
+meet pairwise share a point. Other questions about three or more groups,
 and oracles without a table, infer "meets" only, from one fact: meeting is
 monotone. If subgroups of the asked groups meet, so do the groups, and a
 meeting tuple is already witnessed by the points with nonzero weight in a
@@ -370,37 +375,54 @@ def _empty_cover(oracle, parts, s_list, cap):
 
 def _all_tuples_empty(oracle, covers) -> bool:
     """Whether no cross tuple of the covers' hulls meets, each cover a
-    tuple of point masks. At r = 2 each tuple is its own only pair. A cover
-    with no group is the empty set, so the answer is then true at once.
-    Otherwise the tuples grow one cover at a time and keep a group only if
-    it meets every group already chosen: an empty sub-intersection already
-    refutes the whole tuple. Pair verdicts are read from the oracle's memo
-    first, under its sorted key. The tuples left, in product order, are
-    exactly those whose pairs all meet, and each is asked whole until one
-    meets."""
+    tuple of point masks. At r = 2 each tuple is its own only pair, asked in
+    product order until one meets. A cover with no group is the empty set,
+    so the answer is then true at once. Otherwise this is the fold of the
+    two steps the t42 sweep also takes: _grow_tuples once per cover, which
+    keeps the tuples whose pairs all meet, and true as soon as none is
+    left; then _any_tuple_meets on the tuples left."""
     if len(covers) == 2:
         return not any(map(oracle.meets, itertools.product(*covers)))
     if not all(covers):
         return True
-    verdicts = oracle._verdicts
     tuples = [()]
     for cover in covers:
-        grown = []
-        for t in tuples:
-            for y in cover:
-                for x in t:
-                    key = (x, y) if x < y else (y, x)
-                    meets = verdicts.get(key)
-                    if meets is None:
-                        meets = oracle.meets(key)
-                    if not meets:
-                        break
-                else:
-                    grown.append(t + (y,))
-        if not grown:
+        tuples = _grow_tuples(oracle, tuples, cover)
+        if not tuples:
             return True
-        tuples = grown
-    return not any(map(oracle.meets, tuples))
+    return not _any_tuple_meets(oracle, tuples)
+
+
+def _grow_tuples(oracle, tuples, cover) -> list:
+    """Each tuple extended by each group of cover that meets every group
+    already in it, in product order: an empty sub-intersection already
+    refutes every longer tuple. Pair verdicts are read from the oracle's
+    memo first, under its sorted key. An empty cover leaves no tuple."""
+    verdicts = oracle._verdicts
+    grown = []
+    for t in tuples:
+        for y in cover:
+            for x in t:
+                key = (x, y) if x < y else (y, x)
+                meets = verdicts.get(key)
+                if meets is None:
+                    meets = oracle.meets(key)
+                if not meets:
+                    break
+            else:
+                grown.append(t + (y,))
+    return grown
+
+
+def _any_tuple_meets(oracle, tuples) -> bool:
+    """Whether some tuple left by _grow_tuples, all of whose pairs meet,
+    meets as a whole. On the line every such tuple does: by Helly's theorem
+    in R^1, intervals that meet pairwise share a point, so nothing is asked
+    and no LP is solved. Otherwise each tuple is asked whole, in order,
+    until one meets."""
+    if oracle.ps.dim == 1:
+        return bool(tuples)
+    return any(map(oracle.meets, tuples))
 
 
 def _tuple_witnesses(oracle, combo):

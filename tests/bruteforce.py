@@ -17,11 +17,14 @@ per question, and affine dependences by Gauss-Jordan on `Rat`.
 (`integer_dependence_ref`) per subset of at most d+2 points, which
 `geometry.circuit_table` replaced by one walk over the subsets that shares
 each prefix's pivots; the two must list the same circuits in the same
-order. Hull membership of an arbitrary point (`in_hull`, one LP) serves
-only `geometric_space_ref` and the tests. `geometric_space`, the hull-closed
-family read off the circuit table, and `interval_space`, the convexity of a
-path, live here too: no command builds either, and acceptance check 12 and
-the tests compare them. `rgs_partitions_ref` is the classic set-partition
+order. `table_meets_ref` is the table's pair question as a scan over
+every signed circuit, which `CircuitTable.meets` replaced by a read of the
+buckets of the first group's points. Hull membership of an arbitrary
+point (`in_hull`, one LP) serves only `geometric_space_ref` and the
+tests. `geometric_space`, the hull-closed family read off the circuit
+table, and `interval_space`, the convexity of a path, live here too: no
+command builds either, and acceptance check 12 and the tests compare
+them. `rgs_partitions_ref` is the classic set-partition
 recursion on item tuples, each item joining an earlier block or opening a
 new one, with no prune: the reference for `combinat.rgs_masks`, and the
 walk every reference here takes. Two more are walks that the package
@@ -38,7 +41,8 @@ turn them into tuples of index tuples, the cover form of certificates.
 `all_tuples_empty_ref` is the cross-tuple predicate as a full product: per
 tuple, every pair, then the whole tuple. The package's `_all_tuples_empty`
 grows tuples one cover at a time and reads pair verdicts from the oracle's
-memo, and must give the same verdict after the same whole-tuple questions.
+memo, and must give the same verdict after the same whole-tuple questions,
+except on the line, where it asks none.
 `radon_number_ref` and `tverberg_number_ref` walk every
 bipartition or exact r-partition of every subset and intersect the hulls
 of its parts, where `abstract` now asks capture tests, and
@@ -595,6 +599,12 @@ def circuit_table_ref(ps, ground) -> CircuitTable:
             if out is not None and all(out[1]):
                 circuits.append((idx, tuple(out[1])))
     return CircuitTable(sum(1 << i for i in ground), tuple(circuits))
+
+
+def table_meets_ref(table, x, y) -> bool:
+    """CircuitTable.meets as one scan over every signed circuit, before the
+    table bucketed them by the lowest point of C+."""
+    return bool(x & y) or any(p & x == p and m & y == m for p, m in table.signed)
 
 
 def strict_separator_ref(ps, S, T):

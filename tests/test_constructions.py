@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 import convexparts.constructions as constructions
+import convexparts.geometry as geometry
 from bruteforce import (all_tuples_empty_ref, moment_adversary_exhaustive_ref,
                         unions_of_intervals_meet, verify_moment_adversary)
 from convexparts.constructions import (
@@ -194,30 +195,108 @@ class TestAdversaryCovers:
         # instances with r^n <= 4096, and the 4^8 colorings of the plane
         assert moment_adversary_exhaustive(d, s, r) == moment_adversary_exhaustive_ref(d, s, r)
 
-    @pytest.mark.parametrize("k", [1, 17, 300, 4097])
+    @pytest.mark.parametrize("k", [1, 16, 17, 300, 4097])
     def test_sweep_stops_at_the_same_coloring_as_the_reference(self, monkeypatch, k):
-        # a verdict that fails the k-th coloring asked; both walks ask one
-        # verdict per coloring, so they must stop at the k-th coloring in
-        # lexicographic order with the same counts
-        def failing_at_k(asked):
-            def verdict(oracle, covers):
-                asked.append(tuple(covers))
-                return len(asked) != k
-            return verdict
+        # every coloring from the k-th on fails: in the reference by the
+        # count of verdicts asked, in the sweep by its covers, named from the
+        # k-th coloring to the last of its prefix's 16. The sweep decides a
+        # prefix's colorings out of order, on a tree, so its two predicate
+        # pieces fail them by path: on a failing coloring's path the filter
+        # keeps one tuple of empty groups, which meet nothing, so whatever
+        # shares the path below it is still decided by the real filter, and
+        # at the path's leaf the whole-tuple ask reports a meeting. The
+        # sweep must stop at the k-th coloring in lexicographic order with
+        # the reference's counts. The k-th coloring is the first of its
+        # prefix at k = 1, 17 and 4097, and the last at k = 16.
+        ref_asked = []
 
-        asked, ref_asked = [], []
-        monkeypatch.setattr(constructions, "_all_tuples_empty", failing_at_k(asked))
-        monkeypatch.setattr(bruteforce, "all_tuples_empty_ref", failing_at_k(ref_asked))
-        rep = moment_adversary_exhaustive(1, 5, 4)
+        def failing_from_k(oracle, covers):
+            ref_asked.append(tuple(covers))
+            return len(ref_asked) < k
+
+        monkeypatch.setattr(bruteforce, "all_tuples_empty_ref", failing_from_k)
         ref = moment_adversary_exhaustive_ref(1, 5, 4)
-        assert len(asked) == len(ref_asked) == k
-        # and the failing verdict saw the reference's covers, as point masks
-        assert asked[-1] == ref_asked[-1]
+        inst = moment_adversary_instance(1, 5, 4)
+        colorings = list(itertools.product(range(4), repeat=8))
+        targets = [bruteforce._adversary(inst, c)[3] for c in colorings[k - 1:(k + 15) // 16 * 16]]
+        assert targets[0] == ref_asked[-1]
+        grow, any_meets = constructions._grow_tuples, constructions._any_tuple_meets
+        path, failed = [], []
+
+        def grow_on_path(oracle, tuples, cover):
+            level = len(tuples[0])
+            path[level:] = [cover]
+            grown = grow(oracle, tuples, cover)
+            if any(tuple(path) == t[:level + 1] for t in targets):
+                return grown or [(0,) * (level + 1)]
+            return grown
+
+        def meets_on_path(oracle, tuples):
+            if tuple(path) in targets:
+                failed.append(tuple(path))
+                return True
+            return any_meets(oracle, tuples)
+
+        checked = []
+        check = constructions._check_structure
+
+        def recorded(inst, color, class_mask, picked_mask, groups):
+            checked.append((color, class_mask, picked_mask))
+            return check(inst, color, class_mask, picked_mask, groups)
+
+        monkeypatch.setattr(constructions, "_grow_tuples", grow_on_path)
+        monkeypatch.setattr(constructions, "_any_tuple_meets", meets_on_path)
+        monkeypatch.setattr(constructions, "_check_structure", recorded)
+        rep = moment_adversary_exhaustive(1, 5, 4)
+        assert len(ref_asked) == k
+        # the tree reached every failing coloring of the prefix
+        assert sorted(failed) == sorted(targets)
+        # each cover of the k colorings the reference built is checked once,
+        # and no other
+        built = set()
+        for coloring in colorings[:k]:
+            chosen = bruteforce._choose_interval_colors(inst, coloring)
+            built.update((color,
+                          sum(1 << i for i, c in enumerate(coloring) if c == color),
+                          sum(1 << q for q, c in enumerate(chosen) if c == color))
+                         for color in range(4))
+        assert len(checked) == len(set(checked)) and set(checked) == built
         assert (rep.ok, rep.first_failure, rep.verified, rep.max_groups) \
             == (ref.ok, ref.first_failure, ref.verified, ref.max_groups)
         assert not rep.ok and rep.verified == k - 1
-        assert rep.first_failure == next(itertools.islice(
-            itertools.product(range(4), repeat=8), k - 1, None))
+        assert rep.first_failure == colorings[k - 1]
+
+    @pytest.mark.parametrize("d, s, r, checks", [(1, 5, 4, 1812), (2, 3, 4, 1246)])
+    def test_sweep_checks_each_cover_once_and_solves_no_lp(self, monkeypatch, d, s, r,
+                                                           checks):
+        # the tree shares the filter's work across a prefix's colorings; it
+        # skips no check: every distinct (color, class, picks) cover of the
+        # 65,536 colorings is checked once, and no question needs an LP
+        calls, lps = [], []
+        check, solve = constructions._check_structure, geometry.lp_feasible
+
+        def recorded(inst, color, class_mask, picked_mask, groups):
+            calls.append((color, class_mask, picked_mask))
+            return check(inst, color, class_mask, picked_mask, groups)
+
+        def counted(*args, **kwargs):
+            lps.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, "_check_structure", recorded)
+        monkeypatch.setattr(geometry, "lp_feasible", counted)
+        rep = moment_adversary_exhaustive(d, s, r)
+        assert rep.ok and rep.verified == rep.total == 65536
+        assert len(calls) == len(set(calls)) == checks
+        assert lps == []
+
+    @pytest.mark.parametrize("d, s, r", [(1, 5, 4), (2, 3, 4)])
+    def test_sweep_never_asks_for_a_certificate(self, monkeypatch, d, s, r):
+        def no_certificate(self, groups):
+            raise AssertionError("the sweep asked for a certificate")
+
+        monkeypatch.setattr(MeetOracle, "intersection", no_certificate)
+        assert moment_adversary_exhaustive(d, s, r).ok
 
     def test_sweep_and_single_coloring_share_the_checker(self, monkeypatch):
         # a color's cover depends only on its class and the intervals picked
@@ -398,8 +477,13 @@ class TestCoversEmpty:
             del oracle.log[:], ref.log[:]
             assert _all_tuples_empty(oracle, covers) == all_tuples_empty_ref(ref, covers) \
                 == truth
-            # the same whole-tuple questions, in the same order
-            assert oracle.whole(r) == ref.whole(r)
+            if d == 1 and r > 2:
+                # Helly on the line: intervals that meet pairwise share a
+                # point, so no tuple is asked whole
+                assert oracle.whole(r) == []
+            else:
+                # the same whole-tuple questions, in the same order
+                assert oracle.whole(r) == ref.whole(r)
 
     @pytest.mark.parametrize("combo, empty", [
         # every pair of chords crosses; the three do not share a point

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from bruteforce import (affine_dependence_ref, barycentric_in_triangle, circuit_table_ref,
                         distinct_rand_point_set, in_hull, integer_dependence_ref, rand_point_set,
-                        segments_meet, strict_separator_ref)
+                        segments_meet, strict_separator_ref, table_meets_ref)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -253,6 +253,21 @@ def test_circuit_walk_matches_the_per_subset_reference(case):
     assert table.circuits == ref.circuits
     assert table.signed == ref.signed
     assert table.ground == ref.ground
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_flat_point_sets(), data=st.data())
+def test_bucketed_meets_matches_the_full_scan(case, data):
+    # the same grounds as the circuit walk's test: repeated, collinear and
+    # coplanar points, and sub-grounds; random groups inside the ground,
+    # overlapping or not, and every pair of single points
+    points, ground = case
+    table = circuit_table(point_set(points), ground)
+    group = st.sets(st.sampled_from(ground), min_size=1).map(lambda g: sum(1 << i for i in g))
+    pairs = data.draw(st.lists(st.tuples(group, group), min_size=1, max_size=20))
+    pairs += [(1 << i, 1 << j) for i in ground for j in ground]
+    for x, y in pairs:
+        assert table.meets(x, y) == table_meets_ref(table, x, y)
 
 
 def _pivots_taken(monkeypatch, ps, ground):
