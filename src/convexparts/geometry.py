@@ -10,17 +10,17 @@ lemma, the vector that refutes a common point of one group's hull with the
 rest already holds a hyperplane between them, and farkas_separator reads it
 off.
 
-The circuit table answers "do these two hulls meet?" without an LP. A
-circuit is a minimal affinely dependent subset; its dependence is unique up
-to scale, and its sign split C+ | C- is a minimal Radon partition. By the
-conformal decomposition of a dependence into circuits (Rockafellar 1969;
-Bjorner, Las Vergnas, Sturmfels, White and Ziegler, Oriented Matroids,
-1993), the hulls of disjoint index sets X and Y meet iff some circuit has
-C+ inside X and C- inside Y, or the reverse. A circuit has at most d+2
-points, and a subset is one iff its lifted (d+1) x k matrix has a
-one-dimensional kernel with full support. circuit_table finds them in one
-depth-first walk over the subsets, in which each subset extends its
-prefix's integer elimination by one pivot.
+The circuit table lets partitions.MeetOracle answer "do these two hulls
+meet?" without an LP. A circuit is a minimal affinely dependent subset; its
+dependence is unique up to scale, and its sign split C+ | C- is a minimal
+Radon partition. By the conformal decomposition of a dependence into
+circuits (Rockafellar 1969; Bjorner, Las Vergnas, Sturmfels, White and
+Ziegler, Oriented Matroids, 1993), the hulls of disjoint index sets X and Y
+meet iff some circuit has C+ inside X and C- inside Y, or the reverse. A
+circuit has at most d+2 points, and a subset is one iff its lifted
+(d+1) x k matrix has a one-dimensional kernel with full support.
+circuit_table finds them in one depth-first walk over the subsets, in
+which each subset extends its prefix's integer elimination by one pivot.
 """
 
 from __future__ import annotations
@@ -258,8 +258,8 @@ class CircuitTable:
 
     circuits lists (indices, dependence) per circuit, the integer dependence
     of its points in index order, with no zero entry. signed lists the
-    (C+, C-) bitmasks of every circuit in both orientations, and by_low the
-    same pairs bucketed by the bit of the lowest point of C+.
+    (C+, C-) bitmasks of every circuit in both orientations, which
+    partitions.MeetOracle and uncrossed_masks read.
     """
 
     def __init__(self, ground: int, circuits: tuple):
@@ -271,26 +271,6 @@ class CircuitTable:
             minus = sum(1 << i for i, a in zip(idx, alpha) if a < 0)
             signed += [(plus, minus), (minus, plus)]
         self.signed = tuple(signed)
-        by_low = {}
-        for p, m in signed:
-            by_low.setdefault(p & -p, []).append((p, m))
-        self.by_low = {low: tuple(pairs) for low, pairs in by_low.items()}
-
-    def meets(self, x: int, y: int) -> bool:
-        """Whether the hulls of the point masks x and y (inside ground)
-        meet: they share a point, or some circuit has C+ in x and C- in y.
-        A C+ inside x has its lowest point in x, so only the buckets of x's
-        points are read."""
-        if x & y:
-            return True
-        by_low = self.by_low
-        rest = x
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if any(p & x == p and m & y == m for p, m in by_low.get(low, ())):
-                return True
-        return False
 
 
 def circuit_table(ps: PointSet, ground) -> CircuitTable:

@@ -28,19 +28,17 @@ Every question goes to one MeetOracle per search, whose memo is the only
 pair or tuple memo. A search that enumerates the bipartitions or partitions
 of its whole ground builds the ground's circuit table
 (geometry.circuit_table) first, so its oracle answers every pair question
-by a mask test, with no LP. On the line the predicate asks no tuple of
-three or more groups at all: by Helly's theorem in R^1, intervals that
-meet pairwise share a point. Other questions about three or more groups,
-and oracles without a table, infer "meets" only, from one fact: meeting is
-monotone. If subgroups of the asked groups meet, so do the groups, and a
-meeting tuple is already witnessed by the points with nonzero weight in a
-basic solution of its equality rows (Caratheodory). Every "disjoint" comes
-from the table or from the LP of exactly the asked groups, so every verdict
-is exact. Separators are built only for the grouping a search returns, and
-Farkas vectors in certificates come from the LP of exactly the groups they
-name. Callers that may ask a single question (separate, build-separation)
-and the certificate checker verify_good_partition keep an oracle without a
-table.
+with no LP. On the line the predicate asks no tuple of three or more groups
+at all: by Helly's theorem in R^1, intervals that meet pairwise share a
+point. A question of any arity is first tried on the known meetings, the
+table's circuits and the supports of the LPs that met (Caratheodory):
+meeting is monotone, so groups that hold a meeting's members, one each,
+meet too. Every "disjoint" comes from the table or from the LP of exactly
+the asked groups, so every verdict is exact. Separators are built only for
+the grouping a search returns, and Farkas vectors in certificates come from
+the LP of exactly the groups they name. Callers that may ask a single
+question (separate, build-separation) and the certificate checker
+verify_good_partition keep an oracle without a table.
 
 Every certificate has one shape: it holds its PointSet once, as ps, and
 names groups as sorted index tuples, a cover being a tuple of them. Its
@@ -162,41 +160,47 @@ class MeetOracle:
     of a search, holds every answer under that key. Only _solve turns masks
     into index tuples, sorted as index tuples, which is the group order of
     the LP solved for the key, so a Farkas vector taken from here is the one
-    hulls_common_point(ps, groups) gives for those sorted tuples. table, a
-    geometry.CircuitTable of ps, answers every pair question inside its
-    ground by a mask test. Each other question is answered, in this order:
+    hulls_common_point(ps, groups) gives for those sorted tuples.
+
+    _by_low, the one meeting index, lists each member of a known meeting
+    (point sets whose hulls share a point) with the meeting's other
+    members, under the bit of its lowest point. The meetings are the signed
+    circuits (C+, C-) of table, a geometry.CircuitTable of ps, and the
+    supports of each LP that met (its points of nonzero weight, one set per
+    group). A question is answered, in this order:
 
     - from the exact memo, when the same groups were asked before;
-    - from an earlier meeting: the points with nonzero weight in its
-      solution (at most d+2 for a pair: a basic solution of d+2 equality
-      rows) already share a point, and hulls only grow, so any groups that
-      contain them, one support per group, meet too;
-    - by solving the LP, whose answer then serves the later questions.
+    - "meets" when the first group holds a member of one meeting and each
+      other group one of its other members: every member's hull holds the
+      meeting's point and hulls only grow, so this holds at any arity;
+    - for a pair inside table's ground, "disjoint" unless the groups
+      overlap, as disjoint hulls that meet have a circuit across them;
+    - by solving the LP, whose meeting then joins the index.
 
-    Questions of different arity never inform each other. intersection()
-    always solves the LP, table or not. Nothing here outlives the oracle:
-    no cache is kept across searches.
+    intersection() always solves the LP, table or not. Nothing here
+    outlives the oracle: no cache is kept across searches.
     """
 
     def __init__(self, ps: PointSet, table=None):
         self.ps = ps
-        self.table = table
-        self._verdicts = {}  # sorted masks -> bool, from the table, solved or inferred
+        self._ground = 0 if table is None else table.ground
+        self._verdicts = {}  # sorted masks -> bool: inferred, from the ground, or solved
         self._solved = {}    # sorted masks -> HullIntersection
-        self._meeting = {}   # arity -> packed supports, every group order
+        self._by_low = {}    # lowest point bit -> [(member, other members)]
+        for plus, minus in () if table is None else table.signed:
+            self._by_low.setdefault(plus & -plus, []).append((plus, (minus,)))
 
     def meets(self, groups) -> bool:
         """Whether the hulls of the point masks share a point."""
         key = tuple(sorted(groups))
         verdict = self._verdicts.get(key)
         if verdict is None:
-            table = self.table
-            if table is not None and len(key) == 2 and not (key[0] | key[1]) & ~table.ground:
-                verdict = table.meets(*key)
+            if self._inferred(key):
+                verdict = True
+            elif len(key) == 2 and not (key[0] | key[1]) & ~self._ground:
+                verdict = bool(key[0] & key[1])
             else:
-                verdict = self._infer(key)
-                if verdict is None:
-                    verdict = bool(self._solve(key))
+                verdict = bool(self._solve(key))
             self._verdicts[key] = verdict
         return verdict
 
@@ -207,25 +211,35 @@ class MeetOracle:
         out = self._solved.get(key)
         return self._solve(key) if out is None else out
 
-    def _pack(self, masks) -> int:
-        n = len(self.ps.points)
-        return sum(m << (k * n) for k, m in enumerate(masks))
-
-    def _infer(self, key):
-        """True when an earlier meeting's supports lie inside the groups,
-        else None: "disjoint" is never inferred."""
-        outside = ~self._pack(key)
-        if any(not support & outside for support in self._meeting.get(len(key), ())):
-            return True
-        return None
+    def _inferred(self, key) -> bool:
+        """The rule, read from the buckets of the first group's points only.
+        Explicit loops: all(any(...)) is slower."""
+        bits = first = key[0]
+        rest, by_low = key[1:], self._by_low
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            for member, others in by_low.get(low, ()):
+                if member & first != member:
+                    continue
+                for group in rest:
+                    for other in others:
+                        if other & group == other:
+                            break
+                    else:
+                        break
+                else:
+                    return True
+        return False
 
     def _solve(self, key) -> HullIntersection:
         out = hulls_common_point(self.ps, sorted(map(indices_of, key)))
         if out:
-            supports = [sum(1 << i for i, w in zip(g, ws) if w)
-                        for g, ws in zip(out.groups, out.weights)]
-            self._meeting.setdefault(len(key), []).extend(
-                {self._pack(order) for order in itertools.permutations(supports)})
+            members = tuple(sum(1 << i for i, w in zip(g, ws) if w)
+                            for g, ws in zip(out.groups, out.weights))
+            for k, member in enumerate(members):
+                self._by_low.setdefault(member & -member, []).append(
+                    (member, members[:k] + members[k + 1:]))
         self._solved[key] = out
         self._verdicts[key] = bool(out)
         return out
@@ -481,8 +495,9 @@ def good_radon_partition(ps: PointSet, subset, s: int, t: int,
     radon_bipartitions before any is walked, and each bipartition's
     grouping walk stops past cap grouping pairs tried."""
     subset = _norm_group(ps, subset)
-    if (1 << len(subset)) - 2 > cap:
-        raise CapExceeded("radon_bipartitions", cap, (1 << len(subset)) - 2)
+    count = _candidate_count("radon", len(subset), (s, t))
+    if count > cap:
+        raise CapExceeded("radon_bipartitions", cap, count)
     if len(subset) < 2:
         raise InputError("need at least two points to bipartition")
     if s < 1 or t < 1:
@@ -524,9 +539,7 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
     if any(s < 1 for s in s_list):
         raise InputError("group counts must be at least 1")
     uniform = len(set(s_list)) == 1
-    nparts = stirling2(len(subset), r)
-    if not uniform:
-        nparts *= prod(range(1, r + 1))
+    nparts = _candidate_count("tverberg", len(subset), s_list)
     if nparts > cap:
         raise CapExceeded("tverberg_partitions", cap, nparts)
     sizes = range(2, min(len(subset), ps.dim + 2) + 1)
@@ -539,6 +552,16 @@ def good_tverberg_partition(ps: PointSet, subset, r: int, s_list,
             if cert is not None:
                 return cert
     return None
+
+
+def _candidate_count(kind, m, s_list) -> int:
+    """The candidates a search over m points walks: 2^m - 2 bipartitions for
+    radon, S(m, r) partitions for tverberg, times r! if the bounds differ."""
+    if kind == "radon":
+        return (1 << m) - 2
+    r = len(s_list)
+    count = stirling2(m, r)
+    return count if len(set(s_list)) == 1 else count * prod(range(1, r + 1))
 
 
 def _candidate_good(oracle, kind, parts, s_list, cap):
@@ -720,10 +743,10 @@ def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsear
             s_list = [s] * r
     if n < 2:
         raise InputError("need at least two points")
-    if radon_mode and (1 << n) - 2 > cap:
-        raise CapExceeded("radon_bipartitions", cap, (1 << n) - 2)
+    mode, bounds = ("radon", (s, t)) if radon_mode else ("tverberg", s_list)
+    if radon_mode and _candidate_count(mode, n, bounds) > cap:
+        raise CapExceeded("radon_bipartitions", cap, _candidate_count(mode, n, bounds))
     sampled = _sample_sets(d, n, sampler, samples, seed, points, cap)
-    mode = "radon" if radon_mode else "tverberg"
     params = {"d": d, "n": n, "s": s, "t": t, "r": r,
               "s_list": None if s_list is None else tuple(s_list),
               "sampler": sampler, "seed": seed}
@@ -732,16 +755,12 @@ def f_search(d: int, n: int, sampler: str, samples: int = 10, seed: str = "fsear
         everything = range(n)
         if radon_mode:
             cert = good_radon_partition(ps, everything, s, t, cap=cap)
-            transcript = (1 << n) - 2
         else:
             cert = good_tverberg_partition(ps, everything, r, s_list, cap=cap)
-            transcript = stirling2(n, r)
-            if len(set(s_list)) != 1:
-                transcript *= prod(range(1, r + 1))
         certs.append(cert)
         if cert is None:
-            return FSearchReport(mode, params, tuple(sampled[:k + 1]),
-                                 tuple(certs), k, transcript)
+            return FSearchReport(mode, params, tuple(sampled[:k + 1]), tuple(certs), k,
+                                 _candidate_count(mode, n, bounds))
     return FSearchReport(mode, params, tuple(sampled), tuple(certs), None, None)
 
 

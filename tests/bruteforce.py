@@ -18,13 +18,13 @@ per question, and affine dependences by Gauss-Jordan on `Rat`.
 `geometry.circuit_table` replaced by one walk over the subsets that shares
 each prefix's pivots; the two must list the same circuits in the same
 order. `table_meets_ref` is the table's pair question as a scan over
-every signed circuit, which `CircuitTable.meets` replaced by a read of the
-buckets of the first group's points. Hull membership of an arbitrary
-point (`in_hull`, one LP) serves only `geometric_space_ref` and the
-tests. `geometric_space`, the hull-closed family read off the circuit
-table, and `interval_space`, the convexity of a path, live here too: no
-command builds either, and acceptance check 12 and the tests compare
-them. `rgs_partitions_ref` is the classic set-partition
+every signed circuit, which `partitions.MeetOracle` replaced by a read of
+the buckets of its meeting index under the first group's points. Hull
+membership of an arbitrary point (`in_hull`, one LP) serves only
+`geometric_space_ref` and the tests. `geometric_space`, the hull-closed
+family read off the circuit table, and `interval_space`, the convexity of
+a path, live here too: no command builds either, and acceptance check 12
+and the tests compare them. `rgs_partitions_ref` is the classic set-partition
 recursion on item tuples, each item joining an earlier block or opening a
 new one, with no prune: the reference for `combinat.rgs_masks`, and the
 walk every reference here takes. Two more are walks that the package
@@ -602,8 +602,9 @@ def circuit_table_ref(ps, ground) -> CircuitTable:
 
 
 def table_meets_ref(table, x, y) -> bool:
-    """CircuitTable.meets as one scan over every signed circuit, before the
-    table bucketed them by the lowest point of C+."""
+    """A table-backed MeetOracle's pair verdict as one scan over every
+    signed circuit, before the oracle bucketed them by the lowest point of
+    C+."""
     return bool(x & y) or any(p & x == p and m & y == m for p, m in table.signed)
 
 

@@ -24,7 +24,7 @@ from convexparts.geometry import (
     strict_separator,
     verify_hulls_empty,
 )
-from convexparts.partitions import good_radon_partition
+from convexparts.partitions import MeetOracle, good_radon_partition
 from convexparts.rational import Rat
 from convexparts.rng import CounterRng
 
@@ -262,12 +262,14 @@ def test_bucketed_meets_matches_the_full_scan(case, data):
     # coplanar points, and sub-grounds; random groups inside the ground,
     # overlapping or not, and every pair of single points
     points, ground = case
-    table = circuit_table(point_set(points), ground)
+    ps = point_set(points)
+    table = circuit_table(ps, ground)
+    oracle = MeetOracle(ps, table)
     group = st.sets(st.sampled_from(ground), min_size=1).map(lambda g: sum(1 << i for i in g))
     pairs = data.draw(st.lists(st.tuples(group, group), min_size=1, max_size=20))
     pairs += [(1 << i, 1 << j) for i in ground for j in ground]
     for x, y in pairs:
-        assert table.meets(x, y) == table_meets_ref(table, x, y)
+        assert oracle.meets((x, y)) == table_meets_ref(table, x, y)
 
 
 def _pivots_taken(monkeypatch, ps, ground):

@@ -765,3 +765,43 @@ def test_good_partition_checker_stays_on_the_lp(monkeypatch):
     calls = _count_lps(monkeypatch)
     assert verify_good_partition(cert)
     assert calls
+
+
+def test_one_meeting_answers_questions_of_any_arity(monkeypatch):
+    # four segments through the origin, and two points off them
+    ps = point_set([(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1),
+                    (-1, 1), (1, -1), (5, 5), (6, 2)])
+    a, b, c, d = 0b11, 0b1100, 0b110000, 0b11000000
+    calls = _count_lps(monkeypatch)
+    oracle = MeetOracle(ps)
+    assert oracle.meets((a, b, c))
+    # the origin is the only common point, so each segment is a support
+    assert all(all(ws) for ws in oracle.intersection((a, b, c)).weights)
+    assert len(calls) == 1
+    assert oracle.meets((a | 1 << 8, c | 1 << 9))
+    assert len(calls) == 1
+    oracle = MeetOracle(ps)
+    assert oracle.meets((a, b, c, d))
+    assert len(calls) == 2
+    # sorted by mask, these groups hold the supports in the order b, c, d, a
+    assert oracle.meets((a | 1 << 9, b, c, d | 1 << 8))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed, most", [("pin8", 74), ("pin9", 63)])
+def test_exhausted_tverberg_search_solves_no_more_lps(monkeypatch, seed, most):
+    # most: the LPs solved when each meeting answered only its own arity
+    ps = point_set(CounterRng(seed).distinct_points(8, 2))
+    calls = _count_lps(monkeypatch)
+    assert good_tverberg_partition(ps, range(8), 3, 2) is None
+    assert len(calls) <= most
+
+
+def test_good_partition_checker_solves_no_more_lps(monkeypatch):
+    # 294: the LPs solved when each meeting answered only its own arity
+    ps = point_set(CounterRng("vg2").distinct_points(11, 2))
+    cert = good_radon_partition(ps, range(11), 2, 2)
+    assert cert is not None
+    calls = _count_lps(monkeypatch)
+    assert verify_good_partition(cert)
+    assert len(calls) <= 294
