@@ -6,7 +6,7 @@ searchers in this package quote in their transcripts. rgs_masks is the
 package's one set-partition walk. Its items are disjoint bit masks, one per
 point, and each block comes out as the mask of its items: the form the hull
 oracle and the trace sets take. The grouping walk, the Tverberg search and
-the r-shattering check all read it.
+the r-shattering check all read it. It is one loop, like the Stirling rows.
 """
 
 from __future__ import annotations
@@ -65,37 +65,42 @@ def partitions_le_count(n: int, kmax: int) -> int:
 
 
 def rgs_masks(bits, max_blocks: int, min_blocks: int = 0):
-    """All partitions of the items, disjoint bit masks, into at least
-    min_blocks and at most max_blocks nonempty blocks, RGS order; each block
-    is the mask of its items. The empty item list yields the empty
+    """All partitions of the items, nonzero disjoint bit masks, into at
+    least min_blocks and at most max_blocks nonempty blocks, RGS order; each
+    block is the mask of its items. The empty item list yields the empty
     partition when min_blocks <= 0.
 
-    One list of block masks grows and shrinks as the walk goes: item i joins
-    each open block in turn, then opens a new one while fewer than
-    max_blocks are open. An item joins no block when the items after it
-    could not open the blocks still missing, so every prefix walked has a
-    completion that is yielded."""
+    One loop backtracks over a list of block masks and the block each
+    placed item joined (picks): item i joins each open block in turn, then
+    opens a new one while fewer than max_blocks are open. An item joins no
+    block when the items after it could not open the blocks still missing,
+    so every prefix walked has a completion that is yielded."""
     last = len(bits)
-    blocks = []
-
-    def walk(i):
+    if last < min_blocks:
+        return
+    blocks, picks = [], []
+    j = 0  # the block item len(picks) tries next; len(blocks) opens one
+    while True:
+        i, k = len(picks), len(blocks)
         if i == last:
             yield tuple(blocks)
+        elif j < k and k + last - i > min_blocks:
+            blocks[j] |= bits[i]
+            picks.append(j)
+            j = 0
+            continue
+        elif j <= k < max_blocks:
+            blocks.append(bits[i])
+            picks.append(k)
+            j = 0
+            continue
+        if not picks:
             return
-        bit = bits[i]
-        k = len(blocks)
-        if k + last - i > min_blocks:
-            for j in range(k):
-                blocks[j] |= bit
-                yield from walk(i + 1)
-                blocks[j] ^= bit
-        if k < max_blocks:
-            blocks.append(bit)
-            yield from walk(i + 1)
+        j = picks.pop()
+        blocks[j] ^= bits[len(picks)]
+        if not blocks[j]:
             blocks.pop()
-
-    if last >= min_blocks:
-        yield from walk(0)
+        j += 1
 
 
 def run_splits(count: int, max_runs: int):

@@ -19,21 +19,22 @@ avoid the other covers. Both facts are checked per run, never assumed.
 A color's finished cover depends only on its class and the intervals the
 greedy picked for it: its points in each picked interval, plus one group per
 maximal run of intervals not picked for it. _eligible lists the colors an
-interval's local coloring allows, _pick makes the greedy pick among them from
-the colors' pick counts, _cover builds one color's cover as point masks from
-its class and picks, and _check_structure checks that cover; the
+interval's local coloring allows, _pick makes the greedy pick among them
+from the colors' pick counts, _cover builds one color's cover as point masks
+from its class and picks, and _check_structure checks that cover; the
 single-coloring path built from these lives with the test references. The
 sweep over every coloring walks the colorings one interval at a time, depth
 first, carrying only each prefix's class and pick masks and pick counts. At
 the last interval it decides the prefix's r^m colorings together, on a tree
-keyed by each color's cover slot in turn, with the two steps of
-partitions._all_tuples_empty, the package's one cross-tuple predicate: a
-node grows its parent's tuples by its color's cover, and a node left with
-no tuple decides every coloring below it at once. Then it checks and counts
-the prefix's colorings in order, up to the first that failed, so each
-distinct (color, class, picks) cover is built and checked once. Every
-question goes to one MeetOracle, in one process, whose pair questions are
-answered from the instance's circuit table and kept in the oracle's memo.
+keyed by each color's cover slot in turn, with the grouping walk's two
+steps: an inner node grows its parent's tuples by its color's cover
+(_grow_tuples), a node left with none decides every coloring below it, and a
+leaf asks _any_tuple_meets of them and the last color's cover. Then it
+checks and counts the prefix's colorings in order, up to the first that
+failed, so each distinct (color, class, picks) cover is built and checked
+once. Every question goes to one MeetOracle, in one process, whose pair
+questions are answered from the instance's circuit table and kept in the
+oracle's memo.
 """
 
 from __future__ import annotations
@@ -239,11 +240,8 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
 
     A prefix first fills, with _cover, each empty slot that its colorings
     use. Its colorings are then decided on the tree with the two steps of
-    partitions._all_tuples_empty, the package's one cross-tuple predicate:
-    a node for color c grows its parent's tuples by color c's cover with
-    _grow_tuples, and a node left with no tuple decides every coloring
-    below it at once. A leaf left with tuples asks _any_tuple_meets. Then
-    the prefix's colorings are counted in order, up to the first that
+    the grouping walk partitions._empty_cover (see the module docstring).
+    Then the prefix's colorings are counted in order, up to the first that
     failed, and each cover the prefix filled goes through _check_structure
     if one of those colorings holds it. A prefix that does not fail checks
     every cover it filled, so each distinct (color, class, picks) cover is
@@ -286,16 +284,16 @@ def moment_adversary_exhaustive(d: int, s: int, r: int) -> AdversarySweepReport:
         return out
 
     def decide(c, tuples, node, covers, failing) -> None:
-        # grow tuples by color c's cover at each child of node; a child left
-        # with none is decided, and a leaf left with some is asked whole
+        # grow tuples by color c's cover at each child of node, a child left
+        # with none being decided; a leaf asks the last color's cover
         for i, child in node.items():
-            grown = _grow_tuples(oracle, tuples, covers[c][i])
-            if not grown:
-                continue
-            if c + 1 < r:
-                decide(c + 1, grown, child, covers, failing)
-            elif _any_tuple_meets(oracle, grown):
-                failing.append(child)
+            if c + 1 == r:
+                if _any_tuple_meets(oracle, tuples, covers[c][i]):
+                    failing.append(child)
+            else:
+                grown = _grow_tuples(oracle, tuples, covers[c][i])
+                if grown:
+                    decide(c + 1, grown, child, covers, failing)
 
     def walk(q, classes, picked, counts) -> bool:
         # True once a coloring below this prefix fails
@@ -428,25 +426,26 @@ def verify_periodic_line_cover(r: int, s: int, n: int | None = None,
                 j += 1
         return out
 
-    def sweep(ci, current, path):
-        nonlocal checked, failure
-        if failure is not None:
-            return
-        if ci == r:
+    # a loop over a stack of classes, no recursion: common[ci] is the
+    # intersection of the path's covers before class ci
+    path, common, walks = [], [[(0, n - 1)]], [iter(class_covers[0])]
+    while walks:
+        ci = len(walks) - 1
+        cover = next(walks[ci], None)
+        if cover is None:
+            walks.pop()
+            continue
+        path[ci:] = [cover]
+        nxt = meet(common[ci], cover)
+        if not nxt:
+            # every completion fails; report the lexicographically first
+            failure = tuple(path + [cs[0] for cs in class_covers[ci + 1:]])
+            break
+        if ci + 1 == r:
             checked += 1
-            return
-        for cover in class_covers[ci]:
-            nxt = meet(current, cover)
-            if not nxt:
-                # every completion fails; report the lexicographically first
-                rest = [cs[0] for cs in class_covers[ci + 1:]]
-                failure = tuple(path + [cover] + rest)
-                return
-            sweep(ci + 1, nxt, path + [cover])
-            if failure is not None:
-                return
-
-    sweep(0, [(0, n - 1)], [])
+        else:
+            common[ci + 1:] = [nxt]
+            walks.append(iter(class_covers[ci + 1]))
     return PeriodicCoverReport(failure is None, r, s, n, coloring, checked,
                                max_missed, miss_bound, failure)
 
@@ -514,7 +513,7 @@ def translated_copies(ps: PointSet, s: int) -> PointSet:
     return out
 
 
-def halfspace_4coloring(ps: PointSet, n_cap: int = 18):
+def halfspace_4coloring(ps: PointSet):
     """4-coloring with no monochromatic halfspace trace of two or more
     points, found by backtracking in lexicographic color order.
 
@@ -529,7 +528,7 @@ def halfspace_4coloring(ps: PointSet, n_cap: int = 18):
     if ps.dim != 3:
         raise InputError("the four-coloring argument lives in dimension 3")
     n = len(ps.points)
-    masks = [m for m in halfspace_traces(ps, n_cap).traces if m.bit_count() >= 2]
+    masks = [m for m in halfspace_traces(ps).traces if m.bit_count() >= 2]
     # a not-monochromatic constraint can only fire once its last point is
     # colored, so index masks by their highest point
     finish_at = [[] for _ in range(n)]

@@ -3,16 +3,14 @@
 Separability of a bipartition (A into <= s convex sets avoiding B's <= t
 convex sets) and its r-fold analogue (covers with empty joint intersection)
 reduce to finitely many hull-disjointness questions once each side is grouped:
-a grouping works iff every cross tuple of hulls fails to meet, which one
-predicate, _all_tuples_empty, decides for every search. It is the fold of
-two steps, _grow_tuples (the pair filter, one cover at a time) and
-_any_tuple_meets (the whole-tuple ask), which the t42 sweep in
-constructions takes on its own tree of colorings. Searchers exhaust
-groupings in restricted-growth order and return certificates that
-re-verify from kernel predicates alone. One lazy grouping walk
-(_empty_cover) serves every search and the good-partition checker; it
-stops past cap combinations tried (separation_groupings), whatever their
-closed form.
+a grouping works iff every cross tuple of hulls fails to meet. One grouping
+walk (_empty_cover) serves every search and the good-partition checker: a
+loop over a stack of parts in restricted-growth order, in which each part's
+grouping grows its prefix's tuples once with _grow_tuples (the pair filter)
+and the last part asks _any_tuple_meets. The t42 sweep in constructions
+takes the same two steps on its tree of colorings. The walk stops past cap
+combinations tried (separation_groupings), whatever their closed form, and
+certificates re-verify from kernel predicates alone.
 
 Parts and groups are point masks from the candidate down. The Radon search
 takes A as a combination of the subset's point bits and B as the rest, the
@@ -28,8 +26,8 @@ Every question goes to one MeetOracle per search, whose memo is the only
 pair or tuple memo. A search that enumerates the bipartitions or partitions
 of its whole ground builds the ground's circuit table
 (geometry.circuit_table) first, so its oracle answers every pair question
-with no LP. On the line the predicate asks no tuple of three or more groups
-at all: by Helly's theorem in R^1, intervals that meet pairwise share a
+with no LP. On the line the walk asks no tuple of three or more groups at
+all: by Helly's theorem in R^1, intervals that meet pairwise share a
 point. A question of any arity is first tried on the known meetings, the
 table's circuits and the supports of the LPs that met (Caratheodory):
 meeting is monotone, so groups that hold a meeting's members, one each,
@@ -364,47 +362,35 @@ def _empty_cover(oracle, parts, s_list, cap):
     """(first combination of groupings, one per part into <= s_i groups, in
     restricted-growth product order, whose cross tuples all miss, or None;
     combinations tried; closed-form count). Parts and groups are point
-    masks, and the parts are taken as _part_masks or a search leaves them:
-    nothing is checked here. Each part's groupings are walked afresh under
-    every prefix, never listed up front."""
+    masks, taken as _part_masks or a search leaves them: nothing is checked
+    here. One loop, no recursion: walks[k] is part k's rgs_masks walk under
+    the prefix, and tuples[k] the prefix's cross tuples whose pairs all
+    meet, grown once and shared by every completion. A prefix left with none
+    is good whatever follows, so its first completion (each later part as
+    one group) is the answer and one try; each last-part grouping is one."""
     closed_form = prod(map(partitions_le_count, map(int.bit_count, parts), s_list))
     bits = [[1 << i for i in indices_of(p)] for p in parts]
-
-    def combos(k, prefix):
-        for groups in rgs_masks(bits[k], s_list[k]):
-            if k + 1 == len(parts):
-                yield prefix + (groups,)
-            else:
-                yield from combos(k + 1, prefix + (groups,))
-
-    tried = 0
-    for combo in combos(0, ()):
+    last = len(parts) - 1
+    combo, tuples, tried = [], [[()]], 0
+    walks = [rgs_masks(bits[0], s_list[0])]
+    while walks:
+        k = len(walks) - 1
+        groups = next(walks[k], None)
+        if groups is None:
+            walks.pop()
+            continue
+        combo[k:] = [groups]
+        grown = _grow_tuples(oracle, tuples[k], groups) if k < last else None
+        if grown:
+            tuples[k + 1:] = [grown]
+            walks.append(rgs_masks(bits[k + 1], s_list[k + 1]))
+            continue
         tried += 1
         if tried > cap:
             raise CapExceeded("separation_groupings", cap, closed_form)
-        if _all_tuples_empty(oracle, combo):
-            return combo, tried, closed_form
+        if k < last or not _any_tuple_meets(oracle, tuples[k], groups):
+            return tuple(combo) + tuple((p,) for p in parts[k + 1:]), tried, closed_form
     return None, tried, closed_form
-
-
-def _all_tuples_empty(oracle, covers) -> bool:
-    """Whether no cross tuple of the covers' hulls meets, each cover a
-    tuple of point masks. At r = 2 each tuple is its own only pair, asked in
-    product order until one meets. A cover with no group is the empty set,
-    so the answer is then true at once. Otherwise this is the fold of the
-    two steps the t42 sweep also takes: _grow_tuples once per cover, which
-    keeps the tuples whose pairs all meet, and true as soon as none is
-    left; then _any_tuple_meets on the tuples left."""
-    if len(covers) == 2:
-        return not any(map(oracle.meets, itertools.product(*covers)))
-    if not all(covers):
-        return True
-    tuples = [()]
-    for cover in covers:
-        tuples = _grow_tuples(oracle, tuples, cover)
-        if not tuples:
-            return True
-    return not _any_tuple_meets(oracle, tuples)
 
 
 def _grow_tuples(oracle, tuples, cover) -> list:
@@ -428,15 +414,21 @@ def _grow_tuples(oracle, tuples, cover) -> list:
     return grown
 
 
-def _any_tuple_meets(oracle, tuples) -> bool:
-    """Whether some tuple left by _grow_tuples, all of whose pairs meet,
-    meets as a whole. On the line every such tuple does: by Helly's theorem
-    in R^1, intervals that meet pairwise share a point, so nothing is asked
-    and no LP is solved. Otherwise each tuple is asked whole, in order,
-    until one meets."""
-    if oracle.ps.dim == 1:
-        return bool(tuples)
-    return any(map(oracle.meets, tuples))
+def _any_tuple_meets(oracle, tuples, cover) -> bool:
+    """Whether some tuple extended by some group of the last cover meets, in
+    product order, stopping at the first. Its new pairs (x, y) are asked of
+    the oracle as they are, so at r = 2 this is the product of pair
+    questions; three or more groups are asked whole only off the line, as
+    by Helly's theorem in R^1 intervals that meet pairwise share a point."""
+    for t in tuples:
+        for y in cover:
+            for x in t:
+                if not oracle.meets((x, y)):
+                    break
+            else:
+                if len(t) < 2 or oracle.ps.dim == 1 or oracle.meets(t + (y,)):
+                    return True
+    return False
 
 
 def _tuple_witnesses(oracle, combo):

@@ -15,6 +15,8 @@ from .errors import CapExceeded, InputError
 from .geometry import PointSet, circuit_table, uncrossed_masks
 from .setsystems import SetSystem, set_system
 
+_TRACE_POINTS = 18  # bounds the circuit table too: sum of C(n, k) < 2^n
+
 
 @dataclass(frozen=True)
 class TraceFamily:
@@ -29,17 +31,16 @@ class TraceFamily:
         return set_system(len(self.points), self.traces)
 
 
-def halfspace_traces(ps: PointSet, n_cap: int = 18) -> TraceFamily:
+def halfspace_traces(ps: PointSet) -> TraceFamily:
     """Every subset separable from its complement, empty and full included.
 
     conv(S) and conv(P\\S) meet iff some circuit has C+ inside S and C-
     outside it, so the traces are the masks no circuit lies across, built
-    up one point at a time from the circuit table, with no LP. n_cap also
-    bounds the table: its sum over k of C(n, k) subsets is below 2^n.
+    up one point at a time from the circuit table, with no LP.
     """
     n = len(ps.points)
-    if n > n_cap:
-        raise CapExceeded("halfspace_traces_points", n_cap, n)
+    if n > _TRACE_POINTS:
+        raise CapExceeded("halfspace_traces_points", _TRACE_POINTS, n)
     table = circuit_table(ps, range(n))
     return TraceFamily(ps, uncrossed_masks(n, table.signed), "halfspace")
 

@@ -10,10 +10,10 @@ included; check_certificate dispatches on the tag and hands what the reader
 returns to the schema's checker in partitions, which re-verifies the claim
 from scratch using only the kernel predicates. A cover with no group
 refutes nothing: verify_r_separation rejects it itself, and
-check_certificate rejects it in an empty-intersection document, whose
-library checker accepts empty covers because the t42 adversary certifies
-empty colour classes. Only the four schemas that commands emit are known;
-any other is an input error.
+check_certificate rejects it in an empty-intersection document; the
+library checker accepts one, which only bruteforce.verify_moment_adversary
+in the tests certifies, for an empty colour class. Only the four schemas
+that commands emit are known; any other is an input error.
 Each codec imports the domain module whose objects it builds or reads, and
 `rational` where it reads or writes a rational, so canonical_bytes and
 canonical_text load nothing beyond this module, and a set-system command

@@ -39,10 +39,11 @@ and builds its covers with the package's greedy (`_eligible`, `_pick`),
 covers as point masks, as the package's oracle takes them; the references
 turn them into tuples of index tuples, the cover form of certificates.
 `all_tuples_empty_ref` is the cross-tuple predicate as a full product: per
-tuple, every pair, then the whole tuple. The package's `_all_tuples_empty`
-grows tuples one cover at a time and reads pair verdicts from the oracle's
-memo, and must give the same verdict after the same whole-tuple questions,
-except on the line, where it asks none.
+tuple, every pair, then the whole tuple. The package's grouping walk and
+t42 sweep grow tuples one cover at a time (`_grow_tuples`), reading pair
+verdicts from the oracle's memo, and ask the last cover's extensions with
+`_any_tuple_meets`; they must give the same verdict after the same
+whole-tuple questions, except on the line, where they ask none.
 `radon_number_ref` and `tverberg_number_ref` walk every
 bipartition or exact r-partition of every subset and intersect the hulls
 of its parts, where `abstract` now asks capture tests, and
@@ -74,9 +75,10 @@ walks that `partitions._empty_cover` replaced: a lazy (A, B) walk capped
 per grouping pair tried, and an eager listing of every part's groupings
 capped by their closed-form product. `empty_cover_ref` runs them as the
 searches did, the first on two parts and the second crossed by
-`itertools.product` on more, both with groups as point masks, so the new
-walk must return the same triple and ask the oracle the same questions in
-the same order.
+`itertools.product` on more under `all_tuples_empty_ref`, both with groups
+as point masks, so the new walk must return the same triple, ask the same
+whole-tuple questions in the same order (none on the line), and at two
+parts ask the oracle exactly the same questions.
 
 The abstract union search (`abstract_separable`, `abstract_good_partition`
 and `_unions_covering`, with `hull`) is the (s, t) question in a finite
@@ -110,8 +112,8 @@ from convexparts.errors import CapExceeded, InputError, InternalInvariantError
 from convexparts.geometry import (CircuitTable, _lifted_rows, _norm_group, circuit_table,
                                   uncrossed_masks)
 from convexparts.linprog import REL_EQ, REL_GE, REL_LE, LPOutcome, _pivot, lp_feasible
-from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle, _all_tuples_empty,
-                                    _oracle_for, _tuple_witnesses)
+from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle, _oracle_for,
+                                    _tuple_witnesses)
 from convexparts.rational import ONE, ZERO, Rat
 from convexparts.setsystems import (ShatterProfile, ShatterRow, _last_row, _Traces,
                                     primal_shatter, r_shatter_bound, sauer_bound, vc_dim)
@@ -1251,13 +1253,13 @@ def cover_groupings_ref(ps, parts, s_list, cap):
 def empty_cover_ref(oracle, parts, s_list, cap: int = 10**6):
     """The two walks as the searches ran them: separating_grouping_ref on
     two parts, else the product of cover_groupings_ref under
-    _all_tuples_empty; the same triple as partitions._empty_cover."""
+    all_tuples_empty_ref; the same triple as partitions._empty_cover."""
     if len(parts) == 2:
         return separating_grouping_ref(oracle, *parts, *s_list, cap)
     groupings = cover_groupings_ref(oracle.ps, parts, s_list, cap)
     closed_form = prod(map(len, groupings))
     for tried, combo in enumerate(itertools.product(*groupings), 1):
-        if _all_tuples_empty(oracle, combo):
+        if all_tuples_empty_ref(oracle, combo):
             return combo, tried, closed_form
     return None, closed_form, closed_form
 

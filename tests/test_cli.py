@@ -804,6 +804,16 @@ class TestInputContract:
         assert code == 0 and verdict["ok"]
         assert elapsed < 20
 
+    def test_separate_with_a_1100_point_part_exits_0(self, capsys, tmp_path):
+        # 1,100 points are past the recursion limit, so the part's grouping
+        # walk must be a loop
+        n = 1101
+        path = put(tmp_path, "line.json", {"dim": 1, "points": [[str(i)] for i in range(n)]})
+        code, doc = run_json(capsys, "separate", "--input", path,
+                             "--a", ",".join(map(str, range(n - 1))), "--b", str(n - 1),
+                             "--s", "2", "--t", "1")
+        assert code == 0 and doc["separable"]
+
 
 # Argv shapes of every command, both target positions of `gen` and `verify`,
 # and the argv of every benchmark op kind

@@ -34,7 +34,8 @@ from convexparts.errors import CapExceeded, InputError, InternalInvariantError
 from convexparts.geometry import circuit_table, hull_disjoint, hulls_common_point, point_set
 from convexparts.partitions import (
     MeetOracle,
-    _all_tuples_empty,
+    _any_tuple_meets,
+    _grow_tuples,
     f_search,
     good_radon_partition,
     good_tverberg_partition,
@@ -204,7 +205,8 @@ class TestAdversaryCovers:
         # pieces fail them by path: on a failing coloring's path the filter
         # keeps one tuple of empty groups, which meet nothing, so whatever
         # shares the path below it is still decided by the real filter, and
-        # at the path's leaf the whole-tuple ask reports a meeting. The
+        # at the path's leaf, given the last cover, the ask reports a
+        # meeting. The
         # sweep must stop at the k-th coloring in lexicographic order with
         # the reference's counts. The k-th coloring is the first of its
         # prefix at k = 1, 17 and 4097, and the last at k = 16.
@@ -231,11 +233,12 @@ class TestAdversaryCovers:
                 return grown or [(0,) * (level + 1)]
             return grown
 
-        def meets_on_path(oracle, tuples):
+        def meets_on_path(oracle, tuples, cover):
+            path[len(tuples[0]):] = [cover]
             if tuple(path) in targets:
                 failed.append(tuple(path))
                 return True
-            return any_meets(oracle, tuples)
+            return any_meets(oracle, tuples, cover)
 
         checked = []
         check = constructions._check_structure
@@ -454,9 +457,17 @@ def _tuple_meets(ps, groups):
         and _hulls_meet(ps, groups)
 
 
+def _fold(oracle, covers):
+    # the grouping walk's two steps on one combination: the pair filter over
+    # every cover but the last, then the last cover's ask
+    tuples = functools.reduce(functools.partial(_grow_tuples, oracle), covers[:-1], [()])
+    return not _any_tuple_meets(oracle, tuples, covers[-1])
+
+
 class TestCoversEmpty:
-    """partitions._all_tuples_empty, the one cross-tuple predicate, against
-    the full-product reference and the LP on every cross tuple."""
+    """The cross-tuple test of the grouping walk and the t42 sweep, folded
+    over one combination, against the full-product reference and the LP on
+    every cross tuple."""
 
     @pytest.mark.parametrize("d, s, r", [(1, 5, 4), (2, 3, 4), (1, 5, 2), (2, 3, 2),
                                          (1, 5, 3), (2, 3, 3)])
@@ -475,7 +486,7 @@ class TestCoversEmpty:
         truth = not any(_tuple_meets(inst.points, t) for t in itertools.product(*combo))
         for oracle, ref in oracles:
             del oracle.log[:], ref.log[:]
-            assert _all_tuples_empty(oracle, covers) == all_tuples_empty_ref(ref, covers) \
+            assert _fold(oracle, covers) == all_tuples_empty_ref(ref, covers) \
                 == truth
             if d == 1 and r > 2:
                 # Helly on the line: intervals that meet pairwise share a
@@ -498,7 +509,7 @@ class TestCoversEmpty:
         table = circuit_table(inst.points, range(inst.n))
         oracle, ref = _Recording(inst.points, table), _Recording(inst.points, table)
         covers = tuple(tuple(mask_of(g, inst.n) for g in cover) for cover in combo)
-        assert _all_tuples_empty(oracle, covers) == all_tuples_empty_ref(ref, covers) == empty
+        assert _fold(oracle, covers) == all_tuples_empty_ref(ref, covers) == empty
         assert oracle.whole(3) and oracle.whole(3) == ref.whole(3)
         assert any(_hulls_meet(inst.points, tuple(indices_of(g) for g in t))
                    for t in oracle.whole(3)) == (not empty)
@@ -510,7 +521,7 @@ class TestCoversEmpty:
 
         inst = moment_adversary_instance(1, 5, 4)
         covers = [(0b11,), (), (0b100, 0b1100000), (0b11000,)]
-        assert _all_tuples_empty(Mute(inst.points), covers)
+        assert _fold(Mute(inst.points), covers)
 
 
 class TestPeriodicColoring:
@@ -561,6 +572,11 @@ class TestPeriodicLineCover:
             parts = [range(c, n, r) for c in range(r)]
             found = joint_cover_empty(line(n), parts, [s] * r)
             assert rep.ok == (found is None), (r, s, n)
+
+    def test_a_thousand_colors(self):
+        # 1,000 classes are past the recursion limit, so the sweep must be
+        # a loop over them
+        assert verify_periodic_line_cover(1000, 1, cap=2 * 10**6).ok
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -686,14 +686,19 @@ def test_grouping_walk_matches_the_two_reference_walks(r, table, data):
     ours = partitions._empty_cover(oracles[0], masks, s_list, 10**6)
     ref = empty_cover_ref(oracles[1], parts, s_list)
     assert ours == ref
-    assert oracles[0].log == oracles[1].log
+    if r == 2:
+        assert oracles[0].log == oracles[1].log
+    else:
+        whole = [[q for q in oracle.log if len(q[1]) == r] for oracle in oracles]
+        # on the line, Helly answers every tuple whose pairs all meet
+        assert whole[0] == ([] if ps.dim == 1 else whole[1])
 
 
 def test_rgs_masks_is_the_one_partition_walk():
     # combinat.rgs_masks walks set partitions for the grouping walk, the
     # Tverberg search and the r-shattering check, and nothing else in the
-    # package walks them: the only generators that resume themselves are
-    # the walk inside rgs_masks and _empty_cover's product of part walks
+    # package walks them; and no generator in the package resumes itself,
+    # so no walk is bounded by the recursion limit
     package = Path(partitions.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     users = {f"{stem}.{getattr(top, 'name', 'module level')}"
@@ -704,13 +709,15 @@ def test_rgs_masks_is_the_one_partition_walk():
                      for node in ast.walk(top))}
     assert users == {"partitions._empty_cover", "partitions.good_tverberg_partition",
                      "setsystems.is_r_shattered"}
-    recursive = {f"{stem}.{fn.name}"
-                 for stem, tree in trees.items() for fn in ast.walk(tree)
-                 if isinstance(fn, ast.FunctionDef)
-                 and any(isinstance(node, ast.YieldFrom) and isinstance(node.value, ast.Call)
-                         and getattr(node.value.func, "id", None) == fn.name
-                         for node in ast.walk(fn))}
-    assert recursive == {"combinat.walk", "partitions.combos"}
+    generators = [(stem, fn) for stem, tree in trees.items() for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(fn))]
+    assert {f"{stem}.{fn.name}" for stem, fn in generators} == {
+        "combinat.rgs_masks", "combinat.run_splits"}
+    recursive = {f"{stem}.{fn.name}" for stem, fn in generators
+                 if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == fn.name
+                        for node in ast.walk(fn))}
+    assert recursive == set()
 
 
 def test_searches_normalize_their_subset_once(monkeypatch):
@@ -805,3 +812,46 @@ def test_good_partition_checker_solves_no_more_lps(monkeypatch):
     calls = _count_lps(monkeypatch)
     assert verify_good_partition(cert)
     assert len(calls) <= 294
+
+
+def test_table_free_cover_search_solves_no_more_lps(monkeypatch):
+    # 12: the last part's extensions are asked until one meets; growing
+    # them all before asking solves 14
+    ps = point_set(CounterRng("lp2").distinct_points(9, 2))
+    calls = _count_lps(monkeypatch)
+    joint_cover_empty(ps, [(0, 3, 6), (1, 4, 7), (2, 5, 8)], [2, 2, 2])
+    assert len(calls) <= 12
+
+
+def test_grouping_walk_grows_each_prefix_once(monkeypatch):
+    # ((0,3,5,7,9), (1,4,8), (2,6,10)) on the line 0..10 is a good partition
+    # at s = 2, so the walk tries all 16 * 4 * 4 combinations; the pair
+    # filter runs once per prefix of the first two parts, 16 + 16 * 4
+    ps = point_set([[i] for i in range(11)])
+    parts = [mask_of(p, 11) for p in ((0, 3, 5, 7, 9), (1, 4, 8), (2, 6, 10))]
+    grown = []
+    grow = partitions._grow_tuples
+
+    def counted(oracle, tuples, cover):
+        grown.append(cover)
+        return grow(oracle, tuples, cover)
+
+    monkeypatch.setattr(partitions, "_grow_tuples", counted)
+    oracle = MeetOracle(ps, circuit_table(ps, range(11)))
+    assert partitions._empty_cover(oracle, parts, (2, 2, 2), 10**6) == (None, 256, 256)
+    assert len(grown) <= 16 + 16 * 4
+
+
+def test_grouping_walk_over_a_thousand_parts_returns():
+    # the walk is a loop, so a part count past the recursion limit does not
+    # raise. Every pair meets and the whole tuple does not, so the tuple
+    # grows through every part and only the last one decides
+    class PairsMeet(MeetOracle):
+        def meets(self, groups):
+            return len(groups) == 2
+
+    k = 1100
+    ps = point_set([[i, i * i] for i in range(k)])
+    parts = [1 << i for i in range(k)]
+    combo, tried, closed_form = partitions._empty_cover(PairsMeet(ps), parts, (1,) * k, 10**6)
+    assert combo == tuple((p,) for p in parts) and tried == closed_form == 1

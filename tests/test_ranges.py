@@ -139,8 +139,8 @@ def test_halfspace_vc_dimension():
 
 
 def test_caps_and_validation():
-    with pytest.raises(CapExceeded):
-        halfspace_traces(LINE5, n_cap=4)
+    with pytest.raises(CapExceeded, match="^cap halfspace_traces_points=18 exceeded, needed 19$"):
+        halfspace_traces(point_set([[i] for i in range(19)]))
     with pytest.raises(CapExceeded):
         union_close(intersect_close(halfspace_traces(LINE5), 2), 2, cap=20)
     with pytest.raises(InputError):
