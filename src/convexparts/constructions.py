@@ -45,7 +45,7 @@ from math import comb
 
 from .combinat import check_total, run_splits
 from .errors import CapExceeded, InputError, InternalInvariantError
-from .geometry import PointSet, circuit_table, hull_disjoint, point_set
+from .geometry import PointSet, circuit_table, point_set
 from .partitions import MeetOracle, _any_tuple_meets, _grow_tuples, good_tverberg_partition
 from .rational import Rat
 
@@ -491,8 +491,8 @@ def tverberg_tight_instance(d: int, r: int, seed="tight", attempts: int = 64) ->
 
 def translated_copies(ps: PointSet, s: int) -> PointSet:
     """s copies of the set translated along the first axis, far enough
-    apart that the copies' hulls are pairwise disjoint (checked). Copy k
-    holds indices k*n .. (k+1)*n-1 in the original order."""
+    apart that the copies' hulls are pairwise disjoint, as one MeetOracle
+    checks pair by pair. Copy k holds indices k*n .. (k+1)*n-1 in order."""
     if s < 1:
         raise InputError("need at least one copy")
     if s == 1:
@@ -506,9 +506,10 @@ def translated_copies(ps: PointSet, s: int) -> PointSet:
             rows.append((p[0] + shift,) + tuple(p[1:]))
     out = point_set(rows)
     n0 = len(ps.points)
-    blocks = [range(k * n0, (k + 1) * n0) for k in range(s)]
+    blocks = [((1 << n0) - 1) << (k * n0) for k in range(s)]
+    oracle = MeetOracle(out)
     for a, b in itertools.combinations(range(s), 2):
-        if not hull_disjoint(out, blocks[a], blocks[b]):
+        if oracle.meets((blocks[a], blocks[b])):
             raise InternalInvariantError(f"copies {a} and {b} not separated")
     return out
 

@@ -5,10 +5,11 @@ The hull predicates reduce to linprog.lp_feasible, so each of their answers
 comes with either an exact witness or a re-checkable Farkas certificate.
 Two LP systems are built here: hull_meet_constraints (do some hulls and
 halfspaces share a point?) and closed_cells_constraints (do some closed
-cells share a point?). Separators need no system of their own. By Farkas'
-lemma, the vector that refutes a common point of one group's hull with the
-rest already holds a hyperplane between them, and farkas_separator reads it
-off.
+cells share a point?). The package asks hulls_common_point through
+partitions.MeetOracle, but for the r-fold construction's halfspace targets.
+Separators need no system of their own. By Farkas' lemma, the vector that
+refutes a common point of one group's hull with the rest already holds a
+hyperplane between them, and farkas_separator reads it off.
 
 The circuit table lets partitions.MeetOracle answer "do these two hulls
 meet?" without an LP. A circuit is a minimal affinely dependent subset; its
@@ -29,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, PreconditionFailed
 from .linprog import REL_EQ, REL_GE, _pivot, check_farkas, lp_feasible
 from .rational import ONE, ZERO, Rat, rat
 
@@ -213,25 +214,16 @@ def verify_hulls_empty(ps: PointSet, groups, farkas) -> bool:
     return check_farkas(cons, farkas, nonneg=True)
 
 
-def hull_disjoint(ps: PointSet, S, T) -> bool:
-    return not hulls_common_point(ps, (S, T))
-
-
-def strict_separator(ps: PointSet, S, T, meet=None) -> Hyperplane | None:
-    """Hyperplane with S at side <= -1 and T at side >= 1, or None when the
-    hulls of S and T meet.
-
-    farkas_separator reads it off the Farkas vector of
-    hulls_common_point(ps, (T, S)). meet, when given, is the answer for the
-    two groups in either order (MeetOracle sorts them), and no LP is solved
-    here. The unit gap costs no generality: any strict separator scales to it.
-    """
+def strict_separator(ps: PointSet, S, T, meet) -> Hyperplane:
+    """Hyperplane with S at side <= -1 and T at side >= 1, read off the
+    Farkas vector of meet, the answer for the two groups in either order
+    (MeetOracle sorts them), so no LP is solved here. Hulls that meet raise
+    PreconditionFailed. Any strict separator scales to the unit gap."""
     s_idx = _norm_group(ps, S)
     t_idx = _norm_group(ps, T)
-    if meet is None:
-        meet = hulls_common_point(ps, (t_idx, s_idx))
     if meet:
-        return None
+        raise PreconditionFailed(f"hulls of {t_idx} and {s_idx} share a point",
+                                 witness=meet.point)
     hp = farkas_separator(ps, meet)
     if meet.groups[0] != t_idx:
         hp = Hyperplane(tuple(-c for c in hp.normal), -hp.offset)

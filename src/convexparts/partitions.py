@@ -35,8 +35,9 @@ meet too. Every "disjoint" comes from the table or from the LP of exactly
 the asked groups, so every verdict is exact. Separators are built only for
 the grouping a search returns, and Farkas vectors in certificates come from
 the LP of exactly the groups they name. Callers that may ask a single
-question (separate, build-separation) and the certificate checker
-verify_good_partition keep an oracle without a table.
+question (separate, build-separation, constructions.translated_copies)
+and the certificate checker verify_good_partition keep an oracle without
+a table.
 
 Every certificate has one shape: it holds its PointSet once, as ps, and
 names groups as sorted index tuples, a cover being a tuple of them. Its
@@ -51,10 +52,12 @@ Cross-pair separators give polytopes with at most t facets; each comes from
 the pair's answer in the search's oracle, which holds it already unless the
 oracle has a circuit table. The r-fold construction is sequential: each
 separation target is an intersection of earlier polytopes with later hulls,
-kept in mixed halfspace/hull form. A target that is nonempty gets one facet
-per group: the Farkas vector that refutes a common point of the group's
-hull with the target separates them with a unit gap, so no facet or vertex
-enumeration of the target is needed.
+kept in mixed halfspace/hull form. Its hull tuples pass the grouping
+walk's pair filter on one MeetOracle, which also answers a target with no
+halfspace; only targets with halfspaces solve their own LP. A target that
+is nonempty gets one facet per group: the Farkas vector that refutes a
+common point of the group's hull with the target separates them with a
+unit gap, so no facet or vertex enumeration of the target is needed.
 """
 
 from __future__ import annotations
@@ -243,30 +246,24 @@ class MeetOracle:
         return out
 
 
-def build_K_polyhedra(ps: PointSet, a_groups, b_groups, oracle=None) -> tuple:
+def build_K_polyhedra(oracle: MeetOracle, a_groups, b_groups) -> tuple:
     """One polytope per A-group: intersect its separators from every B-group.
 
     K_i has at most len(b_groups) facets, contains a_groups[i] with unit
     margin, and every B point sits at side <= -1 of at least one facet.
-    oracle, a MeetOracle of ps, lends the answers a search already has:
-    each separator is read off the pair's Farkas vector.
+    Each separator is read off the pair's answer in oracle, a MeetOracle
+    of the point set, which lends the answers a search already has.
     """
+    ps = oracle.ps
     a_groups = tuple(_norm_group(ps, g) for g in a_groups)
     b_groups = tuple(_norm_group(ps, g) for g in b_groups)
     if not a_groups or not b_groups:
         raise InputError("both sides need at least one group")
-    oracle = _oracle_for(ps, oracle)
     n = len(ps.points)
-    ks = []
-    for ga in a_groups:
-        facets = []
-        for gb in b_groups:
-            meet = oracle.intersection((mask_of(ga, n), mask_of(gb, n)))
-            if meet:
-                raise PreconditionFailed(f"hulls of {ga} and {gb} share a point",
-                                         witness=meet.point)
-            facets.append(strict_separator(ps, gb, ga, meet))
-        ks.append(tuple(facets))
+    ks = tuple(tuple(strict_separator(ps, gb, ga,
+                                      oracle.intersection((mask_of(ga, n), mask_of(gb, n))))
+                     for gb in b_groups)
+               for ga in a_groups)
     for ga, facets in zip(a_groups, ks):
         for i in ga:
             if any(h.side(ps.points[i]) < 1 for h in facets):
@@ -276,15 +273,7 @@ def build_K_polyhedra(ps: PointSet, a_groups, b_groups, oracle=None) -> tuple:
             for i in gb:
                 if all(h.side(ps.points[i]) > -1 for h in facets):
                     raise InternalInvariantError("B point not excluded from a polytope")
-    return tuple(ks)
-
-
-def _oracle_for(ps, oracle):
-    if oracle is None:
-        return MeetOracle(ps)
-    if oracle.ps is not ps and oracle.ps != ps:
-        raise InputError("oracle built for another point set")
-    return oracle
+    return ks
 
 
 def st_separable(ps: PointSet, a, b, s: int, t: int):
@@ -305,7 +294,7 @@ def st_separability_report(ps: PointSet, a, b, s: int, t: int,
     if grouping is None:
         return None, tried, closed_form
     a_groups, b_groups = (tuple(map(indices_of, side)) for side in grouping)
-    ks = build_K_polyhedra(ps, a_groups, b_groups, oracle=oracle)
+    ks = build_K_polyhedra(oracle, a_groups, b_groups)
     return SeparationCertificate(ps, a_groups, b_groups, ks), tried, closed_form
 
 
@@ -620,30 +609,37 @@ def build_r_separation(certificate: EmptyIntersectionCertificate,
     Cover i is separated from every cross product of pieces already built
     (j < i) and hulls still pending (j > i); each nonempty such target
     contributes one facet, so piece facet counts never exceed the product of
-    the other covers' group counts.
+    the other covers' group counts. Pending hull tuples with a disjoint
+    pair are dropped by _grow_tuples before any target LP.
     """
     ps, covers = certificate.ps, certificate.covers
     if len(covers) < 2:
         raise InputError("need at least two covers")
+    if not all(covers):
+        raise PreconditionFailed("a cover with no group refutes nothing")
     if not verify_empty_intersection(certificate):
         raise PreconditionFailed("empty-intersection certificate does not verify")
-    r = len(covers)
-    work = prod(max(1, len(c)) for c in covers)
+    work = prod(map(len, covers))
     if work > cap:
         raise CapExceeded("separation_tuples", cap, work)
+    oracle = MeetOracle(ps)
+    masks = [[mask_of(g, len(ps.points)) for g in cover] for cover in covers]
     built = []
-    for i in range(r):
-        # (halfspaces, hull groups) per item: built pieces, then pending hulls
-        factors = [[(piece, ()) for piece in built[j]] for j in range(i)] + \
-                  [[((), (g,)) for g in covers[j]] for j in range(i + 1, r)]
+    for i, cover in enumerate(covers):
+        later = [()]
+        for groups in masks[i + 1:]:
+            later = _grow_tuples(oracle, later, groups)
         targets = []
-        for pick in itertools.product(*factors):
-            halfspaces = tuple(h for cell, _ in pick for h in cell)
-            groups = tuple(g for _, gs in pick for g in gs)
-            if _target_meets(ps, groups, halfspaces):
-                targets.append((groups, halfspaces))
+        for pick in itertools.product(*built):
+            halfspaces = tuple(h for piece in pick for h in piece)
+            for tup in later:
+                groups = tuple(map(indices_of, tup))
+                meets = oracle.meets(tup) if tup and not halfspaces else \
+                    _target_meets(ps, groups, halfspaces)
+                if meets:
+                    targets.append((groups, halfspaces))
         built.append([tuple(_target_separator(ps, grp, *target) for target in targets)
-                      for grp in covers[i]])
+                      for grp in cover])
     emptiness = []
     for choice in itertools.product(*[range(len(p)) for p in built]):
         pick = tuple(built[i][k] for i, k in enumerate(choice))

@@ -12,7 +12,8 @@ from scratch using only the kernel predicates. A cover with no group
 refutes nothing: verify_r_separation rejects it itself, and
 check_certificate rejects it in an empty-intersection document; the
 library checker accepts one, which only bruteforce.verify_moment_adversary
-in the tests certifies, for an empty colour class. Only the four schemas
+in the tests certifies, for an empty colour class, and build_r_separation
+refuses one. Only the four schemas
 that commands emit are known; any other is an input error.
 Each codec imports the domain module whose objects it builds or reads, and
 `rational` where it reads or writes a rational, so canonical_bytes and

@@ -91,7 +91,11 @@ a pair of groups, and for an r-fold target of `build_r_separation` one LP
 over (w, b) and dual multipliers of the target system
 (`target_system_ref`). `unit_gap_ref` asks the same dual multipliers of a
 fixed hyperplane, so it certifies side <= -1 on a whole target by LP
-duality, without enumerating its vertices.
+duality, without enumerating its vertices. `build_r_separation_ref` is
+`build_r_separation` as a product walk that asks each target whole, one
+LP over up to r-1 hulls, where the package first drops the pending hull
+tuples that have a disjoint pair with the grouping walk's pair filter on
+one `MeetOracle`; both must give the same separation, byte for byte.
 """
 
 from __future__ import annotations
@@ -108,12 +112,13 @@ from convexparts.cli import _HANDLERS, _TARGETS
 from convexparts.combinat import (binomial, check_total, indices_of, mask_of,
                                   partitions_le_count, stirling2)
 from convexparts.constructions import AdversarySweepReport, moment_adversary_instance
-from convexparts.errors import CapExceeded, InputError, InternalInvariantError
+from convexparts.errors import CapExceeded, InputError, InternalInvariantError, PreconditionFailed
 from convexparts.geometry import (CircuitTable, _lifted_rows, _norm_group, circuit_table,
-                                  uncrossed_masks)
+                                  closed_cells_meet, uncrossed_masks)
 from convexparts.linprog import REL_EQ, REL_GE, REL_LE, LPOutcome, _pivot, lp_feasible
-from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle, _oracle_for,
-                                    _tuple_witnesses)
+from convexparts.partitions import (EmptyIntersectionCertificate, MeetOracle,
+                                    PolyhedralSeparation, _target_meets, _target_separator,
+                                    _tuple_witnesses, verify_empty_intersection)
 from convexparts.rational import ONE, ZERO, Rat
 from convexparts.setsystems import (ShatterProfile, ShatterRow, _last_row, _Traces,
                                     primal_shatter, r_shatter_bound, sauer_bound, vc_dim)
@@ -754,6 +759,47 @@ def separation_targets_ref(ps, covers, unions, i: int):
     return targets
 
 
+def build_r_separation_ref(certificate, cap: int = 10**6):
+    """partitions.build_r_separation as a product walk: every separation
+    target of cover i, one item per cover j != i (a built piece for j < i,
+    a pending hull for j > i), asked whole, as one LP over its hulls and
+    halfspaces. The package grows the pending hull tuples with the grouping
+    walk's pair filter first; the two must build the same separation."""
+    ps, covers = certificate.ps, certificate.covers
+    if len(covers) < 2:
+        raise InputError("need at least two covers")
+    if not verify_empty_intersection(certificate):
+        raise PreconditionFailed("empty-intersection certificate does not verify")
+    r = len(covers)
+    work = prod(max(1, len(c)) for c in covers)
+    if work > cap:
+        raise CapExceeded("separation_tuples", cap, work)
+    built = []
+    for i in range(r):
+        # (halfspaces, hull groups) per item: built pieces, then pending hulls
+        factors = [[(piece, ()) for piece in built[j]] for j in range(i)] + \
+                  [[((), (g,)) for g in covers[j]] for j in range(i + 1, r)]
+        targets = []
+        for pick in itertools.product(*factors):
+            halfspaces = tuple(h for cell, _ in pick for h in cell)
+            groups = tuple(g for _, gs in pick for g in gs)
+            if _target_meets(ps, groups, halfspaces):
+                targets.append((groups, halfspaces))
+        built.append([tuple(_target_separator(ps, grp, *target) for target in targets)
+                      for grp in covers[i]])
+    emptiness = []
+    for choice in itertools.product(*[range(len(p)) for p in built]):
+        pick = tuple(built[i][k] for i, k in enumerate(choice))
+        if all(not piece for piece in pick):
+            raise InternalInvariantError("facet-free cross tuple cannot be empty")
+        out = closed_cells_meet(pick)
+        if out.feasible:
+            raise InternalInvariantError("constructed pieces still meet")
+        emptiness.append((choice, out.farkas))
+    unions = tuple(tuple(pieces) for pieces in built)
+    return PolyhedralSeparation(ps, covers, unions, tuple(emptiness))
+
+
 def halfspace_traces_ref(ps, n_cap: int = 18):
     """Every subset separable from its complement, empty and full included.
 
@@ -954,7 +1000,7 @@ def covers_jointly_empty(ps, covers, oracle=None):
     covers = tuple(covers)
     if len(covers) < 2:
         raise InputError("need at least two covers")
-    oracle = _oracle_for(ps, oracle)
+    oracle = MeetOracle(ps) if oracle is None else oracle
     n = len(ps.points)
     witnesses = _tuple_witnesses(
         oracle, tuple(tuple(mask_of(g, n) for g in c) for c in covers))

@@ -22,7 +22,7 @@ from convexparts.constructions import (convex_position, halfspace_4coloring,
                                        tverberg_tight_instance,
                                        verify_periodic_line_cover)
 from convexparts.geometry import point_set
-from convexparts.partitions import (build_K_polyhedra, build_r_separation,
+from convexparts.partitions import (MeetOracle, build_K_polyhedra, build_r_separation,
                                     f_search, good_radon_partition,
                                     good_tverberg_partition,
                                     joint_cover_empty, st_separable,
@@ -248,7 +248,7 @@ def _check_10():
         if cert is None:
             continue
         kept += 1
-        polys = build_K_polyhedra(ps, cert.a_groups, cert.b_groups)
+        polys = build_K_polyhedra(MeetOracle(ps), cert.a_groups, cert.b_groups)
         for i, group in enumerate(cert.a_groups):
             width_ok &= len(polys[i]) <= t
             max_facets = max(max_facets, len(polys[i]))

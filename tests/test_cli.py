@@ -312,6 +312,16 @@ class TestSearchCommands:
                                  put(tmp_path, "tampered.json", data))
         assert code == 2 and verdict["ok"] is False
 
+    def test_build_separation_on_sixty_singleton_parts(self, capsys, tmp_path):
+        line = put(tmp_path, "line60.json", {"dim": 1, "points": [[str(i)] for i in range(60)]})
+        out = tmp_path / "bs"
+        code, doc = run_json(capsys, "build-separation", "--input", line,
+                             "--parts", ";".join(map(str, range(60))), "--s", 1,
+                             "--out-dir", out)
+        assert code == 0 and doc["built"]
+        code, verdict = run_json(capsys, "verify-cert", "--input", out / "r_separation.json")
+        assert code == 0 and verdict["ok"]
+
     def test_build_separation_refuted(self, capsys, tmp_path):
         sq = put(tmp_path, "square.json", SQUARE_DOC)
         code, doc = run_json(capsys, "build-separation", "--input", sq,
@@ -1091,6 +1101,22 @@ def test_every_public_function_is_reached_from_the_package():
         and not any(name in used for unit, used in refs
                     if all(unit is not o for o in own))}
     assert unreached == set(UNREACHED_ALLOWLIST)
+
+
+def test_only_the_oracle_and_the_separation_targets_solve_hull_lps():
+    # every other hull question goes to a partitions.MeetOracle
+    package = Path(__file__).resolve().parents[1] / "src" / "convexparts"
+    users = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            units = [(f"{top.name}.{getattr(m, 'name', '')}", m) for m in top.body] \
+                if isinstance(top, ast.ClassDef) else [(getattr(top, "name", ""), top)]
+            for name, unit in units:
+                if any(getattr(n, "id", getattr(n, "attr", None)) == "hulls_common_point"
+                       for n in ast.walk(unit) if isinstance(n, (ast.Name, ast.Attribute))):
+                    users.add(f"{path.stem}.{name}")
+    assert users == {"partitions.MeetOracle._solve", "partitions._target_meets",
+                     "partitions._target_separator"}
 
 
 def test_only_main_renders_documents():

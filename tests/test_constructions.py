@@ -31,7 +31,7 @@ from convexparts.constructions import (
 )
 from convexparts.combinat import indices_of, mask_of
 from convexparts.errors import CapExceeded, InputError, InternalInvariantError
-from convexparts.geometry import circuit_table, hull_disjoint, hulls_common_point, point_set
+from convexparts.geometry import circuit_table, hulls_common_point, point_set
 from convexparts.partitions import (
     MeetOracle,
     _any_tuple_meets,
@@ -74,7 +74,7 @@ class TestMomentCurve:
                 for size in range(1, d // 2 + 1):
                     for sub in itertools.combinations(range(n), size):
                         rest = [i for i in range(n) if i not in sub]
-                        assert hull_disjoint(ps, sub, rest)
+                        assert not hulls_common_point(ps, (sub, rest))
 
     def test_rng_draws_increasing_distinct(self):
         ps = moment_curve(6, 2, rng=CounterRng("mc"))
@@ -611,7 +611,7 @@ class TestConvexPosition:
         for n in (3, 5, 7):
             ps = convex_position(n)
             for i in range(n):
-                assert hull_disjoint(ps, [i], [j for j in range(n) if j != i])
+                assert not hulls_common_point(ps, ([i], [j for j in range(n) if j != i]))
 
     def test_unit_circle(self):
         ps = convex_position(6, rng=CounterRng("circle"))
@@ -684,8 +684,8 @@ class TestTranslatedCopies:
         ps = translated_copies(base, 3)
         n0 = len(base.points)
         for a, b in itertools.combinations(range(3), 2):
-            assert hull_disjoint(ps, range(a * n0, (a + 1) * n0),
-                                 range(b * n0, (b + 1) * n0))
+            assert not hulls_common_point(ps, (range(a * n0, (a + 1) * n0),
+                                               range(b * n0, (b + 1) * n0)))
 
     def test_validation(self):
         with pytest.raises(InputError):

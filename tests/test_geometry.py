@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convexparts.geometry as geometry
-from convexparts.errors import InputError
+from convexparts.errors import InputError, PreconditionFailed
 from convexparts.geometry import (
     Hyperplane,
     _lifted_rows,
     circuit_table,
     closed_cells_meet,
-    hull_disjoint,
     hulls_common_point,
     make_hyperplane,
     point_set,
@@ -91,6 +90,16 @@ def test_in_hull_matches_triangle_oracle():
     assert checked > 40
 
 
+def _separator_or_none(ps, S, T, meet):
+    """strict_separator's hyperplane from meet, or None when it refuses
+    meeting hulls, with their common point as the witness."""
+    try:
+        return strict_separator(ps, S, T, meet)
+    except PreconditionFailed as err:
+        assert meet and err.witness == meet.point
+        return None
+
+
 def test_separator_exists_iff_hulls_disjoint_exhaustive():
     for seed, n, d in [(1, 5, 2), (2, 6, 2), (3, 5, 3)]:
         rng = CounterRng(seed, "sep-iff")
@@ -101,7 +110,8 @@ def test_separator_exists_iff_hulls_disjoint_exhaustive():
                 rest = [i for i in idx if i not in A]
                 for kb in range(1, len(rest) + 1):
                     for B in itertools.combinations(rest, kb):
-                        sep = strict_separator(ps, A, B)
+                        # the separator reads the answer in the other group order
+                        sep = _separator_or_none(ps, A, B, hulls_common_point(ps, (B, A)))
                         meet = hulls_common_point(ps, (A, B))
                         assert (sep is None) == bool(meet)
                         if sep is not None:
@@ -127,8 +137,8 @@ def test_separator_exists_iff_the_row_lp_finds_one(data):
         return
     ps = point_set(pts)
     ref = strict_separator_ref(ps, S, T)
-    for meet in (None, hulls_common_point(ps, (S, T)), hulls_common_point(ps, (T, S))):
-        hp = strict_separator(ps, S, T, meet)
+    for meet in (hulls_common_point(ps, (S, T)), hulls_common_point(ps, (T, S))):
+        hp = _separator_or_none(ps, S, T, meet)
         assert (hp is None) == (ref is None)
         if hp is not None:
             assert all(hp.side(ps.points[i]) <= -1 for i in S)
@@ -138,7 +148,10 @@ def test_separator_exists_iff_the_row_lp_finds_one(data):
 def test_separator_rejects_overlap():
     # groups that share a point meet, so no hyperplane separates them
     ps = point_set([(0, 0), (1, 1), (2, 0)])
-    assert strict_separator(ps, (0, 1), (1, 2)) is None
+    with pytest.raises(PreconditionFailed) as err:
+        strict_separator(ps, (0, 1), (1, 2), hulls_common_point(ps, ((1, 2), (0, 1))))
+    assert str(err.value) == "hulls of (1, 2) and (0, 1) share a point"
+    assert err.value.witness == (1, 1)
 
 
 # The classic Radon split of S is a good (1,1) bipartition: one hull per side,
@@ -324,4 +337,4 @@ def test_hull_disjoint_symmetric():
     rng = CounterRng(5, "disjoint-sym")
     ps = distinct_rand_point_set(rng, 6, 2)
     for A, B in [((0, 1), (2, 3)), ((0, 1, 2), (3, 4, 5)), ((4,), (0, 5))]:
-        assert hull_disjoint(ps, A, B) == hull_disjoint(ps, B, A)
+        assert bool(hulls_common_point(ps, (A, B))) == bool(hulls_common_point(ps, (B, A)))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import convexparts.geometry as geometry
 import convexparts.partitions as partitions
-from bruteforce import (distinct_rand_point_set, empty_cover_ref, geometric_space,
+from bruteforce import (build_r_separation_ref, distinct_rand_point_set, empty_cover_ref,
+                        geometric_space,
                         geometric_space_ref, halfspace_traces_ref, in_hull,
                         rgs_partitions_exact_ref, rgs_partitions_ref, robust_separator_ref,
                         segments_meet, separation_targets_ref, stirling2_ref,
@@ -20,6 +21,7 @@ from convexparts.combinat import mask_of, partitions_le_count, rgs_masks, stirli
 from convexparts.errors import CapExceeded, InputError, PreconditionFailed
 from convexparts.geometry import circuit_table, hulls_common_point, point_set
 from convexparts.partitions import (
+    EmptyIntersectionCertificate,
     MeetOracle,
     SeparationCertificate,
     build_K_polyhedra,
@@ -37,6 +39,7 @@ from convexparts.partitions import (
 from convexparts.ranges import halfspace_traces, intersect_close
 from convexparts.rational import Rat
 from convexparts.rng import CounterRng
+from convexparts.serialize import canonical_bytes, r_separation_data
 
 SQUARE = point_set([(0, 0), (1, 1), (1, 0), (0, 1)])
 TRIANGLE = point_set([(0, 0), (4, 0), (0, 4)])
@@ -315,7 +318,7 @@ def test_heterogeneous_bounds_try_block_assignments():
 
 def test_build_K_two_segments():
     ps = point_set([[0], [1], [5], [7]])
-    ks = build_K_polyhedra(ps, [(0, 1)], [(2, 3)])
+    ks = build_K_polyhedra(MeetOracle(ps), [(0, 1)], [(2, 3)])
     assert len(ks) == 1 and len(ks[0]) == 1
     h = ks[0][0]
     assert h.side(ps.points[0]) >= 1 and h.side(ps.points[2]) <= -1
@@ -324,7 +327,7 @@ def test_build_K_two_segments():
 def test_build_K_wedge_covers_both_groups():
     # A's two clusters flank B
     ps = point_set([(0, 0), (0, 1), (10, 0), (10, 1), (5, 0), (5, 1)])
-    ks = build_K_polyhedra(ps, [(0, 1), (2, 3)], [(4, 5)])
+    ks = build_K_polyhedra(MeetOracle(ps), [(0, 1), (2, 3)], [(4, 5)])
     assert [len(k) for k in ks] == [1, 1]
     for grp, k in zip([(0, 1), (2, 3)], ks):
         for i in grp:
@@ -346,7 +349,7 @@ def test_build_K_random_configurations_hold_their_postconditions():
         a_groups = [tuple(range(k, na, s)) for k in range(s)]
         b_groups = [tuple(range(na + k, na + nb, t)) for k in range(t)]
         try:
-            ks = build_K_polyhedra(ps, a_groups, b_groups)
+            ks = build_K_polyhedra(MeetOracle(ps), a_groups, b_groups)
         except PreconditionFailed as err:
             assert err.witness is not None
             continue
@@ -362,7 +365,7 @@ def test_build_K_random_configurations_hold_their_postconditions():
 
 def test_build_K_rejects_crossing_hulls_with_a_witness():
     with pytest.raises(PreconditionFailed) as exc:
-        build_K_polyhedra(SQUARE, [(0, 1)], [(2, 3)])
+        build_K_polyhedra(MeetOracle(SQUARE), [(0, 1)], [(2, 3)])
     w = exc.value.witness
     assert w is not None
     assert in_hull(SQUARE, w, (0, 1)) and in_hull(SQUARE, w, (2, 3))
@@ -436,7 +439,7 @@ def test_built_separations_verify(data):
     assert verify_separation(cert)
     # with a circuit table the oracle solves the pair's LP on demand
     oracle = MeetOracle(ps, circuit_table(ps, range(len(ps))))
-    ks = build_K_polyhedra(ps, cert.a_groups, cert.b_groups, oracle=oracle)
+    ks = build_K_polyhedra(oracle, cert.a_groups, cert.b_groups)
     assert verify_separation(SeparationCertificate(ps, cert.a_groups, cert.b_groups, ks))
 
 
@@ -486,6 +489,80 @@ def test_r_separation_rejects_a_cover_with_no_group():
     assert verify_r_separation(sep)
     tampered = replace(sep, covers=((), ((2, 3),)), unions=((), ((),)), emptiness=())
     assert not verify_r_separation(tampered)
+
+
+def test_r_separation_refuses_a_certificate_with_an_empty_cover():
+    # the library checker accepts a cover with no group, which leaves no
+    # cross tuple to refute; the construction refuses it before any target
+    cert = EmptyIntersectionCertificate(point_set([[0], [1], [2]]),
+                                        (((0,),), ((1,),), ()), ())
+    assert verify_empty_intersection(cert)
+    with pytest.raises(PreconditionFailed):
+        build_r_separation(cert)
+
+
+def _same_separation_as_the_product_walk(cert):
+    ours = canonical_bytes(r_separation_data(build_r_separation(cert)))
+    assert ours == canonical_bytes(r_separation_data(build_r_separation_ref(cert)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_r_separation_matches_the_product_walk_on_singleton_parts_of_a_line(data):
+    k = data.draw(st.integers(3, 12))
+    coords = data.draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k, unique=True))
+    ps = point_set([[c] for c in coords])
+    # every point its own part, but for up to two points moved into another part
+    labels = list(range(k))
+    for _ in range(data.draw(st.integers(0, 2))):
+        labels[data.draw(st.integers(0, k - 1))] = data.draw(st.integers(0, k - 1))
+    parts = [p for p in ([i for i in range(k) if labels[i] == c] for c in range(k)) if p]
+    if len(parts) < 2:
+        return
+    s_list = data.draw(st.lists(st.integers(1, 2), min_size=len(parts), max_size=len(parts)))
+    _same_separation_as_the_product_walk(joint_cover_empty(ps, parts, s_list))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_r_separation_matches_the_product_walk_on_random_parts(data):
+    # on the line, random parts interleave, so covers split into two groups
+    d, r = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(r, 7))
+    pts = data.draw(st.lists(st.tuples(*[st.sampled_from(_SMALL)] * d),
+                             min_size=n, max_size=n, unique=True))
+    labels = list(range(r)) + data.draw(st.lists(st.integers(0, r - 1), min_size=n - r,
+                                                  max_size=n - r))
+    parts = [[i for i in range(n) if labels[i] == c] for c in range(r)]
+    s_list = data.draw(st.lists(st.integers(1, 2), min_size=r, max_size=r))
+    cert = joint_cover_empty(point_set(pts), parts, s_list)
+    if cert is not None:
+        _same_separation_as_the_product_walk(cert)
+
+
+@pytest.mark.parametrize("n, r, s", [(8, 3, 2), (9, 3, 3), (10, 3, 3), (8, 4, 2), (12, 3, 4)])
+def test_r_separation_matches_the_product_walk_on_periodic_parts_of_a_line(n, r, s):
+    # interleaved parts split into several groups, so targets cross pieces
+    ps = point_set([[i] for i in range(n)])
+    cert = joint_cover_empty(ps, [range(c, n, r) for c in range(r)], [s] * r)
+    assert max(map(len, cert.covers)) > 1
+    _same_separation_as_the_product_walk(cert)
+
+
+def test_r_separation_of_sixty_singleton_parts_solves_only_pair_lps(monkeypatch):
+    # the product walk asks cover 0's target, the other 59 hulls, as one LP
+    ps = point_set([[i] for i in range(60)])
+    cert = joint_cover_empty(ps, [(i,) for i in range(60)], [1] * 60)
+    solve, arities = partitions.hulls_common_point, []
+
+    def spy(ps, groups, halfspaces=()):
+        arities.append(len(groups))
+        return solve(ps, groups, halfspaces)
+
+    monkeypatch.setattr(partitions, "hulls_common_point", spy)
+    sep = build_r_separation(cert)
+    assert verify_r_separation(sep)
+    assert arities and max(arities) <= 2
 
 
 def test_separability_agrees_with_closed_trace_families():
